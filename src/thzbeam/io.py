@@ -43,19 +43,16 @@ def write_csv(path: Path, header: str, rows: Iterable[Sequence]) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+# wavefront kinds of the gain-curve CSV, in column order
+GAIN_CURVE_COLUMNS = ("beamforming", "beamfocusing", "bessel")
+
+
 def gain_curve_rows(curve) -> tuple[str, list[list[float]]]:
     """Bit-exact gain-curve CSV schema: z_m,beamforming,beamfocusing,bessel."""
-    header = "z_m,beamforming,beamfocusing,bessel"
+    header = ",".join(("z_m",) + GAIN_CURVE_COLUMNS)
     rows = []
     for i, z in enumerate(curve.distances):
-        rows.append(
-            [
-                float(z),
-                float(curve.gain["beamforming"][i]),
-                float(curve.gain["beamfocusing"][i]),
-                float(curve.gain["bessel"][i]),
-            ]
-        )
+        rows.append([float(z)] + [float(curve.gain[kind][i]) for kind in GAIN_CURVE_COLUMNS])
     return header, rows
 
 

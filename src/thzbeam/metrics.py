@@ -19,7 +19,7 @@ import numpy as np
 
 from .aperture import AmplitudeMask, ApertureGrid, WavefrontSpec, compose_aperture, synthesize_phase
 from .errors import NoBeamError
-from .propagation import FieldSlice
+from .propagation import FieldSlice, _axial_sums
 
 __all__ = [
     "GainCurve",
@@ -34,22 +34,28 @@ __all__ = [
     "self_healing_correlation",
 ]
 
-GAIN_CURVE_ORDER = ("beamforming", "beamfocusing", "bessel")
-
-
 def normalized_gain(field, point: Sequence[float]) -> float:
-    """Coherence factor of the element contributions at a point, in [0, 1]."""
+    """Coherence factor of the element contributions at a point, in [0, 1].
+
+    On the array axis (px == py == 0) the sums run over the distinct element
+    distances from the axis, with the weights binned by radius; they equal
+    the element-wise sums up to summation order.
+    """
     px, py, pz = (float(v) for v in point)
     if pz <= 0:
         raise ValueError(f"evaluation point must have z > 0, got {pz}")
-    X, Y = field.grid.meshgrid()
-    r = np.sqrt((X - px) ** 2 + (Y - py) ** 2 + pz * pz)
-    if np.any(r == 0.0):
-        raise ValueError(f"evaluation point {(px, py, pz)} coincides with an element")
-    w = field.weights
-    amp = np.abs(w)
-    num = np.abs(np.sum(w * np.exp(-1j * field.grid.wavenumber * r) / r)) ** 2
-    den = np.sum(amp / r) ** 2
+    if px == 0.0 and py == 0.0:
+        coherent, incoherent = _axial_sums(field, [pz])
+        num = abs(coherent[0]) ** 2
+        den = incoherent[0] ** 2
+    else:
+        X, Y = field.grid.meshgrid()
+        r = np.sqrt((X - px) ** 2 + (Y - py) ** 2 + pz * pz)
+        if np.any(r == 0.0):
+            raise ValueError(f"evaluation point {(px, py, pz)} coincides with an element")
+        w = field.weights
+        num = np.abs(np.sum(w * np.exp(-1j * field.grid.wavenumber * r) / r)) ** 2
+        den = np.sum(np.abs(w) / r) ** 2
     if den == 0.0:
         raise ValueError("aperture field carries no power")
     return float(num / den)

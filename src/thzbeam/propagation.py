@@ -19,6 +19,7 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -110,7 +111,6 @@ class PropagationPlan:
 
 
 DEFAULT_PLAN = PropagationPlan()
-ORACLE_PLAN = PropagationPlan(pad_factor=4.0)
 
 
 def _padded_size(n: int, pad_factor: float) -> int:
@@ -297,8 +297,52 @@ def propagate_with_obstacles(
     return propagate_slice(current, z_target - current.z, hop_plan, wavelength=lam)
 
 
+@functools.lru_cache(maxsize=4)
+def _axial_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct s = (2i-(n-1))^2 + (2j-(n-1))^2 of an n-by-n grid, and each element's bin.
+
+    Element (i, j) sits at squared distance s * pitch^2 / 4 from the array
+    axis, so every on-axis distance depends on the element only through s.
+    The arrays are shared by every caller and are therefore read-only.
+    """
+    u = (2 * np.arange(n, dtype=np.int64) - (n - 1)) ** 2
+    values, inverse = np.unique(u[:, None] + u[None, :], return_inverse=True)
+    inverse = inverse.ravel()
+    values.setflags(write=False)
+    inverse.setflags(write=False)
+    return values, inverse
+
+
+def _axial_sums(field: ApertureField, z_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact on-axis sums, sum w*exp(-1j*k*r)/r and sum |w|/r, at each z > 0.
+
+    The weights are binned by their element's distance from the axis first,
+    so each distance costs one sum over the distinct radii (36,358 at
+    n = 667) instead of one over every element (444,889).
+    """
+    s, inverse = _axial_bins(field.grid.elements_per_side)
+    w = field.weights.ravel()
+    w_bins = (np.bincount(inverse, weights=w.real, minlength=s.size)
+              + 1j * np.bincount(inverse, weights=w.imag, minlength=s.size))
+    abs_bins = np.bincount(inverse, weights=np.abs(w), minlength=s.size)
+    rho_sq = s * (field.grid.element_pitch**2 / 4.0)
+    k = field.grid.wavenumber
+    coherent = np.empty(len(z_values), dtype=complex)
+    incoherent = np.empty(len(z_values))
+    for i, z in enumerate(z_values):
+        r = np.sqrt(rho_sq + z * z)
+        coherent[i] = np.sum(w_bins * np.exp(-1j * k * r) / r)
+        incoherent[i] = np.sum(abs_bins / r)
+    return coherent, incoherent
+
+
 def axial_scan(field: ApertureField, z_values: Sequence[float]) -> np.ndarray:
-    """On-axis complex amplitude at each distance, via the exact summation."""
+    """On-axis complex amplitude at each distance, via the exact summation.
+
+    The sum runs over the distinct element distances from the axis (weights
+    binned by radius), which equals ``propagate_direct`` at (0, 0, z) up to
+    summation order.
+    """
     zv = np.asarray(z_values, dtype=float)
     if zv.size == 0:
         raise ValueError("z_values must not be empty")
@@ -306,7 +350,7 @@ def axial_scan(field: ApertureField, z_values: Sequence[float]) -> np.ndarray:
         raise ValueError("z_values must be positive")
     if np.any(np.diff(zv) < 0):
         raise ValueError("z_values must be sorted ascending")
-    return propagate_direct(field, [(0.0, 0.0, z) for z in zv])
+    return _axial_sums(field, zv)[0]
 
 
 # ---------------------------------------------------------------------------

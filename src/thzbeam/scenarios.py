@@ -236,6 +236,16 @@ def parse_config(text: str) -> ScenarioConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc), key_path=section) from None
 
+    if study == "gain_curve":
+        # one wavefront per column of the fixed gain-curve CSV schema
+        kinds = sorted(spec.kind for spec in wavefronts.values())
+        if kinds != sorted(artifacts.GAIN_CURVE_COLUMNS):
+            raise ConfigError(
+                "gain_curve needs exactly one wavefront of each kind "
+                f"{', '.join(artifacts.GAIN_CURVE_COLUMNS)}; got {', '.join(kinds)}",
+                key_path="wavefronts.names",
+            )
+
     distances = None
     if parser.has_section("distances"):
         start = _get(parser, "distances", "start_m", float, required=True)

@@ -73,6 +73,40 @@ def test_gain_one_at_any_conjugation_point():
     assert normalized_gain(field, (px, py, pz)) == pytest.approx(1.0, abs=1e-12)
 
 
+def _random_weights_field(grid, seed):
+    # non-radial weights: amplitude in [0.2, 1] times a random phase
+    rng = np.random.default_rng(seed)
+    n = grid.elements_per_side
+    amplitude = rng.uniform(0.2, 1.0, (n, n))
+    return ApertureField(grid, amplitude * np.exp(2j * np.pi * rng.random((n, n))))
+
+
+def _elementwise_gain(field, point):
+    X, Y = field.grid.meshgrid()
+    px, py, pz = point
+    r = np.sqrt((X - px) ** 2 + (Y - py) ** 2 + pz * pz)
+    w = field.weights
+    num = np.abs(np.sum(w * np.exp(-1j * field.grid.wavenumber * r) / r)) ** 2
+    return float(num / np.sum(np.abs(w) / r) ** 2)
+
+
+@pytest.mark.parametrize("side", [0.03, 0.0305], ids=["even-n", "odd-n"])
+def test_gain_on_axis_matches_elementwise_sum(side):
+    grid = make_grid(side, 3e11)
+    field = _random_weights_field(grid, seed=11)
+    for z in (0.01, 0.05, 0.2, 1.5):
+        expected = _elementwise_gain(field, (0.0, 0.0, z))
+        assert normalized_gain(field, (0.0, 0.0, z)) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("side", [0.03, 0.0305], ids=["even-n", "odd-n"])
+def test_gain_off_axis_keeps_elementwise_sum(side):
+    grid = make_grid(side, 3e11)
+    field = _random_weights_field(grid, seed=12)
+    point = (grid.element_pitch / 2.0, 0.0, 0.05)
+    assert normalized_gain(field, point) == _elementwise_gain(field, point)
+
+
 def test_gain_validates_point():
     grid = make_grid(0.02, 3e11)
     field = ApertureField.uniform(grid)

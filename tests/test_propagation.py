@@ -256,6 +256,19 @@ def test_axial_scan_inversion_symmetry():
     np.testing.assert_allclose(axial_scan(sym, zs), axial_scan(flipped, zs), rtol=1e-12)
 
 
+@pytest.mark.parametrize("side", [0.03, 0.0305], ids=["even-n", "odd-n"])
+def test_axial_scan_matches_direct_sum(side):
+    grid = make_grid(side, 3e11)
+    n = grid.elements_per_side
+    rng = np.random.default_rng(13)
+    # non-radial weights: amplitude in [0.2, 1] times a random phase
+    weights = rng.uniform(0.2, 1.0, (n, n)) * np.exp(2j * np.pi * rng.random((n, n)))
+    field = ApertureField(grid, weights)
+    zs = [0.01, 0.05, 0.2, 1.5]
+    expected = propagate_direct(field, [(0.0, 0.0, z) for z in zs])
+    np.testing.assert_allclose(axial_scan(field, zs), expected, rtol=1e-10, atol=0.0)
+
+
 def test_axial_scan_validates_input():
     grid = make_grid(0.02, 3e11)
     field = ApertureField.uniform(grid)

@@ -331,6 +331,46 @@ def test_cli_exit_codes(tmp_path):
                      "--out", str(blocker)]) == 4
 
 
+@pytest.mark.parametrize("names", ["beamforming, bessel", "beamforming, bessel, beamfocusing, wide"],
+                         ids=["kind-missing", "kind-repeated"])
+def test_cli_gain_curve_needs_one_wavefront_per_column(tmp_path, capsys, names):
+    config = tmp_path / "gain.ini"
+    config.write_text(f"""\
+[scenario]
+study = gain_curve
+
+[grid]
+side_length_m = 0.02
+frequency_hz = 3e11
+
+[wavefronts]
+names = {names}
+
+[wavefront.beamforming]
+kind = beamforming
+
+[wavefront.beamfocusing]
+kind = beamfocusing
+
+[wavefront.bessel]
+kind = bessel
+spot_fwhm_m = 0.004
+
+[wavefront.wide]
+kind = bessel
+spot_fwhm_m = 0.008
+
+[distances]
+start_m = 0.02
+stop_m = 0.1
+step_m = 0.02
+""")
+    assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "wavefronts.names" in err
+    assert "Traceback" not in err
+
+
 def test_cli_threads_flag_does_not_change_output(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, threads in ((a, "1"), (b, "8")):
