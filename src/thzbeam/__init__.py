@@ -65,6 +65,7 @@ from .propagation import (
     propagate_direct,
     propagate_slice,
     propagate_with_obstacles,
+    reuse_spectra,
 )
 from .scenarios import (
     PRESET_NAMES,

@@ -4,8 +4,8 @@ Verbs: synthesize, propagate, gain-curve, blockage, oam-crosstalk,
 capacity, run <config>, preset <name>.  Exit codes: 0 success, 2 config
 error, 3 numeric/sampling error, 4 io error.
 
-The --threads flag is accepted for interface compatibility; numerics run
-single-threaded so results stay bit-identical across thread counts.
+--threads N runs the FFTs on N workers (default 1; N < 1 is a config
+error).  The output is bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.fft as sfft
 
 from . import io as artifacts
 from .aperture import (
@@ -73,7 +74,7 @@ def _add_output_args(p: argparse.ArgumentParser, formats=("csv", "pgm", "png")) 
     p.add_argument("--format", action="append", choices=formats, dest="formats",
                    help="artifact format (repeatable; default csv)")
     p.add_argument("--db-floor", type=float, default=-60.0)
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility")
+    p.add_argument("--threads", type=int, default=1, help="FFT workers (default 1)")
 
 
 def _wavefront_from_args(args) -> WavefrontSpec:
@@ -297,13 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a scenario config file")
     p.add_argument("config", type=Path)
     p.add_argument("--out", type=Path)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="FFT workers (default 1)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("preset", help=f"run a bundled preset: {', '.join(PRESET_NAMES)}")
     p.add_argument("name", choices=PRESET_NAMES)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="FFT workers (default 1)")
     p.add_argument("--write-config", action="store_true",
                    help="also write the preset config as preset.ini")
     p.set_defaults(func=_cmd_preset)
@@ -315,7 +316,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        threads = getattr(args, "threads", 1)
+        if threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {threads}")
+        with sfft.set_workers(threads):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

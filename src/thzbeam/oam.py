@@ -17,7 +17,7 @@ import numpy as np
 
 from .aperture import ApertureField
 from .errors import GeometryError
-from .propagation import FieldSlice, PropagationPlan, propagate_asm
+from .propagation import FieldSlice, PropagationPlan, propagate_asm, reuse_spectra
 
 __all__ = [
     "OamModeSet",
@@ -64,8 +64,8 @@ def multiplex(base: ApertureField, mode_set: OamModeSet) -> ApertureField:
     return ApertureField(base.grid, weights)
 
 
-def demultiplex(slice_: FieldSlice, mode_l: int, rx_radius: float) -> complex:
-    """Matched-filter coefficient: disc integral of E * exp(-1j*l*phi)."""
+def _receiver_disc(slice_: FieldSlice, rx_radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the samples inside the centred receiver disc, and their azimuths."""
     if rx_radius <= 0:
         raise ValueError(f"rx_radius must be positive, got {rx_radius}")
     if rx_radius > slice_.extent / 2.0:
@@ -76,8 +76,18 @@ def demultiplex(slice_: FieldSlice, mode_l: int, rx_radius: float) -> complex:
     X, Y = slice_.meshgrid()
     rho2 = X * X + Y * Y
     sel = rho2 <= rx_radius * rx_radius
-    phi = np.arctan2(Y[sel], X[sel])
-    return complex(np.sum(slice_.samples[sel] * np.exp(-1j * mode_l * phi)) * slice_.sample_pitch**2)
+    return sel, np.arctan2(Y[sel], X[sel])
+
+
+def _matched(slice_: FieldSlice, sel: np.ndarray, helix: np.ndarray) -> complex:
+    """Disc integral of the samples against a conjugate helix exp(-1j*l*phi)."""
+    return complex(np.sum(slice_.samples[sel] * helix) * slice_.sample_pitch**2)
+
+
+def demultiplex(slice_: FieldSlice, mode_l: int, rx_radius: float) -> complex:
+    """Matched-filter coefficient: disc integral of E * exp(-1j*l*phi)."""
+    sel, phi = _receiver_disc(slice_, rx_radius)
+    return _matched(slice_, sel, np.exp(-1j * mode_l * phi))
 
 
 @dataclass(frozen=True)
@@ -125,15 +135,21 @@ def crosstalk_matrix(
     ramp = np.exp(-1j * grid.wavenumber * math.sin(steer_angle) * X)
 
     coupling = np.zeros((len(mode_list), len(mode_list)))
-    for i, l_tx in enumerate(mode_list):
-        tx = ApertureField(grid, base.weights * np.exp(1j * l_tx * phi) * ramp)
-        received = propagate_asm(tx, z, plan)
-        amps = np.array([demultiplex(received, l_rx, rx_radius) for l_rx in mode_list])
-        powers = np.abs(amps) ** 2
-        if powers[i] == 0.0:
-            raise ValueError(f"matched power for mode {l_tx} vanished; geometry unusable")
-        with np.errstate(divide="ignore"):
-            coupling[i, :] = 10.0 * np.log10(powers / powers[i])
+    helices = None
+    with reuse_spectra():
+        for i, l_tx in enumerate(mode_list):
+            tx = ApertureField(grid, base.weights * np.exp(1j * l_tx * phi) * ramp)
+            received = propagate_asm(tx, z, plan)
+            if helices is None:
+                # every received plane shares one padded grid, so one disc serves all
+                sel, rx_phi = _receiver_disc(received, rx_radius)
+                helices = [np.exp(-1j * l_rx * rx_phi) for l_rx in mode_list]
+            amps = np.array([_matched(received, sel, helix) for helix in helices])
+            powers = np.abs(amps) ** 2
+            if powers[i] == 0.0:
+                raise ValueError(f"matched power for mode {l_tx} vanished; geometry unusable")
+            with np.errstate(divide="ignore"):
+                coupling[i, :] = 10.0 * np.log10(powers / powers[i])
     return CrosstalkMatrix(mode_list, coupling)
 
 

@@ -13,12 +13,19 @@ Two engines share one convention (outgoing waves ``exp(-1j*k*r)/r``):
   ``exp(-1j*z*sqrt(k^2-kx^2-ky^2))`` is used, band-limited against
   wrap-around and with evanescent components zeroed or attenuated.
 
-Everything here is single-threaded and order-stable: identical inputs give
-bit-identical outputs.
+Results are order-stable: identical inputs give bit-identical outputs.  The
+FFTs run on ``scipy.fft``'s worker count (``--threads`` on the command
+line), which does not change a single bit of them.
+
+Inside a ``reuse_spectra()`` block each kernel spectrum and transfer
+function is built once and shared, read-only, by every hop that needs it;
+outside one, every hop builds its own.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -44,6 +51,7 @@ __all__ = [
     "propagate_slice",
     "propagate_direct",
     "propagate_with_obstacles",
+    "reuse_spectra",
     "axial_scan",
     "multi_frequency_scan",
 ]
@@ -134,13 +142,30 @@ def _embed(weights: np.ndarray, npad: int) -> np.ndarray:
     return out
 
 
+def _mirror(q: np.ndarray, npad: int) -> np.ndarray:
+    """FFT-ordered npad-by-npad grid of an even function from its quadrant.
+
+    ``q`` holds the (npad//2+1)-square block of non-negative indices; entry
+    m > npad//2 of either axis takes the value at npad - m.
+    """
+    h = npad // 2
+    tail = slice(npad - h - 1, 0, -1)  # npad - m for m = h+1 .. npad-1
+    out = np.empty((npad, npad), dtype=q.dtype)
+    out[: h + 1, : h + 1] = q
+    out[: h + 1, h + 1 :] = q[:, tail]
+    out[h + 1 :] = out[tail]
+    return out
+
+
 def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
-    """FFT of the sampled spherical-wave kernel exp(-1j*k*r)/r at hop z."""
-    d = np.arange(npad)
-    d = np.where(d <= npad // 2, d, d - npad) * pitch
-    DX, DY = np.meshgrid(d, d, indexing="xy")
-    r = np.sqrt(DX * DX + DY * DY + z * z)
-    return sfft.fft2(np.exp(-1j * k * r) / r)
+    """FFT of the sampled spherical-wave kernel exp(-1j*k*r)/r at hop z.
+
+    The kernel depends on the sample offsets only through dx^2 and dy^2, so
+    one quadrant is evaluated and mirrored.
+    """
+    d_sq = (np.arange(npad // 2 + 1) * pitch) ** 2
+    r = np.sqrt(d_sq[None, :] + d_sq[:, None] + z * z)
+    return sfft.fft2(_mirror(np.exp(-1j * k * r) / r, npad))
 
 
 def _check_window_supports_distance(npad: int, pitch: float, lam: float, z: float) -> None:
@@ -157,10 +182,17 @@ def _check_window_supports_distance(npad: int, pitch: float, lam: float, z: floa
 
 
 def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: PropagationPlan) -> np.ndarray:
-    """Band-limited angular-spectrum transfer function for a field hop."""
-    kx = 2.0 * np.pi * sfft.fftfreq(npad, d=pitch)
-    KX, KY = np.meshgrid(kx, kx, indexing="xy")
-    kz_sq = k * k - KX * KX - KY * KY
+    """Band-limited angular-spectrum transfer function for a field hop.
+
+    H and its band-limit mask depend on kx^2 and ky^2 only, so one quadrant
+    of non-negative frequencies is evaluated and mirrored.
+    """
+    if plan.band_limit:
+        lam = 2.0 * np.pi / k
+        _check_window_supports_distance(npad, pitch, lam, dz)
+    kx = 2.0 * np.pi * np.abs(sfft.fftfreq(npad, d=pitch)[: npad // 2 + 1])
+    kx_sq = kx * kx
+    kz_sq = k * k - kx_sq[None, :] - kx_sq[:, None]
     prop = kz_sq > 0.0
     kz = np.sqrt(np.where(prop, kz_sq, 0.0))
     H = np.where(prop, np.exp(-1j * dz * kz), 0.0 + 0.0j)
@@ -168,13 +200,61 @@ def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: Propa
         decay = np.sqrt(np.where(prop, 0.0, -kz_sq))
         H = np.where(prop, H, np.exp(-decay * dz))
     if plan.band_limit:
-        lam = 2.0 * np.pi / k
         extent = npad * pitch
         f_limit = 1.0 / (lam * math.sqrt((2.0 * dz / extent) ** 2 + 1.0))
         k_limit = 2.0 * np.pi * f_limit
-        _check_window_supports_distance(npad, pitch, lam, dz)
-        H = H * ((np.abs(KX) <= k_limit) & (np.abs(KY) <= k_limit))
-    return H
+        inside = kx <= k_limit
+        H = H * (inside[None, :] & inside[:, None])
+    return _mirror(H, npad)
+
+
+_SPECTRA: contextvars.ContextVar[dict | None] = contextvars.ContextVar("spectra", default=None)
+
+
+@contextlib.contextmanager
+def reuse_spectra():
+    """Build each kernel spectrum and transfer function once within the block.
+
+    Every hop inside the block that needs a spectrum already built in it
+    (same kind, padded size, pitch, wavenumber, distance and, for transfer
+    functions, plan flags) shares that array, which is read-only.  A nested
+    block shares the outer block's spectra.  They are released when the
+    outermost block ends; the scope is kept to one study block because one
+    spectrum takes 16 * npad^2 bytes (182 MB at npad 3375).
+    """
+    if _SPECTRA.get() is not None:
+        yield
+        return
+    token = _SPECTRA.set({})
+    try:
+        yield
+    finally:
+        _SPECTRA.reset(token)
+
+
+def _spectrum(key: tuple, build) -> np.ndarray:
+    """``build()``, or inside ``reuse_spectra`` the array already built for ``key``."""
+    memo = _SPECTRA.get()
+    if memo is None:
+        return build()
+    spectrum = memo.get(key)
+    if spectrum is None:
+        spectrum = build()
+        spectrum.setflags(write=False)
+        memo[key] = spectrum
+    return spectrum
+
+
+def _apply(spectrum: np.ndarray, samples: np.ndarray, npad: int) -> np.ndarray:
+    """ifft2(spectrum * fft2(samples zero-padded to npad)).
+
+    The product is formed in the operand order spectrum * field spectrum:
+    numpy's complex multiply is not bitwise commutative, and the artifacts
+    are pinned to this order.
+    """
+    spec = sfft.fft2(_embed(samples, npad), overwrite_x=True)
+    np.multiply(spectrum, spec, out=spec)
+    return sfft.ifft2(spec, overwrite_x=True)
 
 
 def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None = None,
@@ -191,9 +271,10 @@ def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None =
     n = field.samples.shape[0]
     npad = _padded_size(n, plan.pad_factor)
     k = 2.0 * np.pi / wavelength
-    spec = sfft.fft2(_embed(field.samples, npad))
-    out = sfft.ifft2(spec * _analytic_transfer(npad, field.sample_pitch, k, dz, plan))
-    return FieldSlice(field.z + dz, out, field.sample_pitch, field.origin_offset)
+    pitch = field.sample_pitch
+    H = _spectrum(("transfer", npad, pitch, k, dz, plan.evanescent_cutoff, plan.band_limit),
+                  lambda: _analytic_transfer(npad, pitch, k, dz, plan))
+    return FieldSlice(field.z + dz, _apply(H, field.samples, npad), pitch, field.origin_offset)
 
 
 def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None = None) -> FieldSlice:
@@ -213,9 +294,9 @@ def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None =
     npad = _padded_size(n, plan.pad_factor)
     if plan.band_limit:
         _check_window_supports_distance(npad, pitch, field.grid.wavelength, z)
-    spec = sfft.fft2(_embed(field.weights, npad))
-    out = sfft.ifft2(spec * _kernel_spectrum(npad, pitch, field.grid.wavenumber, z))
-    return FieldSlice(z, out, pitch)
+    k = field.grid.wavenumber
+    K = _spectrum(("kernel", npad, pitch, k, z), lambda: _kernel_spectrum(npad, pitch, k, z))
+    return FieldSlice(z, _apply(K, field.weights, npad), pitch)
 
 
 def propagate_direct(field: ApertureField, points: Sequence[Sequence[float]]) -> np.ndarray:

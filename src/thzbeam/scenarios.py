@@ -42,7 +42,13 @@ from .aperture import (
 from .errors import ConfigError
 from .metrics import gain_curve, self_healing_correlation
 from .oam import LinkBudgetSpec, crosstalk_matrix, required_bandwidth
-from .propagation import FieldSlice, PropagationPlan, propagate_asm, propagate_with_obstacles
+from .propagation import (
+    FieldSlice,
+    PropagationPlan,
+    propagate_asm,
+    propagate_with_obstacles,
+    reuse_spectra,
+)
 
 __version__ = "0.1.0"
 
@@ -268,6 +274,20 @@ def parse_config(text: str) -> ScenarioConfig:
             "shadow_window_factor": _get(parser, "blockage", "shadow_window_factor", float, default=1.0),
             "pad_factor": _get(parser, "blockage", "pad_factor", float, default=2.0),
         }
+
+    if study == "blockage":
+        # the healing rows need one Bessel beam, the knife-edge pair one caustic
+        # and one planar beam; kind selects the physics, the name labels it
+        needed = ["bessel"]
+        if blockage["knife_z"] is not None:
+            needed += ["caustic", "beamforming"]
+        kinds = [spec.kind for spec in wavefronts.values()]
+        for kind in needed:
+            if kinds.count(kind) != 1:
+                raise ConfigError(
+                    f"blockage study needs exactly one {kind} wavefront, got {kinds.count(kind)}",
+                    key_path="wavefronts.names",
+                )
 
     oam = {}
     if parser.has_section("oam"):
@@ -607,60 +627,63 @@ def _run_gain_curve(config: ScenarioConfig, out_dir: Path, manifest: RunManifest
     manifest.add(path, out_dir)
 
 
+def _wavefronts_of_kind(config: ScenarioConfig, kind: str) -> list[tuple[str, WavefrontSpec]]:
+    """(section name, spec) of every wavefront of one kind, in config order."""
+    return [(name, spec) for name, spec in config.wavefronts.items() if spec.kind == kind]
+
+
 def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
     grid = config.grid
     p = config.blockage
     plan = PropagationPlan(pad_factor=p["pad_factor"])
-    bessel_spec = config.wavefronts.get("bessel")
-    if bessel_spec is None or p["obstacle_size"] is None or p["obstacle_z"] is None:
-        raise ConfigError("blockage study needs a bessel wavefront and a disc obstacle",
-                          key_path="blockage")
+    if p["obstacle_size"] is None or p["obstacle_z"] is None:
+        raise ConfigError("blockage study needs a disc obstacle", key_path="blockage")
+    [(_, bessel_spec)] = _wavefronts_of_kind(config, "bessel")
 
     design = axicon_design(grid, bessel_spec.spot_fwhm, bessel_spec.spot_convention)
     z_heal = (p["obstacle_size"] / 2.0) / math.tan(design.cone_angle)
     z_eval = p["obstacle_z"] + 2.0 * z_heal
     disc = ObstacleSpec("disc", p["obstacle_size"], (0.0, 0.0), p["obstacle_z"])
+    r_window = p["shadow_window_factor"] * p["obstacle_size"] / 2.0
 
     rows = []
-    for name in ("beamforming", "beamfocusing", "bessel"):
-        spec = config.wavefronts.get(name)
-        if spec is None:
-            continue
-        if name == "beamfocusing" and spec.focal_length is None:
-            spec = WavefrontSpec(kind="beamfocusing", focal_length=z_eval, circular=spec.circular)
-        fld = synthesize_field(grid, spec)
-        reference = propagate_asm(fld, z_eval, plan)
-        blocked = propagate_with_obstacles(fld, [disc], z_eval, plan)
-        xs = reference.axis_coordinates()
-        X, Y = np.meshgrid(xs, xs, indexing="xy")
-        window = X**2 + Y**2 <= (p["shadow_window_factor"] * p["obstacle_size"] / 2.0) ** 2
-        corr_shadow = self_healing_correlation(
-            FieldSlice(blocked.z, blocked.samples * window, blocked.sample_pitch),
-            FieldSlice(reference.z, reference.samples * window, reference.sample_pitch),
-        )
-        corr_full = self_healing_correlation(blocked, reference)
-        rows.append([name, z_eval, corr_shadow, corr_full])
-        _write_maps(out_dir, f"map_{name}_reference", reference, config.formats,
-                    config.db_floor, manifest, out_dir)
-        _write_maps(out_dir, f"map_{name}_blocked", blocked, config.formats,
-                    config.db_floor, manifest, out_dir)
+    with reuse_spectra():
+        for kind in ("beamforming", "beamfocusing", "bessel"):
+            for name, spec in _wavefronts_of_kind(config, kind):
+                if kind == "beamfocusing" and spec.focal_length is None:
+                    spec = WavefrontSpec(kind="beamfocusing", focal_length=z_eval,
+                                         circular=spec.circular)
+                fld = synthesize_field(grid, spec)
+                reference = propagate_asm(fld, z_eval, plan)
+                blocked = propagate_with_obstacles(fld, [disc], z_eval, plan)
+                xs_sq = reference.axis_coordinates() ** 2
+                window = xs_sq[None, :] + xs_sq[:, None] <= r_window**2
+                corr_shadow = self_healing_correlation(
+                    FieldSlice(blocked.z, blocked.samples * window, blocked.sample_pitch),
+                    FieldSlice(reference.z, reference.samples * window, reference.sample_pitch),
+                )
+                corr_full = self_healing_correlation(blocked, reference)
+                rows.append([name, z_eval, corr_shadow, corr_full])
+                _write_maps(out_dir, f"map_{name}_reference", reference, config.formats,
+                            config.db_floor, manifest, out_dir)
+                _write_maps(out_dir, f"map_{name}_blocked", blocked, config.formats,
+                            config.db_floor, manifest, out_dir)
     path = out_dir / "healing.csv"
     artifacts.write_csv(path, "wavefront,eval_z_m,correlation_shadow,correlation_full", rows)
     manifest.add(path, out_dir)
 
-    caustic_spec = config.wavefronts.get("caustic")
-    if caustic_spec is not None and p["knife_z"] is not None:
-        if "beamforming" not in config.wavefronts:
-            raise ConfigError("knife-edge comparison needs a beamforming wavefront",
-                              key_path="wavefronts.names")
+    if p["knife_z"] is not None:
+        [(caustic_name, caustic_spec)] = _wavefronts_of_kind(config, "caustic")
+        [(planar_name, planar_spec)] = _wavefronts_of_kind(config, "beamforming")
         knife = ObstacleSpec("half_plane", 0.0, (p["knife_x_edge"], 0.0), p["knife_z"])
         z_t = p["caustic_eval_z"]
-        caustic_blocked = propagate_with_obstacles(
-            synthesize_field(grid, caustic_spec), [knife], z_t, plan
-        )
-        planar_blocked = propagate_with_obstacles(
-            synthesize_field(grid, config.wavefronts["beamforming"]), [knife], z_t, plan
-        )
+        with reuse_spectra():
+            caustic_blocked = propagate_with_obstacles(
+                synthesize_field(grid, caustic_spec), [knife], z_t, plan
+            )
+            planar_blocked = propagate_with_obstacles(
+                synthesize_field(grid, planar_spec), [knife], z_t, plan
+            )
         pk_c = float(caustic_blocked.intensity().max())
         pk_p = float(planar_blocked.intensity().max())
         advantage = 10.0 * math.log10(pk_c / pk_p) if pk_p > 0 else math.inf
@@ -671,9 +694,9 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
             [[z_t, pk_c, pk_p, advantage]],
         )
         manifest.add(path, out_dir)
-        _write_maps(out_dir, "map_caustic_blocked", caustic_blocked, config.formats,
+        _write_maps(out_dir, f"map_{caustic_name}_blocked", caustic_blocked, config.formats,
                     config.db_floor, manifest, out_dir)
-        _write_maps(out_dir, "map_beamforming_knife", planar_blocked, config.formats,
+        _write_maps(out_dir, f"map_{planar_name}_knife", planar_blocked, config.formats,
                     config.db_floor, manifest, out_dir)
 
 

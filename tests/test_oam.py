@@ -187,6 +187,20 @@ def test_crosstalk_steering_spillover_monotone():
         previous = spill
 
 
+def test_crosstalk_matches_per_plane_demultiplex():
+    grid = make_grid(0.02, 3e11)
+    base = _disc_base(grid)
+    modes, z, steer = (-1, 0, 2), 0.1, math.radians(1.0)
+    matrix = crosstalk_matrix(base, modes, z, steer_angle=steer)
+    X, Y = grid.meshgrid()
+    phi = np.arctan2(Y, X)
+    ramp = np.exp(-1j * grid.wavenumber * math.sin(steer) * X)
+    for i, l_tx in enumerate(modes):
+        received = propagate_asm(ApertureField(grid, base.weights * np.exp(1j * l_tx * phi) * ramp), z)
+        powers = np.abs([demultiplex(received, l_rx, grid.half_side) for l_rx in modes]) ** 2
+        np.testing.assert_array_equal(matrix.power_coupling_db[i], 10.0 * np.log10(powers / powers[i]))
+
+
 def test_crosstalk_rejects_bad_modes():
     grid = make_grid(0.02, 3e11)
     base = _disc_base(grid)

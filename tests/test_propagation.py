@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+import thzbeam.propagation as propagation
 from thzbeam import (
     ApertureField,
     FieldSlice,
@@ -23,6 +25,7 @@ from thzbeam import (
     propagate_direct,
     propagate_slice,
     propagate_with_obstacles,
+    reuse_spectra,
 )
 from thzbeam.aperture import steer_vector
 
@@ -337,6 +340,12 @@ def test_band_limit_collapse_raises_sampling_error():
         propagate_slice(slice_, 500.0, PropagationPlan(pad_factor=1.0),
                         wavelength=grid.wavelength)
     assert err.value.required_pad_factor is not None
+    # a failed build leaves nothing behind for a repeated hop to reuse
+    with reuse_spectra():
+        for _ in range(2):
+            with pytest.raises(SamplingError):
+                propagate_slice(slice_, 500.0, PropagationPlan(pad_factor=1.0),
+                                wavelength=grid.wavelength)
 
 
 def test_plan_validation():
@@ -450,3 +459,115 @@ def test_aperture_propagation_window_guard():
     assert err.value.required_pad_factor is not None
     # disabling the band limit opts out of the guard
     propagate_asm(field, 500.0, PropagationPlan(pad_factor=1.0, band_limit=False))
+
+
+# ---------------------------------------------------------------------------
+# spectrum builds and their reuse
+
+
+def _reference_kernel_spectrum(npad, pitch, k, z):
+    """Full-grid construction of the kernel spectrum, sampled at signed offsets."""
+    d = np.arange(npad)
+    d = np.where(d <= npad // 2, d, d - npad) * pitch
+    DX, DY = np.meshgrid(d, d, indexing="xy")
+    r = np.sqrt(DX * DX + DY * DY + z * z)
+    return scipy.fft.fft2(np.exp(-1j * k * r) / r)
+
+
+def _reference_transfer(npad, pitch, k, dz, plan):
+    """Full-grid construction of the band-limited transfer function."""
+    kx = 2.0 * np.pi * scipy.fft.fftfreq(npad, d=pitch)
+    KX, KY = np.meshgrid(kx, kx, indexing="xy")
+    kz_sq = k * k - KX * KX - KY * KY
+    prop = kz_sq > 0.0
+    kz = np.sqrt(np.where(prop, kz_sq, 0.0))
+    H = np.where(prop, np.exp(-1j * dz * kz), 0.0 + 0.0j)
+    if not plan.evanescent_cutoff:
+        decay = np.sqrt(np.where(prop, 0.0, -kz_sq))
+        H = np.where(prop, H, np.exp(-decay * dz))
+    if plan.band_limit:
+        lam = 2.0 * np.pi / k
+        extent = npad * pitch
+        f_limit = 1.0 / (lam * math.sqrt((2.0 * dz / extent) ** 2 + 1.0))
+        k_limit = 2.0 * np.pi * f_limit
+        H = H * ((np.abs(KX) <= k_limit) & (np.abs(KY) <= k_limit))
+    return H
+
+
+@pytest.mark.parametrize("npad", [17, 18, 840, 841])
+def test_quadrant_builds_equal_full_grid_builds(npad):
+    pitch = 1.5e-4
+    k = 2.0 * np.pi / 3e-4
+    np.testing.assert_array_equal(propagation._kernel_spectrum(npad, pitch, k, 0.125),
+                                  _reference_kernel_spectrum(npad, pitch, k, 0.125))
+    dz = 0.5 * npad * pitch
+    for evanescent_cutoff in (True, False):
+        for band_limit in (True, False):
+            plan = PropagationPlan(evanescent_cutoff=evanescent_cutoff, band_limit=band_limit)
+            np.testing.assert_array_equal(propagation._analytic_transfer(npad, pitch, k, dz, plan),
+                                          _reference_transfer(npad, pitch, k, dz, plan))
+
+
+class _BuildCounter:
+    """Counts the kernel and transfer builds made while installed."""
+
+    def __init__(self, monkeypatch):
+        self.kernel = self.transfer = 0
+        kernel, transfer = propagation._kernel_spectrum, propagation._analytic_transfer
+
+        def count_kernel(*args):
+            self.kernel += 1
+            return kernel(*args)
+
+        def count_transfer(*args):
+            self.transfer += 1
+            return transfer(*args)
+
+        monkeypatch.setattr(propagation, "_kernel_spectrum", count_kernel)
+        monkeypatch.setattr(propagation, "_analytic_transfer", count_transfer)
+
+
+@pytest.mark.parametrize("side, n", [(0.02, 40), (0.0205, 41)])
+def test_reused_spectra_give_identical_hops(side, n, monkeypatch):
+    grid = make_grid(side, 3e11)
+    assert grid.elements_per_side == n  # the padded grid keeps n's parity
+    field = _random_phase_field(grid)
+    lam = grid.wavelength
+    plan = PropagationPlan(pad_factor=1.5)
+    fresh_asm = propagate_asm(field, 0.2, plan)
+    fresh_slice = propagate_slice(fresh_asm, 0.05, plan, wavelength=lam)
+    # operand order kernel * field spectrum: numpy's complex multiply is not
+    # bitwise commutative, and the artifacts are pinned to this order
+    npad = fresh_asm.samples.shape[0]
+    padded = np.zeros((npad, npad), dtype=complex)
+    lo = (npad - n) // 2
+    padded[lo : lo + n, lo : lo + n] = field.weights
+    kernel = _reference_kernel_spectrum(npad, grid.element_pitch, grid.wavenumber, 0.2)
+    np.testing.assert_array_equal(fresh_asm.samples,
+                                  scipy.fft.ifft2(np.multiply(kernel, scipy.fft.fft2(padded))))
+    builds = _BuildCounter(monkeypatch)
+    with reuse_spectra():
+        for _ in range(2):
+            asm = propagate_asm(field, 0.2, plan)
+            np.testing.assert_array_equal(asm.samples, fresh_asm.samples)
+            np.testing.assert_array_equal(
+                propagate_slice(asm, 0.05, plan, wavelength=lam).samples, fresh_slice.samples)
+    assert (builds.kernel, builds.transfer) == (1, 1)
+
+
+def test_reuse_spectra_scope(monkeypatch):
+    grid = make_grid(0.02, 3e11)
+    field = _random_phase_field(grid)
+    builds = _BuildCounter(monkeypatch)
+    with reuse_spectra():
+        propagate_asm(field, 0.2)
+        with reuse_spectra():
+            propagate_asm(field, 0.2)  # the nested block shares the outer spectra
+        propagate_asm(field, 0.3)
+        memo = propagation._SPECTRA.get()
+        assert len(memo) == 2
+        assert not any(spectrum.flags.writeable for spectrum in memo.values())
+    assert builds.kernel == 2
+    assert propagation._SPECTRA.get() is None
+    propagate_asm(field, 0.2)  # outside any block every hop builds its own
+    assert builds.kernel == 3

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import thzbeam.propagation as propagation
 from thzbeam import (
     ConfigError,
     FieldSlice,
     PhaseMap,
     parse_config,
     preset,
+    preset_text,
     run_scenario,
 )
 from thzbeam.cli import main as cli_main
@@ -154,6 +156,61 @@ def test_blockage_run_meets_comparative_criteria(tmp_path):
     # intensity maps written for every wavefront
     assert (tmp_path / "map_bessel_blocked.pgm").exists()
     assert (tmp_path / "map_caustic_blocked.pgm").exists()
+
+
+def _fig4_ci_text(**renames):
+    """fig4-ci with CSV output only and wavefront sections renamed old=new."""
+    text = preset_text("fig4-ci").replace("formats = csv, pgm", "formats = csv")
+    names = "beamforming, beamfocusing, bessel, caustic"
+    for old, new in renames.items():
+        text = text.replace(f"[wavefront.{old}]", f"[wavefront.{new}]")
+        names = names.replace(old, new)
+    return text.replace("names = beamforming, beamfocusing, bessel, caustic", f"names = {names}")
+
+
+def test_blockage_builds_each_spectrum_once(tmp_path, monkeypatch):
+    builds = {"kernel": 0, "transfer": 0}
+    for name, attr in (("kernel", "_kernel_spectrum"), ("transfer", "_analytic_transfer")):
+        def counted(*args, _build=getattr(propagation, attr), _name=name):
+            builds[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(propagation, attr, counted)
+    run_scenario(parse_config(_fig4_ci_text()), tmp_path)
+    # 8 aperture hops over 3 distances, 5 slice hops over 2
+    assert builds == {"kernel": 3, "transfer": 2}
+
+
+def test_blockage_selects_wavefronts_by_kind(tmp_path):
+    run_scenario(parse_config(_fig4_ci_text()), tmp_path / "preset")
+    run_scenario(parse_config(_fig4_ci_text(bessel="axicon", caustic="airy")), tmp_path / "renamed")
+    preset_rows = (tmp_path / "preset" / "healing.csv").read_text().splitlines()
+    renamed_rows = (tmp_path / "renamed" / "healing.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in renamed_rows[1:]] == ["beamforming", "beamfocusing", "axicon"]
+    assert [r.split(",")[1:] for r in renamed_rows] == [r.split(",")[1:] for r in preset_rows]
+    knife = "caustic_blockage.csv"
+    assert (tmp_path / "renamed" / knife).read_bytes() == (tmp_path / "preset" / knife).read_bytes()
+
+
+@pytest.mark.parametrize("names, missing", [
+    ("beamforming, beamfocusing, caustic", "bessel"),
+    ("beamforming, beamfocusing, bessel", "caustic"),
+    ("beamfocusing, bessel, caustic", "beamforming"),
+])
+def test_blockage_needs_one_wavefront_per_role(names, missing):
+    text = preset_text("fig4-ci").replace(
+        "names = beamforming, beamfocusing, bessel, caustic", f"names = {names}")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key_path == "wavefronts.names"
+    assert f"one {missing} wavefront" in str(err.value)
+
+
+def test_blockage_without_knife_edge_needs_no_caustic():
+    text = (preset_text("fig4-ci")
+            .replace("names = beamforming, beamfocusing, bessel, caustic", "names = bessel")
+            .replace("knife_z_m = 0.25\n", ""))
+    assert list(parse_config(text).wavefronts) == ["bessel"]
 
 
 def test_oam_crosstalk_run_schema(tmp_path):
@@ -369,6 +426,15 @@ step_m = 0.02
     err = capsys.readouterr().err
     assert "wavefronts.names" in err
     assert "Traceback" not in err
+
+
+def test_cli_rejects_threads_below_one(tmp_path, capsys):
+    assert cli_main(["capacity", "--rate", "1e12", "--modes", "1", "--qam", "4",
+                     "--out", str(tmp_path), "--threads", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "--threads" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bandwidth.csv").exists()
 
 
 def test_cli_threads_flag_does_not_change_output(tmp_path):
