@@ -1,8 +1,11 @@
 """Deterministic artifact writers: CSV tables, 16-bit PGM and PNG images.
 
 All CSV output is UTF-8 with LF line endings, '.' decimal separator and 9
-significant digits.  Images are 16-bit grayscale; phase maps span [0, 2*pi)
-onto [0, 65535] and intensity maps are linear or dB-scaled with a floor.
+significant digits.  The phase-map and field-slice CSVs are formatted and
+written in blocks of rows, one ``%`` operation per block; their bytes are
+those of formatting each value with ``format_number``.  Images are 16-bit
+grayscale; phase maps span [0, 2*pi) onto [0, 65535] and intensity maps are
+linear or dB-scaled with a floor.
 """
 
 from __future__ import annotations
@@ -56,27 +59,50 @@ def gain_curve_rows(curve) -> tuple[str, list[list[float]]]:
     return header, rows
 
 
+# rows formatted and written per block: peak memory is one block, not the table
+_CSV_BLOCK_ROWS = 32
+
+
+def _table_lines(table: np.ndarray) -> bytes:
+    """Lines of a float64 (rows, cols) table, each value as ``format_number``.
+
+    ``"%.9g" % x`` and ``f"{x:.9g}"`` give the same text for every float.
+    """
+    rows, cols = table.shape
+    line = ",".join(["%.9g"] * cols) + "\n"
+    return ((line * rows) % tuple(table.ravel().tolist())).encode("utf-8")
+
+
 def phase_map_csv(path: Path, phase: PhaseMap) -> None:
     """Row-major phase values in radians, 9 significant digits."""
-    lines = [",".join(format_number(v) for v in row) for row in phase.values]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    values = phase.values
+    with open(path, "wb") as fh:
+        for lo in range(0, values.shape[0], _CSV_BLOCK_ROWS):
+            fh.write(_table_lines(values[lo : lo + _CSV_BLOCK_ROWS]))
+
+
+def _sample_intensity(samples: np.ndarray) -> np.ndarray:
+    """``abs(v) ** 2`` of each complex128 sample, bit for bit."""
+    # libm hypot then libm pow, as scalar abs and ** do; np.abs and **2 can differ in the last ulp
+    return np.float_power(np.hypot(samples.real, samples.imag), 2)
 
 
 def field_slice_csv(path: Path, slice_: FieldSlice) -> None:
     """Sample table with columns x, y, re, im, intensity."""
-    X, Y = slice_.meshgrid()
     s = slice_.samples
-    lines = ["x_m,y_m,re,im,intensity"]
-    for iy in range(s.shape[0]):
-        for ix in range(s.shape[1]):
-            v = s[iy, ix]
-            lines.append(
-                ",".join(
-                    format_number(val)
-                    for val in (X[iy, ix], Y[iy, ix], v.real, v.imag, abs(v) ** 2)
-                )
-            )
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    x = slice_.axis_coordinates()
+    xs, ys = x + slice_.origin_offset[0], x + slice_.origin_offset[1]
+    with open(path, "wb") as fh:
+        fh.write(b"x_m,y_m,re,im,intensity\n")
+        for lo in range(0, s.shape[0], _CSV_BLOCK_ROWS):
+            blk = s[lo : lo + _CSV_BLOCK_ROWS]
+            cols = np.empty(blk.shape + (5,))
+            cols[..., 0] = xs
+            cols[..., 1] = ys[lo : lo + blk.shape[0], None]
+            cols[..., 2] = blk.real
+            cols[..., 3] = blk.imag
+            cols[..., 4] = _sample_intensity(blk)
+            fh.write(_table_lines(cols.reshape(-1, 5)))
 
 
 def phase_to_levels(phase: PhaseMap) -> np.ndarray:

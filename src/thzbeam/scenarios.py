@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -651,8 +651,7 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
         for kind in ("beamforming", "beamfocusing", "bessel"):
             for name, spec in _wavefronts_of_kind(config, kind):
                 if kind == "beamfocusing" and spec.focal_length is None:
-                    spec = WavefrontSpec(kind="beamfocusing", focal_length=z_eval,
-                                         circular=spec.circular)
+                    spec = replace(spec, focal_length=z_eval)
                 fld = synthesize_field(grid, spec)
                 reference = propagate_asm(fld, z_eval, plan)
                 blocked = propagate_with_obstacles(fld, [disc], z_eval, plan)
@@ -729,27 +728,29 @@ def _run_oam_crosstalk(config: ScenarioConfig, out_dir: Path, manifest: RunManif
     rx = p["rx_radius"] if p.get("rx_radius") else grid.half_side
 
     spill_rows = []
-    for deg in p["steer_deg_list"]:
-        matrix = crosstalk_matrix(base, p["modes"], p["z"],
-                                  steer_angle=math.radians(deg), rx_radius=rx)
-        rows = []
-        for i, tx in enumerate(matrix.modes):
-            for j, rx_mode in enumerate(matrix.modes):
-                rows.append([float(tx), float(rx_mode), matrix.power_coupling_db[i, j]])
-        stem = "crosstalk.csv" if deg == 0.0 else f"crosstalk_steer_{deg:g}deg.csv"
-        path = out_dir / stem
-        artifacts.write_csv(path, "tx_mode,rx_mode,coupling_db", rows)
-        manifest.add(path, out_dir)
+    # every steering angle hops the same distance: one kernel serves them all
+    with reuse_spectra():
+        for deg in p["steer_deg_list"]:
+            matrix = crosstalk_matrix(base, p["modes"], p["z"],
+                                      steer_angle=math.radians(deg), rx_radius=rx)
+            rows = []
+            for i, tx in enumerate(matrix.modes):
+                for j, rx_mode in enumerate(matrix.modes):
+                    rows.append([float(tx), float(rx_mode), matrix.power_coupling_db[i, j]])
+            stem = "crosstalk.csv" if deg == 0.0 else f"crosstalk_steer_{deg:g}deg.csv"
+            path = out_dir / stem
+            artifacts.write_csv(path, "tx_mode,rx_mode,coupling_db", rows)
+            manifest.add(path, out_dir)
 
-        # total power into the l +- 1 neighbours of the middle mode
-        modes = list(matrix.modes)
-        mid = modes[len(modes) // 2]
-        i = modes.index(mid)
-        spill = 0.0
-        for neighbour in (mid - 1, mid + 1):
-            if neighbour in modes:
-                spill += 10 ** (matrix.power_coupling_db[i, modes.index(neighbour)] / 10.0)
-        spill_rows.append([float(deg), 10.0 * math.log10(spill) if spill > 0 else -math.inf])
+            # total power into the l +- 1 neighbours of the middle mode
+            modes = list(matrix.modes)
+            mid = modes[len(modes) // 2]
+            i = modes.index(mid)
+            spill = 0.0
+            for neighbour in (mid - 1, mid + 1):
+                if neighbour in modes:
+                    spill += 10 ** (matrix.power_coupling_db[i, modes.index(neighbour)] / 10.0)
+            spill_rows.append([float(deg), 10.0 * math.log10(spill) if spill > 0 else -math.inf])
     path = out_dir / "spillover.csv"
     artifacts.write_csv(path, "steer_deg,spillover_db", spill_rows)
     manifest.add(path, out_dir)

@@ -9,6 +9,7 @@ from thzbeam import (
     ConfigError,
     FieldSlice,
     PhaseMap,
+    axicon_design,
     parse_config,
     preset,
     preset_text,
@@ -168,7 +169,8 @@ def _fig4_ci_text(**renames):
     return text.replace("names = beamforming, beamfocusing, bessel, caustic", f"names = {names}")
 
 
-def test_blockage_builds_each_spectrum_once(tmp_path, monkeypatch):
+def _count_builds(monkeypatch) -> dict:
+    """Kernel and transfer builds made from now on, counted by kind."""
     builds = {"kernel": 0, "transfer": 0}
     for name, attr in (("kernel", "_kernel_spectrum"), ("transfer", "_analytic_transfer")):
         def counted(*args, _build=getattr(propagation, attr), _name=name):
@@ -176,9 +178,33 @@ def test_blockage_builds_each_spectrum_once(tmp_path, monkeypatch):
             return _build(*args)
 
         monkeypatch.setattr(propagation, attr, counted)
+    return builds
+
+
+def test_blockage_builds_each_spectrum_once(tmp_path, monkeypatch):
+    builds = _count_builds(monkeypatch)
     run_scenario(parse_config(_fig4_ci_text()), tmp_path)
     # 8 aperture hops over 3 distances, 5 slice hops over 2
     assert builds == {"kernel": 3, "transfer": 2}
+
+
+def test_blockage_auto_focus_keeps_every_wavefront_field(tmp_path):
+    """``focal_length_m = auto`` sets the focus only; phase_bits still applies."""
+    base = _fig4_ci_text()
+    quantized = base.replace("[wavefront.beamfocusing]\n",
+                                     "[wavefront.beamfocusing]\nphase_bits = 1\n")
+    config = parse_config(quantized)
+    p, bessel = config.blockage, config.wavefronts["bessel"]
+    design = axicon_design(config.grid, bessel.spot_fwhm, bessel.spot_convention)
+    z_eval = p["obstacle_z"] + 2.0 * (p["obstacle_size"] / 2.0) / math.tan(design.cone_angle)
+    explicit = quantized.replace("focal_length_m = auto", f"focal_length_m = {z_eval!r}")
+    rows = {}
+    for name, text in (("preset", base), ("auto", quantized), ("explicit", explicit)):
+        run_scenario(parse_config(text), tmp_path / name)
+        lines = (tmp_path / name / "healing.csv").read_text().splitlines()
+        [rows[name]] = [line for line in lines if line.startswith("beamfocusing,")]
+    assert rows["auto"] == rows["explicit"]
+    assert rows["auto"] != rows["preset"]
 
 
 def test_blockage_selects_wavefronts_by_kind(tmp_path):
@@ -240,6 +266,31 @@ steer_deg_list = 0, 1.0
     spill = (tmp_path / "spillover.csv").read_text().splitlines()
     assert spill[0] == "steer_deg,spillover_db"
     assert (tmp_path / "crosstalk_steer_1deg.csv").exists()
+
+
+def test_oam_crosstalk_builds_one_kernel_across_steering(tmp_path, monkeypatch):
+    text = """\
+[scenario]
+study = oam_crosstalk
+name = steer
+
+[grid]
+side_length_m = 0.05
+frequency_hz = 1e12
+pitch_fraction = 0.5
+
+[oam]
+modes = -3, -1, 0, 2, 4
+z_m = 0.2
+steer_deg_list = {steer}
+"""
+    builds = _count_builds(monkeypatch)
+    run_scenario(parse_config(text.format(steer="0, 0.5, 1.0")), tmp_path / "all")
+    # 15 hops over one distance
+    assert builds == {"kernel": 1, "transfer": 0}
+    run_scenario(parse_config(text.format(steer="1.0")), tmp_path / "one")
+    name = "crosstalk_steer_1deg.csv"
+    assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_rerun_is_byte_identical(tmp_path):
