@@ -1,5 +1,8 @@
 """thzbeam: scalar-diffraction toolkit for THz wavefront engineering."""
 
+# the single version source: pyproject.toml and run manifests read it
+__version__ = "0.1.0"
+
 from .aperture import (
     SPEED_OF_LIGHT,
     AmplitudeMask,
@@ -77,5 +80,3 @@ from .scenarios import (
     preset_text,
     run_scenario,
 )
-
-__version__ = "0.1.0"

@@ -83,6 +83,11 @@ class ApertureGrid:
         """Aperture half-side R_ap = side_length / 2."""
         return self.side_length / 2.0
 
+    @property
+    def extent(self) -> float:
+        """Side of the aperture plane (the counterpart of ``FieldSlice.extent``)."""
+        return self.side_length
+
     def axis_coordinates(self) -> np.ndarray:
         """Centred element coordinates along one axis."""
         n = self.elements_per_side
@@ -469,14 +474,16 @@ class ObstacleSpec:
 def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
     """Binary transmission mask of an obstacle on a sampled plane.
 
-    ``plane`` is anything with ``axis_coordinates()`` (an ``ApertureGrid``
-    or a ``FieldSlice``).  Transmission is 0 inside the footprint, 1
-    outside, with a hard edge.
+    ``plane`` is anything with ``axis_coordinates()`` and ``extent`` (an
+    ``ApertureGrid`` or a ``FieldSlice``).  Transmission is 0 inside the
+    footprint, 1 outside, with a hard edge.  The one footprint check (also
+    for ``propagate_with_obstacles``): a disc or square must lie within
+    +-extent/2, i.e. n*p/2 on a FieldSlice, side_length/2 on an ApertureGrid.
     """
     x = plane.axis_coordinates()
     X, Y = np.meshgrid(x, x, indexing="xy")
     cx, cy = spec.center_offset
-    half_extent = (x[-1] - x[0]) / 2.0 + (x[1] - x[0] if x.size > 1 else 0.0)
+    half_extent = plane.extent / 2.0
 
     if spec.shape == "half_plane":
         blocked = X > cx

@@ -4,6 +4,11 @@ Verbs: synthesize, propagate, gain-curve, blockage, oam-crosstalk,
 capacity, run <config>, preset <name>.  Exit codes: 0 success, 2 config
 error, 3 numeric/sampling error, 4 io error.
 
+The study verbs gain-curve, blockage, oam-crosstalk and capacity render
+their flags as scenario INI text (studies gain_curve, blockage,
+oam_crosstalk, oam_bandwidth) and run it like ``run`` does: same schema,
+same runner, a ``manifest.json``, and config errors that name the key path.
+
 --threads N runs the FFTs on N workers (default 1; N < 1 is a config
 error).  The output is bit-identical for every worker count.
 """
@@ -15,27 +20,16 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
 import scipy.fft as sfft
 
 from . import io as artifacts
-from .aperture import (
-    CausticCurve,
-    ObstacleSpec,
-    WavefrontSpec,
-    axicon_design,
-    circular_taper,
-    make_grid,
-    synthesize_field,
-    synthesize_phase,
-)
+from .aperture import CausticCurve, WavefrontSpec, make_grid, synthesize_field, synthesize_phase
 from .errors import ConfigError, NoBeamError, SamplingError, ToolkitError
-from .metrics import gain_curve, self_healing_correlation
-from .oam import LinkBudgetSpec, crosstalk_matrix, required_bandwidth
-from .propagation import PropagationPlan, propagate_asm, propagate_with_obstacles
+from .propagation import PropagationPlan, propagate_asm
 from .scenarios import (
     PRESET_NAMES,
     load_config,
+    parse_config,
     preset,
     preset_text,
     run_scenario,
@@ -69,11 +63,12 @@ def _add_wavefront_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--circular", action="store_true", help="apply the inscribed-disc taper")
 
 
-def _add_output_args(p: argparse.ArgumentParser, formats=("csv", "pgm", "png")) -> None:
+def _add_output_args(p: argparse.ArgumentParser, images: bool = True) -> None:
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--format", action="append", choices=formats, dest="formats",
-                   help="artifact format (repeatable; default csv)")
-    p.add_argument("--db-floor", type=float, default=-60.0)
+    if images:
+        p.add_argument("--format", action="append", choices=("csv", "pgm", "png"),
+                       dest="formats", help="artifact format (repeatable; default csv)")
+        p.add_argument("--db-floor", type=float, default=-60.0)
     p.add_argument("--threads", type=int, default=1, help="FFT workers (default 1)")
 
 
@@ -137,82 +132,84 @@ def _cmd_propagate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gain_curve(args) -> int:
-    grid = make_grid(args.side_length, args.frequency, args.pitch_fraction)
-    if args.z_start <= 0 or args.z_stop <= args.z_start or args.z_step <= 0:
-        raise ConfigError("need 0 < --z-start < --z-stop and --z-step > 0")
-    count = int(round((args.z_stop - args.z_start) / args.z_step)) + 1
-    distances = args.z_start + args.z_step * np.arange(count)
-    wavefronts = [
-        WavefrontSpec(kind="beamforming"),
-        WavefrontSpec(kind="beamfocusing", focal_length=args.focal_length),
-        WavefrontSpec(kind="bessel", spot_fwhm=args.spot_fwhm,
-                      spot_convention=args.spot_convention),
-    ]
-    curve = gain_curve(grid, wavefronts, distances,
-                       taper=None if args.taper == "none" else circular_taper(grid))
-    args.out.mkdir(parents=True, exist_ok=True)
-    header, rows = artifacts.gain_curve_rows(curve)
-    path = args.out / "gain_curve.csv"
-    artifacts.write_csv(path, header, rows)
-    print(f"wrote {path} (bessel peak at {curve.bessel_peak_distance:g} m, "
-          f"focal length {curve.focal_length:g} m)")
-    return EXIT_OK
+# ---------------------------------------------------------------------------
+# study verbs: each renders its flags as scenario INI text, which goes through
+# the same schema and runner as ``thzbeam run``
 
 
-def _cmd_capacity(args) -> int:
-    rows = []
-    for m in args.modes:
-        for q in args.qam:
-            rows.append([float(m), float(q),
-                         required_bandwidth(LinkBudgetSpec(args.rate, m, q))])
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / "bandwidth.csv"
-    artifacts.write_csv(path, "n_modes,qam_order,bandwidth_hz", rows)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+def _ini_value(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ", ".join(map(_ini_value, value))
+    return repr(value) if isinstance(value, float) else str(value)  # repr round-trips
 
 
-def _cmd_oam_crosstalk(args) -> int:
-    grid = make_grid(args.side_length, args.frequency, args.pitch_fraction)
-    base_spec = (
-        WavefrontSpec(kind="bessel", spot_fwhm=args.spot_fwhm, circular=True)
-        if args.spot_fwhm
-        else WavefrontSpec(kind="beamforming", circular=True)
+def _render_scenario(sections: dict[str, dict]) -> str:
+    """Scenario INI text; keys set to None are left to the schema default."""
+    return "\n".join(
+        f"[{section}]\n"
+        + "".join(f"{k} = {_ini_value(v)}\n" for k, v in keys.items() if v is not None)
+        for section, keys in sections.items()
     )
-    base = synthesize_field(grid, base_spec)
-    matrix = crosstalk_matrix(base, args.modes, args.z,
-                              steer_angle=math.radians(args.steer_deg),
-                              rx_radius=args.rx_radius)
-    args.out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i, tx in enumerate(matrix.modes):
-        for j, rx in enumerate(matrix.modes):
-            rows.append([float(tx), float(rx), matrix.power_coupling_db[i, j]])
-    path = args.out / "crosstalk.csv"
-    artifacts.write_csv(path, "tx_mode,rx_mode,coupling_db", rows)
-    print(f"wrote {path} (max off-diagonal {matrix.off_diagonal_max_db():.1f} dB)")
-    return EXIT_OK
 
 
-def _cmd_blockage(args) -> int:
-    # single-obstacle healing check without a full scenario file
-    grid = make_grid(args.side_length, args.frequency, args.pitch_fraction)
-    spec = WavefrontSpec(kind="bessel", spot_fwhm=args.spot_fwhm, circular=True)
-    design = axicon_design(grid, args.spot_fwhm)
-    z_heal = (args.obstacle_size / 2.0) / math.tan(design.cone_angle)
-    z_eval = args.obstacle_z + 2.0 * z_heal
-    field = synthesize_field(grid, spec)
-    plan = PropagationPlan(pad_factor=args.pad)
-    disc = ObstacleSpec("disc", args.obstacle_size, (0.0, 0.0), args.obstacle_z)
-    reference = propagate_asm(field, z_eval, plan)
-    blocked = propagate_with_obstacles(field, [disc], z_eval, plan)
-    corr = self_healing_correlation(blocked, reference)
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / "healing.csv"
-    artifacts.write_csv(path, "wavefront,eval_z_m,correlation_shadow,correlation_full",
-                        [["bessel", z_eval, corr, corr]])
-    print(f"wrote {path} (correlation {corr:.4f} at z = {z_eval:g} m)")
+def _grid_section(args) -> dict:
+    return {"side_length_m": args.side_length, "frequency_hz": args.frequency,
+            "pitch_fraction": args.pitch_fraction}
+
+
+def _gain_curve_scenario(args) -> dict:
+    circular = args.taper == "circular"
+    return {
+        "scenario": {"study": "gain_curve"},
+        "grid": _grid_section(args),
+        "wavefronts": {"names": ["beamforming", "beamfocusing", "bessel"]},
+        "wavefront.beamforming": {"kind": "beamforming", "circular": circular},
+        "wavefront.beamfocusing": {
+            "kind": "beamfocusing",
+            "focal_length_m": "auto" if args.focal_length is None else args.focal_length,
+            "circular": circular,
+        },
+        "wavefront.bessel": {"kind": "bessel", "spot_fwhm_m": args.spot_fwhm,
+                             "spot_convention": args.spot_convention, "circular": circular},
+        "distances": {"start_m": args.z_start, "stop_m": args.z_stop, "step_m": args.z_step},
+    }
+
+
+def _blockage_scenario(args) -> dict:
+    return {
+        "scenario": {"study": "blockage"},
+        "grid": _grid_section(args),
+        "wavefronts": {"names": ["bessel"]},
+        "wavefront.bessel": {"kind": "bessel", "spot_fwhm_m": args.spot_fwhm, "circular": True},
+        "blockage": {"obstacle_size_m": args.obstacle_size, "obstacle_z_m": args.obstacle_z,
+                     "pad_factor": args.pad},
+        "output": {"formats": args.formats, "db_floor": args.db_floor},
+    }
+
+
+def _oam_crosstalk_scenario(args) -> dict:
+    return {
+        "scenario": {"study": "oam_crosstalk"},
+        "grid": _grid_section(args),
+        "oam": {"modes": args.modes, "z_m": args.z, "steer_deg_list": [args.steer_deg],
+                "rx_radius_m": args.rx_radius, "base_spot_fwhm_m": args.spot_fwhm},
+    }
+
+
+def _capacity_scenario(args) -> dict:
+    return {
+        "scenario": {"study": "oam_bandwidth"},
+        "oam": {"target_rate_bps": args.rate, "mode_counts": args.modes,
+                "qam_orders": args.qam},
+    }
+
+
+def _cmd_study(args) -> int:
+    config = parse_config(_render_scenario(args.scenario(args)))
+    manifest = run_scenario(config, args.out)
+    print(f"ran {config.study} -> {args.out} ({len(manifest.artifacts)} artifacts)")
     return EXIT_OK
 
 
@@ -266,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-start", type=float, required=True)
     p.add_argument("--z-stop", type=float, required=True)
     p.add_argument("--z-step", type=float, required=True)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_gain_curve)
+    _add_output_args(p, images=False)
+    p.set_defaults(func=_cmd_study, scenario=_gain_curve_scenario)
 
     p = sub.add_parser("blockage", help="Bessel self-healing behind a disc obstacle")
     _add_grid_args(p)
@@ -276,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obstacle-z", type=float, required=True)
     p.add_argument("--pad", type=float, default=2.0)
     _add_output_args(p)
-    p.set_defaults(func=_cmd_blockage)
+    p.set_defaults(func=_cmd_study, scenario=_blockage_scenario)
 
     p = sub.add_parser("oam-crosstalk", help="OAM mode-coupling matrix")
     _add_grid_args(p)
@@ -285,15 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steer-deg", type=float, default=0.0)
     p.add_argument("--rx-radius", type=float)
     p.add_argument("--spot-fwhm", type=float, help="Bessel base spot (default: planar base)")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_oam_crosstalk)
+    _add_output_args(p, images=False)
+    p.set_defaults(func=_cmd_study, scenario=_oam_crosstalk_scenario)
 
     p = sub.add_parser("capacity", help="required bandwidth for a target rate")
     p.add_argument("--rate", type=float, required=True, help="target rate [bit/s]")
     p.add_argument("--modes", type=lambda s: [int(v) for v in s.split(",")], required=True)
     p.add_argument("--qam", type=lambda s: [int(v) for v in s.split(",")], required=True)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_capacity)
+    _add_output_args(p, images=False)
+    p.set_defaults(func=_cmd_study, scenario=_capacity_scenario)
 
     p = sub.add_parser("run", help="run a scenario config file")
     p.add_argument("config", type=Path)

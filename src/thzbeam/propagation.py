@@ -28,7 +28,7 @@ import contextlib
 import contextvars
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from .aperture import (
     make_obstacle_mask,
     synthesize_delay_phase,
 )
-from .errors import GeometryError, SamplingError
+from .errors import SamplingError
 
 __all__ = [
     "FieldSlice",
@@ -106,14 +106,11 @@ class FieldSlice:
 class PropagationPlan:
     """Knobs for spectral propagation."""
 
-    method: str = "angular_spectrum"
     pad_factor: float = 2.0
     evanescent_cutoff: bool = True
     band_limit: bool = True
 
     def __post_init__(self):
-        if self.method not in ("angular_spectrum", "direct_sum"):
-            raise ValueError(f"unknown propagation method {self.method!r}")
         if not 1.0 <= self.pad_factor <= 8.0:
             raise ValueError(f"pad_factor must be in [1, 8], got {self.pad_factor}")
 
@@ -285,8 +282,6 @@ def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None =
     ``exp(-1j*k*r)/r`` samples.
     """
     plan = plan or DEFAULT_PLAN
-    if plan.method != "angular_spectrum":
-        raise ValueError(f"propagate_asm requires an angular_spectrum plan, got {plan.method!r}")
     if z <= 0:
         raise ValueError(f"propagation distance must be positive, got {z}")
     n = field.grid.elements_per_side
@@ -335,7 +330,9 @@ def propagate_with_obstacles(
 
     The aperture hop uses the point-source kernel; hops between obstacle
     planes propagate the masked continuum field with the analytic transfer
-    function.  Obstacles whose mask is the identity are skipped.
+    function.  Obstacles whose mask is the identity are skipped; a
+    footprint beyond the propagated plane raises GeometryError from
+    ``make_obstacle_mask``.
     """
     plan = plan or DEFAULT_PLAN
     if z_target <= 0:
@@ -349,12 +346,7 @@ def propagate_with_obstacles(
 
     lam = field.grid.wavelength
     # the aperture hop pads once; later hops stay on that grid
-    hop_plan = PropagationPlan(
-        method=plan.method,
-        pad_factor=1.0,
-        evanescent_cutoff=plan.evanescent_cutoff,
-        band_limit=plan.band_limit,
-    )
+    hop_plan = replace(plan, pad_factor=1.0)
     current: FieldSlice | None = None
     for ob in obs:
         if current is None:
@@ -362,14 +354,6 @@ def propagate_with_obstacles(
         else:
             candidate = propagate_slice(current, ob.plane_z - current.z, hop_plan, wavelength=lam)
         mask = make_obstacle_mask(candidate, ob)
-        if ob.shape != "half_plane" and not _is_identity_mask(mask.values):
-            # footprint must fit the propagated plane, not just the aperture
-            half = candidate.extent / 2.0
-            cx, cy = ob.center_offset
-            if abs(cx) + ob.size / 2.0 > half or abs(cy) + ob.size / 2.0 > half:
-                raise GeometryError(
-                    f"obstacle footprint exceeds the propagated plane extent +-{half:g} m"
-                )
         if _is_identity_mask(mask.values):
             continue
         current = FieldSlice(candidate.z, candidate.samples * mask.values, candidate.sample_pitch)

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import io as artifacts
 from .aperture import (
     ApertureGrid,
@@ -50,8 +51,6 @@ from .propagation import (
     reuse_spectra,
 )
 
-__version__ = "0.1.0"
-
 STUDIES = ("gain_curve", "blockage", "oam_bandwidth", "oam_crosstalk")
 PRESET_NAMES = ("fig3", "fig4", "fig5", "fig3-ci", "fig4-ci")
 OUTPUT_FORMATS = ("csv", "pgm", "png")
@@ -62,7 +61,7 @@ OUTPUT_FORMATS = ("csv", "pgm", "png")
 
 
 _SCHEMA = {
-    "scenario": {"study", "name", "seed"},
+    "scenario": {"study", "name"},
     "grid": {"side_length_m", "frequency_hz", "pitch_fraction"},
     "wavefronts": {"names"},
     "wavefront.*": {
@@ -115,7 +114,6 @@ class ScenarioConfig:
 
     study: str
     name: str
-    seed: int
     text: str
     grid: ApertureGrid | None = None
     wavefronts: dict = dc_field(default_factory=dict)
@@ -191,7 +189,6 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"unknown study {study!r}; expected one of {STUDIES}",
                           key_path="scenario.study")
     name = _get(parser, "scenario", "name", str, default=study)
-    seed = _get(parser, "scenario", "seed", int, default=0)
 
     for required in _REQUIRED_SECTIONS[study]:
         if not parser.has_section(required):
@@ -251,6 +248,17 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"{', '.join(artifacts.GAIN_CURVE_COLUMNS)}; got {', '.join(kinds)}",
                 key_path="wavefronts.names",
             )
+        # gain_curve builds each aperture from synthesize_phase and one shared
+        # taper: quantization, OAM overlays and per-wavefront tapers do nothing
+        circular = next(iter(wavefronts.values())).circular
+        for wf_name, spec in wavefronts.items():
+            for key in ("phase_bits", "oam_mode"):
+                if parser.has_option(f"wavefront.{wf_name}", key):
+                    raise ConfigError("gain_curve does not apply this key",
+                                      key_path=f"wavefront.{wf_name}.{key}")
+            if spec.circular != circular:
+                raise ConfigError("gain_curve tapers every wavefront or none",
+                                  key_path=f"wavefront.{wf_name}.circular")
 
     distances = None
     if parser.has_section("distances"):
@@ -319,7 +327,6 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         study=study,
         name=name,
-        seed=seed,
         text=text,
         grid=grid,
         wavefronts=wavefronts,
@@ -344,7 +351,6 @@ _FIG3 = """\
 [scenario]
 study = gain_curve
 name = fig3
-seed = 0
 
 [grid]
 side_length_m = 0.25
@@ -383,7 +389,6 @@ _FIG3_CI = """\
 [scenario]
 study = gain_curve
 name = fig3-ci
-seed = 0
 
 [grid]
 side_length_m = 0.05
@@ -429,7 +434,6 @@ _FIG4 = """\
 [scenario]
 study = blockage
 name = fig4
-seed = 0
 
 [grid]
 side_length_m = 0.25
@@ -478,7 +482,6 @@ _FIG4_CI = """\
 [scenario]
 study = blockage
 name = fig4-ci
-seed = 0
 
 [grid]
 side_length_m = 0.063
@@ -527,7 +530,6 @@ _FIG5 = """\
 [scenario]
 study = oam_bandwidth
 name = fig5
-seed = 0
 
 [oam]
 target_rate_bps = 1e12
@@ -550,9 +552,7 @@ _PRESETS = {
 
 def preset(name: str) -> ScenarioConfig:
     """Bundled scenario by name: fig3, fig4, fig5 plus the -ci variants."""
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; expected one of {sorted(_PRESETS)}")
-    return parse_config(_PRESETS[name])
+    return parse_config(preset_text(name))
 
 
 def preset_text(name: str) -> str:

@@ -226,6 +226,22 @@ def test_obstacle_bigger_than_plane_is_geometry_error():
         )
 
 
+def test_obstacle_footprint_bound_is_the_plane_extent():
+    from thzbeam import GeometryError, make_obstacle_mask
+
+    grid = make_grid(0.02, 3e11)
+    field = ApertureField.uniform(grid)
+    plane = propagate_asm(field, 0.1)
+    n, pitch = plane.samples.shape[0], plane.sample_pitch
+    # the disc edge lies between n*p/2 and ((n-1)/2 + 1)*p, half a pitch looser
+    size = 2 * (n / 2.0 + 0.25) * pitch
+    disc = ObstacleSpec("disc", size, (0.0, 0.0), 0.1)
+    with pytest.raises(GeometryError):
+        make_obstacle_mask(plane, disc)
+    with pytest.raises(GeometryError):
+        propagate_with_obstacles(field, [disc], 0.2)
+
+
 # ---------------------------------------------------------------------------
 # axial scans
 
@@ -351,11 +367,7 @@ def test_band_limit_collapse_raises_sampling_error():
 def test_plan_validation():
     with pytest.raises(ValueError):
         PropagationPlan(pad_factor=0.5)
-    with pytest.raises(ValueError):
-        PropagationPlan(method="rayleigh")
     grid = make_grid(0.02, 3e11)
-    with pytest.raises(ValueError):
-        propagate_asm(ApertureField.uniform(grid), 0.1, PropagationPlan(method="direct_sum"))
     with pytest.raises(ValueError):
         propagate_asm(ApertureField.uniform(grid), -0.1)
 

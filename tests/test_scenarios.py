@@ -497,6 +497,169 @@ def test_cli_threads_flag_does_not_change_output(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# small inputs for each study verb, and one bad input per exit code
+STUDY_VERBS = {
+    "gain-curve": ["--side-length", "0.02", "--frequency", "3e11", "--spot-fwhm", "0.004",
+                   "--z-start", "0.02", "--z-stop", "0.1", "--z-step", "0.02"],
+    "blockage": ["--side-length", "0.02", "--frequency", "3e11", "--spot-fwhm", "0.004",
+                 "--obstacle-size", "0.002", "--obstacle-z", "0.05"],
+    "oam-crosstalk": ["--side-length", "0.008", "--frequency", "1e12", "--modes", "0,1",
+                      "--z", "0.05"],
+    "capacity": ["--rate", "1e12", "--modes", "1,32", "--qam", "16,1024"],
+}
+
+
+def _with_flag(argv, flag, value):
+    if flag not in argv:
+        return argv + [flag, value]
+    out = list(argv)
+    out[out.index(flag) + 1] = value
+    return out
+
+
+BAD_STUDY_INPUTS = [
+    ("gain-curve", 2, "--z-stop", "0.02"),  # z_stop <= z_start
+    ("blockage", 2, "--threads", "0"),
+    ("oam-crosstalk", 2, "--threads", "0"),
+    ("capacity", 2, "--threads", "0"),
+    ("gain-curve", 3, "--spot-fwhm", "0.0005"),  # spot below the 1 mm wavelength
+    ("blockage", 3, "--spot-fwhm", "0.0005"),
+    ("oam-crosstalk", 3, "--spot-fwhm", "0.0002"),  # 0.3 mm wavelength
+    ("capacity", 3, "--qam", "3"),  # not a power of two
+]
+
+
+@pytest.mark.parametrize("verb,code,flag,value", BAD_STUDY_INPUTS,
+                         ids=[f"{v}-{c}" for v, c, _, _ in BAD_STUDY_INPUTS])
+def test_cli_study_verb_error_classes(tmp_path, capsys, verb, code, flag, value):
+    argv = _with_flag(STUDY_VERBS[verb], flag, value)
+    assert cli_main([verb, *argv, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if verb == "gain-curve" and code == 2:
+        assert "distances" in err  # config errors name the scenario key path
+
+
+@pytest.mark.parametrize("verb", sorted(STUDY_VERBS))
+def test_cli_study_verb_out_is_a_file(tmp_path, capsys, verb):
+    blocker = tmp_path / "blocked"
+    blocker.write_text("x")
+    assert cli_main([verb, *STUDY_VERBS[verb], "--out", str(blocker)]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", sorted(STUDY_VERBS))
+def test_cli_study_verb_writes_manifest(tmp_path, verb):
+    import thzbeam
+
+    assert cli_main([verb, *STUDY_VERBS[verb], "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["version"] == thzbeam.__version__
+    listed = {a["path"] for a in manifest["artifacts"]}
+    assert listed == {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+
+
+def test_cli_blockage_matches_scenario_run(tmp_path):
+    assert cli_main(["blockage", *STUDY_VERBS["blockage"], "--out", str(tmp_path / "cli")]) == 0
+    config = tmp_path / "blockage.ini"
+    config.write_text("""\
+[scenario]
+study = blockage
+
+[grid]
+side_length_m = 0.02
+frequency_hz = 3e11
+
+[wavefronts]
+names = bessel
+
+[wavefront.bessel]
+kind = bessel
+spot_fwhm_m = 0.004
+circular = true
+
+[blockage]
+obstacle_size_m = 0.002
+obstacle_z_m = 0.05
+""")
+    assert cli_main(["run", str(config), "--out", str(tmp_path / "ini")]) == 0
+    cli_rows = (tmp_path / "cli" / "healing.csv").read_text().splitlines()
+    assert cli_rows == (tmp_path / "ini" / "healing.csv").read_text().splitlines()
+    _, _, shadow, full = cli_rows[1].split(",")
+    assert shadow != full  # the shadow window, not the full plane
+
+
+def test_cli_blockage_writes_requested_maps(tmp_path):
+    assert cli_main(["blockage", *STUDY_VERBS["blockage"], "--format", "pgm",
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "map_bessel_reference.pgm").exists()
+    assert (tmp_path / "map_bessel_blocked.pgm").exists()
+
+
+def test_cli_steered_oam_crosstalk_names_its_file(tmp_path):
+    assert cli_main(["oam-crosstalk", *STUDY_VERBS["oam-crosstalk"], "--steer-deg", "1",
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "crosstalk_steer_1deg.csv").exists()
+    assert (tmp_path / "spillover.csv").exists()
+    assert not (tmp_path / "crosstalk.csv").exists()
+
+
+GAIN_INI = """\
+[scenario]
+study = gain_curve
+
+[grid]
+side_length_m = 0.02
+frequency_hz = 3e11
+
+[wavefronts]
+names = beamforming, beamfocusing, bessel
+
+[wavefront.beamforming]
+kind = beamforming
+circular = true
+
+[wavefront.beamfocusing]
+kind = beamfocusing
+circular = true
+
+[wavefront.bessel]
+kind = bessel
+spot_fwhm_m = 0.004
+circular = true
+
+[distances]
+start_m = 0.02
+stop_m = 0.1
+step_m = 0.02
+"""
+
+
+@pytest.mark.parametrize("old,new,key_path", [
+    ("[wavefront.beamfocusing]\n", "[wavefront.beamfocusing]\nphase_bits = 1\n",
+     "wavefront.beamfocusing.phase_bits"),
+    ("[wavefront.bessel]\n", "[wavefront.bessel]\noam_mode = 2\n", "wavefront.bessel.oam_mode"),
+    ("spot_fwhm_m = 0.004\ncircular = true", "spot_fwhm_m = 0.004\ncircular = false",
+     "wavefront.bessel.circular"),
+], ids=["phase_bits", "oam_mode", "mixed-circular"])
+def test_cli_gain_curve_rejects_keys_that_do_nothing(tmp_path, capsys, old, new, key_path):
+    config = tmp_path / "gain.ini"
+    config.write_text(GAIN_INI.replace(old, new))
+    assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert key_path in err
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_scenario_seed(tmp_path, capsys):
+    config = tmp_path / "seeded.ini"
+    config.write_text(MINIMAL_FIG5.replace("name = tiny\n", "name = tiny\nseed = 0\n"))
+    assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key" in err and "scenario.seed" in err
+    assert "Traceback" not in err
+
+
 def test_field_slice_csv_schema(tmp_path):
     from thzbeam.io import field_slice_csv
 
