@@ -215,7 +215,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    out_dir = args.out or (Path(config.directory) if config.directory else Path(config.name))
+    out_dir = args.out or Path(config.output.directory or config.name)
     manifest = run_scenario(config, out_dir)
     print(f"ran {config.name} -> {out_dir} ({len(manifest.artifacts)} artifacts)")
     return EXIT_OK

@@ -91,16 +91,6 @@ class FieldSlice:
     def intensity(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
 
-    def center_crop(self, n: int) -> "FieldSlice":
-        """Central n-by-n window (n must match the grid parity)."""
-        m = self.samples.shape[0]
-        if n > m:
-            raise ValueError(f"crop size {n} exceeds slice size {m}")
-        if (m - n) % 2:
-            raise ValueError(f"cannot centre a {n} crop in a {m} slice")
-        lo = (m - n) // 2
-        return FieldSlice(self.z, self.samples[lo : lo + n, lo : lo + n], self.sample_pitch, self.origin_offset)
-
 
 @dataclass(frozen=True)
 class PropagationPlan:

@@ -1,8 +1,8 @@
 """Config-driven scenario runner and the bundled experiment presets.
 
-Scenario configs are flat INI text (sections of ``key = value`` pairs) with
-a strict schema: unknown sections or keys are rejected with the offending
-key path.  Four study kinds are supported:
+Scenario configs are flat INI text (sections of ``key = value`` pairs).  A
+section or key the study does not read, like any bad value, is rejected at
+parse time with its key path.  Four study kinds are supported:
 
 * ``gain_curve``   — axial normalized-gain comparison (preset ``fig3``)
 * ``blockage``     — obstacle self-healing and knife-edge comparison
@@ -22,8 +22,9 @@ import configparser
 import hashlib
 import json
 import math
+import re
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from .aperture import (
 )
 from .errors import ConfigError
 from .metrics import gain_curve, self_healing_correlation
-from .oam import LinkBudgetSpec, crosstalk_matrix, required_bandwidth
+from .oam import LinkBudgetSpec, OamModeSet, crosstalk_matrix, required_bandwidth
 from .propagation import (
     FieldSlice,
     PropagationPlan,
@@ -57,89 +58,34 @@ OUTPUT_FORMATS = ("csv", "pgm", "png")
 
 
 # ---------------------------------------------------------------------------
-# schema
+# sections: one frozen dataclass per section (and study, where studies read it
+# differently).  Its fields are the INI keys: the annotation names the cast in
+# _CASTS, a default makes the key optional, and __post_init__ builds what the
+# study runs on.
+
+Positive = float  # finite and > 0
+Auto = float | None  # Positive, or "auto" (None): the study chooses
+Study = str  # one of STUDIES
+Convention = str  # fwhm | first_null
+Names = tuple[str, ...]  # lists: comma-separated, distinct, at least one item
+Ints = tuple[int, ...]
+Floats = tuple[float, ...]
+Formats = tuple[str, ...]  # each one of OUTPUT_FORMATS
+CsvFormats = tuple[str, ...]  # csv only
 
 
-_SCHEMA = {
-    "scenario": {"study", "name"},
-    "grid": {"side_length_m", "frequency_hz", "pitch_fraction"},
-    "wavefronts": {"names"},
-    "wavefront.*": {
-        "kind",
-        "steer_deg",
-        "focal_length_m",
-        "spot_fwhm_m",
-        "spot_convention",
-        "curve_a",
-        "curve_x_start_m",
-        "curve_z_end_m",
-        "oam_mode",
-        "phase_bits",
-        "circular",
-    },
-    "distances": {"start_m", "stop_m", "step_m"},
-    "blockage": {
-        "obstacle_size_m",
-        "obstacle_z_m",
-        "knife_x_edge_m",
-        "knife_z_m",
-        "caustic_eval_z_m",
-        "shadow_window_factor",
-        "pad_factor",
-    },
-    "oam": {
-        "target_rate_bps",
-        "mode_counts",
-        "qam_orders",
-        "modes",
-        "z_m",
-        "steer_deg_list",
-        "rx_radius_m",
-        "base_spot_fwhm_m",
-    },
-    "output": {"directory", "formats", "db_floor"},
-}
-
-_REQUIRED_SECTIONS = {
-    "gain_curve": ("grid", "wavefronts", "distances"),
-    "blockage": ("grid", "wavefronts", "blockage"),
-    "oam_bandwidth": ("oam",),
-    "oam_crosstalk": ("grid", "oam"),
-}
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated scenario: study kind plus the parsed ingredients."""
-
-    study: str
-    name: str
-    text: str
-    grid: ApertureGrid | None = None
-    wavefronts: dict = dc_field(default_factory=dict)
-    distances: np.ndarray | None = None
-    blockage: dict = dc_field(default_factory=dict)
-    oam: dict = dc_field(default_factory=dict)
-    formats: tuple[str, ...] = ("csv",)
-    db_floor: float = -60.0
-    directory: str | None = None
-
-    @property
-    def digest(self) -> str:
-        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
-
-
-def _get(parser, section, key, cast, default=None, required=False):
-    path = f"{section}.{key}"
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError("required key missing", key_path=path)
-        return default
-    raw = parser.get(section, key).strip()
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"cannot parse value {raw!r}: {exc}", key_path=path) from None
+def _positive(raw: str) -> float:
+    value = _float(raw)
+    if value <= 0:
+        raise ValueError("must be positive")
+    return value
 
 
 def _bool(raw: str) -> bool:
@@ -151,191 +97,340 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _name_list(raw: str) -> list[str]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    return items
+def _one_of(*choices: str):
+    def cast(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return raw
+    return cast
 
 
-def _float_list(raw: str) -> list[float]:
-    return [float(s) for s in _name_list(raw)]
+def _items(cast):
+    def cast_all(raw: str) -> tuple:
+        items = tuple(cast(s.strip()) for s in raw.split(",") if s.strip())
+        if not items or len(set(items)) != len(items):
+            raise ValueError("needs one or more distinct items")
+        return items
+    return cast_all
 
 
-def _int_list(raw: str) -> list[int]:
-    return [int(s) for s in _name_list(raw)]
+_CASTS = {
+    "str": str, "bool": _bool, "int": int, "float": _float, "Positive": _positive,
+    "Auto": lambda raw: None if raw == "auto" else _positive(raw),
+    "Study": _one_of(*STUDIES), "Convention": _one_of("fwhm", "first_null"),
+    "Names": _items(str), "Ints": _items(int), "Floats": _items(_float),
+    "Formats": _items(_one_of(*OUTPUT_FORMATS)), "CsvFormats": _items(_one_of("csv")),
+}
+
+
+def _build(key_path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with its ValueError as a ConfigError at key_path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key_path=key_path) from None
+
+
+@dataclass(frozen=True, kw_only=True)
+class ScenarioSection:
+    study: Study
+    name: str | None = None  # default: the study
+
+
+@dataclass(frozen=True, kw_only=True)
+class GridSection:
+    side_length_m: float
+    frequency_hz: float
+    pitch_fraction: float = 0.5
+    grid: ApertureGrid = dc_field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "grid", _build("grid", make_grid, self.side_length_m,
+                                                self.frequency_hz, self.pitch_fraction))
+
+
+@dataclass(frozen=True, kw_only=True)
+class WavefrontsSection:
+    names: Names  # one [wavefront.<name>] section each
+
+
+def _only(kind: str, default=None, needed: bool = False):
+    """A key that only wavefronts of ``kind`` read (and, if ``needed``, must set)."""
+    return dc_field(default=default, metadata={"kind": kind, "needed": needed})
+
+
+@dataclass(frozen=True, kw_only=True)
+class GainWavefrontSection:
+    """[wavefront.<name>] of gain_curve: the kind selects the physics, the name labels it."""
+
+    kind: str
+    steer_deg: float = 0.0
+    circular: bool = False  # inscribed-disc amplitude taper
+    focal_length_m: Auto = _only("beamfocusing")
+    spot_fwhm_m: Positive | None = _only("bessel", needed=True)
+    spot_convention: Convention = _only("bessel", "fwhm")
+    curve_a: float | None = _only("caustic", needed=True)  # x = x_start + a z^2 up to z_end
+    curve_x_start_m: float = _only("caustic", 0.0)
+    curve_z_end_m: float | None = _only("caustic", needed=True)
+
+    def spec(self) -> WavefrontSpec:
+        curve = None
+        if self.kind == "caustic":
+            curve = CausticCurve.parabola(self.curve_a, self.curve_z_end_m, self.curve_x_start_m)
+        return WavefrontSpec(kind=self.kind, steer_angle=math.radians(self.steer_deg),
+                             focal_length=self.focal_length_m, spot_fwhm=self.spot_fwhm_m,
+                             spot_convention=self.spot_convention, curve=curve,
+                             circular=self.circular)
+
+
+@dataclass(frozen=True, kw_only=True)
+class WavefrontSection(GainWavefrontSection):
+    """[wavefront.<name>] of blockage, which also applies the overlays."""
+
+    oam_mode: int = 0
+    phase_bits: int | None = None
+
+    def spec(self) -> WavefrontSpec:
+        return replace(super().spec(), oam_mode=self.oam_mode, phase_bits=self.phase_bits)
+
+
+@dataclass(frozen=True, kw_only=True)
+class DistancesSection:
+    start_m: float
+    stop_m: float
+    step_m: float
+    values: np.ndarray = dc_field(init=False)
+
+    def __post_init__(self):
+        start, stop, step = self.start_m, self.stop_m, self.step_m
+        if start <= 0 or stop <= start or step <= 0:
+            raise ConfigError("need 0 < start_m < stop_m and step_m > 0", key_path="distances")
+        values = start + step * np.arange(int(round((stop - start) / step)) + 1)
+        object.__setattr__(self, "values", values[values <= stop + 1e-12])
+
+
+_KNIFE_KEYS = ("knife_x_edge_m", "knife_z_m", "caustic_eval_z_m")
+
+
+@dataclass(frozen=True, kw_only=True)
+class BlockageSection:
+    """[blockage]: the healing rows' disc and, with all three knife keys, the knife edge."""
+
+    obstacle_size_m: Positive
+    obstacle_z_m: float
+    knife_x_edge_m: float | None = None
+    knife_z_m: float | None = None
+    caustic_eval_z_m: float | None = None
+    shadow_window_factor: Positive = 1.0
+    pad_factor: float = 2.0
+    plan: PropagationPlan = dc_field(init=False)
+    disc: ObstacleSpec = dc_field(init=False)
+    knife: ObstacleSpec | None = dc_field(init=False)
+
+    def __post_init__(self):
+        unset = [key for key in _KNIFE_KEYS if getattr(self, key) is None]
+        if 0 < len(unset) < len(_KNIFE_KEYS):
+            raise ConfigError(f"the knife edge needs {', '.join(_KNIFE_KEYS)} together",
+                              key_path=f"blockage.{unset[0]}")
+        if not unset and self.caustic_eval_z_m <= self.knife_z_m:
+            raise ConfigError("must lie beyond knife_z_m", key_path="blockage.caustic_eval_z_m")
+        knife = None if unset else _build("blockage.knife_z_m", ObstacleSpec, "half_plane", 0.0,
+                                          (self.knife_x_edge_m, 0.0), self.knife_z_m)
+        disc = _build("blockage.obstacle_z_m", ObstacleSpec, "disc", self.obstacle_size_m,
+                      (0.0, 0.0), self.obstacle_z_m)
+        plan = _build("blockage.pad_factor", PropagationPlan, pad_factor=self.pad_factor)
+        for name, value in (("knife", knife), ("disc", disc), ("plan", plan)):
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True, kw_only=True)
+class OamBandwidthSection:
+    target_rate_bps: float
+    mode_counts: Ints
+    qam_orders: Ints
+    budgets: tuple[LinkBudgetSpec, ...] = dc_field(init=False)  # mode-count major
+
+    def __post_init__(self):
+        object.__setattr__(self, "budgets", tuple(
+            _build("oam", LinkBudgetSpec, self.target_rate_bps, m, q)
+            for m in self.mode_counts for q in self.qam_orders))
+
+
+@dataclass(frozen=True, kw_only=True)
+class OamCrosstalkSection:
+    """[oam] of oam_crosstalk: a planar base beam, or a Bessel one of base_spot_fwhm_m."""
+
+    modes: Ints
+    z_m: Positive
+    steer_deg_list: Floats = (0.0,)
+    rx_radius_m: Auto = None  # auto: the aperture half-side
+    base_spot_fwhm_m: Positive | None = None
+    base: WavefrontSpec = dc_field(init=False)
+
+    def __post_init__(self):
+        _build("oam.modes", OamModeSet, self.modes)
+        kind = "beamforming" if self.base_spot_fwhm_m is None else "bessel"
+        object.__setattr__(self, "base", WavefrontSpec(kind=kind, spot_fwhm=self.base_spot_fwhm_m,
+                                                       circular=True))
+
+
+@dataclass(frozen=True, kw_only=True)
+class OutputSection:
+    """[output] of the studies that write CSV only."""
+
+    directory: str | None = None
+    formats: CsvFormats = ("csv",)
+
+
+@dataclass(frozen=True, kw_only=True)
+class MapOutputSection(OutputSection):
+    """[output] of blockage: pgm and png add intensity maps in dB down to db_floor."""
+
+    formats: Formats = ("csv",)
+    db_floor: float = -60.0
+
+    def __post_init__(self):
+        if self.db_floor >= 0:
+            raise ConfigError("db_floor must be negative", key_path="output.db_floor")
+
+
+# the sections each study reads; "wavefront.*" is each one wavefronts.names lists
+_STUDY_SECTIONS = {
+    "gain_curve": {"grid": GridSection, "wavefronts": WavefrontsSection,
+                   "wavefront.*": GainWavefrontSection, "distances": DistancesSection,
+                   "output": OutputSection},
+    "blockage": {"grid": GridSection, "wavefronts": WavefrontsSection,
+                 "wavefront.*": WavefrontSection, "blockage": BlockageSection,
+                 "output": MapOutputSection},
+    "oam_bandwidth": {"oam": OamBandwidthSection, "output": OutputSection},
+    "oam_crosstalk": {"grid": GridSection, "oam": OamCrosstalkSection, "output": OutputSection},
+}
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A checked scenario: the study and the objects it runs on."""
+
+    study: str
+    name: str
+    text: str
+    output: OutputSection
+    grid: ApertureGrid | None = None
+    wavefronts: dict[str, WavefrontSpec] = dc_field(default_factory=dict)
+    distances: np.ndarray | None = None
+    blockage: BlockageSection | None = None
+    oam: OamBandwidthSection | OamCrosstalkSection | None = None
+
+    @property
+    def digest(self) -> str:
+        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+
+
+def _get(parser, section: str, key):
+    """One key's value, cast by its annotation; no float is nan or inf."""
+    raw = parser.get(section, key.name).strip()
+    try:
+        return _CASTS[key.type.removesuffix(" | None")](raw)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value {raw!r}: {exc}",
+                          key_path=f"{section}.{key.name}") from None
+
+
+def _section(parser, section: str, cls):
+    """The section as a ``cls``; a key that ``cls`` does not declare is an error."""
+    keys = {key.name: key for key in fields(cls) if key.init}
+    if not parser.has_section(section):
+        if any(key.default is MISSING for key in keys.values()):
+            raise ConfigError("required section missing", key_path=section)
+        return cls()
+    for name in parser.options(section):
+        if name not in keys:
+            raise ConfigError(f"unknown key; [{section}] takes {', '.join(keys)}",
+                              key_path=f"{section}.{name}")
+    for name, key in keys.items():
+        if key.default is MISSING and not parser.has_option(section, name):
+            raise ConfigError("required key missing", key_path=f"{section}.{name}")
+    return cls(**{name: _get(parser, section, key) for name, key in keys.items()
+                  if parser.has_option(section, name)})
+
+
+def _wavefront(parser, name: str, cls) -> WavefrontSpec:
+    """[wavefront.<name>] as a spec; a key that only another kind reads is an error."""
+    section = f"wavefront.{name}"
+    keys = _section(parser, section, cls)
+    _build(f"{section}.kind", WavefrontSpec, keys.kind)
+    for key in fields(keys):
+        kind, path = key.metadata.get("kind", keys.kind), f"{section}.{key.name}"
+        if kind != keys.kind and parser.has_option(section, key.name):
+            raise ConfigError(f"a {keys.kind} wavefront does not read this key", key_path=path)
+        if kind == keys.kind and key.metadata.get("needed") and getattr(keys, key.name) is None:
+            raise ConfigError(f"a {kind} wavefront needs this key", key_path=path)
+    return _build(section, keys.spec)
+
+
+def _check_roles(study: str, wavefronts: dict[str, WavefrontSpec],
+                 blockage: BlockageSection | None) -> None:
+    """Studies pick wavefronts by kind; the section name only labels rows and maps."""
+    kinds = [spec.kind for spec in wavefronts.values()]
+    if study == "gain_curve":
+        # one wavefront per column of the fixed gain-curve CSV schema, one shared taper
+        if sorted(kinds) != sorted(artifacts.GAIN_CURVE_COLUMNS):
+            raise ConfigError(
+                "gain_curve needs exactly one wavefront of each kind "
+                f"{', '.join(artifacts.GAIN_CURVE_COLUMNS)}; got {', '.join(sorted(kinds))}",
+                key_path="wavefronts.names",
+            )
+        circular = next(iter(wavefronts.values())).circular
+        for name, spec in wavefronts.items():
+            if spec.circular != circular:
+                raise ConfigError("gain_curve tapers every wavefront or none",
+                                  key_path=f"wavefront.{name}.circular")
+    elif study == "blockage":
+        # healing needs one Bessel beam, the knife-edge pair one caustic and one
+        # planar beam; without a knife edge no caustic is read
+        knife = blockage.knife is not None
+        for kind in ["bessel"] + (["caustic", "beamforming"] if knife else []):
+            if kinds.count(kind) != 1:
+                raise ConfigError(f"blockage study needs exactly one {kind} wavefront, "
+                                  f"got {kinds.count(kind)}", key_path="wavefronts.names")
+        if not knife and "caustic" in kinds:
+            raise ConfigError("a caustic wavefront needs the knife edge of [blockage]",
+                              key_path="wavefronts.names")
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and schema-validate scenario text; raises ConfigError on issues."""
+    """Parse and check scenario text; every problem is a ConfigError with its key path."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config text is not valid INI: {exc}") from None
 
-    # reject unknown sections / keys
+    scenario = _section(parser, "scenario", ScenarioSection)
+    read = _STUDY_SECTIONS[scenario.study]
+    sections = {name: _section(parser, name, cls) for name, cls in read.items()
+                if name != "wavefront.*"}
+    names = sections["wavefronts"].names if "wavefronts" in sections else ()
+    wavefronts = {name: _wavefront(parser, name, read["wavefront.*"]) for name in names}
+    _check_roles(scenario.study, wavefronts, sections.get("blockage"))
+    known = {"scenario", *read, *(f"wavefront.{name}" for name in names)}
     for section in parser.sections():
-        schema_key = "wavefront.*" if section.startswith("wavefront.") else section
-        if schema_key not in _SCHEMA:
-            raise ConfigError("unknown section", key_path=section)
-        allowed = _SCHEMA[schema_key]
-        for key in parser.options(section):
-            if key not in allowed:
-                raise ConfigError("unknown key", key_path=f"{section}.{key}")
-
-    if not parser.has_section("scenario"):
-        raise ConfigError("required section missing", key_path="scenario")
-    study = _get(parser, "scenario", "study", str, required=True)
-    if study not in STUDIES:
-        raise ConfigError(f"unknown study {study!r}; expected one of {STUDIES}",
-                          key_path="scenario.study")
-    name = _get(parser, "scenario", "name", str, default=study)
-
-    for required in _REQUIRED_SECTIONS[study]:
-        if not parser.has_section(required):
-            raise ConfigError("required section missing", key_path=required)
-
-    grid = None
-    if parser.has_section("grid"):
-        grid = make_grid(
-            _get(parser, "grid", "side_length_m", float, required=True),
-            _get(parser, "grid", "frequency_hz", float, required=True),
-            _get(parser, "grid", "pitch_fraction", float, default=0.5),
-        )
-
-    wavefronts: dict[str, WavefrontSpec] = {}
-    if parser.has_section("wavefronts"):
-        names = _get(parser, "wavefronts", "names", _name_list, required=True)
-        if not names:
-            raise ConfigError("wavefront list must not be empty", key_path="wavefronts.names")
-        for wf_name in names:
-            section = f"wavefront.{wf_name}"
-            if not parser.has_section(section):
-                raise ConfigError("wavefront section missing", key_path=section)
-            kind = _get(parser, section, "kind", str, required=True)
-            curve = None
-            curve_a = _get(parser, section, "curve_a", float)
-            if kind == "caustic":
-                if curve_a is None:
-                    raise ConfigError("caustic wavefront needs curve_a",
-                                      key_path=f"{section}.curve_a")
-                curve = CausticCurve.parabola(
-                    curve_a,
-                    _get(parser, section, "curve_z_end_m", float, required=True),
-                    _get(parser, section, "curve_x_start_m", float, default=0.0),
-                )
-            focal = _get(parser, section, "focal_length_m", lambda s: None if s == "auto" else float(s))
-            try:
-                wavefronts[wf_name] = WavefrontSpec(
-                    kind=kind,
-                    steer_angle=math.radians(_get(parser, section, "steer_deg", float, default=0.0)),
-                    focal_length=focal,
-                    spot_fwhm=_get(parser, section, "spot_fwhm_m", float),
-                    spot_convention=_get(parser, section, "spot_convention", str, default="fwhm"),
-                    curve=curve,
-                    oam_mode=_get(parser, section, "oam_mode", int, default=0),
-                    phase_bits=_get(parser, section, "phase_bits", int),
-                    circular=_get(parser, section, "circular", _bool, default=False),
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc), key_path=section) from None
-
-    if study == "gain_curve":
-        # one wavefront per column of the fixed gain-curve CSV schema
-        kinds = sorted(spec.kind for spec in wavefronts.values())
-        if kinds != sorted(artifacts.GAIN_CURVE_COLUMNS):
-            raise ConfigError(
-                "gain_curve needs exactly one wavefront of each kind "
-                f"{', '.join(artifacts.GAIN_CURVE_COLUMNS)}; got {', '.join(kinds)}",
-                key_path="wavefronts.names",
-            )
-        # gain_curve builds each aperture from synthesize_phase and one shared
-        # taper: quantization, OAM overlays and per-wavefront tapers do nothing
-        circular = next(iter(wavefronts.values())).circular
-        for wf_name, spec in wavefronts.items():
-            for key in ("phase_bits", "oam_mode"):
-                if parser.has_option(f"wavefront.{wf_name}", key):
-                    raise ConfigError("gain_curve does not apply this key",
-                                      key_path=f"wavefront.{wf_name}.{key}")
-            if spec.circular != circular:
-                raise ConfigError("gain_curve tapers every wavefront or none",
-                                  key_path=f"wavefront.{wf_name}.circular")
-
-    distances = None
-    if parser.has_section("distances"):
-        start = _get(parser, "distances", "start_m", float, required=True)
-        stop = _get(parser, "distances", "stop_m", float, required=True)
-        step = _get(parser, "distances", "step_m", float, required=True)
-        if start <= 0 or stop <= start or step <= 0:
-            raise ConfigError("need 0 < start_m < stop_m and step_m > 0", key_path="distances")
-        count = int(round((stop - start) / step)) + 1
-        distances = start + step * np.arange(count)
-        distances = distances[distances <= stop + 1e-12]
-
-    blockage = {}
-    if parser.has_section("blockage"):
-        blockage = {
-            "obstacle_size": _get(parser, "blockage", "obstacle_size_m", float),
-            "obstacle_z": _get(parser, "blockage", "obstacle_z_m", float),
-            "knife_x_edge": _get(parser, "blockage", "knife_x_edge_m", float),
-            "knife_z": _get(parser, "blockage", "knife_z_m", float),
-            "caustic_eval_z": _get(parser, "blockage", "caustic_eval_z_m", float),
-            "shadow_window_factor": _get(parser, "blockage", "shadow_window_factor", float, default=1.0),
-            "pad_factor": _get(parser, "blockage", "pad_factor", float, default=2.0),
-        }
-
-    if study == "blockage":
-        # the healing rows need one Bessel beam, the knife-edge pair one caustic
-        # and one planar beam; kind selects the physics, the name labels it
-        needed = ["bessel"]
-        if blockage["knife_z"] is not None:
-            needed += ["caustic", "beamforming"]
-        kinds = [spec.kind for spec in wavefronts.values()]
-        for kind in needed:
-            if kinds.count(kind) != 1:
-                raise ConfigError(
-                    f"blockage study needs exactly one {kind} wavefront, got {kinds.count(kind)}",
-                    key_path="wavefronts.names",
-                )
-
-    oam = {}
-    if parser.has_section("oam"):
-        oam = {
-            "target_rate": _get(parser, "oam", "target_rate_bps", float),
-            "mode_counts": _get(parser, "oam", "mode_counts", _int_list),
-            "qam_orders": _get(parser, "oam", "qam_orders", _int_list),
-            "modes": _get(parser, "oam", "modes", _int_list),
-            "z": _get(parser, "oam", "z_m", float),
-            "steer_deg_list": _get(parser, "oam", "steer_deg_list", _float_list, default=[0.0]),
-            "rx_radius": _get(parser, "oam", "rx_radius_m",
-                              lambda s: None if s == "auto" else float(s), default=None),
-            "base_spot_fwhm": _get(parser, "oam", "base_spot_fwhm_m", float),
-        }
-
-    formats = ("csv",)
-    db_floor = -60.0
-    directory = None
-    if parser.has_section("output"):
-        formats = tuple(_get(parser, "output", "formats", _name_list, default=["csv"]))
-        for fmt in formats:
-            if fmt not in OUTPUT_FORMATS:
-                raise ConfigError(f"unknown format {fmt!r}", key_path="output.formats")
-        db_floor = _get(parser, "output", "db_floor", float, default=-60.0)
-        if db_floor >= 0:
-            raise ConfigError("db_floor must be negative", key_path="output.db_floor")
-        directory = _get(parser, "output", "directory", str)
+        if section not in known:
+            listed = names and section.startswith("wavefront.")
+            hint = ("wavefronts.names does not list it" if listed
+                    else f"a {scenario.study} study reads {', '.join(read)}")
+            raise ConfigError(f"unknown section; {hint}", key_path=section)
 
     return ScenarioConfig(
-        study=study,
-        name=name,
+        study=scenario.study,
+        name=scenario.study if scenario.name is None else scenario.name,
         text=text,
-        grid=grid,
+        output=sections["output"],
+        grid=sections["grid"].grid if "grid" in sections else None,
         wavefronts=wavefronts,
-        distances=distances,
-        blockage=blockage,
-        oam=oam,
-        formats=formats,
-        db_floor=db_floor,
-        directory=directory,
+        distances=sections["distances"].values if "distances" in sections else None,
+        blockage=sections.get("blockage"),
+        oam=sections.get("oam"),
     )
 
 
@@ -382,45 +477,6 @@ step_m = 0.5
 
 [output]
 formats = csv
-db_floor = -60
-"""
-
-_FIG3_CI = """\
-[scenario]
-study = gain_curve
-name = fig3-ci
-
-[grid]
-side_length_m = 0.05
-frequency_hz = 3e11
-pitch_fraction = 0.5
-
-[wavefronts]
-names = beamforming, beamfocusing, bessel
-
-[wavefront.beamforming]
-kind = beamforming
-circular = true
-
-[wavefront.beamfocusing]
-kind = beamfocusing
-focal_length_m = auto
-circular = true
-
-[wavefront.bessel]
-kind = bessel
-spot_fwhm_m = 0.008
-spot_convention = fwhm
-circular = true
-
-[distances]
-start_m = 0.05
-stop_m = 0.70
-step_m = 0.01
-
-[output]
-formats = csv
-db_floor = -60
 """
 
 # Geometry notes for fig4 (the reference study leaves it unspecified):
@@ -478,53 +534,22 @@ formats = csv, pgm
 db_floor = -60
 """
 
-_FIG4_CI = """\
-[scenario]
-study = blockage
-name = fig4-ci
 
-[grid]
-side_length_m = 0.063
-frequency_hz = 1e12
-pitch_fraction = 0.5
 
-[wavefronts]
-names = beamforming, beamfocusing, bessel, caustic
+def _rescaled(text: str, **values: str) -> str:
+    """A preset text with the given ``key = value`` lines changed."""
+    for key, value in values.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+    return text
 
-[wavefront.beamforming]
-kind = beamforming
-circular = true
 
-[wavefront.beamfocusing]
-kind = beamfocusing
-focal_length_m = auto
-circular = true
-
-[wavefront.bessel]
-kind = bessel
-spot_fwhm_m = 0.00075
-spot_convention = fwhm
-circular = true
-
-[wavefront.caustic]
-kind = caustic
-curve_a = -0.14
-curve_x_start_m = -0.0315
-curve_z_end_m = 0.75
-
-[blockage]
-obstacle_size_m = 0.0063
-obstacle_z_m = 0.125
-knife_x_edge_m = -0.0353
-knife_z_m = 0.25
-caustic_eval_z_m = 0.375
-shadow_window_factor = 1.0
-pad_factor = 2.0
-
-[output]
-formats = csv, pgm
-db_floor = -60
-"""
+# the same studies at CI scale
+_FIG3_CI = _rescaled(_FIG3, name="fig3-ci", side_length_m="0.05", frequency_hz="3e11",
+                     spot_fwhm_m="0.008", start_m="0.05", stop_m="0.70", step_m="0.01")
+_FIG4_CI = _rescaled(_FIG4, name="fig4-ci", side_length_m="0.063", spot_fwhm_m="0.00075",
+                     curve_a="-0.14", curve_x_start_m="-0.0315", curve_z_end_m="0.75",
+                     obstacle_size_m="0.0063", obstacle_z_m="0.125", knife_x_edge_m="-0.0353",
+                     knife_z_m="0.25", caustic_eval_z_m="0.375")
 
 _FIG5 = """\
 [scenario]
@@ -538,7 +563,6 @@ qam_orders = 4, 16, 64, 256, 1024
 
 [output]
 formats = csv
-db_floor = -60
 """
 
 _PRESETS = {
@@ -602,16 +626,14 @@ class RunManifest:
 # studies
 
 
-def _write_maps(out_dir: Path, stem: str, slice_, formats, db_floor, manifest, root) -> None:
-    levels = artifacts.intensity_to_levels(slice_, scale="db", db_floor=db_floor)
-    if "pgm" in formats:
-        path = out_dir / f"{stem}.pgm"
-        artifacts.write_pgm16(path, levels)
-        manifest.add(path, root)
-    if "png" in formats:
-        path = out_dir / f"{stem}.png"
-        artifacts.write_png16(path, levels)
-        manifest.add(path, root)
+def _write_maps(out_dir: Path, stem: str, slice_, output: MapOutputSection, manifest) -> None:
+    images = [fmt for fmt in ("pgm", "png") if fmt in output.formats]
+    if images:
+        levels = artifacts.intensity_to_levels(slice_, scale="db", db_floor=output.db_floor)
+    for fmt in images:
+        path = out_dir / f"{stem}.{fmt}"
+        (artifacts.write_pgm16 if fmt == "pgm" else artifacts.write_png16)(path, levels)
+        manifest.add(path, out_dir)
 
 
 def _run_gain_curve(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
@@ -633,18 +655,13 @@ def _wavefronts_of_kind(config: ScenarioConfig, kind: str) -> list[tuple[str, Wa
 
 
 def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
-    grid = config.grid
-    p = config.blockage
-    plan = PropagationPlan(pad_factor=p["pad_factor"])
-    if p["obstacle_size"] is None or p["obstacle_z"] is None:
-        raise ConfigError("blockage study needs a disc obstacle", key_path="blockage")
+    grid, b, out = config.grid, config.blockage, config.output
     [(_, bessel_spec)] = _wavefronts_of_kind(config, "bessel")
 
     design = axicon_design(grid, bessel_spec.spot_fwhm, bessel_spec.spot_convention)
-    z_heal = (p["obstacle_size"] / 2.0) / math.tan(design.cone_angle)
-    z_eval = p["obstacle_z"] + 2.0 * z_heal
-    disc = ObstacleSpec("disc", p["obstacle_size"], (0.0, 0.0), p["obstacle_z"])
-    r_window = p["shadow_window_factor"] * p["obstacle_size"] / 2.0
+    z_heal = (b.obstacle_size_m / 2.0) / math.tan(design.cone_angle)
+    z_eval = b.obstacle_z_m + 2.0 * z_heal
+    r_window = b.shadow_window_factor * b.obstacle_size_m / 2.0
 
     rows = []
     with reuse_spectra():
@@ -653,8 +670,8 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
                 if kind == "beamfocusing" and spec.focal_length is None:
                     spec = replace(spec, focal_length=z_eval)
                 fld = synthesize_field(grid, spec)
-                reference = propagate_asm(fld, z_eval, plan)
-                blocked = propagate_with_obstacles(fld, [disc], z_eval, plan)
+                reference = propagate_asm(fld, z_eval, b.plan)
+                blocked = propagate_with_obstacles(fld, [b.disc], z_eval, b.plan)
                 xs_sq = reference.axis_coordinates() ** 2
                 window = xs_sq[None, :] + xs_sq[:, None] <= r_window**2
                 corr_shadow = self_healing_correlation(
@@ -663,52 +680,37 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
                 )
                 corr_full = self_healing_correlation(blocked, reference)
                 rows.append([name, z_eval, corr_shadow, corr_full])
-                _write_maps(out_dir, f"map_{name}_reference", reference, config.formats,
-                            config.db_floor, manifest, out_dir)
-                _write_maps(out_dir, f"map_{name}_blocked", blocked, config.formats,
-                            config.db_floor, manifest, out_dir)
+                _write_maps(out_dir, f"map_{name}_reference", reference, out, manifest)
+                _write_maps(out_dir, f"map_{name}_blocked", blocked, out, manifest)
     path = out_dir / "healing.csv"
     artifacts.write_csv(path, "wavefront,eval_z_m,correlation_shadow,correlation_full", rows)
     manifest.add(path, out_dir)
 
-    if p["knife_z"] is not None:
+    if b.knife is not None:
         [(caustic_name, caustic_spec)] = _wavefronts_of_kind(config, "caustic")
         [(planar_name, planar_spec)] = _wavefronts_of_kind(config, "beamforming")
-        knife = ObstacleSpec("half_plane", 0.0, (p["knife_x_edge"], 0.0), p["knife_z"])
-        z_t = p["caustic_eval_z"]
+        z_t = b.caustic_eval_z_m
         with reuse_spectra():
             caustic_blocked = propagate_with_obstacles(
-                synthesize_field(grid, caustic_spec), [knife], z_t, plan
+                synthesize_field(grid, caustic_spec), [b.knife], z_t, b.plan
             )
             planar_blocked = propagate_with_obstacles(
-                synthesize_field(grid, planar_spec), [knife], z_t, plan
+                synthesize_field(grid, planar_spec), [b.knife], z_t, b.plan
             )
         pk_c = float(caustic_blocked.intensity().max())
         pk_p = float(planar_blocked.intensity().max())
         advantage = 10.0 * math.log10(pk_c / pk_p) if pk_p > 0 else math.inf
         path = out_dir / "caustic_blockage.csv"
-        artifacts.write_csv(
-            path,
-            "z_m,caustic_peak,planar_peak,advantage_db",
-            [[z_t, pk_c, pk_p, advantage]],
-        )
+        artifacts.write_csv(path, "z_m,caustic_peak,planar_peak,advantage_db",
+                            [[z_t, pk_c, pk_p, advantage]])
         manifest.add(path, out_dir)
-        _write_maps(out_dir, f"map_{caustic_name}_blocked", caustic_blocked, config.formats,
-                    config.db_floor, manifest, out_dir)
-        _write_maps(out_dir, f"map_{planar_name}_knife", planar_blocked, config.formats,
-                    config.db_floor, manifest, out_dir)
+        _write_maps(out_dir, f"map_{caustic_name}_blocked", caustic_blocked, out, manifest)
+        _write_maps(out_dir, f"map_{planar_name}_knife", planar_blocked, out, manifest)
 
 
 def _run_oam_bandwidth(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
-    p = config.oam
-    if not p.get("target_rate") or not p.get("mode_counts") or not p.get("qam_orders"):
-        raise ConfigError("oam_bandwidth needs target_rate_bps, mode_counts and qam_orders",
-                          key_path="oam")
-    rows = []
-    for m in p["mode_counts"]:
-        for q in p["qam_orders"]:
-            rows.append([float(m), float(q),
-                         required_bandwidth(LinkBudgetSpec(p["target_rate"], m, q))])
+    rows = [[float(budget.n_modes), float(budget.qam_order), required_bandwidth(budget)]
+            for budget in config.oam.budgets]
     path = out_dir / "bandwidth.csv"
     artifacts.write_csv(path, "n_modes,qam_order,bandwidth_hz", rows)
     manifest.add(path, out_dir)
@@ -716,40 +718,26 @@ def _run_oam_bandwidth(config: ScenarioConfig, out_dir: Path, manifest: RunManif
 
 def _run_oam_crosstalk(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
     p = config.oam
-    grid = config.grid
-    if not p.get("modes") or p.get("z") is None:
-        raise ConfigError("oam_crosstalk needs modes and z_m", key_path="oam")
-    if p.get("base_spot_fwhm"):
-        design = axicon_design(grid, p["base_spot_fwhm"])
-        base_spec = WavefrontSpec(kind="bessel", spot_fwhm=design.spot_fwhm, circular=True)
-    else:
-        base_spec = WavefrontSpec(kind="beamforming", circular=True)
-    base = synthesize_field(grid, base_spec)
-    rx = p["rx_radius"] if p.get("rx_radius") else grid.half_side
+    base = synthesize_field(config.grid, p.base)
 
     spill_rows = []
     # every steering angle hops the same distance: one kernel serves them all
     with reuse_spectra():
-        for deg in p["steer_deg_list"]:
-            matrix = crosstalk_matrix(base, p["modes"], p["z"],
-                                      steer_angle=math.radians(deg), rx_radius=rx)
-            rows = []
-            for i, tx in enumerate(matrix.modes):
-                for j, rx_mode in enumerate(matrix.modes):
-                    rows.append([float(tx), float(rx_mode), matrix.power_coupling_db[i, j]])
+        for deg in p.steer_deg_list:
+            matrix = crosstalk_matrix(base, p.modes, p.z_m, steer_angle=math.radians(deg),
+                                      rx_radius=p.rx_radius_m)
+            modes, coupling = matrix.modes, matrix.power_coupling_db
+            rows = [[float(tx), float(rx), db] for tx, row in zip(modes, coupling)
+                    for rx, db in zip(modes, row)]
             stem = "crosstalk.csv" if deg == 0.0 else f"crosstalk_steer_{deg:g}deg.csv"
             path = out_dir / stem
             artifacts.write_csv(path, "tx_mode,rx_mode,coupling_db", rows)
             manifest.add(path, out_dir)
 
             # total power into the l +- 1 neighbours of the middle mode
-            modes = list(matrix.modes)
-            mid = modes[len(modes) // 2]
-            i = modes.index(mid)
-            spill = 0.0
-            for neighbour in (mid - 1, mid + 1):
-                if neighbour in modes:
-                    spill += 10 ** (matrix.power_coupling_db[i, modes.index(neighbour)] / 10.0)
+            mid = len(modes) // 2
+            spill = sum(10 ** (db / 10.0) for rx, db in zip(modes, coupling[mid])
+                        if abs(rx - modes[mid]) == 1)
             spill_rows.append([float(deg), 10.0 * math.log10(spill) if spill > 0 else -math.inf])
     path = out_dir / "spillover.csv"
     artifacts.write_csv(path, "steer_deg,spillover_db", spill_rows)
@@ -771,9 +759,9 @@ def run_scenario(config: ScenarioConfig, out_dir: Path | None = None) -> RunMani
     two must be set).
     """
     if out_dir is None:
-        if config.directory is None:
+        if config.output.directory is None:
             raise ConfigError("no output directory: set output.directory or pass out_dir")
-        out_dir = Path(config.directory)
+        out_dir = Path(config.output.directory)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_digest=config.digest)

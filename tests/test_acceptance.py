@@ -193,14 +193,14 @@ def test_criterion_07_blockage_reproduction():
     config = preset("fig4")
     grid = config.grid
     p = config.blockage
-    plan = PropagationPlan(pad_factor=p["pad_factor"])
+    plan = PropagationPlan(pad_factor=p.pad_factor)
 
     bessel_spec = config.wavefronts["bessel"]
     design = axicon_design(grid, bessel_spec.spot_fwhm)
-    r_obs = p["obstacle_size"] / 2.0
+    r_obs = p.obstacle_size_m / 2.0
     z_heal = r_obs / math.tan(design.cone_angle)
-    z_eval = p["obstacle_z"] + 2.0 * z_heal
-    disc = ObstacleSpec("disc", p["obstacle_size"], (0.0, 0.0), p["obstacle_z"])
+    z_eval = p.obstacle_z_m + 2.0 * z_heal
+    disc = ObstacleSpec("disc", p.obstacle_size_m, (0.0, 0.0), p.obstacle_z_m)
 
     def shadow_correlation(spec):
         fld = synthesize_field(grid, spec)
@@ -218,8 +218,8 @@ def test_criterion_07_blockage_reproduction():
     corr_planar = shadow_correlation(config.wavefronts["beamforming"])
     healing_ok = corr_bessel >= 0.9 and corr_bessel > corr_planar
 
-    knife = ObstacleSpec("half_plane", 0.0, (p["knife_x_edge"], 0.0), p["knife_z"])
-    z_t = p["caustic_eval_z"]
+    knife = ObstacleSpec("half_plane", 0.0, (p.knife_x_edge_m, 0.0), p.knife_z_m)
+    z_t = p.caustic_eval_z_m
     caustic_peak = float(
         propagate_with_obstacles(
             synthesize_field(grid, config.wavefronts["caustic"]), [knife], z_t, plan

@@ -1,5 +1,9 @@
+import argparse
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from thzbeam import (
     preset_text,
     run_scenario,
 )
-from thzbeam.cli import main as cli_main
+from thzbeam.cli import build_parser, main as cli_main
+from thzbeam.scenarios import _STUDY_SECTIONS, ScenarioSection
 from thzbeam.io import (
     format_number,
     intensity_to_levels,
@@ -111,13 +116,13 @@ def test_fig3_preset_reproduces_reference_grid():
 
 def test_fig4_preset_obstacle_is_ten_percent_of_aperture():
     config = preset("fig4")
-    assert config.blockage["obstacle_size"] == pytest.approx(0.025)
+    assert config.blockage.obstacle_size_m == pytest.approx(0.025)
 
 
 def test_fig5_preset_targets_one_terabit():
     config = preset("fig5")
-    assert config.oam["target_rate"] == pytest.approx(1e12)
-    assert 32 in config.oam["mode_counts"]
+    assert config.oam.target_rate_bps == pytest.approx(1e12)
+    assert 32 in config.oam.mode_counts
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,7 @@ def test_blockage_auto_focus_keeps_every_wavefront_field(tmp_path):
     config = parse_config(quantized)
     p, bessel = config.blockage, config.wavefronts["bessel"]
     design = axicon_design(config.grid, bessel.spot_fwhm, bessel.spot_convention)
-    z_eval = p["obstacle_z"] + 2.0 * (p["obstacle_size"] / 2.0) / math.tan(design.cone_angle)
+    z_eval = p.obstacle_z_m + 2.0 * (p.obstacle_size_m / 2.0) / math.tan(design.cone_angle)
     explicit = quantized.replace("focal_length_m = auto", f"focal_length_m = {z_eval!r}")
     rows = {}
     for name, text in (("preset", base), ("auto", quantized), ("explicit", explicit)):
@@ -232,10 +237,20 @@ def test_blockage_needs_one_wavefront_per_role(names, missing):
     assert f"one {missing} wavefront" in str(err.value)
 
 
+def _without(text, *lines):
+    """Scenario text without the given lines, or sections (a line ending in "]")."""
+    for line in lines:
+        pattern = re.escape(line) + (r"\n.*?\n\n" if line.endswith("]") else r"\n")
+        text, count = re.subn(pattern, "", text, flags=re.S)
+        assert count == 1, line
+    return text
+
+
 def test_blockage_without_knife_edge_needs_no_caustic():
-    text = (preset_text("fig4-ci")
-            .replace("names = beamforming, beamfocusing, bessel, caustic", "names = bessel")
-            .replace("knife_z_m = 0.25\n", ""))
+    text = _without(preset_text("fig4-ci").replace(
+        "names = beamforming, beamfocusing, bessel, caustic", "names = bessel"),
+        "[wavefront.beamforming]", "[wavefront.beamfocusing]", "[wavefront.caustic]",
+        "knife_x_edge_m = -0.0353", "knife_z_m = 0.25", "caustic_eval_z_m = 0.375")
     assert list(parse_config(text).wavefronts) == ["bessel"]
 
 
@@ -425,9 +440,13 @@ def test_cli_oam_crosstalk(tmp_path):
 
 
 def test_cli_exit_codes(tmp_path):
-    # numeric error: QAM order is not a power of two
+    # config error: QAM order is not a power of two
     assert cli_main(["capacity", "--rate", "1e12", "--modes", "1", "--qam", "3",
-                     "--out", str(tmp_path)]) == 3
+                     "--out", str(tmp_path)]) == 2
+    # numeric error: a Bessel spot below the 1 mm wavelength is evanescent
+    assert cli_main(["gain-curve", "--side-length", "0.02", "--frequency", "3e11",
+                     "--spot-fwhm", "0.0005", "--z-start", "0.02", "--z-stop", "0.1",
+                     "--z-step", "0.02", "--out", str(tmp_path)]) == 3
     # config error: malformed scenario file
     bad = tmp_path / "bad.ini"
     bad.write_text("[scenario]\nstudy = nonsense\n")
@@ -525,12 +544,13 @@ BAD_STUDY_INPUTS = [
     ("gain-curve", 3, "--spot-fwhm", "0.0005"),  # spot below the 1 mm wavelength
     ("blockage", 3, "--spot-fwhm", "0.0005"),
     ("oam-crosstalk", 3, "--spot-fwhm", "0.0002"),  # 0.3 mm wavelength
-    ("capacity", 3, "--qam", "3"),  # not a power of two
+    ("capacity", 2, "--qam", "3"),  # not a power of two
 ]
+BAD_STUDY_IDS = [f"{v}-{c}" for v, c, _, _ in BAD_STUDY_INPUTS]
+BAD_STUDY_IDS[-1] += "-qam"  # no capacity input fails on physics: both cases exit 2
 
 
-@pytest.mark.parametrize("verb,code,flag,value", BAD_STUDY_INPUTS,
-                         ids=[f"{v}-{c}" for v, c, _, _ in BAD_STUDY_INPUTS])
+@pytest.mark.parametrize("verb,code,flag,value", BAD_STUDY_INPUTS, ids=BAD_STUDY_IDS)
 def test_cli_study_verb_error_classes(tmp_path, capsys, verb, code, flag, value):
     argv = _with_flag(STUDY_VERBS[verb], flag, value)
     assert cli_main([verb, *argv, "--out", str(tmp_path / "out")]) == code
@@ -658,6 +678,120 @@ def test_cli_rejects_scenario_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key" in err and "scenario.seed" in err
     assert "Traceback" not in err
+
+
+def _verb_parser(verb):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[verb]
+
+
+# every float flag of every study verb, with 0, -1, nan and inf in turn
+FLOAT_FLAG_CASES = [(verb, action.option_strings[0], value)
+                    for verb in STUDY_VERBS for action in _verb_parser(verb)._actions
+                    if action.type is float for value in ("0", "-1", "nan", "inf")]
+VALID_FLAG_VALUES = {("blockage", "--db-floor", "-1"), ("oam-crosstalk", "--steer-deg", "0"),
+                     ("oam-crosstalk", "--steer-deg", "-1")}
+
+
+def _run_verb(tmp_path, capsys, verb, *extra):
+    out = tmp_path / "out"
+    code = cli_main([verb, *_with_flag(STUDY_VERBS[verb], *extra), "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+@pytest.mark.parametrize("verb,flag,value", FLOAT_FLAG_CASES,
+                         ids=[f"{v}{f}={x}" for v, f, x in FLOAT_FLAG_CASES])
+def test_cli_float_flags_reject_bad_values(tmp_path, capsys, verb, flag, value):
+    code, err, out = _run_verb(tmp_path, capsys, verb, flag, value)
+    if (verb, flag, value) in VALID_FLAG_VALUES:
+        assert code == 0
+        return
+    assert code in (2, 3), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert not out.exists()
+
+
+# config errors that name their key path and exit before the output directory exists
+KEY_PATH_CASES = [
+    ("gain-curve", "--side-length", "nan", "grid.side_length_m"),
+    ("gain-curve", "--frequency", "inf", "grid.frequency_hz"),
+    ("gain-curve", "--z-step", "nan", "distances.step_m"),
+    ("gain-curve", "--focal-length", "-1", "wavefront.beamfocusing.focal_length_m"),
+    ("blockage", "--obstacle-z", "-0.15", "blockage.obstacle_z_m"),
+    ("blockage", "--pad", "0.5", "blockage.pad_factor"),
+    ("oam-crosstalk", "--z", "-0.05", "oam.z_m"),
+    ("oam-crosstalk", "--rx-radius", "0", "oam.rx_radius_m"),
+    ("oam-crosstalk", "--spot-fwhm", "0", "oam.base_spot_fwhm_m"),
+    ("capacity", "--modes", "0", "oam: n_modes"),
+    ("capacity", "--rate", "nan", "oam.target_rate_bps"),
+]
+
+
+@pytest.mark.parametrize("verb,flag,value,key_path", KEY_PATH_CASES,
+                         ids=[f"{v}{f}={x}" for v, f, x, _ in KEY_PATH_CASES])
+def test_cli_config_errors_name_their_key_path(tmp_path, capsys, verb, flag, value, key_path):
+    code, err, out = _run_verb(tmp_path, capsys, verb, flag, value)
+    assert code == 2
+    assert key_path in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+UNREAD_OR_BAD = {
+    "gain-blockage-section": (GAIN_INI + "[blockage]\nobstacle_size_m = 0.002\n"
+                              "obstacle_z_m = 0.05\n", "blockage"),
+    "gain-png": (GAIN_INI + "[output]\nformats = csv, png\n", "output.formats"),
+    "gain-db-floor": (GAIN_INI + "[output]\ndb_floor = -60\n", "output.db_floor"),
+    "gain-unlisted-wavefront": (GAIN_INI + "[wavefront.wide]\nkind = bessel\n", "wavefront.wide"),
+    "gain-other-kind-key": (GAIN_INI.replace("kind = beamforming\n",
+                                             "kind = beamforming\nspot_fwhm_m = 0.004\n"),
+                            "wavefront.beamforming.spot_fwhm_m"),
+    "gain-bessel-without-spot": (GAIN_INI.replace("spot_fwhm_m = 0.004\n", ""),
+                                 "wavefront.bessel.spot_fwhm_m"),
+    "bandwidth-z": (MINIMAL_FIG5 + "z_m = -3\n", "oam.z_m"),
+    "bandwidth-nan-rate": (MINIMAL_FIG5.replace("1e12", "nan"), "oam.target_rate_bps"),
+    "knife-without-x-edge": (_without(_fig4_ci_text(), "knife_x_edge_m = -0.0353"),
+                             "blockage.knife_x_edge_m"),
+    "knife-without-eval-z": (_without(_fig4_ci_text(), "caustic_eval_z_m = 0.375"),
+                             "blockage.caustic_eval_z_m"),
+    "knife-eval-before-edge": (_fig4_ci_text().replace("caustic_eval_z_m = 0.375",
+                                                      "caustic_eval_z_m = 0.25"),
+                               "blockage.caustic_eval_z_m"),
+    "caustic-without-knife": (_without(_fig4_ci_text(), "knife_x_edge_m = -0.0353",
+                                       "knife_z_m = 0.25", "caustic_eval_z_m = 0.375"),
+                              "wavefronts.names"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_OR_BAD))
+def test_cli_run_rejects_what_the_study_does_not_read(tmp_path, capsys, name):
+    text, key_path = UNREAD_OR_BAD[name]
+    config = tmp_path / "scenario.ini"
+    config.write_text(text)
+    assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key_path}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_outline_matches_the_declared_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    outline = readme.split("## Scenario configs", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    declared = {"scenario": {f.name for f in fields(ScenarioSection)}}
+    for sections in _STUDY_SECTIONS.values():
+        for name, cls in sections.items():
+            declared.setdefault(name, set()).update(f.name for f in fields(cls) if f.init)
+    listed, section = {}, None
+    for line in outline.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = "wavefront.*" if line.startswith("[wavefront.") else line.strip("[]")
+        elif "=" in line:
+            listed.setdefault(section, set()).add(line.split("=", 1)[0].strip())
+    assert listed == declared
 
 
 def test_field_slice_csv_schema(tmp_path):
