@@ -24,6 +24,7 @@ from .aperture import (
     phase_quadratic,
     phase_spiral,
     quantize_phase,
+    synthesize_applied_phase,
     synthesize_field,
     synthesize_phase,
     wrap_phase,

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import j0
 
 from .errors import CausticDesignError, EvanescentDesignError, GeometryError
 
@@ -238,13 +236,22 @@ def phase_quadratic(grid: ApertureGrid, focal_length: float) -> PhaseMap:
 
 
 def bessel_half_intensity_argument() -> float:
-    """First positive root of J0(x)^2 = 1/2, found by bracketing (~1.1264)."""
-    return brentq(lambda x: j0(x) ** 2 - 0.5, 0.5, 2.0, xtol=1e-14)
+    """First positive root of J0(x)^2 = 1/2 (~1.1264).
+
+    A pinned literal, so that importing the package needs no root finder;
+    a test checks that it equals the bracketed root of J0(x)^2 - 1/2.
+    """
+    return 1.1263642393772584
 
 
 def bessel_first_null_argument() -> float:
-    """First zero of J0 (~2.4048), found by bracketing."""
-    return brentq(j0, 2.0, 3.0, xtol=1e-14)
+    """First zero of J0 (~2.4048).
+
+    A pinned literal, checked by a test against the bracketed root of J0.
+    It is one ulp above ``scipy.special.jn_zeros(0, 1)[0]``; artifacts
+    depend on this exact value.
+    """
+    return 2.404825557695773
 
 
 @dataclass(frozen=True)
@@ -563,6 +570,8 @@ class WavefrontSpec:
     def __post_init__(self):
         if self.kind not in ("beamforming", "beamfocusing", "bessel", "caustic"):
             raise ValueError(f"unknown wavefront kind {self.kind!r}")
+        if self.phase_bits is not None and not 1 <= self.phase_bits <= 16:
+            raise ValueError(f"phase_bits must be in [1, 16], got {self.phase_bits}")
 
 
 def synthesize_delay_phase(grid: ApertureGrid, spec: WavefrontSpec) -> np.ndarray:
@@ -606,12 +615,17 @@ def synthesize_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:
     return PhaseMap(synthesize_delay_phase(grid, spec))
 
 
+def synthesize_applied_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:
+    """Phase map a wavefront spec applies: the base map, plus the spiral, then quantized."""
+    phase = synthesize_phase(grid, spec)
+    if spec.oam_mode:
+        phase = phase + phase_spiral(grid, spec.oam_mode)
+    if spec.phase_bits is not None:
+        phase = quantize_phase(phase, spec.phase_bits)
+    return phase
+
+
 def synthesize_field(grid: ApertureGrid, spec: WavefrontSpec) -> ApertureField:
     """Aperture field for a wavefront spec including overlays and taper."""
-    maps = [synthesize_phase(grid, spec)]
-    if spec.oam_mode:
-        maps.append(phase_spiral(grid, spec.oam_mode))
-    if spec.phase_bits is not None:
-        maps = [quantize_phase(maps[0] if len(maps) == 1 else maps[0] + maps[1], spec.phase_bits)]
     amplitude = circular_taper(grid) if spec.circular else None
-    return compose_aperture(grid, maps, amplitude)
+    return compose_aperture(grid, [synthesize_applied_phase(grid, spec)], amplitude)

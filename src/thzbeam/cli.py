@@ -23,7 +23,13 @@ from pathlib import Path
 import scipy.fft as sfft
 
 from . import io as artifacts
-from .aperture import CausticCurve, WavefrontSpec, make_grid, synthesize_field, synthesize_phase
+from .aperture import (
+    CausticCurve,
+    WavefrontSpec,
+    make_grid,
+    synthesize_applied_phase,
+    synthesize_field,
+)
 from .errors import ConfigError, NoBeamError, SamplingError, ToolkitError
 from .propagation import PropagationPlan, propagate_asm
 from .scenarios import (
@@ -97,17 +103,13 @@ def _wavefront_from_args(args) -> WavefrontSpec:
 def _cmd_synthesize(args) -> int:
     grid = make_grid(args.side_length, args.frequency, args.pitch_fraction)
     spec = _wavefront_from_args(args)
-    phase = synthesize_phase(grid, spec)
+    phase = synthesize_applied_phase(grid, spec)
     args.out.mkdir(parents=True, exist_ok=True)
     formats = args.formats or ["csv"]
     stem = args.out / f"phase_{args.kind}"
     if "csv" in formats:
         artifacts.phase_map_csv(Path(f"{stem}.csv"), phase)
-    levels = artifacts.phase_to_levels(phase)
-    if "pgm" in formats:
-        artifacts.write_pgm16(Path(f"{stem}.pgm"), levels)
-    if "png" in formats:
-        artifacts.write_png16(Path(f"{stem}.png"), levels)
+    artifacts.write_images(stem, formats, lambda: artifacts.phase_to_levels(phase))
     print(f"wrote {stem}.{{{','.join(formats)}}} "
           f"({grid.elements_per_side}x{grid.elements_per_side} elements)")
     return EXIT_OK
@@ -123,11 +125,8 @@ def _cmd_propagate(args) -> int:
     stem = args.out / f"slice_{args.kind}_z{args.z:g}"
     if "csv" in formats:
         artifacts.field_slice_csv(Path(f"{stem}.csv"), slice_)
-    levels = artifacts.intensity_to_levels(slice_, scale=args.scale, db_floor=args.db_floor)
-    if "pgm" in formats:
-        artifacts.write_pgm16(Path(f"{stem}.pgm"), levels)
-    if "png" in formats:
-        artifacts.write_png16(Path(f"{stem}.png"), levels)
+    artifacts.write_images(stem, formats, lambda: artifacts.intensity_to_levels(
+        slice_, scale=args.scale, db_floor=args.db_floor))
     print(f"wrote {stem}.* ({slice_.samples.shape[0]}x{slice_.samples.shape[1]} samples)")
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "intensity_to_levels",
     "write_pgm16",
     "write_png16",
+    "write_images",
 ]
 
 
@@ -161,3 +162,18 @@ def write_png16(path: Path, levels: np.ndarray) -> None:
         + _png_chunk(b"IEND", b"")
     )
     Path(path).write_bytes(data)
+
+
+def write_images(stem: str | Path, formats: Iterable[str],
+                 levels_of: Callable[[], np.ndarray]) -> list[Path]:
+    """Write ``<stem>.pgm`` and ``<stem>.png`` where ``formats`` lists them.
+
+    ``levels_of()`` runs once, and only if an image format is listed, so a
+    CSV-only call maps no levels.  Returns the paths written.
+    """
+    paths = [Path(f"{stem}.{fmt}") for fmt in ("pgm", "png") if fmt in formats]
+    if paths:
+        levels = levels_of()
+        for path in paths:
+            (write_pgm16 if path.suffix == ".pgm" else write_png16)(path, levels)
+    return paths

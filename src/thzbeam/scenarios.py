@@ -284,7 +284,7 @@ class OutputSection:
 
 @dataclass(frozen=True, kw_only=True)
 class MapOutputSection(OutputSection):
-    """[output] of blockage: pgm and png add intensity maps in dB down to db_floor."""
+    """[output] of blockage: csv writes its tables, pgm and png its dB maps down to db_floor."""
 
     formats: Formats = ("csv",)
     db_floor: float = -60.0
@@ -627,12 +627,17 @@ class RunManifest:
 
 
 def _write_maps(out_dir: Path, stem: str, slice_, output: MapOutputSection, manifest) -> None:
-    images = [fmt for fmt in ("pgm", "png") if fmt in output.formats]
-    if images:
-        levels = artifacts.intensity_to_levels(slice_, scale="db", db_floor=output.db_floor)
-    for fmt in images:
-        path = out_dir / f"{stem}.{fmt}"
-        (artifacts.write_pgm16 if fmt == "pgm" else artifacts.write_png16)(path, levels)
+    for path in artifacts.write_images(out_dir / stem, output.formats, lambda: (
+            artifacts.intensity_to_levels(slice_, scale="db", db_floor=output.db_floor))):
+        manifest.add(path, out_dir)
+
+
+def _write_table(out_dir: Path, name: str, header: str, rows, output: MapOutputSection,
+                 manifest) -> None:
+    """``<name>.csv`` of the blockage study, written only if csv is in the formats."""
+    if "csv" in output.formats:
+        path = out_dir / f"{name}.csv"
+        artifacts.write_csv(path, header, rows)
         manifest.add(path, out_dir)
 
 
@@ -682,9 +687,8 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
                 rows.append([name, z_eval, corr_shadow, corr_full])
                 _write_maps(out_dir, f"map_{name}_reference", reference, out, manifest)
                 _write_maps(out_dir, f"map_{name}_blocked", blocked, out, manifest)
-    path = out_dir / "healing.csv"
-    artifacts.write_csv(path, "wavefront,eval_z_m,correlation_shadow,correlation_full", rows)
-    manifest.add(path, out_dir)
+    _write_table(out_dir, "healing", "wavefront,eval_z_m,correlation_shadow,correlation_full",
+                 rows, out, manifest)
 
     if b.knife is not None:
         [(caustic_name, caustic_spec)] = _wavefronts_of_kind(config, "caustic")
@@ -700,10 +704,8 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
         pk_c = float(caustic_blocked.intensity().max())
         pk_p = float(planar_blocked.intensity().max())
         advantage = 10.0 * math.log10(pk_c / pk_p) if pk_p > 0 else math.inf
-        path = out_dir / "caustic_blockage.csv"
-        artifacts.write_csv(path, "z_m,caustic_peak,planar_peak,advantage_db",
-                            [[z_t, pk_c, pk_p, advantage]])
-        manifest.add(path, out_dir)
+        _write_table(out_dir, "caustic_blockage", "z_m,caustic_peak,planar_peak,advantage_db",
+                     [[z_t, pk_c, pk_p, advantage]], out, manifest)
         _write_maps(out_dir, f"map_{caustic_name}_blocked", caustic_blocked, out, manifest)
         _write_maps(out_dir, f"map_{planar_name}_knife", planar_blocked, out, manifest)
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from thzbeam import (
     GeometryError,
     ObstacleSpec,
     PhaseMap,
+    WavefrontSpec,
     axicon_design,
     circular_taper,
     compose_aperture,
@@ -24,9 +29,17 @@ from thzbeam import (
     phase_spiral,
     propagate_direct,
     quantize_phase,
+    synthesize_applied_phase,
+    synthesize_field,
+    synthesize_phase,
     wrap_phase,
 )
-from thzbeam.aperture import TWO_PI, steer_vector
+from thzbeam.aperture import (
+    TWO_PI,
+    bessel_first_null_argument,
+    bessel_half_intensity_argument,
+    steer_vector,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -192,6 +205,31 @@ def test_half_intensity_root_against_series_bisection():
     assert _series_j0(root) ** 2 == pytest.approx(0.5, abs=1e-4)
     design = axicon_design(make_grid(0.25, 1e12), 0.02)
     assert design.radial_wavenumber == pytest.approx(2.0 * root / 0.02, rel=1e-6)
+
+
+def test_bessel_root_literals_equal_their_bracketed_roots():
+    # the literals are the exact roots the bracketing search returns, so every
+    # design (and artifact) built on them is unchanged
+    from scipy.optimize import brentq
+    from scipy.special import j0
+
+    half = brentq(lambda x: j0(x) ** 2 - 0.5, 0.5, 2.0, xtol=1e-14)
+    null = brentq(j0, 2.0, 3.0, xtol=1e-14)
+    assert bessel_half_intensity_argument() == half
+    assert bessel_first_null_argument() == null
+
+
+def test_package_import_loads_no_root_finder():
+    # scipy.optimize would pull in scipy.linalg, scipy.sparse and scipy.spatial
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, thzbeam, thzbeam.cli\n"
+            "print(' '.join(sorted(m for m in ('scipy.optimize', 'scipy.linalg', "
+            "'scipy.sparse', 'scipy.spatial') if m in sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == ""
 
 
 def test_axicon_design_reproduces_reference_range():
@@ -378,6 +416,44 @@ def test_quantize_rejects_bad_bits():
     for bits in (0, 17):
         with pytest.raises(ValueError):
             quantize_phase(phase, bits)
+
+
+def test_wavefront_spec_range_checks_phase_bits():
+    for bits in (0, 17):
+        with pytest.raises(ValueError, match="phase_bits"):
+            WavefrontSpec(kind="beamforming", phase_bits=bits)
+    assert WavefrontSpec(kind="beamforming", phase_bits=16).phase_bits == 16
+
+
+# ---------------------------------------------------------------------------
+# the applied phase map
+
+
+def test_applied_phase_without_overlays_is_the_base_map():
+    grid = make_grid(0.02, 3e11)
+    spec = WavefrontSpec(kind="bessel", spot_fwhm=0.004)
+    np.testing.assert_array_equal(synthesize_applied_phase(grid, spec).values,
+                                  synthesize_phase(grid, spec).values)
+
+
+def test_applied_phase_adds_the_spiral_then_quantizes():
+    grid = make_grid(0.02, 3e11)
+    spec = WavefrontSpec(kind="bessel", spot_fwhm=0.004, oam_mode=2, phase_bits=2)
+    base = synthesize_phase(grid, spec)
+    expected = quantize_phase(base + phase_spiral(grid, 2), 2)
+    applied = synthesize_applied_phase(grid, spec)
+    np.testing.assert_array_equal(applied.values, expected.values)
+    assert set(np.unique(applied.values)) <= {0.0, math.pi / 2, math.pi, 3 * math.pi / 2}
+
+
+def test_synthesize_field_applies_the_applied_phase():
+    grid = make_grid(0.02, 3e11)
+    spec = WavefrontSpec(kind="beamfocusing", focal_length=0.1, oam_mode=1, phase_bits=1,
+                         circular=True)
+    field = synthesize_field(grid, spec)
+    expected = compose_aperture(grid, [synthesize_applied_phase(grid, spec)],
+                                circular_taper(grid))
+    np.testing.assert_array_equal(field.weights, expected.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,64 @@ def test_cli_synthesize_and_propagate(tmp_path):
     assert (tmp_path / "slice_beamforming_z0.1.png").exists()
 
 
+SYNTHESIZE = ["synthesize", "--side-length", "0.02", "--frequency", "3e11",
+              "--kind", "bessel", "--spot-fwhm", "0.004"]
+
+
+def test_cli_synthesize_writes_the_applied_phase(tmp_path):
+    from thzbeam import WavefrontSpec, make_grid, synthesize_phase
+    from thzbeam.io import phase_map_csv
+
+    def phase_csv(tag, *flags):
+        assert cli_main([*SYNTHESIZE, *flags, "--out", str(tmp_path / tag)]) == 0
+        return (tmp_path / tag / "phase_bessel.csv").read_bytes()
+
+    # without overlays: the base map, as before
+    base = tmp_path / "base.csv"
+    phase_map_csv(base, synthesize_phase(make_grid(0.02, 3e11),
+                                         WavefrontSpec(kind="bessel", spot_fwhm=0.004)))
+    plain = phase_csv("plain")
+    assert plain == base.read_bytes()
+    one_bit = phase_csv("bits", "--bits", "1")
+    assert one_bit != plain
+    values = {v for line in one_bit.decode().splitlines() for v in line.split(",")}
+    assert len(values) <= 2
+    assert phase_csv("oam", "--oam-l", "2") != plain
+
+
+def test_cli_csv_only_calls_map_no_levels(tmp_path, monkeypatch):
+    import thzbeam.io
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("levels mapped for a CSV-only call")
+
+    monkeypatch.setattr(thzbeam.io, "phase_to_levels", refuse)
+    monkeypatch.setattr(thzbeam.io, "intensity_to_levels", refuse)
+    assert cli_main([*SYNTHESIZE, "--out", str(tmp_path)]) == 0
+    assert cli_main(["propagate", "--side-length", "0.02", "--frequency", "3e11",
+                     "--kind", "beamforming", "--z", "0.1", "--format", "csv",
+                     "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["phase_bessel.csv",
+                                                         "slice_beamforming_z0.1.csv"]
+
+
+# --bits out of [1, 16] is a config error before any output directory exists
+BAD_BITS_INPUTS = [(verb, bits) for verb in ("synthesize", "propagate") for bits in ("0", "17")]
+
+
+@pytest.mark.parametrize("verb,bits", BAD_BITS_INPUTS,
+                         ids=[f"{v}--bits={b}" for v, b in BAD_BITS_INPUTS])
+def test_cli_wavefront_verbs_reject_bad_bits(tmp_path, capsys, verb, bits):
+    out = tmp_path / "out"
+    argv = [verb, "--side-length", "0.02", "--frequency", "3e11", "--kind", "beamforming",
+            "--bits", bits, "--out", str(out)] + (["--z", "0.1"] if verb == "propagate" else [])
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "phase_bits" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_preset_and_run(tmp_path):
     out = tmp_path / "fig5"
     assert cli_main(["preset", "fig5", "--out", str(out), "--write-config"]) == 0
@@ -614,6 +672,22 @@ def test_cli_blockage_writes_requested_maps(tmp_path):
                      "--out", str(tmp_path)]) == 0
     assert (tmp_path / "map_bessel_reference.pgm").exists()
     assert (tmp_path / "map_bessel_blocked.pgm").exists()
+    assert not list(tmp_path.glob("*.csv"))  # csv is not among the formats
+
+
+def test_blockage_tables_follow_output_formats(tmp_path):
+    maps = {f"map_{name}_{view}.pgm" for name in ("beamforming", "beamfocusing", "bessel")
+            for view in ("reference", "blocked")}
+    maps |= {"map_caustic_blocked.pgm", "map_beamforming_knife.pgm"}
+    run_scenario(preset("fig4-ci"), tmp_path / "preset")  # formats = csv, pgm
+    written = {p.name for p in (tmp_path / "preset").iterdir()}
+    assert written == maps | {"healing.csv", "caustic_blockage.csv", "manifest.json"}
+
+    pgm_only = preset_text("fig4-ci").replace("formats = csv, pgm", "formats = pgm")
+    manifest = run_scenario(parse_config(pgm_only), tmp_path / "pgm")
+    assert {a["path"] for a in manifest.artifacts} == maps
+    for name in maps:
+        assert (tmp_path / "pgm" / name).read_bytes() == (tmp_path / "preset" / name).read_bytes()
 
 
 def test_cli_steered_oam_crosstalk_names_its_file(tmp_path):
@@ -762,6 +836,9 @@ UNREAD_OR_BAD = {
     "caustic-without-knife": (_without(_fig4_ci_text(), "knife_x_edge_m = -0.0353",
                                        "knife_z_m = 0.25", "caustic_eval_z_m = 0.375"),
                               "wavefronts.names"),
+    **{f"blockage-phase-bits-{bits}": (
+        _fig4_ci_text().replace("[wavefront.bessel]\n", f"[wavefront.bessel]\nphase_bits = {bits}\n"),
+        "wavefront.bessel") for bits in (0, 17)},
 }
 
 
