@@ -78,30 +78,79 @@ def _add_output_args(p: argparse.ArgumentParser, images: bool = True) -> None:
     p.add_argument("--threads", type=int, default=1, help="FFT workers (default 1)")
 
 
+# float flags of synthesize and propagate that must lie in a range, checked
+# before anything is built; every float flag must also be finite
+_POSITIVE = (lambda v: v > 0, "positive")
+_FLAG_RANGES = {
+    "side_length": _POSITIVE,
+    "frequency": _POSITIVE,
+    "pitch_fraction": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "focal_length": _POSITIVE,
+    "spot_fwhm": _POSITIVE,
+    "curve_z_end": _POSITIVE,
+    "z": _POSITIVE,
+    "db_floor": (lambda v: v < 0, "negative"),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _check_float_flags(args) -> None:
+    """Config error naming the first float flag that is not finite or out of range."""
+    for dest, value in vars(args).items():
+        if not isinstance(value, float):
+            continue
+        if not math.isfinite(value):
+            raise ConfigError(f"must be a finite number, got {value}", key_path=_flag(dest))
+        in_range, requirement = _FLAG_RANGES.get(dest, (None, None))
+        if in_range and not in_range(value):
+            raise ConfigError(f"must be {requirement}, got {value}", key_path=_flag(dest))
+
+
+def _from_flag(flag: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with its ValueError as a ConfigError naming ``flag``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key_path=flag) from None
+
+
+def _grid_from_args(args):
+    # with the flags in range, the only failure left is an aperture below one pitch
+    return _from_flag("--side-length", make_grid, args.side_length, args.frequency,
+                      args.pitch_fraction)
+
+
 def _wavefront_from_args(args) -> WavefrontSpec:
+    needs = {"beamfocusing": ("focal_length",), "bessel": ("spot_fwhm",),
+             "caustic": ("curve_a", "curve_z_end")}.get(args.kind, ())
+    missing = [_flag(dest) for dest in needs if getattr(args, dest) is None]
+    if missing:
+        raise ConfigError(f"{args.kind} wavefront needs {' and '.join(missing)}")
     curve = None
     if args.kind == "caustic":
-        if args.curve_a is None or args.curve_z_end is None:
-            raise ConfigError("caustic wavefront needs --curve-a and --curve-z-end")
-        curve = CausticCurve.parabola(args.curve_a, args.curve_z_end, args.curve_x_start)
-    try:
-        return WavefrontSpec(
-            kind=args.kind,
-            steer_angle=math.radians(args.steer_deg),
-            focal_length=args.focal_length,
-            spot_fwhm=args.spot_fwhm,
-            curve=curve,
-            spot_convention=args.spot_convention,
-            oam_mode=args.oam_l,
-            phase_bits=args.bits,
-            circular=args.circular,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        curve = _from_flag("--curve-a", CausticCurve.parabola, args.curve_a,
+                           args.curve_z_end, args.curve_x_start)
+    return _from_flag(
+        "--bits",  # the one WavefrontSpec check a flag can fail
+        WavefrontSpec,
+        kind=args.kind,
+        steer_angle=math.radians(args.steer_deg),
+        focal_length=args.focal_length,
+        spot_fwhm=args.spot_fwhm,
+        curve=curve,
+        spot_convention=args.spot_convention,
+        oam_mode=args.oam_l,
+        phase_bits=args.bits,
+        circular=args.circular,
+    )
 
 
 def _cmd_synthesize(args) -> int:
-    grid = make_grid(args.side_length, args.frequency, args.pitch_fraction)
+    _check_float_flags(args)
+    grid = _grid_from_args(args)
     spec = _wavefront_from_args(args)
     phase = synthesize_applied_phase(grid, spec)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -116,10 +165,11 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    grid = make_grid(args.side_length, args.frequency, args.pitch_fraction)
-    field = synthesize_field(grid, _wavefront_from_args(args))
-    plan = PropagationPlan(pad_factor=args.pad)
-    slice_ = propagate_asm(field, args.z, plan)
+    _check_float_flags(args)
+    grid = _grid_from_args(args)
+    spec = _wavefront_from_args(args)
+    plan = _from_flag("--pad", PropagationPlan, pad_factor=args.pad)
+    slice_ = propagate_asm(synthesize_field(grid, spec), args.z, plan)
     args.out.mkdir(parents=True, exist_ok=True)
     formats = args.formats or ["pgm"]
     stem = args.out / f"slice_{args.kind}_z{args.z:g}"

@@ -3,9 +3,10 @@
 All CSV output is UTF-8 with LF line endings, '.' decimal separator and 9
 significant digits.  The phase-map and field-slice CSVs are formatted and
 written in blocks of rows, one ``%`` operation per block; their bytes are
-those of formatting each value with ``format_number``.  Images are 16-bit
-grayscale; phase maps span [0, 2*pi) onto [0, 65535] and intensity maps are
-linear or dB-scaled with a floor.
+those of formatting each value with ``format_number``.  The field-slice
+coordinates are formatted once per axis value, not once per sample.
+Images are 16-bit grayscale; phase maps span [0, 2*pi) onto [0, 65535] and
+intensity maps are linear or dB-scaled with a floor.
 """
 
 from __future__ import annotations
@@ -92,18 +93,22 @@ def field_slice_csv(path: Path, slice_: FieldSlice) -> None:
     """Sample table with columns x, y, re, im, intensity."""
     s = slice_.samples
     x = slice_.axis_coordinates()
-    xs, ys = x + slice_.origin_offset[0], x + slice_.origin_offset[1]
+    # npad distinct values per axis: formatted once, then spliced into each row's format
+    xs = [format_number(v) for v in (x + slice_.origin_offset[0]).tolist()]
+    ys = [format_number(v) for v in (x + slice_.origin_offset[1]).tolist()]
     with open(path, "wb") as fh:
         fh.write(b"x_m,y_m,re,im,intensity\n")
         for lo in range(0, s.shape[0], _CSV_BLOCK_ROWS):
             blk = s[lo : lo + _CSV_BLOCK_ROWS]
-            cols = np.empty(blk.shape + (5,))
-            cols[..., 0] = xs
-            cols[..., 1] = ys[lo : lo + blk.shape[0], None]
-            cols[..., 2] = blk.real
-            cols[..., 3] = blk.imag
-            cols[..., 4] = _sample_intensity(blk)
-            fh.write(_table_lines(cols.reshape(-1, 5)))
+            cols = np.empty(blk.shape + (3,))
+            cols[..., 0] = blk.real
+            cols[..., 1] = blk.imag
+            cols[..., 2] = _sample_intensity(blk)
+            rows = []
+            for y in ys[lo : lo + blk.shape[0]]:
+                sfx = "," + y + ",%.9g,%.9g,%.9g\n"  # follows each x: "x,y,re,im,intensity"
+                rows.append(sfx.join(xs) + sfx)
+            fh.write(("".join(rows) % tuple(cols.ravel().tolist())).encode("utf-8"))
 
 
 def phase_to_levels(phase: PhaseMap) -> np.ndarray:

@@ -272,8 +272,8 @@ def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None =
     ``exp(-1j*k*r)/r`` samples.
     """
     plan = plan or DEFAULT_PLAN
-    if z <= 0:
-        raise ValueError(f"propagation distance must be positive, got {z}")
+    if not (z > 0 and math.isfinite(z)):
+        raise ValueError(f"propagation distance must be positive and finite, got {z}")
     n = field.grid.elements_per_side
     pitch = field.grid.element_pitch
     npad = _padded_size(n, plan.pad_factor)
@@ -377,8 +377,8 @@ def _axial_sums(field: ApertureField, z_values: Sequence[float]) -> tuple[np.nda
     """
     s, inverse = _axial_bins(field.grid.elements_per_side)
     w = field.weights.ravel()
-    w_bins = (np.bincount(inverse, weights=w.real, minlength=s.size)
-              + 1j * np.bincount(inverse, weights=w.imag, minlength=s.size))
+    w_bins = np.zeros(s.size, dtype=complex)
+    np.add.at(w_bins, inverse, w)  # in element order, as bincount adds each component
     abs_bins = np.bincount(inverse, weights=np.abs(w), minlength=s.size)
     rho_sq = s * (field.grid.element_pitch**2 / 4.0)
     k = field.grid.wavenumber

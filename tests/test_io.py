@@ -78,6 +78,10 @@ SLICES = {
     "specials-odd": lambda rng: FieldSlice(1.0, _special_values(rng, 7), 1.25e-4, (-1e-3, 0.0)),
     "specials-even": lambda rng: FieldSlice(1.0, _special_values(rng, 6), 2e-3),
     "straddle": lambda rng: FieldSlice(0.2, _straddle(rng), 1.5e-4, (0.0, 3.3e-3)),
+    # coordinates in exponent notation, one exactly 0 per axis with both signs around it;
+    # even n, rows not a multiple of the block
+    "tiny-pitch": lambda rng: FieldSlice(1e-6, _random_phasors(rng, 40, 3), 5e-8,
+                                         (2.5e-8, -2.5e-8)),
 }
 
 
@@ -87,6 +91,33 @@ def test_field_slice_csv_matches_per_sample_writer(tmp_path, name):
     field_slice_csv(tmp_path / "blocks.csv", slice_)
     _field_slice_csv_per_sample(tmp_path / "per_sample.csv", slice_)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "per_sample.csv").read_bytes()
+
+
+def test_tiny_pitch_slice_covers_exponents_and_zero(tmp_path):
+    slice_ = SLICES["tiny-pitch"](np.random.default_rng(0))
+    assert slice_.samples.shape[0] % _CSV_BLOCK_ROWS
+    X, Y = slice_.meshgrid()
+    for axis in (X[0], Y[:, 0]):
+        assert 0.0 in axis and axis.min() < 0.0 < axis.max()
+    field_slice_csv(tmp_path / "tiny.csv", slice_)
+    xs = {line.split(",")[0] for line in (tmp_path / "tiny.csv").read_text().splitlines()[1:]}
+    assert {"0", "5e-08", "-5e-08"} <= xs
+
+
+@pytest.mark.parametrize("side", [0.02, 0.0205], ids=["even-n", "odd-n"])
+def test_cli_propagate_csv_matches_per_sample_writer(tmp_path, side):
+    from thzbeam import PropagationPlan, WavefrontSpec, make_grid, propagate_asm, synthesize_field
+    from thzbeam.cli import main
+
+    grid = make_grid(side, 3e11)
+    field = synthesize_field(grid, WavefrontSpec(kind="bessel", spot_fwhm=0.004))
+    _field_slice_csv_per_sample(tmp_path / "per_sample.csv",
+                                propagate_asm(field, 0.1, PropagationPlan(pad_factor=2.0)))
+    assert main(["propagate", "--side-length", str(side), "--frequency", "3e11",
+                 "--kind", "bessel", "--spot-fwhm", "0.004", "--z", "0.1",
+                 "--format", "csv", "--out", str(tmp_path / "cli")]) == 0
+    written = (tmp_path / "cli" / "slice_bessel_z0.1.csv").read_bytes()
+    assert written == (tmp_path / "per_sample.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(SLICES))

@@ -288,6 +288,47 @@ def test_axial_scan_matches_direct_sum(side):
     np.testing.assert_allclose(axial_scan(field, zs), expected, rtol=1e-10, atol=0.0)
 
 
+def _axial_sums_two_bincounts(field, z_values):
+    """Reference: the complex weights binned by one ``bincount`` per component."""
+    s, inverse = propagation._axial_bins(field.grid.elements_per_side)
+    w = field.weights.ravel()
+    w_bins = (np.bincount(inverse, weights=w.real, minlength=s.size)
+              + 1j * np.bincount(inverse, weights=w.imag, minlength=s.size))
+    abs_bins = np.bincount(inverse, weights=np.abs(w), minlength=s.size)
+    rho_sq = s * (field.grid.element_pitch**2 / 4.0)
+    k = field.grid.wavenumber
+    coherent = np.empty(len(z_values), dtype=complex)
+    incoherent = np.empty(len(z_values))
+    for i, z in enumerate(z_values):
+        r = np.sqrt(rho_sq + z * z)
+        coherent[i] = np.sum(w_bins * np.exp(-1j * k * r) / r)
+        incoherent[i] = np.sum(abs_bins / r)
+    return coherent, incoherent
+
+
+def _axial_weights(grid, case):
+    n = grid.elements_per_side
+    rng = np.random.default_rng(n)
+    phasors = rng.uniform(0.2, 1.0, (n, n)) * np.exp(2j * np.pi * rng.random((n, n)))
+    if case == "random":
+        return phasors
+    if case == "signed-zero-imag":  # real weights of both signs, imaginary parts +0.0 and -0.0
+        w = rng.uniform(-1.0, 1.0, (n, n)) + 0j
+        w.imag[rng.random((n, n)) < 0.5] = -0.0
+        return w
+    return phasors * circular_taper(grid).values  # zeroed elements outside the disc
+
+
+@pytest.mark.parametrize("case", ["random", "signed-zero-imag", "tapered"])
+@pytest.mark.parametrize("side", [0.03, 0.0305], ids=["even-n", "odd-n"])
+def test_axial_sums_bit_identical_to_two_bincounts(side, case):
+    grid = make_grid(side, 3e11)
+    field = ApertureField(grid, _axial_weights(grid, case))
+    zs = [0.01, 0.05, 0.2, 1.5]
+    for got, want in zip(propagation._axial_sums(field, zs), _axial_sums_two_bincounts(field, zs)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_axial_scan_validates_input():
     grid = make_grid(0.02, 3e11)
     field = ApertureField.uniform(grid)
@@ -368,8 +409,9 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         PropagationPlan(pad_factor=0.5)
     grid = make_grid(0.02, 3e11)
-    with pytest.raises(ValueError):
-        propagate_asm(ApertureField.uniform(grid), -0.1)
+    for z in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            propagate_asm(ApertureField.uniform(grid), z)
 
 
 # ---------------------------------------------------------------------------

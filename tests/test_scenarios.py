@@ -462,7 +462,45 @@ def test_cli_wavefront_verbs_reject_bad_bits(tmp_path, capsys, verb, bits):
             "--bits", bits, "--out", str(out)] + (["--z", "0.1"] if verb == "propagate" else [])
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
-    assert "phase_bits" in err
+    assert "phase_bits" in err and "--bits" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# every other bad flag value of the wavefront verbs: (verb, flags, the flag the error names)
+BAD_WAVEFRONT_FLAGS = [
+    ("propagate", ["--z", "nan"], "--z"),
+    ("propagate", ["--z", "inf"], "--z"),
+    ("propagate", ["--z", "-1"], "--z"),
+    ("propagate", ["--pad", "0.5"], "--pad"),
+    ("propagate", ["--db-floor", "1"], "--db-floor"),
+    ("propagate", ["--pitch-fraction", "2"], "--pitch-fraction"),
+    ("propagate", ["--side-length", "nan"], "--side-length"),
+    ("propagate", ["--side-length", "0.0001"], "--side-length"),  # below one pitch
+    ("propagate", ["--steer-deg", "inf"], "--steer-deg"),
+    ("propagate", ["--kind", "beamfocusing"], "--focal-length"),
+    ("propagate", ["--kind", "beamfocusing", "--focal-length", "-1"], "--focal-length"),
+    ("synthesize", ["--frequency", "nan"], "--frequency"),
+    ("synthesize", ["--pitch-fraction", "0"], "--pitch-fraction"),
+    ("synthesize", ["--kind", "bessel"], "--spot-fwhm"),
+    ("synthesize", ["--kind", "bessel", "--spot-fwhm", "nan"], "--spot-fwhm"),
+    ("synthesize", ["--kind", "caustic", "--curve-a", "2"], "--curve-z-end"),
+    ("synthesize", ["--kind", "caustic", "--curve-a", "2", "--curve-z-end", "0"],
+     "--curve-z-end"),
+]
+
+
+@pytest.mark.parametrize("verb,flags,named", BAD_WAVEFRONT_FLAGS,
+                         ids=[f"{v}{' '.join(f)}" for v, f, _ in BAD_WAVEFRONT_FLAGS])
+def test_cli_wavefront_verbs_reject_bad_flags(tmp_path, capsys, verb, flags, named):
+    out = tmp_path / "out"
+    argv = [verb, "--side-length", "0.02", "--frequency", "3e11", "--kind", "beamforming",
+            "--out", str(out)] + (["--z", "0.1"] if verb == "propagate" else [])
+    for flag, value in zip(flags[::2], flags[1::2]):
+        argv = _with_flag(argv, flag, value)
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
     assert "Traceback" not in err
     assert not out.exists()
 
