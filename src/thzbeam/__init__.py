@@ -64,6 +64,7 @@ from .propagation import (
     FrequencySweep,
     PropagationPlan,
     axial_scan,
+    fft_workers,
     multi_frequency_scan,
     propagate_asm,
     propagate_direct,

@@ -9,8 +9,11 @@ their flags as scenario INI text (studies gain_curve, blockage,
 oam_crosstalk, oam_bandwidth) and run it like ``run`` does: same schema,
 same runner, a ``manifest.json``, and config errors that name the key path.
 
---threads N runs the FFTs on N workers (default 1; N < 1 is a config
-error).  The output is bit-identical for every worker count.
+--threads N runs the FFTs on up to N threads (default 1; N < 1 is a
+config error), capped at the CPU count.  The output is bit-identical for
+every thread count.  Only the verbs that make FFTs take it: propagate,
+blockage, oam-crosstalk, run and preset.  Likewise --db-floor belongs to
+the verbs that map intensity to gray levels: propagate and blockage.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import argparse
 import math
 import sys
 from pathlib import Path
-
-import scipy.fft as sfft
 
 from . import io as artifacts
 from .aperture import (
@@ -31,7 +32,7 @@ from .aperture import (
     synthesize_field,
 )
 from .errors import ConfigError, NoBeamError, SamplingError, ToolkitError
-from .propagation import PropagationPlan, propagate_asm
+from .propagation import PropagationPlan, fft_workers, propagate_asm
 from .scenarios import (
     PRESET_NAMES,
     load_config,
@@ -74,8 +75,11 @@ def _add_output_args(p: argparse.ArgumentParser, images: bool = True) -> None:
     if images:
         p.add_argument("--format", action="append", choices=("csv", "pgm", "png"),
                        dest="formats", help="artifact format (repeatable; default csv)")
-        p.add_argument("--db-floor", type=float, default=-60.0)
-    p.add_argument("--threads", type=int, default=1, help="FFT workers (default 1)")
+
+
+def _add_threads_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, default=1,
+                   help="FFT threads (default 1; at most the CPU count)")
 
 
 # float flags of synthesize and propagate that must lie in a range, checked
@@ -298,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float, required=True, help="plane distance [m]")
     p.add_argument("--pad", type=float, default=2.0)
     p.add_argument("--scale", choices=("db", "linear"), default="db")
+    p.add_argument("--db-floor", type=float, default=-60.0)
     _add_output_args(p)
+    _add_threads_arg(p)
     p.set_defaults(func=_cmd_propagate)
 
     p = sub.add_parser("gain-curve", help="axial gain comparison of the three wavefronts")
@@ -321,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obstacle-size", type=float, required=True)
     p.add_argument("--obstacle-z", type=float, required=True)
     p.add_argument("--pad", type=float, default=2.0)
+    p.add_argument("--db-floor", type=float, default=-60.0)
     _add_output_args(p)
+    _add_threads_arg(p)
     p.set_defaults(func=_cmd_study, scenario=_blockage_scenario)
 
     p = sub.add_parser("oam-crosstalk", help="OAM mode-coupling matrix")
@@ -332,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rx-radius", type=float)
     p.add_argument("--spot-fwhm", type=float, help="Bessel base spot (default: planar base)")
     _add_output_args(p, images=False)
+    _add_threads_arg(p)
     p.set_defaults(func=_cmd_study, scenario=_oam_crosstalk_scenario)
 
     p = sub.add_parser("capacity", help="required bandwidth for a target rate")
@@ -344,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a scenario config file")
     p.add_argument("config", type=Path)
     p.add_argument("--out", type=Path)
-    p.add_argument("--threads", type=int, default=1, help="FFT workers (default 1)")
+    _add_threads_arg(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("preset", help=f"run a bundled preset: {', '.join(PRESET_NAMES)}")
     p.add_argument("name", choices=PRESET_NAMES)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--threads", type=int, default=1, help="FFT workers (default 1)")
+    _add_threads_arg(p)
     p.add_argument("--write-config", action="store_true",
                    help="also write the preset config as preset.ini")
     p.set_defaults(func=_cmd_preset)
@@ -365,7 +374,7 @@ def main(argv=None) -> int:
         threads = getattr(args, "threads", 1)
         if threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {threads}")
-        with sfft.set_workers(threads):
+        with fft_workers(threads):
             return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,8 +14,12 @@ Two engines share one convention (outgoing waves ``exp(-1j*k*r)/r``):
   wrap-around and with evanescent components zeroed or attenuated.
 
 Results are order-stable: identical inputs give bit-identical outputs.  The
-FFTs run on ``scipy.fft``'s worker count (``--threads`` on the command
-line), which does not change a single bit of them.
+FFTs run on ``numpy.fft`` (pocketfft, the code ``scipy.fft`` runs), one
+axis at a time in the order ``scipy.fft.fft2`` and ``ifft2`` take and with
+their scaling step, so every transform equals scipy's bit for bit; the
+tests keep scipy as the reference.  Inside an ``fft_workers(n)`` block
+(``--threads`` on the command line) each axis pass is split into line
+blocks on up to n threads, which does not change a single bit either.
 
 Inside a ``reuse_spectra()`` block each kernel spectrum and transfer
 function is built once and shared, read-only, by every hop that needs it;
@@ -28,11 +32,12 @@ import contextlib
 import contextvars
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.fft as sfft
+import numpy.fft  # numpy loads it lazily; here it is paid at import, not in the first hop
 
 from .aperture import (
     ApertureField,
@@ -52,6 +57,7 @@ __all__ = [
     "propagate_direct",
     "propagate_with_obstacles",
     "reuse_spectra",
+    "fft_workers",
     "axial_scan",
     "multi_frequency_scan",
 ]
@@ -108,6 +114,91 @@ class PropagationPlan:
 DEFAULT_PLAN = PropagationPlan()
 
 
+# ---------------------------------------------------------------------------
+# FFTs
+
+
+_WORKERS: contextvars.ContextVar[int] = contextvars.ContextVar("fft_workers", default=1)
+
+
+@contextlib.contextmanager
+def fft_workers(n: int):
+    """Run the FFTs inside the block on up to n threads.
+
+    Each axis pass is split into contiguous blocks of lines, one per
+    thread; numpy releases the GIL while it transforms them.  Every line
+    gets the same transform, so the output is bit-identical for every n.
+    No pass starts more threads than ``os.cpu_count()`` or than it has
+    lines.
+    """
+    if n < 1:
+        raise ValueError(f"fft_workers needs at least 1 worker, got {n}")
+    token = _WORKERS.set(n)
+    try:
+        yield
+    finally:
+        _WORKERS.reset(token)
+
+
+def _line_blocks(lines: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous (start, stop) blocks of ``lines``, one per thread a pass may start."""
+    count = min(workers, os.cpu_count() or 1, lines)
+    bounds = [lines * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _fft_pass(a: np.ndarray, axis: int, inverse: bool = False) -> None:
+    """Unscaled in-place FFT (or inverse FFT) of every line of 2-D ``a`` along ``axis``."""
+    transform = functools.partial(np.fft.ifft if inverse else np.fft.fft, axis=axis,
+                                  norm="forward" if inverse else "backward")
+    blocks = _line_blocks(a.shape[1 - axis], _WORKERS.get())
+    if len(blocks) == 1:
+        transform(a, out=a)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run(block):
+        part = a[:, block[0] : block[1]] if axis == 0 else a[block[0] : block[1]]
+        transform(part, out=part)
+
+    with ThreadPoolExecutor(len(blocks)) as pool:
+        list(pool.map(run, blocks))  # reads every result, so a failed block raises
+
+
+def _fft2(a: np.ndarray) -> np.ndarray:
+    """``scipy.fft.fft2(a, overwrite_x=True)``, bit for bit: axis 0, then axis 1, in place."""
+    _fft_pass(a, 0)
+    _fft_pass(a, 1)
+    return a
+
+
+def _ifft2(a: np.ndarray) -> np.ndarray:
+    """``scipy.fft.ifft2(a, overwrite_x=True)``, bit for bit, in place.
+
+    pocketfft scales by 1/(n0*n1) after the first pass, multiplying each
+    real and imaginary part by the real factor; a complex multiply would
+    flip the sign of some zeros.
+    """
+    _fft_pass(a, 0, inverse=True)
+    parts = a.view(np.float64)
+    np.multiply(parts, 1.0 / a.size, out=parts)
+    _fft_pass(a, 1, inverse=True)
+    return a
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= target, as ``scipy.fft.next_fast_len``."""
+    best = 1 << (target - 1).bit_length()  # the power of two
+    odd = [1]  # the odd 11-smooth numbers below it
+    for p in (3, 5, 7, 11):
+        for m in odd[:]:
+            m *= p
+            while m < best:
+                odd.append(m)
+                m *= p
+    return min(m << ((target - 1) // m).bit_length() for m in odd)
+
+
 def _padded_size(n: int, pad_factor: float) -> int:
     """FFT-friendly padded size with the same parity as n.
 
@@ -115,17 +206,24 @@ def _padded_size(n: int, pad_factor: float) -> int:
     which preserves the inversion symmetry that centred masks and OAM
     receivers rely on.
     """
-    m = sfft.next_fast_len(int(math.ceil(n * pad_factor)))
+    m = _next_fast_len(int(math.ceil(n * pad_factor)))
     while (m - n) % 2:
-        m = sfft.next_fast_len(m + 1)
+        m = _next_fast_len(m + 1)
     return m
 
 
-def _embed(weights: np.ndarray, npad: int) -> np.ndarray:
-    n = weights.shape[0]
+def _padded_fft2(samples: np.ndarray, npad: int) -> np.ndarray:
+    """``scipy.fft.fft2`` of ``samples`` centred on an npad-square zero grid, bit for bit.
+
+    The columns the padding adds are all zero, and so is their transform,
+    so the axis-0 pass runs on the n sample columns only.
+    """
+    n = samples.shape[0]
     out = np.zeros((npad, npad), dtype=complex)
     lo = (npad - n) // 2
-    out[lo : lo + n, lo : lo + n] = weights
+    out[lo : lo + n, lo : lo + n] = samples
+    _fft_pass(out[:, lo : lo + n], 0)
+    _fft_pass(out, 1)
     return out
 
 
@@ -152,7 +250,7 @@ def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
     """
     d_sq = (np.arange(npad // 2 + 1) * pitch) ** 2
     r = np.sqrt(d_sq[None, :] + d_sq[:, None] + z * z)
-    return sfft.fft2(_mirror(np.exp(-1j * k * r) / r, npad))
+    return _fft2(_mirror(np.exp(-1j * k * r) / r, npad))
 
 
 def _check_window_supports_distance(npad: int, pitch: float, lam: float, z: float) -> None:
@@ -177,7 +275,7 @@ def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: Propa
     if plan.band_limit:
         lam = 2.0 * np.pi / k
         _check_window_supports_distance(npad, pitch, lam, dz)
-    kx = 2.0 * np.pi * np.abs(sfft.fftfreq(npad, d=pitch)[: npad // 2 + 1])
+    kx = 2.0 * np.pi * np.abs(np.fft.fftfreq(npad, d=pitch)[: npad // 2 + 1])
     kx_sq = kx * kx
     kz_sq = k * k - kx_sq[None, :] - kx_sq[:, None]
     prop = kz_sq > 0.0
@@ -239,9 +337,9 @@ def _apply(spectrum: np.ndarray, samples: np.ndarray, npad: int) -> np.ndarray:
     numpy's complex multiply is not bitwise commutative, and the artifacts
     are pinned to this order.
     """
-    spec = sfft.fft2(_embed(samples, npad), overwrite_x=True)
+    spec = _padded_fft2(samples, npad)
     np.multiply(spectrum, spec, out=spec)
-    return sfft.ifft2(spec, overwrite_x=True)
+    return _ifft2(spec)
 
 
 def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None = None,

@@ -625,3 +625,96 @@ def test_reuse_spectra_scope(monkeypatch):
     assert propagation._SPECTRA.get() is None
     propagate_asm(field, 0.2)  # outside any block every hop builds its own
     assert builds.kernel == 3
+
+
+# ---------------------------------------------------------------------------
+# FFTs on numpy.fft, pinned bit for bit to scipy.fft
+
+
+def _bits(a):
+    return a.view(np.uint64)  # signed zeros and every last bit compare
+
+
+def _complex_grid(n, seed=7):
+    rng = np.random.default_rng(seed + n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a[0] = 0.0  # a zeroed line
+    return a
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 64, 101, 333, 540, 675, 841])
+def test_fft2_and_ifft2_equal_scipy_bitwise(n, workers, monkeypatch):
+    monkeypatch.setattr(propagation.os, "cpu_count", lambda: 8)  # let 3 workers split
+    # an all -0.0 grid too: scaling by a complex factor would flip its zeros' signs
+    for a in (_complex_grid(n), np.full((n, n), complex(-0.0, -0.0))):
+        with propagation.fft_workers(workers):
+            np.testing.assert_array_equal(_bits(propagation._fft2(a.copy())),
+                                          _bits(scipy.fft.fft2(a)))
+            np.testing.assert_array_equal(_bits(propagation._ifft2(a.copy())),
+                                          _bits(scipy.fft.ifft2(a)))
+
+
+WEIGHT_CASES = ["random", "half-zero", "first-row-zero"]
+
+
+@pytest.mark.parametrize("case", WEIGHT_CASES)
+@pytest.mark.parametrize("n, pad", [(9, 2.0), (40, 1.5), (41, 2.0), (101, 1.0), (333, 2.0),
+                                    (420, 2.0), (675, 2.0)])
+def test_padded_fft2_equals_scipy_fft2_of_embedded_array(n, pad, case):
+    weights = _complex_grid(n, seed=11)
+    if case == "half-zero":
+        weights[: n // 2] = 0.0
+    elif case == "first-row-zero":
+        weights[0] = 0.0
+    npad = propagation._padded_size(n, pad)
+    lo = (npad - n) // 2
+    embedded = np.zeros((npad, npad), dtype=complex)
+    embedded[lo : lo + n, lo : lo + n] = weights
+    with propagation.fft_workers(2):
+        np.testing.assert_array_equal(_bits(propagation._padded_fft2(weights, npad)),
+                                      _bits(scipy.fft.fft2(embedded)))
+
+
+def test_next_fast_len_equals_scipy():
+    assert [propagation._next_fast_len(t) for t in range(1, 20_001)] == [
+        scipy.fft.next_fast_len(t) for t in range(1, 20_001)]
+
+
+@pytest.mark.parametrize("npad", [840, 841, 3375])  # fig4-ci and fig4 pad to 840 and 3375
+def test_fftfreq_equals_scipy(npad):
+    pitch = 1.49896229e-4
+    np.testing.assert_array_equal(_bits(np.fft.fftfreq(npad, d=pitch)),
+                                  _bits(scipy.fft.fftfreq(npad, d=pitch)))
+
+
+def test_fft_line_blocks_bounded_by_cpus_and_lines(monkeypatch):
+    monkeypatch.setattr(propagation.os, "cpu_count", lambda: 4)
+    assert propagation._line_blocks(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
+    assert propagation._line_blocks(10, 10**9) == [(0, 2), (2, 5), (5, 7), (7, 10)]
+    assert propagation._line_blocks(10, 1) == [(0, 10)]
+    monkeypatch.setattr(propagation.os, "cpu_count", lambda: None)
+    assert propagation._line_blocks(10, 10**9) == [(0, 10)]
+
+
+def test_fft_workers_start_no_more_threads_than_lines(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(propagation.os, "cpu_count", lambda: 64)
+    a = _complex_grid(3)
+    with propagation.fft_workers(10**6):
+        np.testing.assert_array_equal(_bits(propagation._fft2(a.copy())),
+                                      _bits(scipy.fft.fft2(a)))
+    assert pools == [3, 3]
+    with pytest.raises(ValueError):
+        with propagation.fft_workers(0):
+            pass
+    assert propagation._WORKERS.get() == 1

@@ -595,21 +595,32 @@ step_m = 0.02
 
 
 def test_cli_rejects_threads_below_one(tmp_path, capsys):
-    assert cli_main(["capacity", "--rate", "1e12", "--modes", "1", "--qam", "4",
-                     "--out", str(tmp_path), "--threads", "0"]) == 2
-    err = capsys.readouterr().err
-    assert "--threads" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "bandwidth.csv").exists()
+    # the study verbs that take --threads are covered by BAD_STUDY_INPUTS
+    config = tmp_path / "tiny.ini"
+    config.write_text(MINIMAL_FIG5)
+    for argv in (["propagate", "--side-length", "0.02", "--frequency", "3e11",
+                  "--kind", "beamforming", "--z", "0.1"],
+                 ["run", str(config)],
+                 ["preset", "fig4-ci"]):
+        out = tmp_path / "out"
+        assert cli_main([*argv, "--out", str(out), "--threads", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
-def test_cli_threads_flag_does_not_change_output(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out, threads in ((a, "1"), (b, "8")):
-        assert cli_main(["preset", "fig4-ci", "--out", str(out),
-                         "--threads", threads]) == 0
-    for name in ("healing.csv", "caustic_blockage.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+def test_cli_threads_flag_does_not_change_output(tmp_path, monkeypatch):
+    monkeypatch.setattr(propagation.os, "cpu_count", lambda: 8)  # so 3 and 8 split 3 and 8 ways
+    runs = {}
+    for threads in ("1", "2", "3", "8"):
+        out = tmp_path / threads
+        assert cli_main(["preset", "fig4-ci", "--out", str(out), "--threads", threads]) == 0
+        runs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                         if p.name != "manifest.json"}  # the manifest records timings
+    assert len(runs["1"]) == 10  # healing.csv, caustic_blockage.csv and 8 PGM maps
+    for threads in ("2", "3", "8"):
+        assert runs[threads] == runs["1"], threads
 
 
 # small inputs for each study verb, and one bad input per exit code
@@ -636,7 +647,7 @@ BAD_STUDY_INPUTS = [
     ("gain-curve", 2, "--z-stop", "0.02"),  # z_stop <= z_start
     ("blockage", 2, "--threads", "0"),
     ("oam-crosstalk", 2, "--threads", "0"),
-    ("capacity", 2, "--threads", "0"),
+    ("capacity", 2, "--modes", "-1"),  # a mode count below 1
     ("gain-curve", 3, "--spot-fwhm", "0.0005"),  # spot below the 1 mm wavelength
     ("blockage", 3, "--spot-fwhm", "0.0005"),
     ("oam-crosstalk", 3, "--spot-fwhm", "0.0002"),  # 0.3 mm wavelength
@@ -792,10 +803,25 @@ def test_cli_rejects_scenario_seed(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _verb_parsers():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _verb_parser(verb):
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return subparsers.choices[verb]
+    return _verb_parsers()[verb]
+
+
+# --threads only on the verbs that make FFTs, --db-floor only on those that map
+# intensity to gray levels
+FLAG_VERBS = {"--threads": {"propagate", "blockage", "oam-crosstalk", "run", "preset"},
+              "--db-floor": {"propagate", "blockage"}}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VERBS))
+def test_cli_offers_each_flag_only_where_it_acts(flag):
+    offered = {verb for verb, p in _verb_parsers().items() if flag in p._option_string_actions}
+    assert offered == FLAG_VERBS[flag]
 
 
 # every float flag of every study verb, with 0, -1, nan and inf in turn
