@@ -41,29 +41,23 @@ from .errors import (
 from .metrics import (
     BeamStats,
     GainCurve,
-    abbe_spot,
     aperture_gain_dbi,
     beam_profile_stats,
     fraunhofer_distance,
     gain_curve,
     normalized_gain,
-    numeric_aperture,
     self_healing_correlation,
 )
 from .oam import (
     CrosstalkMatrix,
     LinkBudgetSpec,
-    OamModeSet,
     crosstalk_matrix,
-    demultiplex,
-    multiplex,
     required_bandwidth,
 )
 from .propagation import (
     FieldSlice,
     FrequencySweep,
     PropagationPlan,
-    axial_scan,
     fft_workers,
     multi_frequency_scan,
     propagate_asm,

@@ -383,16 +383,6 @@ class CausticCurve:
             z_end=z_end,
         )
 
-    @classmethod
-    def line(cls, angle: float, z_end: float, x_start: float = 0.0) -> "CausticCurve":
-        """Straight ray x_c(z) = x_start + z * tan(angle)."""
-        t = math.tan(angle)
-        return cls(
-            x_of_z=lambda z: x_start + t * np.asarray(z, dtype=float),
-            dx_dz=lambda z: np.full_like(np.asarray(z, dtype=float), t),
-            z_end=z_end,
-        )
-
 
 def _raw_caustic(grid: ApertureGrid, curve: CausticCurve, samples: int = 8192) -> np.ndarray:
     x = grid.axis_coordinates()

@@ -92,10 +92,8 @@ def _sample_intensity(samples: np.ndarray) -> np.ndarray:
 def field_slice_csv(path: Path, slice_: FieldSlice) -> None:
     """Sample table with columns x, y, re, im, intensity."""
     s = slice_.samples
-    x = slice_.axis_coordinates()
-    # npad distinct values per axis: formatted once, then spliced into each row's format
-    xs = [format_number(v) for v in (x + slice_.origin_offset[0]).tolist()]
-    ys = [format_number(v) for v in (x + slice_.origin_offset[1]).tolist()]
+    # npad distinct values, x and y alike: formatted once, then spliced into each row's format
+    axis = [format_number(v) for v in slice_.axis_coordinates().tolist()]
     with open(path, "wb") as fh:
         fh.write(b"x_m,y_m,re,im,intensity\n")
         for lo in range(0, s.shape[0], _CSV_BLOCK_ROWS):
@@ -105,9 +103,9 @@ def field_slice_csv(path: Path, slice_: FieldSlice) -> None:
             cols[..., 1] = blk.imag
             cols[..., 2] = _sample_intensity(blk)
             rows = []
-            for y in ys[lo : lo + blk.shape[0]]:
+            for y in axis[lo : lo + blk.shape[0]]:
                 sfx = "," + y + ",%.9g,%.9g,%.9g\n"  # follows each x: "x,y,re,im,intensity"
-                rows.append(sfx.join(xs) + sfx)
+                rows.append(sfx.join(axis) + sfx)
             fh.write(("".join(rows) % tuple(cols.ravel().tolist())).encode("utf-8"))
 
 

@@ -28,8 +28,6 @@ __all__ = [
     "gain_curve",
     "fraunhofer_distance",
     "aperture_gain_dbi",
-    "numeric_aperture",
-    "abbe_spot",
     "beam_profile_stats",
     "self_healing_correlation",
 ]
@@ -159,22 +157,6 @@ def aperture_gain_dbi(area: float, wavelength: float) -> float:
     if area <= 0 or wavelength <= 0:
         raise ValueError("area and wavelength must be positive")
     return 10.0 * math.log10(4.0 * math.pi * area / wavelength**2)
-
-
-def numeric_aperture(half_aperture: float, focal_length: float) -> float:
-    """NA = sin(atan(R/F)) of a focusing aperture."""
-    if half_aperture <= 0 or focal_length <= 0:
-        raise ValueError("half_aperture and focal_length must be positive")
-    return math.sin(math.atan2(half_aperture, focal_length))
-
-
-def abbe_spot(numeric_aperture_value: float, wavelength: float) -> float:
-    """Diffraction-limited spot diameter lambda / (2*NA)."""
-    if not 0 < numeric_aperture_value <= 1:
-        raise ValueError(f"numeric aperture must be in (0, 1], got {numeric_aperture_value}")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    return wavelength / (2.0 * numeric_aperture_value)
 
 
 @dataclass(frozen=True)

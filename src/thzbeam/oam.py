@@ -1,10 +1,10 @@
-"""Orbital-angular-momentum multiplexing, crosstalk and link capacity.
+"""Orbital-angular-momentum crosstalk and link capacity.
 
-Mode multiplexing superposes spiral overlays ``exp(1j*l*phi)`` on a shared
-base profile; the receiver is the matched conjugate-helix overlap integral
-over a centred disc.  The capacity calculator converts a target rate into
-the bandwidth required with M modes and Q-ary QAM under ideal Nyquist
-signalling.
+A crosstalk matrix transmits each mode as the spiral overlay
+``exp(1j*l*phi)`` on a shared base profile and reads every mode back with
+the matched conjugate-helix overlap integral over a centred disc.  The
+capacity calculator converts a target rate into the bandwidth required
+with M modes and Q-ary QAM under ideal Nyquist signalling.
 """
 
 from __future__ import annotations
@@ -15,53 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .aperture import ApertureField
+from .aperture import ApertureField, _raw_spiral
 from .errors import GeometryError
 from .propagation import FieldSlice, PropagationPlan, propagate_asm, reuse_spectra
 
 __all__ = [
-    "OamModeSet",
     "CrosstalkMatrix",
     "LinkBudgetSpec",
-    "multiplex",
-    "demultiplex",
     "crosstalk_matrix",
     "required_bandwidth",
 ]
-
-
-@dataclass(frozen=True)
-class OamModeSet:
-    """Distinct OAM mode indices with per-mode complex symbol amplitudes."""
-
-    modes: tuple[int, ...]
-    amplitudes: tuple[complex, ...] | None = None
-
-    def __post_init__(self):
-        modes = tuple(int(m) for m in self.modes)
-        if not modes:
-            raise ValueError("mode set must contain at least one mode")
-        if len(set(modes)) != len(modes):
-            raise ValueError(f"duplicate OAM modes in {modes}")
-        amps = self.amplitudes
-        if amps is None:
-            amps = tuple(1.0 + 0.0j for _ in modes)
-        else:
-            amps = tuple(complex(a) for a in amps)
-            if len(amps) != len(modes):
-                raise ValueError("one amplitude per mode required")
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "amplitudes", amps)
-
-
-def multiplex(base: ApertureField, mode_set: OamModeSet) -> ApertureField:
-    """Superpose spiral overlays on a base profile: sum_l a_l*base*e^{j*l*phi}."""
-    X, Y = base.grid.meshgrid()
-    phi = np.arctan2(Y, X)
-    weights = np.zeros_like(base.weights)
-    for l, a in zip(mode_set.modes, mode_set.amplitudes):
-        weights = weights + a * base.weights * np.exp(1j * l * phi)
-    return ApertureField(base.grid, weights)
 
 
 def _receiver_disc(slice_: FieldSlice, rx_radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -77,17 +40,6 @@ def _receiver_disc(slice_: FieldSlice, rx_radius: float) -> tuple[np.ndarray, np
     rho2 = X * X + Y * Y
     sel = rho2 <= rx_radius * rx_radius
     return sel, np.arctan2(Y[sel], X[sel])
-
-
-def _matched(slice_: FieldSlice, sel: np.ndarray, helix: np.ndarray) -> complex:
-    """Disc integral of the samples against a conjugate helix exp(-1j*l*phi)."""
-    return complex(np.sum(slice_.samples[sel] * helix) * slice_.sample_pitch**2)
-
-
-def demultiplex(slice_: FieldSlice, mode_l: int, rx_radius: float) -> complex:
-    """Matched-filter coefficient: disc integral of E * exp(-1j*l*phi)."""
-    sel, phi = _receiver_disc(slice_, rx_radius)
-    return _matched(slice_, sel, np.exp(-1j * mode_l * phi))
 
 
 @dataclass(frozen=True)
@@ -130,21 +82,21 @@ def crosstalk_matrix(
     grid = base.grid
     if rx_radius is None:
         rx_radius = grid.half_side
-    X, Y = grid.meshgrid()
-    phi = np.arctan2(Y, X)
-    ramp = np.exp(-1j * grid.wavenumber * math.sin(steer_angle) * X)
+    ramp = np.exp(-1j * grid.wavenumber * math.sin(steer_angle) * grid.meshgrid()[0])
 
     coupling = np.zeros((len(mode_list), len(mode_list)))
     helices = None
     with reuse_spectra():
         for i, l_tx in enumerate(mode_list):
-            tx = ApertureField(grid, base.weights * np.exp(1j * l_tx * phi) * ramp)
+            tx = ApertureField(grid, base.weights * np.exp(1j * _raw_spiral(grid, l_tx)) * ramp)
             received = propagate_asm(tx, z, plan)
             if helices is None:
                 # every received plane shares one padded grid, so one disc serves all
                 sel, rx_phi = _receiver_disc(received, rx_radius)
                 helices = [np.exp(-1j * l_rx * rx_phi) for l_rx in mode_list]
-            amps = np.array([_matched(received, sel, helix) for helix in helices])
+            # disc integral of the samples against each conjugate helix exp(-1j*l*phi)
+            amps = np.array([np.sum(received.samples[sel] * helix) * received.sample_pitch**2
+                             for helix in helices])
             powers = np.abs(amps) ** 2
             if powers[i] == 0.0:
                 raise ValueError(f"matched power for mode {l_tx} vanished; geometry unusable")

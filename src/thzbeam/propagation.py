@@ -11,7 +11,7 @@ Two engines share one convention (outgoing waves ``exp(-1j*k*r)/r``):
   summation on the padded plane; from a ``FieldSlice`` (sampled continuum
   field) the analytic angular-spectrum transfer function
   ``exp(-1j*z*sqrt(k^2-kx^2-ky^2))`` is used, band-limited against
-  wrap-around and with evanescent components zeroed or attenuated.
+  wrap-around and with evanescent components zeroed.
 
 Results are order-stable: identical inputs give bit-identical outputs.  The
 FFTs run on ``numpy.fft`` (pocketfft, the code ``scipy.fft`` runs), one
@@ -43,6 +43,7 @@ from .aperture import (
     ApertureField,
     ApertureGrid,
     ObstacleSpec,
+    circular_taper,
     make_obstacle_mask,
     synthesize_delay_phase,
 )
@@ -58,7 +59,6 @@ __all__ = [
     "propagate_with_obstacles",
     "reuse_spectra",
     "fft_workers",
-    "axial_scan",
     "multi_frequency_scan",
 ]
 
@@ -70,7 +70,6 @@ class FieldSlice:
     z: float
     samples: np.ndarray
     sample_pitch: float
-    origin_offset: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.sample_pitch <= 0:
@@ -92,7 +91,7 @@ class FieldSlice:
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         x = self.axis_coordinates()
-        return np.meshgrid(x + self.origin_offset[0], x + self.origin_offset[1], indexing="xy")
+        return np.meshgrid(x, x, indexing="xy")
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
@@ -103,7 +102,6 @@ class PropagationPlan:
     """Knobs for spectral propagation."""
 
     pad_factor: float = 2.0
-    evanescent_cutoff: bool = True
     band_limit: bool = True
 
     def __post_init__(self):
@@ -281,9 +279,6 @@ def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: Propa
     prop = kz_sq > 0.0
     kz = np.sqrt(np.where(prop, kz_sq, 0.0))
     H = np.where(prop, np.exp(-1j * dz * kz), 0.0 + 0.0j)
-    if not plan.evanescent_cutoff:
-        decay = np.sqrt(np.where(prop, 0.0, -kz_sq))
-        H = np.where(prop, H, np.exp(-decay * dz))
     if plan.band_limit:
         extent = npad * pitch
         f_limit = 1.0 / (lam * math.sqrt((2.0 * dz / extent) ** 2 + 1.0))
@@ -302,10 +297,10 @@ def reuse_spectra():
 
     Every hop inside the block that needs a spectrum already built in it
     (same kind, padded size, pitch, wavenumber, distance and, for transfer
-    functions, plan flags) shares that array, which is read-only.  A nested
-    block shares the outer block's spectra.  They are released when the
-    outermost block ends; the scope is kept to one study block because one
-    spectrum takes 16 * npad^2 bytes (182 MB at npad 3375).
+    functions, the band-limit flag) shares that array, which is read-only.
+    A nested block shares the outer block's spectra.  They are released
+    when the outermost block ends; the scope is kept to one study block
+    because one spectrum takes 16 * npad^2 bytes (182 MB at npad 3375).
     """
     if _SPECTRA.get() is not None:
         yield
@@ -357,9 +352,9 @@ def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None =
     npad = _padded_size(n, plan.pad_factor)
     k = 2.0 * np.pi / wavelength
     pitch = field.sample_pitch
-    H = _spectrum(("transfer", npad, pitch, k, dz, plan.evanescent_cutoff, plan.band_limit),
+    H = _spectrum(("transfer", npad, pitch, k, dz, plan.band_limit),
                   lambda: _analytic_transfer(npad, pitch, k, dz, plan))
-    return FieldSlice(field.z + dz, _apply(H, field.samples, npad), pitch, field.origin_offset)
+    return FieldSlice(field.z + dz, _apply(H, field.samples, npad), pitch)
 
 
 def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None = None) -> FieldSlice:
@@ -489,23 +484,6 @@ def _axial_sums(field: ApertureField, z_values: Sequence[float]) -> tuple[np.nda
     return coherent, incoherent
 
 
-def axial_scan(field: ApertureField, z_values: Sequence[float]) -> np.ndarray:
-    """On-axis complex amplitude at each distance, via the exact summation.
-
-    The sum runs over the distinct element distances from the axis (weights
-    binned by radius), which equals ``propagate_direct`` at (0, 0, z) up to
-    summation order.
-    """
-    zv = np.asarray(z_values, dtype=float)
-    if zv.size == 0:
-        raise ValueError("z_values must not be empty")
-    if np.any(zv <= 0):
-        raise ValueError("z_values must be positive")
-    if np.any(np.diff(zv) < 0):
-        raise ValueError("z_values must be sorted ascending")
-    return _axial_sums(field, zv)[0]
-
-
 # ---------------------------------------------------------------------------
 # wideband behaviour
 
@@ -554,7 +532,8 @@ def multi_frequency_scan(
     the sweep's centre frequency, which must match the grid carrier.  In
     ``fixed_phase`` mode the centre-frequency phase profile is reused at
     every frequency; in ``true_time_delay`` mode the unwrapped delay
-    profile is rescaled by f/f_c, which is exact retiming.  Exactly one
+    profile is rescaled by f/f_c, which is exact retiming.  A ``circular``
+    spec keeps its inscribed-disc taper at every frequency.  Exactly one
     observable is evaluated per frequency: a point (complex amplitude via
     the exact summation) or a transverse plane (``FieldSlice``).  Returns
     a list of (frequency, result) pairs.
@@ -567,13 +546,14 @@ def multi_frequency_scan(
     if (point is None) == (plane_z is None):
         raise ValueError("pass exactly one of point= or plane_z=")
     delay_phase = synthesize_delay_phase(grid, wavefront)
+    taper = circular_taper(grid).values if wavefront.circular else 1.0
     results = []
     for f in sweep.frequencies():
         if sweep.delay_model == "true_time_delay":
             values = delay_phase * (f / sweep.center_frequency)
         else:
             values = delay_phase
-        shifted = ApertureField(grid.with_frequency(f), np.exp(1j * values))
+        shifted = ApertureField(grid.with_frequency(f), taper * np.exp(1j * values))
         if point is not None:
             results.append((f, complex(propagate_direct(shifted, [point])[0])))
         else:

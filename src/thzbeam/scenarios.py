@@ -43,7 +43,7 @@ from .aperture import (
 )
 from .errors import ConfigError
 from .metrics import gain_curve, self_healing_correlation
-from .oam import LinkBudgetSpec, OamModeSet, crosstalk_matrix, required_bandwidth
+from .oam import LinkBudgetSpec, crosstalk_matrix, required_bandwidth
 from .propagation import (
     FieldSlice,
     PropagationPlan,
@@ -139,12 +139,15 @@ class ScenarioSection:
 
 @dataclass(frozen=True, kw_only=True)
 class GridSection:
-    side_length_m: float
-    frequency_hz: float
+    side_length_m: Positive
+    frequency_hz: Positive
     pitch_fraction: float = 0.5
     grid: ApertureGrid = dc_field(init=False)
 
     def __post_init__(self):
+        if not 0 < self.pitch_fraction <= 1:
+            raise ConfigError("must be in (0, 1]", key_path="grid.pitch_fraction")
+        # with each key in range, the one failure left, an aperture below one pitch, needs both
         object.__setattr__(self, "grid", _build("grid", make_grid, self.side_length_m,
                                                 self.frequency_hz, self.pitch_fraction))
 
@@ -245,14 +248,19 @@ class BlockageSection:
 
 @dataclass(frozen=True, kw_only=True)
 class OamBandwidthSection:
-    target_rate_bps: float
+    target_rate_bps: Positive
     mode_counts: Ints
     qam_orders: Ints
     budgets: tuple[LinkBudgetSpec, ...] = dc_field(init=False)  # mode-count major
 
     def __post_init__(self):
+        # each list is checked against a valid value of the other, so an error names its key
+        for m in self.mode_counts:
+            _build("oam.mode_counts", LinkBudgetSpec, self.target_rate_bps, m, 2)
+        for q in self.qam_orders:
+            _build("oam.qam_orders", LinkBudgetSpec, self.target_rate_bps, 1, q)
         object.__setattr__(self, "budgets", tuple(
-            _build("oam", LinkBudgetSpec, self.target_rate_bps, m, q)
+            LinkBudgetSpec(self.target_rate_bps, m, q)
             for m in self.mode_counts for q in self.qam_orders))
 
 
@@ -268,7 +276,6 @@ class OamCrosstalkSection:
     base: WavefrontSpec = dc_field(init=False)
 
     def __post_init__(self):
-        _build("oam.modes", OamModeSet, self.modes)
         kind = "beamforming" if self.base_spot_fwhm_m is None else "bessel"
         object.__setattr__(self, "base", WavefrontSpec(kind=kind, spot_fwhm=self.base_spot_fwhm_m,
                                                        circular=True))

@@ -69,19 +69,18 @@ def _straddle(rng, count=400, ulps=40):
 
 SLICES = {
     # odd n, rows not a multiple of the block
-    "decades-odd": lambda rng: FieldSlice(0.5, _random_phasors(rng, 45, 150), 1e-3,
-                                          (2.5e-3, -7.0e-2)),
+    "decades-odd": lambda rng: FieldSlice(0.5, _random_phasors(rng, 45, 150), 1e-3),
     # even n, rows a multiple of the block
     "decades-even": lambda rng: FieldSlice(0.5, _random_phasors(rng, 2 * _CSV_BLOCK_ROWS, 150),
                                            3.7e-4),
     # fewer rows than one block
-    "specials-odd": lambda rng: FieldSlice(1.0, _special_values(rng, 7), 1.25e-4, (-1e-3, 0.0)),
+    "specials-odd": lambda rng: FieldSlice(1.0, _special_values(rng, 7), 1.25e-4),
     "specials-even": lambda rng: FieldSlice(1.0, _special_values(rng, 6), 2e-3),
-    "straddle": lambda rng: FieldSlice(0.2, _straddle(rng), 1.5e-4, (0.0, 3.3e-3)),
-    # coordinates in exponent notation, one exactly 0 per axis with both signs around it;
     # even n, rows not a multiple of the block
-    "tiny-pitch": lambda rng: FieldSlice(1e-6, _random_phasors(rng, 40, 3), 5e-8,
-                                         (2.5e-8, -2.5e-8)),
+    "straddle": lambda rng: FieldSlice(0.2, _straddle(rng), 1.5e-4),
+    # coordinates in exponent notation, one exactly 0 per axis (odd n) with both signs
+    # around it; rows not a multiple of the block
+    "tiny-pitch": lambda rng: FieldSlice(1e-6, _random_phasors(rng, 41, 3), 5e-8),
 }
 
 

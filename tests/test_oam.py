@@ -7,12 +7,9 @@ from thzbeam import (
     ApertureField,
     GeometryError,
     LinkBudgetSpec,
-    OamModeSet,
     WavefrontSpec,
     crosstalk_matrix,
-    demultiplex,
     make_grid,
-    multiplex,
     propagate_asm,
     required_bandwidth,
     synthesize_field,
@@ -25,88 +22,25 @@ def _disc_base(grid):
 
 
 # ---------------------------------------------------------------------------
-# multiplexing
-
-
-def test_single_zero_mode_is_base():
-    grid = make_grid(0.02, 3e11)
-    base = _disc_base(grid)
-    out = multiplex(base, OamModeSet((0,)))
-    np.testing.assert_array_equal(out.weights, base.weights)
-
-
-def test_opposite_modes_make_two_petals():
-    grid = make_grid(0.05, 3e11)
-    base = _disc_base(grid)
-    out = multiplex(base, OamModeSet((1, -1)))
-    X, Y = grid.meshgrid()
-    phi = np.arctan2(Y, X)
-    live = np.abs(base.weights) > 0
-    intensity = np.abs(out.weights[live]) ** 2
-    model = 4.0 * np.cos(phi[live]) ** 2
-    np.testing.assert_allclose(intensity, model, atol=1e-12)
-
-
-def test_multiplex_power_additivity_on_disc():
-    grid = make_grid(0.05, 3e11)
-    base = _disc_base(grid)
-    amplitudes = (0.7, 1.0 - 0.5j, -0.3)
-    out = multiplex(base, OamModeSet((0, 1, 2), amplitudes))
-    expected = sum(abs(a) ** 2 for a in amplitudes) * base.power
-    assert out.power == pytest.approx(expected, rel=1e-12)
-
-
-def test_multiplex_rejects_duplicates():
-    with pytest.raises(ValueError):
-        OamModeSet((1, 1))
-    with pytest.raises(ValueError):
-        OamModeSet(())
-
-
-# ---------------------------------------------------------------------------
-# demultiplexing
+# receiver
 
 
 def test_demux_orthogonality_after_propagation():
     grid = make_grid(0.05, 3e11)
-    base = _disc_base(grid)
-    tx = multiplex(base, OamModeSet((1,)))
-    slice_ = propagate_asm(tx, 0.25, PropagationPlan(pad_factor=4.0))
-    matched = abs(demultiplex(slice_, 1, grid.half_side)) ** 2
-    for other in (0, 2, 3):
-        cross = abs(demultiplex(slice_, other, grid.half_side)) ** 2
-        # -30 dB or better (symmetric grids cancel cross terms exactly)
-        assert cross < matched * 1e-3
-
-
-def test_demux_mode_zero_is_disc_integral():
-    grid = make_grid(0.05, 3e11)
-    base = _disc_base(grid)
-    slice_ = propagate_asm(base, 0.2)
-    r = 0.01
-    X, Y = slice_.meshgrid()
-    sel = X**2 + Y**2 <= r * r
-    plain = np.sum(slice_.samples[sel]) * slice_.sample_pitch**2
-    assert demultiplex(slice_, 0, r) == pytest.approx(plain, rel=1e-12)
-
-
-def test_demux_conjugation_symmetry():
-    grid = make_grid(0.05, 3e11)
-    tx = multiplex(_disc_base(grid), OamModeSet((2,)))
-    slice_ = propagate_asm(tx, 0.2)
-    conj = type(slice_)(slice_.z, np.conj(slice_.samples), slice_.sample_pitch)
-    a = demultiplex(slice_, 2, grid.half_side)
-    b = demultiplex(conj, -2, grid.half_side)
-    assert b == pytest.approx(np.conj(a), rel=1e-12)
+    matrix = crosstalk_matrix(_disc_base(grid), (0, 1, 2, 3), 0.25,
+                              plan=PropagationPlan(pad_factor=4.0))
+    # mode 1 sent: -30 dB or better into 0, 2 and 3 (symmetric grids cancel cross terms exactly)
+    assert np.all(np.delete(matrix.power_coupling_db[1], 1) < -30.0)
 
 
 def test_demux_radius_bounds():
     grid = make_grid(0.02, 3e11)
-    slice_ = propagate_asm(_disc_base(grid), 0.1)
+    base = _disc_base(grid)
+    plane_extent = propagate_asm(base, 0.1).extent
     with pytest.raises(GeometryError):
-        demultiplex(slice_, 0, slice_.extent)
+        crosstalk_matrix(base, (0,), 0.1, rx_radius=plane_extent)
     with pytest.raises(ValueError):
-        demultiplex(slice_, 0, -0.01)
+        crosstalk_matrix(base, (0,), 0.1, rx_radius=-0.01)
 
 
 def test_azimuthal_orthogonality_on_disc():
@@ -124,27 +58,6 @@ def test_azimuthal_orthogonality_on_disc():
                 continue
             cross = abs(np.sum(np.exp(1j * l * phi) * np.exp(-1j * m * phi)))
             assert cross / matched < 1e-3
-
-
-# ---------------------------------------------------------------------------
-# round trip
-
-
-def test_mux_demux_round_trip_recovers_amplitudes():
-    grid = make_grid(0.05, 3e11)
-    base = _disc_base(grid)
-    amplitudes = (1.0, 0.6 - 0.2j, -0.4 + 0.1j)
-    modes = (0, 1, 2)
-    tx = multiplex(base, OamModeSet(modes, amplitudes))
-    slice_ = propagate_asm(tx, 4 * grid.element_pitch, PropagationPlan(pad_factor=2.0))
-    received = np.array([demultiplex(slice_, l, grid.half_side) for l in modes])
-    # coefficients proportional to the sent amplitudes
-    ratios = received / received[0] * amplitudes[0]
-    np.testing.assert_allclose(ratios, amplitudes, rtol=0.02)
-    # an unused mode stays 30 dB below the weakest used one
-    unused = abs(demultiplex(slice_, 4, grid.half_side)) ** 2
-    weakest = min(abs(v) ** 2 for v in received)
-    assert 10 * math.log10(weakest / unused) > 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +110,13 @@ def test_crosstalk_matches_per_plane_demultiplex():
     ramp = np.exp(-1j * grid.wavenumber * math.sin(steer) * X)
     for i, l_tx in enumerate(modes):
         received = propagate_asm(ApertureField(grid, base.weights * np.exp(1j * l_tx * phi) * ramp), z)
-        powers = np.abs([demultiplex(received, l_rx, grid.half_side) for l_rx in modes]) ** 2
+        RX, RY = received.meshgrid()
+        disc = RX * RX + RY * RY <= grid.half_side * grid.half_side
+        rx_phi = np.arctan2(RY[disc], RX[disc])
+        # the matched filter: disc integral of the plane against exp(-1j*l*phi)
+        amps = [np.sum(received.samples[disc] * np.exp(-1j * l_rx * rx_phi)) * received.sample_pitch**2
+                for l_rx in modes]
+        powers = np.abs(amps) ** 2
         np.testing.assert_array_equal(matrix.power_coupling_db[i], 10.0 * np.log10(powers / powers[i]))
 
 

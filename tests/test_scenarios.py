@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import math
 import re
@@ -862,8 +863,15 @@ KEY_PATH_CASES = [
     ("oam-crosstalk", "--z", "-0.05", "oam.z_m"),
     ("oam-crosstalk", "--rx-radius", "0", "oam.rx_radius_m"),
     ("oam-crosstalk", "--spot-fwhm", "0", "oam.base_spot_fwhm_m"),
-    ("capacity", "--modes", "0", "oam: n_modes"),
+    ("capacity", "--modes", "0", "oam.mode_counts"),
+    ("capacity", "--qam", "3", "oam.qam_orders"),
     ("capacity", "--rate", "nan", "oam.target_rate_bps"),
+    ("capacity", "--rate", "-1", "oam.target_rate_bps"),
+    ("gain-curve", "--side-length", "-1", "grid.side_length_m"),
+    ("gain-curve", "--frequency", "0", "grid.frequency_hz"),
+    ("gain-curve", "--pitch-fraction", "1.5", "grid.pitch_fraction"),
+    # an aperture below one pitch depends on two keys, so it names the section
+    ("gain-curve", "--side-length", "0.0001", "grid: "),
 ]
 
 
@@ -876,6 +884,19 @@ def test_cli_config_errors_name_their_key_path(tmp_path, capsys, verb, flag, val
     assert "Traceback" not in err
     assert not out.exists()
 
+
+OAM_CROSSTALK_INI = """\
+[scenario]
+study = oam_crosstalk
+
+[grid]
+side_length_m = 0.008
+frequency_hz = 1e12
+
+[oam]
+modes = 0, 1
+z_m = 0.05
+"""
 
 UNREAD_OR_BAD = {
     "gain-blockage-section": (GAIN_INI + "[blockage]\nobstacle_size_m = 0.002\n"
@@ -890,6 +911,9 @@ UNREAD_OR_BAD = {
                                  "wavefront.bessel.spot_fwhm_m"),
     "bandwidth-z": (MINIMAL_FIG5 + "z_m = -3\n", "oam.z_m"),
     "bandwidth-nan-rate": (MINIMAL_FIG5.replace("1e12", "nan"), "oam.target_rate_bps"),
+    **{f"crosstalk-modes-{case}": (
+        OAM_CROSSTALK_INI.replace("modes = 0, 1\n", f"modes = {modes}\n"), "oam.modes")
+       for case, modes in (("repeated", "1, 1"), ("empty", ""))},
     "knife-without-x-edge": (_without(_fig4_ci_text(), "knife_x_edge_m = -0.0353"),
                              "blockage.knife_x_edge_m"),
     "knife-without-eval-z": (_without(_fig4_ci_text(), "caustic_eval_z_m = 0.375"),
@@ -918,9 +942,13 @@ def test_cli_run_rejects_what_the_study_does_not_read(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
-def test_readme_outline_matches_the_declared_keys():
+def _readme_section(title: str) -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    outline = readme.split("## Scenario configs", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_outline_matches_the_declared_keys():
+    outline = _readme_section("Scenario configs").split("```ini\n", 1)[1].split("```", 1)[0]
     declared = {"scenario": {f.name for f in fields(ScenarioSection)}}
     for sections in _STUDY_SECTIONS.values():
         for name, cls in sections.items():
@@ -933,6 +961,24 @@ def test_readme_outline_matches_the_declared_keys():
         elif "=" in line:
             listed.setdefault(section, set()).add(line.split("=", 1)[0].strip())
     assert listed == declared
+
+
+def test_readme_library_tour_example_runs(capsys):
+    example = _readme_section("Library tour").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    z_max, fwhm, rings = (float(v) for v in capsys.readouterr().out.split())
+    assert z_max > 0 and fwhm > 0 and rings >= 1
+
+
+def test_readme_library_tour_names_each_module_attribute():
+    rows = [line for line in _readme_section("Library tour").splitlines()
+            if line.startswith("| `thzbeam.")]
+    assert rows
+    for row in rows:
+        module_cell, contents = row.strip("|").split("|", 1)
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        names = re.findall(r"`(\w+)`", contents)
+        assert [name for name in names if not hasattr(module, name)] == [], row
 
 
 def test_field_slice_csv_schema(tmp_path):
