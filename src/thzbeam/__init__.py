@@ -26,7 +26,6 @@ from .aperture import (
     quantize_phase,
     synthesize_applied_phase,
     synthesize_field,
-    synthesize_phase,
     wrap_phase,
 )
 from .errors import (

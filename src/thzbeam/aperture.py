@@ -347,7 +347,7 @@ class CausticCurve:
     x_of_z: Callable[[np.ndarray], np.ndarray]
     z_end: float
     dx_dz: Callable[[np.ndarray], np.ndarray] | None = None
-    convexity: int = field(default=0)
+    convexity: int = field(init=False)
 
     def __post_init__(self):
         if self.z_end <= 0:
@@ -506,8 +506,8 @@ def circular_taper(grid: ApertureGrid, radius: float | None = None) -> Amplitude
     r = grid.half_side if radius is None else radius
     if r <= 0:
         raise ValueError(f"taper radius must be positive, got {r}")
-    X, Y = grid.meshgrid()
-    return AmplitudeMask(np.where(X**2 + Y**2 <= r * r, 1.0, 0.0))
+    x_sq = grid.axis_coordinates() ** 2
+    return AmplitudeMask(np.where(x_sq[None, :] + x_sq[:, None] <= r * r, 1.0, 0.0))
 
 
 def compose_aperture(
@@ -598,16 +598,9 @@ def synthesize_delay_phase(grid: ApertureGrid, spec: WavefrontSpec) -> np.ndarra
     return raw
 
 
-def synthesize_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:
-    """Base phase map for a wavefront spec (no OAM overlay, no quantization)."""
-    if spec.oam_mode:
-        spec = replace(spec, oam_mode=0)
-    return PhaseMap(synthesize_delay_phase(grid, spec))
-
-
 def synthesize_applied_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:
     """Phase map a wavefront spec applies: the base map, plus the spiral, then quantized."""
-    phase = synthesize_phase(grid, spec)
+    phase = PhaseMap(synthesize_delay_phase(grid, replace(spec, oam_mode=0)))
     if spec.oam_mode:
         phase = phase + phase_spiral(grid, spec.oam_mode)
     if spec.phase_bits is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import io as artifacts
@@ -35,6 +36,7 @@ from .errors import ConfigError, NoBeamError, SamplingError, ToolkitError
 from .propagation import PropagationPlan, fft_workers, propagate_asm
 from .scenarios import (
     PRESET_NAMES,
+    WavefrontSection,
     load_config,
     parse_config,
     preset,
@@ -61,9 +63,10 @@ def _add_wavefront_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steer-deg", type=float, default=0.0)
     p.add_argument("--focal-length", type=float, help="focal length [m] for beamfocusing")
     p.add_argument("--spot-fwhm", type=float, help="Bessel central-spot diameter [m]")
-    p.add_argument("--spot-convention", choices=("fwhm", "first_null"), default="fwhm")
+    p.add_argument("--spot-convention", choices=("fwhm", "first_null"),
+                   help="Bessel spot diameter convention (default fwhm)")
     p.add_argument("--curve-a", type=float, help="caustic parabola curvature [1/m]")
-    p.add_argument("--curve-x-start", type=float, default=0.0)
+    p.add_argument("--curve-x-start", type=float, help="caustic start offset [m] (default 0)")
     p.add_argument("--curve-z-end", type=float, help="caustic design range [m]")
     p.add_argument("--oam-l", type=int, default=0, help="spiral overlay mode")
     p.add_argument("--bits", type=int, help="quantize the phase map to this many bits")
@@ -128,24 +131,33 @@ def _grid_from_args(args):
 
 
 def _wavefront_from_args(args) -> WavefrontSpec:
-    needs = {"beamfocusing": ("focal_length",), "bessel": ("spot_fwhm",),
-             "caustic": ("curve_a", "curve_z_end")}.get(args.kind, ())
-    missing = [_flag(dest) for dest in needs if getattr(args, dest) is None]
-    if missing:
-        raise ConfigError(f"{args.kind} wavefront needs {' and '.join(missing)}")
+    # a flag that one kind reads is that kind's [wavefront.*] key, less its "_m" suffix;
+    # an "auto" key is needed too, as no study runs here to resolve it
+    own = {}
+    for key in fields(WavefrontSection):
+        if "kind" not in key.metadata:
+            continue
+        dest = key.name.removesuffix("_m")
+        value, reads = getattr(args, dest), key.metadata["kind"] == args.kind
+        if value is not None and not reads:
+            raise ConfigError(f"a {args.kind} wavefront does not read this flag",
+                              key_path=_flag(dest))
+        if value is None and reads and (key.metadata["needed"] or key.type == "Auto"):
+            raise ConfigError(f"a {args.kind} wavefront needs this flag", key_path=_flag(dest))
+        own[dest] = key.default if value is None else value
     curve = None
     if args.kind == "caustic":
-        curve = _from_flag("--curve-a", CausticCurve.parabola, args.curve_a,
-                           args.curve_z_end, args.curve_x_start)
+        curve = _from_flag("--curve-a", CausticCurve.parabola, own["curve_a"],
+                           own["curve_z_end"], own["curve_x_start"])
     return _from_flag(
         "--bits",  # the one WavefrontSpec check a flag can fail
         WavefrontSpec,
         kind=args.kind,
         steer_angle=math.radians(args.steer_deg),
-        focal_length=args.focal_length,
-        spot_fwhm=args.spot_fwhm,
+        focal_length=own["focal_length"],
+        spot_fwhm=own["spot_fwhm"],
         curve=curve,
-        spot_convention=args.spot_convention,
+        spot_convention=own["spot_convention"],
         oam_mode=args.oam_l,
         phase_bits=args.bits,
         circular=args.circular,

@@ -12,12 +12,12 @@ phases spread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .aperture import AmplitudeMask, ApertureGrid, WavefrontSpec, compose_aperture, synthesize_phase
+from .aperture import ApertureGrid, WavefrontSpec, synthesize_field
 from .errors import NoBeamError
 from .propagation import FieldSlice, _axial_sums
 
@@ -88,14 +88,13 @@ def gain_curve(
     grid: ApertureGrid,
     wavefronts: Sequence[WavefrontSpec],
     distances: Sequence[float],
-    taper: AmplitudeMask | None = None,
 ) -> GainCurve:
     """Axial normalized-gain curves for a set of broadside wavefronts.
 
-    A ``beamfocusing`` spec with ``focal_length=None`` is focused at the
-    distance where the Bessel curve peaks, which makes the two curves meet
-    there.  ``taper`` (e.g. the inscribed-disc mask) applies to every
-    wavefront alike.
+    Each curve is that of ``synthesize_field(grid, spec)``, so a spec's
+    taper and overlays act on its own curve.  A ``beamfocusing`` spec with
+    ``focal_length=None`` is focused at the distance where the Bessel curve
+    peaks, which makes the two curves meet there.
     """
     zs = np.asarray(distances, dtype=float)
     if zs.size == 0:
@@ -108,7 +107,7 @@ def gain_curve(
         raise ValueError("duplicate wavefront kinds in gain curve request")
 
     def curve_for(spec: WavefrontSpec) -> np.ndarray:
-        fld = compose_aperture(grid, [synthesize_phase(grid, spec)], taper)
+        fld = synthesize_field(grid, spec)
         return np.array([normalized_gain(fld, (0.0, 0.0, z)) for z in zs])
 
     raw: dict[str, np.ndarray] = {}
@@ -127,9 +126,7 @@ def gain_curve(
                     "beamfocusing focal_length=None requires a bessel wavefront to peak against"
                 )
             focal = bessel_peak_z
-        raw["beamfocusing"] = curve_for(
-            WavefrontSpec(kind="beamfocusing", focal_length=focal, steer_angle=spec.steer_angle)
-        )
+        raw["beamfocusing"] = curve_for(replace(spec, focal_length=focal))
     if "beamforming" in specs:
         raw["beamforming"] = curve_for(specs["beamforming"])
 

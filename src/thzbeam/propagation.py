@@ -251,8 +251,8 @@ def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
     return _fft2(_mirror(np.exp(-1j * k * r) / r, npad))
 
 
-def _check_window_supports_distance(npad: int, pitch: float, lam: float, z: float) -> None:
-    """Reject hops whose band-limited bandwidth collapses on this window."""
+def _check_window_supports_distance(npad: int, pitch: float, lam: float, z: float) -> float:
+    """The band limit f_limit [cycles/m] of a hop; reject it if it collapses on this window."""
     extent = npad * pitch
     f_limit = 1.0 / (lam * math.sqrt((2.0 * z / extent) ** 2 + 1.0))
     if f_limit < 1.0 / extent:
@@ -262,6 +262,7 @@ def _check_window_supports_distance(npad: int, pitch: float, lam: float, z: floa
             f"(band limit {f_limit:g} cycles/m below one bin {1.0 / extent:g})",
             required_pad_factor=max(2, grow),
         )
+    return f_limit
 
 
 def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: PropagationPlan) -> np.ndarray:
@@ -271,8 +272,7 @@ def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: Propa
     of non-negative frequencies is evaluated and mirrored.
     """
     if plan.band_limit:
-        lam = 2.0 * np.pi / k
-        _check_window_supports_distance(npad, pitch, lam, dz)
+        f_limit = _check_window_supports_distance(npad, pitch, 2.0 * np.pi / k, dz)
     kx = 2.0 * np.pi * np.abs(np.fft.fftfreq(npad, d=pitch)[: npad // 2 + 1])
     kx_sq = kx * kx
     kz_sq = k * k - kx_sq[None, :] - kx_sq[:, None]
@@ -280,10 +280,7 @@ def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: Propa
     kz = np.sqrt(np.where(prop, kz_sq, 0.0))
     H = np.where(prop, np.exp(-1j * dz * kz), 0.0 + 0.0j)
     if plan.band_limit:
-        extent = npad * pitch
-        f_limit = 1.0 / (lam * math.sqrt((2.0 * dz / extent) ** 2 + 1.0))
-        k_limit = 2.0 * np.pi * f_limit
-        inside = kx <= k_limit
+        inside = kx <= 2.0 * np.pi * f_limit
         H = H * (inside[None, :] & inside[:, None])
     return _mirror(H, npad)
 

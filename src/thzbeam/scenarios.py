@@ -37,7 +37,6 @@ from .aperture import (
     ObstacleSpec,
     WavefrontSpec,
     axicon_design,
-    circular_taper,
     make_grid,
     synthesize_field,
 )
@@ -163,12 +162,14 @@ def _only(kind: str, default=None, needed: bool = False):
 
 
 @dataclass(frozen=True, kw_only=True)
-class GainWavefrontSection:
-    """[wavefront.<name>] of gain_curve: the kind selects the physics, the name labels it."""
+class WavefrontSection:
+    """[wavefront.<name>]: the kind selects the physics, the name labels it."""
 
     kind: str
     steer_deg: float = 0.0
     circular: bool = False  # inscribed-disc amplitude taper
+    oam_mode: int = 0
+    phase_bits: int | None = None
     focal_length_m: Auto = _only("beamfocusing")
     spot_fwhm_m: Positive | None = _only("bessel", needed=True)
     spot_convention: Convention = _only("bessel", "fwhm")
@@ -183,18 +184,8 @@ class GainWavefrontSection:
         return WavefrontSpec(kind=self.kind, steer_angle=math.radians(self.steer_deg),
                              focal_length=self.focal_length_m, spot_fwhm=self.spot_fwhm_m,
                              spot_convention=self.spot_convention, curve=curve,
+                             oam_mode=self.oam_mode, phase_bits=self.phase_bits,
                              circular=self.circular)
-
-
-@dataclass(frozen=True, kw_only=True)
-class WavefrontSection(GainWavefrontSection):
-    """[wavefront.<name>] of blockage, which also applies the overlays."""
-
-    oam_mode: int = 0
-    phase_bits: int | None = None
-
-    def spec(self) -> WavefrontSpec:
-        return replace(super().spec(), oam_mode=self.oam_mode, phase_bits=self.phase_bits)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -304,7 +295,7 @@ class MapOutputSection(OutputSection):
 # the sections each study reads; "wavefront.*" is each one wavefronts.names lists
 _STUDY_SECTIONS = {
     "gain_curve": {"grid": GridSection, "wavefronts": WavefrontsSection,
-                   "wavefront.*": GainWavefrontSection, "distances": DistancesSection,
+                   "wavefront.*": WavefrontSection, "distances": DistancesSection,
                    "output": OutputSection},
     "blockage": {"grid": GridSection, "wavefronts": WavefrontsSection,
                  "wavefront.*": WavefrontSection, "blockage": BlockageSection,
@@ -380,18 +371,13 @@ def _check_roles(study: str, wavefronts: dict[str, WavefrontSpec],
     """Studies pick wavefronts by kind; the section name only labels rows and maps."""
     kinds = [spec.kind for spec in wavefronts.values()]
     if study == "gain_curve":
-        # one wavefront per column of the fixed gain-curve CSV schema, one shared taper
+        # one wavefront per column of the fixed gain-curve CSV schema
         if sorted(kinds) != sorted(artifacts.GAIN_CURVE_COLUMNS):
             raise ConfigError(
                 "gain_curve needs exactly one wavefront of each kind "
                 f"{', '.join(artifacts.GAIN_CURVE_COLUMNS)}; got {', '.join(sorted(kinds))}",
                 key_path="wavefronts.names",
             )
-        circular = next(iter(wavefronts.values())).circular
-        for name, spec in wavefronts.items():
-            if spec.circular != circular:
-                raise ConfigError("gain_curve tapers every wavefront or none",
-                                  key_path=f"wavefront.{name}.circular")
     elif study == "blockage":
         # healing needs one Bessel beam, the knife-edge pair one caustic and one
         # planar beam; without a knife edge no caustic is read
@@ -639,9 +625,9 @@ def _write_maps(out_dir: Path, stem: str, slice_, output: MapOutputSection, mani
         manifest.add(path, out_dir)
 
 
-def _write_table(out_dir: Path, name: str, header: str, rows, output: MapOutputSection,
+def _write_table(out_dir: Path, name: str, header: str, rows, output: OutputSection,
                  manifest) -> None:
-    """``<name>.csv`` of the blockage study, written only if csv is in the formats."""
+    """``<name>.csv``, written if csv is in the formats (only blockage can omit it)."""
     if "csv" in output.formats:
         path = out_dir / f"{name}.csv"
         artifacts.write_csv(path, header, rows)
@@ -649,16 +635,9 @@ def _write_table(out_dir: Path, name: str, header: str, rows, output: MapOutputS
 
 
 def _run_gain_curve(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
-    taper = None
-    if any(s.circular for s in config.wavefronts.values()):
-        taper = circular_taper(config.grid)
-    curve = gain_curve(
-        config.grid, list(config.wavefronts.values()), config.distances, taper=taper
-    )
+    curve = gain_curve(config.grid, list(config.wavefronts.values()), config.distances)
     header, rows = artifacts.gain_curve_rows(curve)
-    path = out_dir / "gain_curve.csv"
-    artifacts.write_csv(path, header, rows)
-    manifest.add(path, out_dir)
+    _write_table(out_dir, "gain_curve", header, rows, config.output, manifest)
 
 
 def _wavefronts_of_kind(config: ScenarioConfig, kind: str) -> list[tuple[str, WavefrontSpec]]:
@@ -720,9 +699,8 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
 def _run_oam_bandwidth(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
     rows = [[float(budget.n_modes), float(budget.qam_order), required_bandwidth(budget)]
             for budget in config.oam.budgets]
-    path = out_dir / "bandwidth.csv"
-    artifacts.write_csv(path, "n_modes,qam_order,bandwidth_hz", rows)
-    manifest.add(path, out_dir)
+    _write_table(out_dir, "bandwidth", "n_modes,qam_order,bandwidth_hz", rows, config.output,
+                 manifest)
 
 
 def _run_oam_crosstalk(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
@@ -738,19 +716,17 @@ def _run_oam_crosstalk(config: ScenarioConfig, out_dir: Path, manifest: RunManif
             modes, coupling = matrix.modes, matrix.power_coupling_db
             rows = [[float(tx), float(rx), db] for tx, row in zip(modes, coupling)
                     for rx, db in zip(modes, row)]
-            stem = "crosstalk.csv" if deg == 0.0 else f"crosstalk_steer_{deg:g}deg.csv"
-            path = out_dir / stem
-            artifacts.write_csv(path, "tx_mode,rx_mode,coupling_db", rows)
-            manifest.add(path, out_dir)
+            stem = "crosstalk" if deg == 0.0 else f"crosstalk_steer_{deg:g}deg"
+            _write_table(out_dir, stem, "tx_mode,rx_mode,coupling_db", rows, config.output,
+                         manifest)
 
             # total power into the l +- 1 neighbours of the middle mode
             mid = len(modes) // 2
             spill = sum(10 ** (db / 10.0) for rx, db in zip(modes, coupling[mid])
                         if abs(rx - modes[mid]) == 1)
             spill_rows.append([float(deg), 10.0 * math.log10(spill) if spill > 0 else -math.inf])
-    path = out_dir / "spillover.csv"
-    artifacts.write_csv(path, "steer_deg,spillover_db", spill_rows)
-    manifest.add(path, out_dir)
+    _write_table(out_dir, "spillover", "steer_deg,spillover_db", spill_rows, config.output,
+                 manifest)
 
 
 _RUNNERS = {

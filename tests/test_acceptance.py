@@ -136,10 +136,8 @@ def test_criterion_03_bessel_design_and_profile():
 
 @pytest.fixture(scope="module")
 def full_scale_curve():
-    config = preset("fig3")
-    taper = circular_taper(config.grid)
-    return gain_curve(config.grid, list(config.wavefronts.values()),
-                      config.distances, taper=taper)
+    config = preset("fig3")  # every wavefront circular = true
+    return gain_curve(config.grid, list(config.wavefronts.values()), config.distances)
 
 
 def test_criterion_04_gain_curve_reproduction(full_scale_curve):

@@ -31,7 +31,6 @@ from thzbeam import (
     quantize_phase,
     synthesize_applied_phase,
     synthesize_field,
-    synthesize_phase,
     wrap_phase,
 )
 from thzbeam.aperture import (
@@ -395,6 +394,12 @@ def test_caustic_convexity_flag():
     assert up.convexity == 1 and down.convexity == -1 and line.convexity == 0
 
 
+def test_caustic_convexity_is_not_an_argument():
+    # it is derived from x_of_z; a passed value could only be overwritten
+    with pytest.raises(TypeError, match="convexity"):
+        CausticCurve(x_of_z=lambda z: 0.01 * np.asarray(z) ** 2, z_end=1.0, convexity=-1)
+
+
 # ---------------------------------------------------------------------------
 # quantization
 
@@ -442,13 +447,13 @@ def test_applied_phase_without_overlays_is_the_base_map():
     grid = make_grid(0.02, 3e11)
     spec = WavefrontSpec(kind="bessel", spot_fwhm=0.004)
     np.testing.assert_array_equal(synthesize_applied_phase(grid, spec).values,
-                                  synthesize_phase(grid, spec).values)
+                                  phase_conical(grid, axicon_design(grid, 0.004)).values)
 
 
 def test_applied_phase_adds_the_spiral_then_quantizes():
     grid = make_grid(0.02, 3e11)
     spec = WavefrontSpec(kind="bessel", spot_fwhm=0.004, oam_mode=2, phase_bits=2)
-    base = synthesize_phase(grid, spec)
+    base = synthesize_applied_phase(grid, WavefrontSpec(kind="bessel", spot_fwhm=0.004))
     expected = quantize_phase(base + phase_spiral(grid, 2), 2)
     applied = synthesize_applied_phase(grid, spec)
     np.testing.assert_array_equal(applied.values, expected.values)

@@ -120,12 +120,12 @@ def test_gain_validates_point():
 def ci_curve():
     grid = make_grid(0.05, 3e11)
     wavefronts = [
-        WavefrontSpec(kind="beamforming"),
-        WavefrontSpec(kind="beamfocusing"),
-        WavefrontSpec(kind="bessel", spot_fwhm=0.008),
+        WavefrontSpec(kind="beamforming", circular=True),
+        WavefrontSpec(kind="beamfocusing", circular=True),
+        WavefrontSpec(kind="bessel", spot_fwhm=0.008, circular=True),
     ]
     distances = np.arange(0.05, 0.701, 0.01)
-    return gain_curve(grid, wavefronts, distances, taper=circular_taper(grid))
+    return gain_curve(grid, wavefronts, distances)
 
 
 def test_gain_curve_focal_set_at_bessel_peak(ci_curve):
