@@ -578,21 +578,17 @@ def synthesize_delay_phase(grid: ApertureGrid, spec: WavefrontSpec) -> np.ndarra
         if spec.focal_length is None:
             raise ValueError("beamfocusing wavefront needs a focal_length")
         raw = _raw_quadratic(grid, spec.focal_length)
-        if spec.steer_angle:
-            raw = raw + _raw_planar(grid, steer_vector(spec.steer_angle))
     elif spec.kind == "bessel":
         if spec.spot_fwhm is None:
             raise ValueError("bessel wavefront needs a spot_fwhm")
         design = axicon_design(grid, spec.spot_fwhm, spec.spot_convention)
         raw = _raw_conical(grid, design)
-        if spec.steer_angle:
-            raw = raw + _raw_planar(grid, steer_vector(spec.steer_angle))
     else:  # caustic
         if spec.curve is None:
             raise ValueError("caustic wavefront needs a curve")
         raw = _raw_caustic(grid, spec.curve)
-        if spec.steer_angle:
-            raw = raw + _raw_planar(grid, steer_vector(spec.steer_angle))
+    if spec.steer_angle and spec.kind != "beamforming":  # beamforming's ramp is the steer
+        raw = raw + _raw_planar(grid, steer_vector(spec.steer_angle))
     if spec.oam_mode:
         raw = raw + _raw_spiral(grid, spec.oam_mode)
     return raw

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import io as artifacts
@@ -35,8 +34,10 @@ from .aperture import (
 from .errors import ConfigError, NoBeamError, SamplingError, ToolkitError
 from .propagation import PropagationPlan, fft_workers, propagate_asm
 from .scenarios import (
+    KIND_KEYS,
     PRESET_NAMES,
     WavefrontSection,
+    check_kind_keys,
     load_config,
     parse_config,
     preset,
@@ -131,37 +132,22 @@ def _grid_from_args(args):
 
 
 def _wavefront_from_args(args) -> WavefrontSpec:
-    # a flag that one kind reads is that kind's [wavefront.*] key, less its "_m" suffix;
-    # an "auto" key is needed too, as no study runs here to resolve it
-    own = {}
-    for key in fields(WavefrontSection):
-        if "kind" not in key.metadata:
-            continue
-        dest = key.name.removesuffix("_m")
-        value, reads = getattr(args, dest), key.metadata["kind"] == args.kind
-        if value is not None and not reads:
-            raise ConfigError(f"a {args.kind} wavefront does not read this flag",
-                              key_path=_flag(dest))
-        if value is None and reads and (key.metadata["needed"] or key.type == "Auto"):
-            raise ConfigError(f"a {args.kind} wavefront needs this flag", key_path=_flag(dest))
-        own[dest] = key.default if value is None else value
+    # a flag that only one kind reads is that kind's [wavefront.*] key, less its "_m" suffix;
+    # no study runs here to resolve an "auto" focal length, so that flag is needed
+    given = {key: value for key in KIND_KEYS
+             if (value := getattr(args, key.removesuffix("_m"))) is not None}
+    check_kind_keys(args.kind, given, lambda key: _flag(key.removesuffix("_m")), "flag",
+                    needed=("focal_length_m",))
+    keys = WavefrontSection(kind=args.kind, **given)
     curve = None
     if args.kind == "caustic":
-        curve = _from_flag("--curve-a", CausticCurve.parabola, own["curve_a"],
-                           own["curve_z_end"], own["curve_x_start"])
-    return _from_flag(
-        "--bits",  # the one WavefrontSpec check a flag can fail
-        WavefrontSpec,
-        kind=args.kind,
-        steer_angle=math.radians(args.steer_deg),
-        focal_length=own["focal_length"],
-        spot_fwhm=own["spot_fwhm"],
-        curve=curve,
-        spot_convention=own["spot_convention"],
-        oam_mode=args.oam_l,
-        phase_bits=args.bits,
-        circular=args.circular,
-    )
+        curve = _from_flag("--curve-a", CausticCurve.parabola, keys.curve_a,
+                           keys.curve_z_end_m, keys.curve_x_start_m)
+    return _from_flag(  # --bits: the one WavefrontSpec check a flag can fail
+        "--bits", WavefrontSpec, kind=args.kind, steer_angle=math.radians(args.steer_deg),
+        focal_length=keys.focal_length_m, spot_fwhm=keys.spot_fwhm_m, curve=curve,
+        spot_convention=keys.spot_convention, oam_mode=args.oam_l, phase_bits=args.bits,
+        circular=args.circular)
 
 
 def _cmd_synthesize(args) -> int:

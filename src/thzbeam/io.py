@@ -55,10 +55,8 @@ GAIN_CURVE_COLUMNS = ("beamforming", "beamfocusing", "bessel")
 def gain_curve_rows(curve) -> tuple[str, list[list[float]]]:
     """Bit-exact gain-curve CSV schema: z_m,beamforming,beamfocusing,bessel."""
     header = ",".join(("z_m",) + GAIN_CURVE_COLUMNS)
-    rows = []
-    for i, z in enumerate(curve.distances):
-        rows.append([float(z)] + [float(curve.gain[kind][i]) for kind in GAIN_CURVE_COLUMNS])
-    return header, rows
+    return header, [[float(z)] + [float(curve.gain[kind][i]) for kind in GAIN_CURVE_COLUMNS]
+                    for i, z in enumerate(curve.distances)]
 
 
 # rows formatted and written per block: peak memory is one block, not the table

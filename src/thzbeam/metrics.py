@@ -92,9 +92,11 @@ def gain_curve(
     """Axial normalized-gain curves for a set of broadside wavefronts.
 
     Each curve is that of ``synthesize_field(grid, spec)``, so a spec's
-    taper and overlays act on its own curve.  A ``beamfocusing`` spec with
-    ``focal_length=None`` is focused at the distance where the Bessel curve
-    peaks, which makes the two curves meet there.
+    taper and quantization act on its own curve.  A spiral overlay nulls the
+    axis, so a spec with a nonzero ``oam_mode`` is refused.  A
+    ``beamfocusing`` spec with ``focal_length=None`` is focused at the
+    distance where the Bessel curve peaks, which makes the two curves meet
+    there.
     """
     zs = np.asarray(distances, dtype=float)
     if zs.size == 0:
@@ -105,6 +107,8 @@ def gain_curve(
     specs = {s.kind: s for s in wavefronts}
     if len(specs) != len(wavefronts):
         raise ValueError("duplicate wavefront kinds in gain curve request")
+    if any(s.oam_mode != 0 for s in wavefronts):
+        raise ValueError("a spiral overlay nulls the axis: the axial gain is not defined")
 
     def curve_for(spec: WavefrontSpec) -> np.ndarray:
         fld = synthesize_field(grid, spec)
@@ -118,26 +122,21 @@ def gain_curve(
 
     focal = None
     if "beamfocusing" in specs:
-        spec = specs["beamfocusing"]
-        focal = spec.focal_length
-        if focal is None:
-            if bessel_peak_z is None:
-                raise ValueError(
-                    "beamfocusing focal_length=None requires a bessel wavefront to peak against"
-                )
-            focal = bessel_peak_z
-        raw["beamfocusing"] = curve_for(replace(spec, focal_length=focal))
+        focal = specs["beamfocusing"].focal_length
+        if focal is None and bessel_peak_z is None:
+            raise ValueError(
+                "beamfocusing focal_length=None requires a bessel wavefront to peak against"
+            )
+        focal = bessel_peak_z if focal is None else focal
+        raw["beamfocusing"] = curve_for(replace(specs["beamfocusing"], focal_length=focal))
     if "beamforming" in specs:
         raw["beamforming"] = curve_for(specs["beamforming"])
 
-    gain: dict[str, np.ndarray] = {}
-    for label, values in raw.items():
-        if label == "bessel":
-            peak = values.max()
-            gain[label] = values / peak if peak > 0 else values
-        else:
-            # attainable maximum is 1 (at the focus / in the far field)
-            gain[label] = values.copy()
+    # beamfocusing and beamforming attain 1 (at the focus, in the far field); the
+    # Bessel curve is scaled by its peak
+    gain = {label: values.copy() for label, values in raw.items()}
+    if bessel_peak_z is not None and raw["bessel"].max() > 0:
+        gain["bessel"] = raw["bessel"] / raw["bessel"].max()
 
     return GainCurve(zs, gain, raw, focal, bessel_peak_z)
 

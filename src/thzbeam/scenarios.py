@@ -352,17 +352,29 @@ def _section(parser, section: str, cls):
                   if parser.has_option(section, name)})
 
 
-def _wavefront(parser, name: str, cls) -> WavefrontSpec:
+# the [wavefront.*] keys that only one kind reads: name -> {"kind", "needed"}
+KIND_KEYS = {key.name: key.metadata for key in fields(WavefrontSection) if "kind" in key.metadata}
+
+
+def check_kind_keys(kind: str, given, name_of, noun: str = "key", needed=()) -> None:
+    """A ConfigError naming, by ``name_of``, each KIND_KEYS key in ``given`` that only another
+    kind reads, else each one that ``kind`` needs (or ``needed`` adds) and ``given`` lacks."""
+    foreign = [key for key, only in KIND_KEYS.items() if key in given and only["kind"] != kind]
+    missing = [key for key, only in KIND_KEYS.items() if key not in given
+               and only["kind"] == kind and (only["needed"] or key in needed)]
+    for keys, verb, joint in ((foreign, "does not read", "or"), (missing, "needs", "and")):
+        if keys:
+            first, *rest = map(name_of, keys)
+            raise ConfigError(f"a {kind} wavefront {verb} this {noun}"
+                              + "".join(f" {joint} {name}" for name in rest), key_path=first)
+
+
+def _wavefront(parser, name: str) -> WavefrontSpec:
     """[wavefront.<name>] as a spec; a key that only another kind reads is an error."""
     section = f"wavefront.{name}"
-    keys = _section(parser, section, cls)
+    keys = _section(parser, section, WavefrontSection)
     _build(f"{section}.kind", WavefrontSpec, keys.kind)
-    for key in fields(keys):
-        kind, path = key.metadata.get("kind", keys.kind), f"{section}.{key.name}"
-        if kind != keys.kind and parser.has_option(section, key.name):
-            raise ConfigError(f"a {keys.kind} wavefront does not read this key", key_path=path)
-        if kind == keys.kind and key.metadata.get("needed") and getattr(keys, key.name) is None:
-            raise ConfigError(f"a {kind} wavefront needs this key", key_path=path)
+    check_kind_keys(keys.kind, parser.options(section), lambda key: f"{section}.{key}")
     return _build(section, keys.spec)
 
 
@@ -378,6 +390,11 @@ def _check_roles(study: str, wavefronts: dict[str, WavefrontSpec],
                 f"{', '.join(artifacts.GAIN_CURVE_COLUMNS)}; got {', '.join(sorted(kinds))}",
                 key_path="wavefronts.names",
             )
+        # a spiral overlay nulls the axis, the only place a gain curve looks
+        for name, spec in wavefronts.items():
+            if spec.oam_mode != 0:
+                raise ConfigError("a gain_curve wavefront takes no spiral: it nulls the axis",
+                                  key_path=f"wavefront.{name}.oam_mode")
     elif study == "blockage":
         # healing needs one Bessel beam, the knife-edge pair one caustic and one
         # planar beam; without a knife edge no caustic is read
@@ -404,7 +421,7 @@ def parse_config(text: str) -> ScenarioConfig:
     sections = {name: _section(parser, name, cls) for name, cls in read.items()
                 if name != "wavefront.*"}
     names = sections["wavefronts"].names if "wavefronts" in sections else ()
-    wavefronts = {name: _wavefront(parser, name, read["wavefront.*"]) for name in names}
+    wavefronts = {name: _wavefront(parser, name) for name in names}
     _check_roles(scenario.study, wavefronts, sections.get("blockage"))
     known = {"scenario", *read, *(f"wavefront.{name}" for name in names)}
     for section in parser.sections():

@@ -175,6 +175,9 @@ def test_gain_curve_validates_input(ci_curve):
         gain_curve(grid, [WavefrontSpec(kind="beamforming")], [])
     with pytest.raises(ValueError):
         gain_curve(grid, [WavefrontSpec(kind="beamfocusing")], [0.1, 0.2])
+    # a spiral nulls the axis: no curve of rounding noise
+    with pytest.raises(ValueError, match="spiral"):
+        gain_curve(grid, [WavefrontSpec(kind="bessel", spot_fwhm=0.004, oam_mode=1)], [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------

@@ -490,6 +490,8 @@ BAD_WAVEFRONT_FLAGS = [
     ("synthesize", ["--kind", "bessel"], "--spot-fwhm"),
     ("synthesize", ["--kind", "bessel", "--spot-fwhm", "nan"], "--spot-fwhm"),
     ("synthesize", ["--kind", "caustic", "--curve-a", "2"], "--curve-z-end"),
+    ("synthesize", ["--kind", "caustic"],
+     "--curve-a: a caustic wavefront needs this flag and --curve-z-end"),
     ("synthesize", ["--kind", "caustic", "--curve-a", "2", "--curve-z-end", "0"],
      "--curve-z-end"),
     # a flag that only another kind reads
@@ -806,12 +808,11 @@ def _gain_column(run_dir, kind):
     return [row.split(",")[column] for row in rows]
 
 
-# each [wavefront.*] section's taper and overlays act on its own gain-curve column
+# each [wavefront.*] section's taper and quantization act on its own gain-curve column
 @pytest.mark.parametrize("old,new", [
     ("spot_fwhm_m = 0.004\n", "spot_fwhm_m = 0.004\nphase_bits = 2\n"),
-    ("spot_fwhm_m = 0.004\n", "spot_fwhm_m = 0.004\noam_mode = 1\n"),
     ("spot_fwhm_m = 0.004\ncircular = true", "spot_fwhm_m = 0.004\ncircular = false"),
-], ids=["phase_bits", "oam_mode", "mixed-circular"])
+], ids=["phase_bits", "mixed-circular"])
 def test_cli_gain_curve_applies_each_sections_keys(tmp_path, old, new):
     text = GAIN_INI.replace(old, new)
     (tmp_path / "gain.ini").write_text(text)
@@ -829,16 +830,25 @@ def test_cli_gain_curve_applies_each_sections_keys(tmp_path, old, new):
     specs["beamfocusing"] = replace(specs["beamfocusing"], focal_length=curve.focal_length)
     fields_ = {kind: synthesize_field(config.grid, spec) for kind, spec in specs.items()}
     peak = _axial_coherence(fields_["bessel"], curve.bessel_peak_distance)
-    assert (peak < 1e-20) == ("oam_mode" in new)
     for i in np.random.default_rng(3).choice(len(config.distances), size=3, replace=False):
         for kind in GAIN_CURVE_COLUMNS:
             exact = _axial_coherence(fields_[kind], config.distances[i])
-            if kind == "bessel" and peak < 1e-20:
-                # the spiral nulls the axis: the raw column is rounding noise, as in the oracle
-                assert curve.raw_gain[kind][i] < 1e-20 and exact < 1e-20
-            else:
-                exact /= peak if kind == "bessel" else 1.0
-                assert curve.gain[kind][i] == pytest.approx(exact, rel=1e-10), kind
+            exact /= peak if kind == "bessel" else 1.0
+            assert curve.gain[kind][i] == pytest.approx(exact, rel=1e-10), kind
+
+
+# a spiral overlay nulls the axis, the only place a gain curve looks
+@pytest.mark.parametrize("old,new,key_path", [
+    ("[wavefront.bessel]\n", "[wavefront.bessel]\noam_mode = 2\n", "wavefront.bessel.oam_mode"),
+], ids=["oam_mode"])
+def test_cli_gain_curve_rejects_keys_that_do_nothing(tmp_path, capsys, old, new, key_path):
+    config = tmp_path / "gain.ini"
+    config.write_text(GAIN_INI.replace(old, new))
+    assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert key_path in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_scenario_seed(tmp_path, capsys):
