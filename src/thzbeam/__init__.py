@@ -55,10 +55,8 @@ from .oam import (
 )
 from .propagation import (
     FieldSlice,
-    FrequencySweep,
     PropagationPlan,
     fft_workers,
-    multi_frequency_scan,
     propagate_asm,
     propagate_direct,
     propagate_slice,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,10 +94,6 @@ class ApertureGrid:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         x = self.axis_coordinates()
         return np.meshgrid(x, x, indexing="xy")
-
-    def with_frequency(self, frequency: float) -> "ApertureGrid":
-        """Same physical hardware (positions, pitch) at another carrier."""
-        return ApertureGrid(self.side_length, self.element_pitch, frequency)
 
 
 def make_grid(side_length: float, frequency: float, pitch_fraction: float = 0.5) -> ApertureGrid:
@@ -199,8 +195,8 @@ def _raw_planar(grid: ApertureGrid, steer_direction: Sequence[float]) -> np.ndar
     norm = float(np.linalg.norm(u))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"steer_direction must be a unit vector, got |u| = {norm:.9g}")
-    X, Y = grid.meshgrid()
-    return -grid.wavenumber * (X * u[0] + Y * u[1])
+    x = grid.axis_coordinates()
+    return -grid.wavenumber * (x[None, :] * u[0] + x[:, None] * u[1])
 
 
 def phase_planar(grid: ApertureGrid, steer_direction: Sequence[float] = (0.0, 0.0, 1.0)) -> PhaseMap:
@@ -220,9 +216,9 @@ def steer_vector(angle: float, azimuth: float = 0.0) -> tuple[float, float, floa
 def _raw_quadratic(grid: ApertureGrid, focal_length: float) -> np.ndarray:
     if focal_length <= 0:
         raise ValueError(f"focal_length must be positive, got {focal_length}")
-    X, Y = grid.meshgrid()
+    x_sq = grid.axis_coordinates() ** 2
     k = grid.wavenumber
-    return k * (np.sqrt(focal_length**2 + X**2 + Y**2) - focal_length)
+    return k * (np.sqrt(focal_length**2 + x_sq[None, :] + x_sq[:, None]) - focal_length)
 
 
 def phase_quadratic(grid: ApertureGrid, focal_length: float) -> PhaseMap:
@@ -261,9 +257,7 @@ class AxiconDesign:
     radial_wavenumber: float
     cone_angle: float
     z_max: float
-    spot_fwhm: float
     ring_count_within_aperture: int
-    spot_convention: str = "fwhm"
 
 
 def axicon_design(grid: ApertureGrid, spot_fwhm: float, spot_convention: str = "fwhm") -> AxiconDesign:
@@ -295,7 +289,7 @@ def axicon_design(grid: ApertureGrid, spot_fwhm: float, spot_convention: str = "
     theta = math.asin(k_r / k)
     z_max = grid.half_side / math.tan(theta)
     rings = int(math.floor(k_r * grid.half_side / TWO_PI))
-    return AxiconDesign(k_r, theta, z_max, spot_fwhm, rings, spot_convention)
+    return AxiconDesign(k_r, theta, z_max, rings)
 
 
 def _raw_conical(grid: ApertureGrid, design: AxiconDesign) -> np.ndarray:
@@ -304,8 +298,8 @@ def _raw_conical(grid: ApertureGrid, design: AxiconDesign) -> np.ndarray:
             "axicon design is evanescent on this grid "
             f"(k_r = {design.radial_wavenumber:g} >= k = {grid.wavenumber:g})"
         )
-    X, Y = grid.meshgrid()
-    return design.radial_wavenumber * np.hypot(X, Y)
+    x = grid.axis_coordinates()
+    return design.radial_wavenumber * np.hypot(x[None, :], x[:, None])
 
 
 def phase_conical(grid: ApertureGrid, design: AxiconDesign) -> PhaseMap:
@@ -321,8 +315,8 @@ def phase_conical(grid: ApertureGrid, design: AxiconDesign) -> PhaseMap:
 def _raw_spiral(grid: ApertureGrid, mode_l: int) -> np.ndarray:
     if int(mode_l) != mode_l:
         raise ValueError(f"OAM mode must be an integer, got {mode_l!r}")
-    X, Y = grid.meshgrid()
-    return float(mode_l) * np.arctan2(Y, X)
+    x = grid.axis_coordinates()
+    return float(mode_l) * np.arctan2(x[:, None], x[None, :])
 
 
 def phase_spiral(grid: ApertureGrid, mode_l: int) -> PhaseMap:
@@ -564,13 +558,11 @@ class WavefrontSpec:
             raise ValueError(f"phase_bits must be in [1, 16], got {self.phase_bits}")
 
 
-def synthesize_delay_phase(grid: ApertureGrid, spec: WavefrontSpec) -> np.ndarray:
-    """Unwrapped phase of a wavefront spec at the grid's carrier.
+def synthesize_applied_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:
+    """Phase map a wavefront spec applies.
 
-    This is the physical delay profile (phase = 2*pi*f*delay): rescaling it
-    by f/f_c models true-time-delay hardware, while reusing it verbatim
-    models fixed phase shifters.  OAM overlays are included; quantization
-    is not (delay lines are continuous).
+    The kind's profile plus the steering ramp, wrapped; then the spiral
+    overlay, wrapped again; then quantized.
     """
     if spec.kind == "beamforming":
         raw = _raw_planar(grid, steer_vector(spec.steer_angle))
@@ -589,14 +581,7 @@ def synthesize_delay_phase(grid: ApertureGrid, spec: WavefrontSpec) -> np.ndarra
         raw = _raw_caustic(grid, spec.curve)
     if spec.steer_angle and spec.kind != "beamforming":  # beamforming's ramp is the steer
         raw = raw + _raw_planar(grid, steer_vector(spec.steer_angle))
-    if spec.oam_mode:
-        raw = raw + _raw_spiral(grid, spec.oam_mode)
-    return raw
-
-
-def synthesize_applied_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:
-    """Phase map a wavefront spec applies: the base map, plus the spiral, then quantized."""
-    phase = PhaseMap(synthesize_delay_phase(grid, replace(spec, oam_mode=0)))
+    phase = PhaseMap(raw)
     if spec.oam_mode:
         phase = phase + phase_spiral(grid, spec.oam_mode)
     if spec.phase_bits is not None:

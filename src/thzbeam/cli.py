@@ -31,7 +31,7 @@ from .aperture import (
     synthesize_applied_phase,
     synthesize_field,
 )
-from .errors import ConfigError, NoBeamError, SamplingError, ToolkitError
+from .errors import ConfigError, ToolkitError
 from .propagation import PropagationPlan, fft_workers, propagate_asm
 from .scenarios import (
     KIND_KEYS,
@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SamplingError, NoBeamError, ToolkitError, ValueError) as exc:
+    except (ToolkitError, ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -163,7 +163,6 @@ class BeamStats:
     peak_intensity: float
     fwhm: float
     ring_count: int
-    on_axis_intensity: float
 
 
 def _cut_fwhm(coords: np.ndarray, intensity: np.ndarray, peak_idx: int) -> float | None:
@@ -214,18 +213,11 @@ def beam_profile_stats(slice_: FieldSlice, ring_floor_db: float = -20.0) -> Beam
     for i in range(1, cut.size - 1):
         if cut[i] > cut[i - 1] and cut[i] > cut[i + 1] and cut[i] >= floor:
             rings += 1
-
-    n = intensity.shape[0]
-    center = (n - 1) // 2
-    on_axis = float(intensity[center, center]) if n % 2 else float(
-        intensity[center : center + 2, center : center + 2].mean()
-    )
     return BeamStats(
         peak_position=(float(coords[ix]), float(coords[iy])),
         peak_intensity=peak_val,
         fwhm=float(np.mean(widths)),
         ring_count=rings,
-        on_axis_intensity=on_axis,
     )
 
 

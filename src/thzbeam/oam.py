@@ -82,7 +82,8 @@ def crosstalk_matrix(
     grid = base.grid
     if rx_radius is None:
         rx_radius = grid.half_side
-    ramp = np.exp(-1j * grid.wavenumber * math.sin(steer_angle) * grid.meshgrid()[0])
+    x = grid.axis_coordinates()
+    ramp = np.exp(-1j * grid.wavenumber * math.sin(steer_angle) * x[None, :])
 
     coupling = np.zeros((len(mode_list), len(mode_list)))
     helices = None

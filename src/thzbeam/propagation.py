@@ -39,27 +39,18 @@ from typing import Sequence
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here it is paid at import, not in the first hop
 
-from .aperture import (
-    ApertureField,
-    ApertureGrid,
-    ObstacleSpec,
-    circular_taper,
-    make_obstacle_mask,
-    synthesize_delay_phase,
-)
+from .aperture import ApertureField, ObstacleSpec, make_obstacle_mask
 from .errors import SamplingError
 
 __all__ = [
     "FieldSlice",
     "PropagationPlan",
-    "FrequencySweep",
     "propagate_asm",
     "propagate_slice",
     "propagate_direct",
     "propagate_with_obstacles",
     "reuse_spectra",
     "fft_workers",
-    "multi_frequency_scan",
 ]
 
 
@@ -479,80 +470,3 @@ def _axial_sums(field: ApertureField, z_values: Sequence[float]) -> tuple[np.nda
         coherent[i] = np.sum(w_bins * np.exp(-1j * k * r) / r)
         incoherent[i] = np.sum(abs_bins / r)
     return coherent, incoherent
-
-
-# ---------------------------------------------------------------------------
-# wideband behaviour
-
-
-@dataclass(frozen=True)
-class FrequencySweep:
-    """Offsets around a centre frequency and the phase-reuse model.
-
-    ``delay_model`` is ``fixed_phase`` (phase shifters: the centre-frequency
-    phase map is reused verbatim) or ``true_time_delay`` (delay lines: the
-    phase scales proportionally to f/f_c).
-    """
-
-    center_frequency: float
-    offsets: tuple[float, ...]
-    delay_model: str = "fixed_phase"
-
-    def __post_init__(self):
-        if self.center_frequency <= 0:
-            raise ValueError(f"center_frequency must be positive, got {self.center_frequency}")
-        if self.delay_model not in ("fixed_phase", "true_time_delay"):
-            raise ValueError(f"unknown delay_model {self.delay_model!r}")
-        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
-        for off in self.offsets:
-            f = self.center_frequency + off
-            if f <= 0:
-                raise ValueError(f"offset {off:g} Hz makes the frequency non-positive")
-            if abs(off) > 0.2 * self.center_frequency:
-                raise ValueError(f"offset {off:g} Hz exceeds 20% of the centre frequency")
-
-    def frequencies(self) -> tuple[float, ...]:
-        return tuple(self.center_frequency + o for o in self.offsets)
-
-
-def multi_frequency_scan(
-    grid: ApertureGrid,
-    wavefront,
-    sweep: FrequencySweep,
-    point: Sequence[float] | None = None,
-    plane_z: float | None = None,
-    plan: PropagationPlan | None = None,
-):
-    """Evaluate a centre-frequency wavefront design across a frequency sweep.
-
-    ``wavefront`` is the profile recipe (a ``WavefrontSpec``) designed at
-    the sweep's centre frequency, which must match the grid carrier.  In
-    ``fixed_phase`` mode the centre-frequency phase profile is reused at
-    every frequency; in ``true_time_delay`` mode the unwrapped delay
-    profile is rescaled by f/f_c, which is exact retiming.  A ``circular``
-    spec keeps its inscribed-disc taper at every frequency.  Exactly one
-    observable is evaluated per frequency: a point (complex amplitude via
-    the exact summation) or a transverse plane (``FieldSlice``).  Returns
-    a list of (frequency, result) pairs.
-    """
-    if abs(grid.frequency - sweep.center_frequency) > 1e-6 * sweep.center_frequency:
-        raise ValueError(
-            f"grid carrier {grid.frequency:g} Hz differs from sweep centre "
-            f"{sweep.center_frequency:g} Hz"
-        )
-    if (point is None) == (plane_z is None):
-        raise ValueError("pass exactly one of point= or plane_z=")
-    delay_phase = synthesize_delay_phase(grid, wavefront)
-    taper = circular_taper(grid).values if wavefront.circular else 1.0
-    results = []
-    for f in sweep.frequencies():
-        if sweep.delay_model == "true_time_delay":
-            values = delay_phase * (f / sweep.center_frequency)
-        else:
-            values = delay_phase
-        shifted = ApertureField(grid.with_frequency(f), taper * np.exp(1j * values))
-        if point is not None:
-            results.append((f, complex(propagate_direct(shifted, [point])[0])))
-        else:
-            results.append((f, propagate_asm(shifted, plane_z, plan)))
-    return results

@@ -10,6 +10,7 @@ import pytest
 from thzbeam import (
     SPEED_OF_LIGHT,
     AmplitudeMask,
+    ApertureGrid,
     CausticCurve,
     CausticDesignError,
     EvanescentDesignError,
@@ -35,6 +36,10 @@ from thzbeam import (
 )
 from thzbeam.aperture import (
     TWO_PI,
+    _raw_conical,
+    _raw_planar,
+    _raw_quadratic,
+    _raw_spiral,
     bessel_first_null_argument,
     bessel_half_intensity_argument,
     steer_vector,
@@ -86,14 +91,6 @@ def test_grid_coordinates_centred():
     x = grid.axis_coordinates()
     assert x.size == grid.elements_per_side
     np.testing.assert_allclose(x + x[::-1], 0.0, atol=1e-18)
-
-
-def test_with_frequency_keeps_hardware():
-    grid = make_grid(0.05, 3e11)
-    shifted = grid.with_frequency(3.15e11)
-    assert shifted.element_pitch == grid.element_pitch
-    assert shifted.elements_per_side == grid.elements_per_side
-    assert shifted.wavelength < grid.wavelength
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +449,46 @@ def test_applied_phase_without_overlays_is_the_base_map():
 
 def test_applied_phase_adds_the_spiral_then_quantizes():
     grid = make_grid(0.02, 3e11)
-    spec = WavefrontSpec(kind="bessel", spot_fwhm=0.004, oam_mode=2, phase_bits=2)
-    base = synthesize_applied_phase(grid, WavefrontSpec(kind="bessel", spot_fwhm=0.004))
-    expected = quantize_phase(base + phase_spiral(grid, 2), 2)
-    applied = synthesize_applied_phase(grid, spec)
-    np.testing.assert_array_equal(applied.values, expected.values)
-    assert set(np.unique(applied.values)) <= {0.0, math.pi / 2, math.pi, 3 * math.pi / 2}
+    steer = math.radians(5.0)
+    curve = CausticCurve.parabola(-2.2 * grid.half_side / 0.6**2, 0.6, x_start=-grid.half_side)
+    cases = [
+        (WavefrontSpec(kind="bessel", spot_fwhm=0.004, oam_mode=2, phase_bits=2),
+         phase_conical(grid, axicon_design(grid, 0.004))),
+        # the steer ramp joins the lens before the one wrap
+        (WavefrontSpec(kind="beamfocusing", focal_length=0.1, steer_angle=steer, oam_mode=2,
+                       phase_bits=3),
+         PhaseMap(_raw_quadratic(grid, 0.1) + _raw_planar(grid, steer_vector(steer)))),
+        (WavefrontSpec(kind="caustic", curve=curve, oam_mode=-1), phase_caustic(grid, curve)),
+    ]
+    for spec, base in cases:
+        expected = base + phase_spiral(grid, spec.oam_mode)
+        if spec.phase_bits is not None:
+            expected = quantize_phase(expected, spec.phase_bits)
+        applied = synthesize_applied_phase(grid, spec)
+        np.testing.assert_array_equal(applied.values, expected.values)
+        if spec.phase_bits is not None:
+            levels = 1 << spec.phase_bits
+            assert set(np.unique(applied.values)) <= {j * (TWO_PI / levels) for j in range(levels)}
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_raw_profiles_equal_their_meshgrid_forms(n):
+    grid = ApertureGrid((n + 0.5) * 5e-4, 5e-4, 3e11)
+    assert grid.elements_per_side == n
+    X, Y = grid.meshgrid()
+    k = grid.wavenumber
+    design = axicon_design(grid, 0.004)
+    u = steer_vector(math.radians(20.0), math.radians(30.0))
+    pairs = [
+        (_raw_planar(grid, u), -k * (X * u[0] + Y * u[1])),
+        (_raw_planar(grid, (0.0, 0.0, 1.0)), -k * (X * 0.0 + Y * 0.0)),
+        (_raw_quadratic(grid, 0.1), k * (np.sqrt(0.1**2 + X**2 + Y**2) - 0.1)),
+        (_raw_conical(grid, design), design.radial_wavenumber * np.hypot(X, Y)),
+        (_raw_spiral(grid, -3), -3.0 * np.arctan2(Y, X)),
+    ]
+    for got, want in pairs:
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_synthesize_field_applies_the_applied_phase():

@@ -7,8 +7,8 @@ import scipy.fft
 import thzbeam.propagation as propagation
 from thzbeam import (
     ApertureField,
+    ApertureGrid,
     FieldSlice,
-    FrequencySweep,
     ObstacleSpec,
     PropagationPlan,
     SamplingError,
@@ -16,7 +16,6 @@ from thzbeam import (
     circular_taper,
     compose_aperture,
     make_grid,
-    multi_frequency_scan,
     phase_conical,
     phase_planar,
     phase_quadratic,
@@ -406,53 +405,21 @@ def test_plan_validation():
 
 
 # ---------------------------------------------------------------------------
-# multi-frequency behaviour
-
-
-def test_multi_frequency_zero_offset_modes_agree():
-    from thzbeam import WavefrontSpec
-
-    grid = make_grid(0.02, 3e11)
-    spec = WavefrontSpec(kind="beamforming", steer_angle=math.radians(10.0))
-    point = (0.02, 0.0, 0.4)
-    results = {}
-    for model in ("fixed_phase", "true_time_delay"):
-        sweep = FrequencySweep(3e11, (0.0,), model)
-        results[model] = multi_frequency_scan(grid, spec, sweep, point=point)[0][1]
-    assert results["fixed_phase"] == pytest.approx(results["true_time_delay"], rel=1e-12)
-
-
-def test_true_time_delay_gain_flat_over_band():
-    grid = make_grid(0.02, 3e11)
-    angle = math.radians(20.0)
-    from thzbeam import WavefrontSpec
-
-    spec = WavefrontSpec(kind="beamforming", steer_angle=angle)
-    R = 50.0  # far beyond the Fraunhofer distance of the 2 cm aperture
-    point = (R * math.sin(angle), 0.0, R * math.cos(angle))
-    sweep = FrequencySweep(3e11, (-0.15e11, 0.0, 0.15e11), "true_time_delay")
-    # the coherence denominator is geometry-only, so gain flatness is
-    # amplitude flatness at the steered far point
-    amps = [abs(v) for _, v in multi_frequency_scan(grid, spec, sweep, point=point)]
-    spread_db = 20 * math.log10(max(amps) / min(amps))
-    assert spread_db < 0.1
+# beam squint
 
 
 def test_fixed_phase_beam_squint_matches_formula():
-    from thzbeam import WavefrontSpec
-
     grid = make_grid(0.02, 3e11)
     f_c = 3e11
     angle = math.radians(30.0)
-    spec = WavefrontSpec(kind="beamforming", steer_angle=angle)
-    offset = 0.05 * f_c
-    sweep = FrequencySweep(f_c, (offset,), "fixed_phase")
+    f = f_c + 0.05 * f_c
     R = 50.0
     angles = np.radians(np.linspace(26.0, 32.0, 241))
 
-    f = f_c + offset
+    # the centre-frequency phase map, applied verbatim to the same hardware at f
     phase = phase_planar(grid, steer_vector(angle))
-    fld = ApertureField(grid.with_frequency(f), np.exp(1j * phase.values))
+    fld = ApertureField(ApertureGrid(grid.side_length, grid.element_pitch, f),
+                        np.exp(1j * phase.values))
     amps = np.abs(
         propagate_direct(fld, [(R * math.sin(a), 0.0, R * math.cos(a)) for a in angles])
     )
@@ -460,56 +427,6 @@ def test_fixed_phase_beam_squint_matches_formula():
     predicted = math.asin((f_c / f) * math.sin(angle))
     assert abs(math.degrees(angle) - math.degrees(measured)) > 0.1  # squint is real
     assert measured == pytest.approx(predicted, abs=math.radians(0.1))
-    # and the helper returns per-frequency results in order
-    results = multi_frequency_scan(grid, spec, sweep, point=(0.0, 0.0, R))
-    assert results[0][0] == f
-
-
-def test_frequency_sweep_validation():
-    from thzbeam import WavefrontSpec
-
-    with pytest.raises(ValueError):
-        FrequencySweep(3e11, (0.0,), "phase_hold")
-    with pytest.raises(ValueError):
-        FrequencySweep(3e11, (-3e11,))
-    with pytest.raises(ValueError):
-        FrequencySweep(3e11, (0.9e11,))  # beyond 20%
-    grid = make_grid(0.02, 3e11)
-    spec = WavefrontSpec(kind="beamforming")
-    sweep = FrequencySweep(3e11, (0.0,))
-    with pytest.raises(ValueError, match="exactly one"):
-        multi_frequency_scan(grid, spec, sweep)
-    with pytest.raises(ValueError, match="differs"):
-        multi_frequency_scan(grid.with_frequency(2e11), spec, sweep, point=(0, 0, 1.0))
-
-
-def test_multi_frequency_plane_observable():
-    from thzbeam import WavefrontSpec
-
-    grid = make_grid(0.02, 3e11)
-    spec = WavefrontSpec(kind="beamforming")
-    sweep = FrequencySweep(3e11, (-0.1e11, 0.1e11), "true_time_delay")
-    results = multi_frequency_scan(grid, spec, sweep, plane_z=0.2)
-    assert [f for f, _ in results] == [2.9e11, 3.1e11]
-    for _, slice_ in results:
-        assert slice_.z == 0.2
-        assert slice_.samples.ndim == 2
-
-
-def test_multi_frequency_scan_keeps_the_circular_taper():
-    from thzbeam import WavefrontSpec
-    from thzbeam.aperture import synthesize_delay_phase
-
-    grid = make_grid(0.02, 3e11)
-    spec = WavefrontSpec(kind="beamfocusing", focal_length=0.1, circular=True)
-    sweep = FrequencySweep(3e11, (0.2e11,), "true_time_delay")
-    point = (0.001, 0.0, 0.1)
-    [(f, got)] = multi_frequency_scan(grid, spec, sweep, point=point)
-    delay_phase = synthesize_delay_phase(grid, spec) * (f / 3e11)
-    tapered = ApertureField(grid.with_frequency(f),
-                            circular_taper(grid).values * np.exp(1j * delay_phase))
-    expected = propagate_direct(tapered, [point])[0]
-    assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
 def test_aperture_propagation_window_guard():
