@@ -2,44 +2,49 @@
 
 A crosstalk matrix transmits each mode as the spiral overlay
 ``exp(1j*l*phi)`` on a shared base profile and reads every mode back with
-the matched conjugate-helix overlap integral over a centred disc.  The
-capacity calculator converts a target rate into the bandwidth required
+the matched conjugate-helix overlap integral over a centred disc of the
+receive plane: entry [tx, rx] is ``pitch^2 * sum_disc P_z(w_tx) * h_rx``,
+with ``P_z`` the hop to distance z and ``h_rx = exp(-1j*l_rx*phi)``.
+
+The matrix is computed by the adjoint.  The kernel ``exp(-1j*k*r)/r`` is
+even, so the same entry is ``pitch^2 * sum_aperture w_tx * A_rx``, where the
+adjoint plane ``A_rx`` is ``disc * h_rx`` propagated by z and read back on
+the aperture's elements.  One hop per receive mode then serves every
+transmit mode and every steering angle, and each entry is one inner product
+over the n^2 weights.  Couplings below ``COUPLING_FLOOR_DB`` are written as
+the floor.
+
+The capacity calculator converts a target rate into the bandwidth required
 with M modes and Q-ary QAM under ideal Nyquist signalling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .aperture import ApertureField, _raw_spiral
+from .aperture import ApertureField, ApertureGrid, _raw_spiral
 from .errors import GeometryError
-from .propagation import FieldSlice, PropagationPlan, propagate_asm, reuse_spectra
+from .propagation import (DEFAULT_PLAN, PropagationPlan, _check_window_supports_distance,
+                          _padded_size, _spectrum, propagate_asm, reuse_spectra)
 
 __all__ = [
+    "COUPLING_FLOOR_DB",
     "CrosstalkMatrix",
     "LinkBudgetSpec",
     "crosstalk_matrix",
     "required_bandwidth",
 ]
 
-
-def _receiver_disc(slice_: FieldSlice, rx_radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the samples inside the centred receiver disc, and their azimuths."""
-    if rx_radius <= 0:
-        raise ValueError(f"rx_radius must be positive, got {rx_radius}")
-    if rx_radius > slice_.extent / 2.0:
-        raise GeometryError(
-            f"receiver radius {rx_radius:g} m exceeds the slice half-extent "
-            f"{slice_.extent / 2.0:g} m"
-        )
-    X, Y = slice_.meshgrid()
-    rho2 = X * X + Y * Y
-    sel = rho2 <= rx_radius * rx_radius
-    return sel, np.arctan2(Y[sel], X[sel])
+# Couplings below this many dB are written as it.  A cross term that a
+# symmetric grid cancels exactly reads -300 dB or lower, or -inf, and moves
+# by tens of dB when only the summation order changes; no physical coupling
+# of the studies comes near it.
+COUPLING_FLOOR_DB = -200.0
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,8 @@ class CrosstalkMatrix:
 
     ``power_coupling_db[i][j]`` is the power received by the mode-j matched
     filter when mode i is transmitted, relative to the matched (i, i)
-    power; the diagonal is 0 dB by construction.
+    power, and never below ``COUPLING_FLOOR_DB``; the diagonal is 0 dB by
+    construction.
     """
 
     modes: tuple[int, ...]
@@ -68,42 +74,78 @@ def crosstalk_matrix(
     rx_radius: float | None = None,
     plan: PropagationPlan | None = None,
 ) -> CrosstalkMatrix:
-    """Propagate each single-mode beam and demultiplex about the fixed axis.
+    """Send each mode to z and demultiplex it about the fixed axis.
 
+    The receiver is the disc of ``rx_radius`` (default: the aperture half
+    side) on the padded plane a ``propagate_asm`` hop to z returns.
     Steering is an additive planar ramp at the transmitter while the
     receiver stays on the nominal axis, which reproduces the misalignment
     spillover of steered OAM beams.
+
+    Each receive mode makes one adjoint hop: ``disc * exp(-1j*l_rx*phi)``
+    on the smallest grid of the aperture's pitch and parity that holds the
+    disc and the aperture, propagated by z; its central n-by-n window is
+    the adjoint plane, against which every transmitted field is one inner
+    product.  The plane depends on the geometry only, so inside an
+    enclosing ``reuse_spectra()`` block every steering angle and base beam
+    shares it.  It is exact for every radius the receive plane holds, where
+    a forward hop's padded plane would wrap round inside a disc wider than
+    the aperture.  Couplings below ``COUPLING_FLOOR_DB`` read as the floor.
     """
     mode_list = tuple(int(m) for m in modes)
     if len(set(mode_list)) != len(mode_list):
         raise ValueError(f"duplicate modes in {mode_list}")
-    if z <= 0:
-        raise ValueError(f"z must be positive, got {z}")
+    if not (z > 0 and math.isfinite(z)):
+        raise ValueError(f"z must be positive and finite, got {z}")
+    plan = plan or DEFAULT_PLAN
     grid = base.grid
+    n, pitch, k = grid.elements_per_side, grid.element_pitch, grid.wavenumber
+    # the receive plane is the one a forward hop of the aperture would return
+    npad = _padded_size(n, plan.pad_factor)
+    if plan.band_limit:
+        _check_window_supports_distance(npad, pitch, grid.wavelength, z)
     if rx_radius is None:
         rx_radius = grid.half_side
-    x = grid.axis_coordinates()
-    ramp = np.exp(-1j * grid.wavenumber * math.sin(steer_angle) * x[None, :])
+    if rx_radius <= 0:
+        raise ValueError(f"rx_radius must be positive, got {rx_radius}")
+    if rx_radius > npad * pitch / 2.0:
+        raise GeometryError(
+            f"receiver radius {rx_radius:g} m exceeds the slice half-extent "
+            f"{npad * pitch / 2.0:g} m"
+        )
+    r_sq = rx_radius * rx_radius
+    # m samples a side: the disc's widest row (the one nearest the axis), or the aperture
+    x_sq = ((np.arange(npad) - (npad - 1) / 2.0) * pitch) ** 2
+    m = max(n, int(np.count_nonzero(x_sq + x_sq.min() <= r_sq)))
+    rx_grid = ApertureGrid(m * pitch, pitch, grid.frequency)
+    x_sq = rx_grid.axis_coordinates() ** 2
+    disc = x_sq[None, :] + x_sq[:, None] <= r_sq
+    phi = _raw_spiral(rx_grid, 1)  # the azimuth, on the aperture's elements too
 
-    coupling = np.zeros((len(mode_list), len(mode_list)))
-    helices = None
+    def adjoint_plane(l_rx: int) -> np.ndarray:
+        helix = np.where(disc, np.exp(-1j * l_rx * phi), 0.0)
+        plane = propagate_asm(ApertureField(rx_grid, helix), z, plan).samples
+        c = (plane.shape[0] - n) // 2
+        return plane[c : c + n, c : c + n].ravel()
+
     with reuse_spectra():
-        for i, l_tx in enumerate(mode_list):
-            tx = ApertureField(grid, base.weights * np.exp(1j * _raw_spiral(grid, l_tx)) * ramp)
-            received = propagate_asm(tx, z, plan)
-            if helices is None:
-                # every received plane shares one padded grid, so one disc serves all
-                sel, rx_phi = _receiver_disc(received, rx_radius)
-                helices = [np.exp(-1j * l_rx * rx_phi) for l_rx in mode_list]
-            # disc integral of the samples against each conjugate helix exp(-1j*l*phi)
-            amps = np.array([np.sum(received.samples[sel] * helix) * received.sample_pitch**2
-                             for helix in helices])
-            powers = np.abs(amps) ** 2
-            if powers[i] == 0.0:
-                raise ValueError(f"matched power for mode {l_tx} vanished; geometry unusable")
-            with np.errstate(divide="ignore"):
-                coupling[i, :] = 10.0 * np.log10(powers / powers[i])
-    return CrosstalkMatrix(mode_list, coupling)
+        planes = [_spectrum(("adjoint", n, pitch, k, z, rx_radius, l_rx, plan),
+                            functools.partial(adjoint_plane, l_rx)) for l_rx in mode_list]
+
+    ramp = np.exp(-1j * k * math.sin(steer_angle) * grid.axis_coordinates()[None, :])
+    lo = (m - n) // 2
+    tx_phi = phi[lo : lo + n, lo : lo + n]
+    coupling = np.zeros((len(mode_list), len(mode_list)))
+    for i, l_tx in enumerate(mode_list):
+        tx = (base.weights * np.exp(1j * (l_tx * tx_phi)) * ramp).ravel()
+        # einsum, not np.dot: a BLAS dot splits its sum by the BLAS thread count
+        amps = np.array([np.einsum("i,i->", tx, plane) for plane in planes]) * pitch**2
+        powers = np.abs(amps) ** 2
+        if powers[i] == 0.0:
+            raise ValueError(f"matched power for mode {l_tx} vanished; geometry unusable")
+        with np.errstate(divide="ignore"):
+            coupling[i, :] = 10.0 * np.log10(powers / powers[i])
+    return CrosstalkMatrix(mode_list, np.maximum(coupling, COUPLING_FLOOR_DB))
 
 
 @dataclass(frozen=True)

@@ -289,6 +289,10 @@ def reuse_spectra():
     A nested block shares the outer block's spectra.  They are released
     when the outermost block ends; the scope is kept to one study block
     because one spectrum takes 16 * npad^2 bytes (182 MB at npad 3375).
+
+    The block also keeps each adjoint plane of ``oam.crosstalk_matrix``
+    (16 * n^2 bytes per receive mode), which depends on the geometry only:
+    every steering angle of a crosstalk study inside one block shares it.
     """
     if _SPECTRA.get() is not None:
         yield

@@ -14,7 +14,8 @@ from thzbeam import (
     required_bandwidth,
     synthesize_field,
 )
-from thzbeam.propagation import PropagationPlan
+from thzbeam.oam import COUPLING_FLOOR_DB
+from thzbeam.propagation import PropagationPlan, propagate_direct
 
 
 def _disc_base(grid):
@@ -116,8 +117,55 @@ def test_crosstalk_matches_per_plane_demultiplex():
         # the matched filter: disc integral of the plane against exp(-1j*l*phi)
         amps = [np.sum(received.samples[disc] * np.exp(-1j * l_rx * rx_phi)) * received.sample_pitch**2
                 for l_rx in modes]
+        ratio = np.abs(amps) ** 2 / np.abs(amps[i]) ** 2
+        # the adjoint sums in another order: compare power ratios, not bits
+        got = 10.0 ** (matrix.power_coupling_db[i] / 10.0)
+        assert np.all(np.abs(got - ratio) <= 1e-12 * np.maximum(1.0, ratio)), (got, ratio)
+
+
+@pytest.fixture(scope="module")
+def wide_disc_link():
+    """The steered 8 mm / 1 THz link, its receive-plane samples out to 1.9 half sides
+    summed by the oracle for each transmitted mode."""
+    grid = make_grid(0.008, 1e12)
+    base = _disc_base(grid)
+    modes, z, steer = (0, 1, 2), 0.05, math.radians(1.0)
+    RX, RY = propagate_asm(base, z).meshgrid()
+    rho_sq = RX * RX + RY * RY
+    wide = rho_sq <= (1.9 * grid.half_side) ** 2
+    points = np.column_stack([RX[wide], RY[wide], np.full(int(wide.sum()), z)])
+    X, Y = grid.meshgrid()
+    phi = np.arctan2(Y, X)
+    ramp = np.exp(-1j * grid.wavenumber * math.sin(steer) * X)
+    fields = [propagate_direct(ApertureField(grid, base.weights * np.exp(1j * l * phi) * ramp),
+                               points) for l in modes]
+    return base, modes, z, steer, rho_sq[wide], np.arctan2(RY[wide], RX[wide]), fields
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.5, 1.9])
+def test_crosstalk_matches_the_oracle_over_wide_discs(wide_disc_link, factor):
+    # a forward hop's padded plane (121 samples for 53 elements) wraps round inside
+    # discs wider than the aperture; the adjoint hop's plane does not
+    base, modes, z, steer, rho_sq, rx_phi, fields = wide_disc_link
+    radius = factor * base.grid.half_side
+    disc = rho_sq <= radius * radius
+    matrix = crosstalk_matrix(base, modes, z, steer_angle=steer, rx_radius=radius)
+    for i, received in enumerate(fields):
+        amps = np.array([np.sum(received[disc] * np.exp(-1j * l_rx * rx_phi[disc]))
+                         for l_rx in modes])
         powers = np.abs(amps) ** 2
-        np.testing.assert_array_equal(matrix.power_coupling_db[i], 10.0 * np.log10(powers / powers[i]))
+        np.testing.assert_allclose(matrix.power_coupling_db[i], 10.0 * np.log10(powers / powers[i]),
+                                   rtol=0.0, atol=1e-9)
+
+
+def test_crosstalk_floors_round_off_cells():
+    # a symmetric Bessel link: every cross term cancels to round-off, -300 dB or lower
+    grid = make_grid(0.05, 3e11)
+    base = synthesize_field(grid, WavefrontSpec(kind="bessel", spot_fwhm=0.008, circular=True))
+    matrix = crosstalk_matrix(base, (0, 1, 2, 3), 0.25)
+    coupling = matrix.power_coupling_db
+    np.testing.assert_array_equal(np.diag(coupling), 0.0)
+    np.testing.assert_array_equal(coupling[~np.eye(4, dtype=bool)], COUPLING_FLOOR_DB)
 
 
 def test_crosstalk_rejects_bad_modes():

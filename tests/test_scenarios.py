@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thzbeam.oam as oam
 import thzbeam.propagation as propagation
 from thzbeam import (
     ConfigError,
@@ -311,6 +312,35 @@ steer_deg_list = {steer}
     run_scenario(parse_config(text.format(steer="1.0")), tmp_path / "one")
     name = "crosstalk_steer_1deg.csv"
     assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_oam_crosstalk_makes_one_hop_per_receive_mode(tmp_path, monkeypatch):
+    # the benchmark-shaped study: 5 modes at 3 steering angles share 5 adjoint planes
+    hops = []
+
+    def counted(*args):
+        hops.append(args)
+        return propagation.propagate_asm(*args)
+
+    monkeypatch.setattr(oam, "propagate_asm", counted)
+    builds = _count_builds(monkeypatch)
+    text = """\
+[scenario]
+study = oam_crosstalk
+name = hops
+
+[grid]
+side_length_m = 0.05
+frequency_hz = 1e12
+
+[oam]
+modes = -4, -1, 0, 2, 3
+z_m = 0.2
+steer_deg_list = 0, 0.5, 1.0
+"""
+    run_scenario(parse_config(text), tmp_path)
+    assert len(hops) == 5
+    assert builds == {"kernel": 1, "transfer": 0}
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -628,15 +658,23 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys):
 
 def test_cli_threads_flag_does_not_change_output(tmp_path, monkeypatch):
     monkeypatch.setattr(propagation.os, "cpu_count", lambda: 8)  # so 3 and 8 split 3 and 8 ways
-    runs = {}
-    for threads in ("1", "2", "3", "8"):
-        out = tmp_path / threads
-        assert cli_main(["preset", "fig4-ci", "--out", str(out), "--threads", threads]) == 0
-        runs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
-                         if p.name != "manifest.json"}  # the manifest records timings
-    assert len(runs["1"]) == 10  # healing.csv, caustic_blockage.csv and 8 PGM maps
-    for threads in ("2", "3", "8"):
-        assert runs[threads] == runs["1"], threads
+    studies = {
+        # healing.csv, caustic_blockage.csv and 8 PGM maps
+        "blockage": (["preset", "fig4-ci"], 10),
+        # crosstalk_steer_1deg.csv and spillover.csv
+        "crosstalk": (["oam-crosstalk", "--side-length", "0.02", "--frequency", "1e12",
+                       "--modes=-1,0,1,3", "--z", "0.05", "--steer-deg", "1"], 2),
+    }
+    for study, (argv, artifacts) in studies.items():
+        runs = {}
+        for threads in ("1", "2", "3", "8"):
+            out = tmp_path / study / threads
+            assert cli_main([*argv, "--out", str(out), "--threads", threads]) == 0
+            runs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                             if p.name != "manifest.json"}  # the manifest records timings
+        assert len(runs["1"]) == artifacts, study
+        for threads in ("2", "3", "8"):
+            assert runs[threads] == runs["1"], (study, threads)
 
 
 # small inputs for each study verb, and one bad input per exit code
