@@ -60,8 +60,8 @@ class ApertureGrid:
             raise ValueError(f"frequency must be positive, got {self.frequency}")
         if self.elements_per_side < 1:
             raise ValueError(
-                f"side_length {self.side_length} lt one pitch {self.element_pitch}: "
-                "no elements fit"
+                f"side_length {self.side_length:g} m is less than one element pitch "
+                f"({self.element_pitch:g} m): no elements fit"
             )
 
     @property

@@ -4,10 +4,11 @@ Verbs: synthesize, propagate, gain-curve, blockage, oam-crosstalk,
 capacity, run <config>, preset <name>.  Exit codes: 0 success, 2 config
 error, 3 numeric/sampling error, 4 io error.
 
-The study verbs gain-curve, blockage, oam-crosstalk and capacity render
-their flags as scenario INI text (studies gain_curve, blockage,
-oam_crosstalk, oam_bandwidth) and run it like ``run`` does: same schema,
-same runner, a ``manifest.json``, and config errors that name the key path.
+Every verb but run and preset renders its flags as scenario INI text
+(studies phase_map, plane, gain_curve, blockage, oam_crosstalk,
+oam_bandwidth) and runs it as ``run`` does: same schema, same runner, a
+``manifest.json``, and config errors that name the INI key path of the
+rendered scenario (``--z -1`` fails at ``plane.z_m``).
 
 --threads N runs the FFTs on up to N threads (default 1; N < 1 is a
 config error), capped at the CPU count.  The output is bit-identical for
@@ -19,25 +20,13 @@ the verbs that map intensity to gray levels: propagate and blockage.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from . import io as artifacts
-from .aperture import (
-    CausticCurve,
-    WavefrontSpec,
-    make_grid,
-    synthesize_applied_phase,
-    synthesize_field,
-)
 from .errors import ConfigError, ToolkitError
-from .propagation import PropagationPlan, fft_workers, propagate_asm
+from .propagation import fft_workers
 from .scenarios import (
-    KIND_KEYS,
     PRESET_NAMES,
-    WavefrontSection,
-    check_kind_keys,
     load_config,
     parse_config,
     preset,
@@ -78,109 +67,13 @@ def _add_output_args(p: argparse.ArgumentParser, images: bool = True) -> None:
     p.add_argument("--out", type=Path, required=True, help="output directory")
     if images:
         p.add_argument("--format", action="append", choices=("csv", "pgm", "png"),
-                       dest="formats", help="artifact format (repeatable; default csv)")
+                       dest="formats",
+                       help="artifact format (repeatable; default csv, for propagate pgm)")
 
 
 def _add_threads_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1,
                    help="FFT threads (default 1; at most the CPU count)")
-
-
-# float flags of synthesize and propagate that must lie in a range, checked
-# before anything is built; every float flag must also be finite
-_POSITIVE = (lambda v: v > 0, "positive")
-_FLAG_RANGES = {
-    "side_length": _POSITIVE,
-    "frequency": _POSITIVE,
-    "pitch_fraction": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "focal_length": _POSITIVE,
-    "spot_fwhm": _POSITIVE,
-    "curve_z_end": _POSITIVE,
-    "z": _POSITIVE,
-    "db_floor": (lambda v: v < 0, "negative"),
-}
-
-
-def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
-
-
-def _check_float_flags(args) -> None:
-    """Config error naming the first float flag that is not finite or out of range."""
-    for dest, value in vars(args).items():
-        if not isinstance(value, float):
-            continue
-        if not math.isfinite(value):
-            raise ConfigError(f"must be a finite number, got {value}", key_path=_flag(dest))
-        in_range, requirement = _FLAG_RANGES.get(dest, (None, None))
-        if in_range and not in_range(value):
-            raise ConfigError(f"must be {requirement}, got {value}", key_path=_flag(dest))
-
-
-def _from_flag(flag: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, with its ValueError as a ConfigError naming ``flag``."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key_path=flag) from None
-
-
-def _grid_from_args(args):
-    # with the flags in range, the only failure left is an aperture below one pitch
-    return _from_flag("--side-length", make_grid, args.side_length, args.frequency,
-                      args.pitch_fraction)
-
-
-def _wavefront_from_args(args) -> WavefrontSpec:
-    # a flag that only one kind reads is that kind's [wavefront.*] key, less its "_m" suffix;
-    # no study runs here to resolve an "auto" focal length, so that flag is needed
-    given = {key: value for key in KIND_KEYS
-             if (value := getattr(args, key.removesuffix("_m"))) is not None}
-    check_kind_keys(args.kind, given, lambda key: _flag(key.removesuffix("_m")), "flag",
-                    needed=("focal_length_m",))
-    keys = WavefrontSection(kind=args.kind, **given)
-    curve = None
-    if args.kind == "caustic":
-        curve = _from_flag("--curve-a", CausticCurve.parabola, keys.curve_a,
-                           keys.curve_z_end_m, keys.curve_x_start_m)
-    return _from_flag(  # --bits: the one WavefrontSpec check a flag can fail
-        "--bits", WavefrontSpec, kind=args.kind, steer_angle=math.radians(args.steer_deg),
-        focal_length=keys.focal_length_m, spot_fwhm=keys.spot_fwhm_m, curve=curve,
-        spot_convention=keys.spot_convention, oam_mode=args.oam_l, phase_bits=args.bits,
-        circular=args.circular)
-
-
-def _cmd_synthesize(args) -> int:
-    _check_float_flags(args)
-    grid = _grid_from_args(args)
-    spec = _wavefront_from_args(args)
-    phase = synthesize_applied_phase(grid, spec)
-    args.out.mkdir(parents=True, exist_ok=True)
-    formats = args.formats or ["csv"]
-    stem = args.out / f"phase_{args.kind}"
-    if "csv" in formats:
-        artifacts.phase_map_csv(Path(f"{stem}.csv"), phase)
-    artifacts.write_images(stem, formats, lambda: artifacts.phase_to_levels(phase))
-    print(f"wrote {stem}.{{{','.join(formats)}}} "
-          f"({grid.elements_per_side}x{grid.elements_per_side} elements)")
-    return EXIT_OK
-
-
-def _cmd_propagate(args) -> int:
-    _check_float_flags(args)
-    grid = _grid_from_args(args)
-    spec = _wavefront_from_args(args)
-    plan = _from_flag("--pad", PropagationPlan, pad_factor=args.pad)
-    slice_ = propagate_asm(synthesize_field(grid, spec), args.z, plan)
-    args.out.mkdir(parents=True, exist_ok=True)
-    formats = args.formats or ["pgm"]
-    stem = args.out / f"slice_{args.kind}_z{args.z:g}"
-    if "csv" in formats:
-        artifacts.field_slice_csv(Path(f"{stem}.csv"), slice_)
-    artifacts.write_images(stem, formats, lambda: artifacts.intensity_to_levels(
-        slice_, scale=args.scale, db_floor=args.db_floor))
-    print(f"wrote {stem}.* ({slice_.samples.shape[0]}x{slice_.samples.shape[1]} samples)")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +103,37 @@ def _grid_section(args) -> dict:
             "pitch_fraction": args.pitch_fraction}
 
 
+def _wavefront_scenario(study: str, args, **sections) -> dict:
+    """A phase_map or plane scenario of the one wavefront the flags describe, named by kind."""
+    return {
+        "scenario": {"study": study},
+        "grid": _grid_section(args),
+        "wavefronts": {"names": [args.kind]},
+        f"wavefront.{args.kind}": {
+            "kind": args.kind, "steer_deg": args.steer_deg, "circular": args.circular,
+            "oam_mode": args.oam_l, "phase_bits": args.bits, "focal_length_m": args.focal_length,
+            "spot_fwhm_m": args.spot_fwhm, "spot_convention": args.spot_convention,
+            "curve_a": args.curve_a, "curve_x_start_m": args.curve_x_start,
+            "curve_z_end_m": args.curve_z_end},
+        **sections,
+    }
+
+
+def _formats(args) -> list[str] | None:
+    # a repeated --format writes its files once
+    return args.formats and list(dict.fromkeys(args.formats))
+
+
+def _phase_map_scenario(args) -> dict:
+    return _wavefront_scenario("phase_map", args, output={"formats": _formats(args)})
+
+
+def _plane_scenario(args) -> dict:
+    return _wavefront_scenario(
+        "plane", args, plane={"z_m": args.z, "pad_factor": args.pad},
+        output={"formats": _formats(args), "db_floor": args.db_floor, "scale": args.scale})
+
+
 def _gain_curve_scenario(args) -> dict:
     circular = args.taper == "circular"
     return {
@@ -236,7 +160,7 @@ def _blockage_scenario(args) -> dict:
         "wavefront.bessel": {"kind": "bessel", "spot_fwhm_m": args.spot_fwhm, "circular": True},
         "blockage": {"obstacle_size_m": args.obstacle_size, "obstacle_z_m": args.obstacle_z,
                      "pad_factor": args.pad},
-        "output": {"formats": args.formats, "db_floor": args.db_floor},
+        "output": {"formats": _formats(args), "db_floor": args.db_floor},
     }
 
 
@@ -257,30 +181,28 @@ def _capacity_scenario(args) -> dict:
     }
 
 
+def _run(config, out_dir: Path, label: str) -> int:
+    manifest = run_scenario(config, out_dir)
+    print(f"ran {label} -> {out_dir} ({len(manifest.artifacts)} artifacts)")
+    return EXIT_OK
+
+
 def _cmd_study(args) -> int:
     config = parse_config(_render_scenario(args.scenario(args)))
-    manifest = run_scenario(config, args.out)
-    print(f"ran {config.study} -> {args.out} ({len(manifest.artifacts)} artifacts)")
-    return EXIT_OK
+    return _run(config, args.out, config.study)
 
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    out_dir = args.out or Path(config.output.directory or config.name)
-    manifest = run_scenario(config, out_dir)
-    print(f"ran {config.name} -> {out_dir} ({len(manifest.artifacts)} artifacts)")
-    return EXIT_OK
+    return _run(config, args.out or Path(config.output.directory or config.name), config.name)
 
 
 def _cmd_preset(args) -> int:
     config = preset(args.name)
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     if args.write_config:
-        (out_dir / "preset.ini").write_text(preset_text(args.name), encoding="utf-8")
-    manifest = run_scenario(config, out_dir)
-    print(f"ran preset {args.name} -> {out_dir} ({len(manifest.artifacts)} artifacts)")
-    return EXIT_OK
+        (args.out / "preset.ini").write_text(preset_text(args.name), encoding="utf-8")
+    return _run(config, args.out, f"preset {args.name}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p)
     _add_wavefront_args(p)
     _add_output_args(p)
-    p.set_defaults(func=_cmd_synthesize)
+    p.set_defaults(func=_cmd_study, scenario=_phase_map_scenario)
 
     p = sub.add_parser("propagate", help="propagate a wavefront to a plane")
     _add_grid_args(p)
@@ -303,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db-floor", type=float, default=-60.0)
     _add_output_args(p)
     _add_threads_arg(p)
-    p.set_defaults(func=_cmd_propagate)
+    p.set_defaults(func=_cmd_study, scenario=_plane_scenario)
 
     p = sub.add_parser("gain-curve", help="axial gain comparison of the three wavefronts")
     _add_grid_args(p)

@@ -2,8 +2,10 @@
 
 Scenario configs are flat INI text (sections of ``key = value`` pairs).  A
 section or key the study does not read, like any bad value, is rejected at
-parse time with its key path.  Four study kinds are supported:
+parse time with its key path.  Six study kinds are supported:
 
+* ``phase_map``    — the phase map one wavefront applies
+* ``plane``        — one wavefront propagated to a plane
 * ``gain_curve``   — axial normalized-gain comparison (preset ``fig3``)
 * ``blockage``     — obstacle self-healing and knife-edge comparison
   (preset ``fig4``)
@@ -38,6 +40,7 @@ from .aperture import (
     WavefrontSpec,
     axicon_design,
     make_grid,
+    synthesize_applied_phase,
     synthesize_field,
 )
 from .errors import ConfigError
@@ -51,7 +54,7 @@ from .propagation import (
     reuse_spectra,
 )
 
-STUDIES = ("gain_curve", "blockage", "oam_bandwidth", "oam_crosstalk")
+STUDIES = ("phase_map", "plane", "gain_curve", "blockage", "oam_bandwidth", "oam_crosstalk")
 PRESET_NAMES = ("fig3", "fig4", "fig5", "fig3-ci", "fig4-ci")
 OUTPUT_FORMATS = ("csv", "pgm", "png")
 
@@ -63,9 +66,13 @@ OUTPUT_FORMATS = ("csv", "pgm", "png")
 # study runs on.
 
 Positive = float  # finite and > 0
+Fraction = float  # in (0, 1]
+Negative = float  # finite and < 0
+Bits = int  # 1 to 16
 Auto = float | None  # Positive, or "auto" (None): the study chooses
 Study = str  # one of STUDIES
 Convention = str  # fwhm | first_null
+Scale = str  # db | linear
 Names = tuple[str, ...]  # lists: comma-separated, distinct, at least one item
 Ints = tuple[int, ...]
 Floats = tuple[float, ...]
@@ -80,11 +87,16 @@ def _float(raw: str) -> float:
     return value
 
 
-def _positive(raw: str) -> float:
-    value = _float(raw)
-    if value <= 0:
-        raise ValueError("must be positive")
-    return value
+def _ranged(cast, in_range, requirement: str):
+    def checked(raw: str):
+        value = cast(raw)
+        if not in_range(value):
+            raise ValueError(f"must be {requirement}")
+        return value
+    return checked
+
+
+_positive = _ranged(_float, lambda v: v > 0, "positive")
 
 
 def _bool(raw: str) -> bool:
@@ -115,8 +127,12 @@ def _items(cast):
 
 _CASTS = {
     "str": str, "bool": _bool, "int": int, "float": _float, "Positive": _positive,
+    "Fraction": _ranged(_float, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "Negative": _ranged(_float, lambda v: v < 0, "negative"),
+    "Bits": _ranged(int, lambda v: 1 <= v <= 16, "in [1, 16]"),
     "Auto": lambda raw: None if raw == "auto" else _positive(raw),
     "Study": _one_of(*STUDIES), "Convention": _one_of("fwhm", "first_null"),
+    "Scale": _one_of("db", "linear"),
     "Names": _items(str), "Ints": _items(int), "Floats": _items(_float),
     "Formats": _items(_one_of(*OUTPUT_FORMATS)), "CsvFormats": _items(_one_of("csv")),
 }
@@ -140,12 +156,10 @@ class ScenarioSection:
 class GridSection:
     side_length_m: Positive
     frequency_hz: Positive
-    pitch_fraction: float = 0.5
+    pitch_fraction: Fraction = 0.5
     grid: ApertureGrid = dc_field(init=False)
 
     def __post_init__(self):
-        if not 0 < self.pitch_fraction <= 1:
-            raise ConfigError("must be in (0, 1]", key_path="grid.pitch_fraction")
         # with each key in range, the one failure left, an aperture below one pitch, needs both
         object.__setattr__(self, "grid", _build("grid", make_grid, self.side_length_m,
                                                 self.frequency_hz, self.pitch_fraction))
@@ -169,13 +183,13 @@ class WavefrontSection:
     steer_deg: float = 0.0
     circular: bool = False  # inscribed-disc amplitude taper
     oam_mode: int = 0
-    phase_bits: int | None = None
+    phase_bits: Bits | None = None
     focal_length_m: Auto = _only("beamfocusing")
     spot_fwhm_m: Positive | None = _only("bessel", needed=True)
     spot_convention: Convention = _only("bessel", "fwhm")
     curve_a: float | None = _only("caustic", needed=True)  # x = x_start + a z^2 up to z_end
     curve_x_start_m: float = _only("caustic", 0.0)
-    curve_z_end_m: float | None = _only("caustic", needed=True)
+    curve_z_end_m: Positive | None = _only("caustic", needed=True)
 
     def spec(self) -> WavefrontSpec:
         curve = None
@@ -201,6 +215,17 @@ class DistancesSection:
             raise ConfigError("need 0 < start_m < stop_m and step_m > 0", key_path="distances")
         values = start + step * np.arange(int(round((stop - start) / step)) + 1)
         object.__setattr__(self, "values", values[values <= stop + 1e-12])
+
+
+@dataclass(frozen=True, kw_only=True)
+class PlaneSection:
+    z_m: Positive
+    pad_factor: float = 2.0
+    plan: PropagationPlan = dc_field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plan", _build("plane.pad_factor", PropagationPlan,
+                                                pad_factor=self.pad_factor))
 
 
 _KNIFE_KEYS = ("knife_x_edge_m", "knife_z_m", "caustic_eval_z_m")
@@ -267,6 +292,8 @@ class OamCrosstalkSection:
     base: WavefrontSpec = dc_field(init=False)
 
     def __post_init__(self):
+        if len(self.modes) < 2:  # spillover.csv reads the middle mode's nearest neighbours
+            raise ConfigError("needs two or more modes", key_path="oam.modes")
         kind = "beamforming" if self.base_spot_fwhm_m is None else "bessel"
         object.__setattr__(self, "base", WavefrontSpec(kind=kind, spot_fwhm=self.base_spot_fwhm_m,
                                                        circular=True))
@@ -281,19 +308,34 @@ class OutputSection:
 
 
 @dataclass(frozen=True, kw_only=True)
-class MapOutputSection(OutputSection):
-    """[output] of blockage: csv writes its tables, pgm and png its dB maps down to db_floor."""
+class ImageOutputSection(OutputSection):
+    """[output] of phase_map: csv writes the map's table, pgm and png its image."""
 
     formats: Formats = ("csv",)
-    db_floor: float = -60.0
 
-    def __post_init__(self):
-        if self.db_floor >= 0:
-            raise ConfigError("db_floor must be negative", key_path="output.db_floor")
+
+@dataclass(frozen=True, kw_only=True)
+class MapOutputSection(ImageOutputSection):
+    """[output] of blockage: csv writes its tables, pgm and png its dB maps down to db_floor."""
+
+    db_floor: Negative = -60.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class PlaneOutputSection(MapOutputSection):
+    """[output] of plane: its intensity map, dB down to db_floor or linear."""
+
+    formats: Formats = ("pgm",)
+    scale: Scale = "db"
 
 
 # the sections each study reads; "wavefront.*" is each one wavefronts.names lists
 _STUDY_SECTIONS = {
+    "phase_map": {"grid": GridSection, "wavefronts": WavefrontsSection,
+                  "wavefront.*": WavefrontSection, "output": ImageOutputSection},
+    "plane": {"grid": GridSection, "wavefronts": WavefrontsSection,
+              "wavefront.*": WavefrontSection, "plane": PlaneSection,
+              "output": PlaneOutputSection},
     "gain_curve": {"grid": GridSection, "wavefronts": WavefrontsSection,
                    "wavefront.*": WavefrontSection, "distances": DistancesSection,
                    "output": OutputSection},
@@ -316,6 +358,7 @@ class ScenarioConfig:
     grid: ApertureGrid | None = None
     wavefronts: dict[str, WavefrontSpec] = dc_field(default_factory=dict)
     distances: np.ndarray | None = None
+    plane: PlaneSection | None = None
     blockage: BlockageSection | None = None
     oam: OamBandwidthSection | OamCrosstalkSection | None = None
 
@@ -353,28 +396,24 @@ def _section(parser, section: str, cls):
 
 
 # the [wavefront.*] keys that only one kind reads: name -> {"kind", "needed"}
-KIND_KEYS = {key.name: key.metadata for key in fields(WavefrontSection) if "kind" in key.metadata}
-
-
-def check_kind_keys(kind: str, given, name_of, noun: str = "key", needed=()) -> None:
-    """A ConfigError naming, by ``name_of``, each KIND_KEYS key in ``given`` that only another
-    kind reads, else each one that ``kind`` needs (or ``needed`` adds) and ``given`` lacks."""
-    foreign = [key for key, only in KIND_KEYS.items() if key in given and only["kind"] != kind]
-    missing = [key for key, only in KIND_KEYS.items() if key not in given
-               and only["kind"] == kind and (only["needed"] or key in needed)]
-    for keys, verb, joint in ((foreign, "does not read", "or"), (missing, "needs", "and")):
-        if keys:
-            first, *rest = map(name_of, keys)
-            raise ConfigError(f"a {kind} wavefront {verb} this {noun}"
-                              + "".join(f" {joint} {name}" for name in rest), key_path=first)
+_KIND_KEYS = {key.name: key.metadata for key in fields(WavefrontSection) if "kind" in key.metadata}
 
 
 def _wavefront(parser, name: str) -> WavefrontSpec:
-    """[wavefront.<name>] as a spec; a key that only another kind reads is an error."""
+    """[wavefront.<name>] as a spec.  Each key that only another kind reads is an error, and
+    so is each key that only this kind reads, needs and lacks; the error names every one."""
     section = f"wavefront.{name}"
     keys = _section(parser, section, WavefrontSection)
     _build(f"{section}.kind", WavefrontSpec, keys.kind)
-    check_kind_keys(keys.kind, parser.options(section), lambda key: f"{section}.{key}")
+    given, kind = parser.options(section), keys.kind
+    foreign = [key for key, only in _KIND_KEYS.items() if key in given and only["kind"] != kind]
+    missing = [key for key, only in _KIND_KEYS.items() if key not in given
+               and only["kind"] == kind and only["needed"]]
+    for found, verb, joint in ((foreign, "does not read", "or"), (missing, "needs", "and")):
+        if found:
+            first, *rest = (f"{section}.{key}" for key in found)
+            raise ConfigError(f"a {kind} wavefront {verb} this key"
+                              + "".join(f" {joint} {path}" for path in rest), key_path=first)
     return _build(section, keys.spec)
 
 
@@ -382,7 +421,16 @@ def _check_roles(study: str, wavefronts: dict[str, WavefrontSpec],
                  blockage: BlockageSection | None) -> None:
     """Studies pick wavefronts by kind; the section name only labels rows and maps."""
     kinds = [spec.kind for spec in wavefronts.values()]
-    if study == "gain_curve":
+    if study in ("phase_map", "plane"):
+        if len(kinds) != 1:
+            raise ConfigError(f"a {study} study takes exactly one wavefront, got {len(kinds)}",
+                              key_path="wavefronts.names")
+        # no distance here to put an auto focus at
+        [(name, spec)] = wavefronts.items()
+        if spec.kind == "beamfocusing" and spec.focal_length is None:
+            raise ConfigError(f"a {study} study needs a focal length, not auto",
+                              key_path=f"wavefront.{name}.focal_length_m")
+    elif study == "gain_curve":
         # one wavefront per column of the fixed gain-curve CSV schema
         if sorted(kinds) != sorted(artifacts.GAIN_CURVE_COLUMNS):
             raise ConfigError(
@@ -439,6 +487,7 @@ def parse_config(text: str) -> ScenarioConfig:
         grid=sections["grid"].grid if "grid" in sections else None,
         wavefronts=wavefronts,
         distances=sections["distances"].values if "distances" in sections else None,
+        plane=sections.get("plane"),
         blockage=sections.get("blockage"),
         oam=sections.get("oam"),
     )
@@ -609,14 +658,13 @@ class RunManifest:
     stage_seconds: dict[str, float] = dc_field(default_factory=dict)
 
     def add(self, path: Path, root: Path) -> None:
-        data = Path(path).read_bytes()
-        self.artifacts.append(
-            {
-                "path": str(Path(path).relative_to(root)),
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-            }
-        )
+        digest, size = hashlib.sha256(), 0
+        with open(path, "rb") as fh:  # 1 MiB at a time: a plane's CSV runs to tens of MB
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+                size += len(chunk)
+        self.artifacts.append({"path": str(Path(path).relative_to(root)),
+                               "sha256": digest.hexdigest(), "bytes": size})
 
     def checksums(self) -> dict[str, str]:
         return {a["path"]: a["sha256"] for a in self.artifacts}
@@ -636,19 +684,44 @@ class RunManifest:
 # studies
 
 
-def _write_maps(out_dir: Path, stem: str, slice_, output: MapOutputSection, manifest) -> None:
-    for path in artifacts.write_images(out_dir / stem, output.formats, lambda: (
-            artifacts.intensity_to_levels(slice_, scale="db", db_floor=output.db_floor))):
+def _write(out_dir: Path, stem: str, output: OutputSection, manifest: RunManifest,
+           write_csv=None, levels_of=None) -> None:
+    """``<stem>.csv`` by ``write_csv(path)``, then ``<stem>.pgm`` and ``.png`` of
+    ``levels_of()``, each if the formats list it (only the image studies can omit csv)."""
+    paths = [out_dir / f"{stem}.csv"] if write_csv and "csv" in output.formats else []
+    for path in paths:
+        write_csv(path)
+    if levels_of:
+        paths += artifacts.write_images(out_dir / stem, output.formats, levels_of)
+    for path in paths:
         manifest.add(path, out_dir)
+
+
+def _write_maps(out_dir: Path, stem: str, slice_, output: MapOutputSection, manifest) -> None:
+    _write(out_dir, stem, output, manifest, levels_of=lambda: (
+        artifacts.intensity_to_levels(slice_, scale="db", db_floor=output.db_floor)))
 
 
 def _write_table(out_dir: Path, name: str, header: str, rows, output: OutputSection,
                  manifest) -> None:
-    """``<name>.csv``, written if csv is in the formats (only blockage can omit it)."""
-    if "csv" in output.formats:
-        path = out_dir / f"{name}.csv"
-        artifacts.write_csv(path, header, rows)
-        manifest.add(path, out_dir)
+    _write(out_dir, name, output, manifest, lambda path: artifacts.write_csv(path, header, rows))
+
+
+def _run_phase_map(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
+    [(name, spec)] = config.wavefronts.items()
+    phase = synthesize_applied_phase(config.grid, spec)
+    _write(out_dir, f"phase_{name}", config.output, manifest,
+           lambda path: artifacts.phase_map_csv(path, phase),
+           lambda: artifacts.phase_to_levels(phase))
+
+
+def _run_plane(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
+    [(name, spec)] = config.wavefronts.items()
+    z, out = config.plane.z_m, config.output
+    slice_ = propagate_asm(synthesize_field(config.grid, spec), z, config.plane.plan)
+    _write(out_dir, f"slice_{name}_z{z:g}", out, manifest,
+           lambda path: artifacts.field_slice_csv(path, slice_),
+           lambda: artifacts.intensity_to_levels(slice_, scale=out.scale, db_floor=out.db_floor))
 
 
 def _run_gain_curve(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
@@ -737,16 +810,19 @@ def _run_oam_crosstalk(config: ScenarioConfig, out_dir: Path, manifest: RunManif
             _write_table(out_dir, stem, "tx_mode,rx_mode,coupling_db", rows, config.output,
                          manifest)
 
-            # total power into the l +- 1 neighbours of the middle mode
+            # power into the middle mode's nearest neighbours in l (l +- 1 where the set has them)
             mid = len(modes) // 2
+            gap = min(abs(rx - modes[mid]) for rx in modes if rx != modes[mid])
             spill = sum(10 ** (db / 10.0) for rx, db in zip(modes, coupling[mid])
-                        if abs(rx - modes[mid]) == 1)
-            spill_rows.append([float(deg), 10.0 * math.log10(spill) if spill > 0 else -math.inf])
+                        if abs(rx - modes[mid]) == gap)
+            spill_rows.append([float(deg), 10.0 * math.log10(spill)])
     _write_table(out_dir, "spillover", "steer_deg,spillover_db", spill_rows, config.output,
                  manifest)
 
 
 _RUNNERS = {
+    "phase_map": _run_phase_map,
+    "plane": _run_plane,
     "gain_curve": _run_gain_curve,
     "blockage": _run_blockage,
     "oam_bandwidth": _run_oam_bandwidth,

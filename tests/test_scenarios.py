@@ -481,7 +481,7 @@ def test_cli_csv_only_calls_map_no_levels(tmp_path, monkeypatch):
     assert cli_main(["propagate", "--side-length", "0.02", "--frequency", "3e11",
                      "--kind", "beamforming", "--z", "0.1", "--format", "csv",
                      "--out", str(tmp_path)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["phase_bessel.csv",
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "phase_bessel.csv",
                                                          "slice_beamforming_z0.1.csv"]
 
 
@@ -497,42 +497,45 @@ def test_cli_wavefront_verbs_reject_bad_bits(tmp_path, capsys, verb, bits):
             "--bits", bits, "--out", str(out)] + (["--z", "0.1"] if verb == "propagate" else [])
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
-    assert "phase_bits" in err and "--bits" in err
+    assert "wavefront.beamforming.phase_bits: " in err
     assert "Traceback" not in err
     assert not out.exists()
 
 
-# every other bad flag value of the wavefront verbs: (verb, flags, the flag the error names)
+# every other bad flag value of the wavefront verbs: (verb, flags, the start of the error: the
+# key path of the rendered phase_map or plane scenario)
 BAD_WAVEFRONT_FLAGS = [
-    ("propagate", ["--z", "nan"], "--z"),
-    ("propagate", ["--z", "inf"], "--z"),
-    ("propagate", ["--z", "-1"], "--z"),
-    ("propagate", ["--pad", "0.5"], "--pad"),
-    ("propagate", ["--db-floor", "1"], "--db-floor"),
-    ("propagate", ["--pitch-fraction", "2"], "--pitch-fraction"),
-    ("propagate", ["--side-length", "nan"], "--side-length"),
-    ("propagate", ["--side-length", "0.0001"], "--side-length"),  # below one pitch
-    ("propagate", ["--steer-deg", "inf"], "--steer-deg"),
-    ("propagate", ["--kind", "beamfocusing"], "--focal-length"),
-    ("propagate", ["--kind", "beamfocusing", "--focal-length", "-1"], "--focal-length"),
-    ("synthesize", ["--frequency", "nan"], "--frequency"),
-    ("synthesize", ["--pitch-fraction", "0"], "--pitch-fraction"),
-    ("synthesize", ["--kind", "bessel"], "--spot-fwhm"),
-    ("synthesize", ["--kind", "bessel", "--spot-fwhm", "nan"], "--spot-fwhm"),
-    ("synthesize", ["--kind", "caustic", "--curve-a", "2"], "--curve-z-end"),
-    ("synthesize", ["--kind", "caustic"],
-     "--curve-a: a caustic wavefront needs this flag and --curve-z-end"),
+    ("propagate", ["--z", "nan"], "plane.z_m:"),
+    ("propagate", ["--z", "inf"], "plane.z_m:"),
+    ("propagate", ["--z", "-1"], "plane.z_m:"),
+    ("propagate", ["--pad", "0.5"], "plane.pad_factor:"),
+    ("propagate", ["--db-floor", "1"], "output.db_floor:"),
+    ("propagate", ["--pitch-fraction", "2"], "grid.pitch_fraction:"),
+    ("propagate", ["--side-length", "nan"], "grid.side_length_m:"),
+    ("propagate", ["--side-length", "0.0001"],  # below one pitch: two keys, so the section
+     "grid: side_length 0.0001 m is less than one element pitch (0.000499654 m)"),
+    ("propagate", ["--steer-deg", "inf"], "wavefront.beamforming.steer_deg:"),
+    ("propagate", ["--kind", "beamfocusing"], "wavefront.beamfocusing.focal_length_m:"),
+    ("propagate", ["--kind", "beamfocusing", "--focal-length", "-1"],
+     "wavefront.beamfocusing.focal_length_m:"),
+    ("synthesize", ["--frequency", "nan"], "grid.frequency_hz:"),
+    ("synthesize", ["--pitch-fraction", "0"], "grid.pitch_fraction:"),
+    ("synthesize", ["--kind", "bessel"], "wavefront.bessel.spot_fwhm_m:"),
+    ("synthesize", ["--kind", "bessel", "--spot-fwhm", "nan"], "wavefront.bessel.spot_fwhm_m:"),
+    ("synthesize", ["--kind", "caustic", "--curve-a", "2"], "wavefront.caustic.curve_z_end_m:"),
+    ("synthesize", ["--kind", "caustic"], "wavefront.caustic.curve_a: a caustic wavefront "
+     "needs this key and wavefront.caustic.curve_z_end_m"),
     ("synthesize", ["--kind", "caustic", "--curve-a", "2", "--curve-z-end", "0"],
-     "--curve-z-end"),
+     "wavefront.caustic.curve_z_end_m:"),
     # a flag that only another kind reads
-    ("propagate", ["--curve-x-start", "0.3"], "--curve-x-start"),
-    ("synthesize", ["--spot-convention", "first_null"], "--spot-convention"),
+    ("propagate", ["--curve-x-start", "0.3"], "wavefront.beamforming.curve_x_start_m:"),
+    ("synthesize", ["--spot-convention", "first_null"], "wavefront.beamforming.spot_convention:"),
     ("propagate", ["--kind", "beamfocusing", "--focal-length", "1", "--spot-fwhm", "0.004"],
-     "--spot-fwhm"),
+     "wavefront.beamfocusing.spot_fwhm_m:"),
     ("synthesize", ["--kind", "bessel", "--spot-fwhm", "0.004", "--focal-length", "1"],
-     "--focal-length"),
+     "wavefront.bessel.focal_length_m:"),
     ("synthesize", ["--kind", "caustic", "--curve-a", "2", "--curve-z-end", "1",
-                    "--spot-convention", "fwhm"], "--spot-convention"),
+                    "--spot-convention", "fwhm"], "wavefront.caustic.spot_convention:"),
 ]
 
 
@@ -546,7 +549,7 @@ def test_cli_wavefront_verbs_reject_bad_flags(tmp_path, capsys, verb, flags, nam
         argv = _with_flag(argv, flag, value)
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
-    assert named in err
+    assert f"config error: {named}" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -679,6 +682,9 @@ def test_cli_threads_flag_does_not_change_output(tmp_path, monkeypatch):
 
 # small inputs for each study verb, and one bad input per exit code
 STUDY_VERBS = {
+    "synthesize": SYNTHESIZE[1:],
+    "propagate": ["--side-length", "0.02", "--frequency", "3e11", "--kind", "beamforming",
+                  "--z", "0.1"],
     "gain-curve": ["--side-length", "0.02", "--frequency", "3e11", "--spot-fwhm", "0.004",
                    "--z-start", "0.02", "--z-stop", "0.1", "--z-step", "0.02"],
     "blockage": ["--side-length", "0.02", "--frequency", "3e11", "--spot-fwhm", "0.004",
@@ -738,6 +744,39 @@ def test_cli_study_verb_writes_manifest(tmp_path, verb):
     assert manifest["version"] == thzbeam.__version__
     listed = {a["path"] for a in manifest["artifacts"]}
     assert listed == {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+
+
+# each verb's flags and the scenario text it renders, run by ``thzbeam run``, write one set of
+# bytes; the wavefront verbs also with every key their flags set
+RENDERED_VERBS = {
+    **{verb: [verb, *argv] for verb, argv in STUDY_VERBS.items()},
+    "synthesize-overlays": ["synthesize", "--side-length", "0.02", "--frequency", "3e11",
+                            "--kind", "beamfocusing", "--focal-length", "0.1", "--steer-deg", "5",
+                            "--oam-l", "2", "--bits", "3", "--circular", "--format", "csv",
+                            "--format", "pgm", "--format", "png"],
+    "propagate-linear": ["propagate", *SYNTHESIZE[1:], "--spot-convention", "first_null",
+                         "--z", "0.05", "--pad", "3", "--scale", "linear", "--db-floor", "-30",
+                         "--format", "csv", "--format", "png", "--format", "png"],  # once
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDERED_VERBS))
+def test_cli_run_of_a_verbs_rendered_text_writes_its_bytes(tmp_path, case):
+    from thzbeam.cli import _render_scenario
+
+    argv = [*RENDERED_VERBS[case], "--out", str(tmp_path / "verb")]
+    args = build_parser().parse_args(argv)
+    (tmp_path / "verb.ini").write_text(_render_scenario(args.scenario(args)))
+    assert cli_main(argv) == 0
+    assert cli_main(["run", str(tmp_path / "verb.ini"), "--out", str(tmp_path / "run")]) == 0
+    runs = {}
+    for name in ("verb", "run"):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        runs[name] = manifest["config_digest"], {p.name: p.read_bytes() for p in
+                                                 (tmp_path / name).iterdir()
+                                                 if p.name != "manifest.json"}
+    assert runs["run"] == runs["verb"]
+    assert len(runs["verb"][1]) == len(manifest["artifacts"]) >= 1
 
 
 def test_cli_blockage_matches_scenario_run(tmp_path):
@@ -923,8 +962,10 @@ def test_cli_offers_each_flag_only_where_it_acts(flag):
 FLOAT_FLAG_CASES = [(verb, action.option_strings[0], value)
                     for verb in STUDY_VERBS for action in _verb_parser(verb)._actions
                     if action.type is float for value in ("0", "-1", "nan", "inf")]
-VALID_FLAG_VALUES = {("blockage", "--db-floor", "-1"), ("oam-crosstalk", "--steer-deg", "0"),
-                     ("oam-crosstalk", "--steer-deg", "-1")}
+VALID_FLAG_VALUES = {("blockage", "--db-floor", "-1"), ("propagate", "--db-floor", "-1"),
+                     *((verb, "--steer-deg", value) for verb in ("synthesize", "propagate",
+                                                                 "oam-crosstalk")
+                       for value in ("0", "-1"))}
 
 
 def _run_verb(tmp_path, capsys, verb, *extra):
@@ -992,6 +1033,21 @@ modes = 0, 1
 z_m = 0.05
 """
 
+_FOCUS_INI = """\
+[grid]
+side_length_m = 0.02
+frequency_hz = 3e11
+
+[wavefronts]
+names = focus
+
+[wavefront.focus]
+kind = beamfocusing
+focal_length_m = 0.1
+"""
+WAVEFRONT_INI = {"phase_map": "[scenario]\nstudy = phase_map\n" + _FOCUS_INI,
+                 "plane": "[scenario]\nstudy = plane\n" + _FOCUS_INI + "[plane]\nz_m = 0.1\n"}
+
 UNREAD_OR_BAD = {
     "gain-blockage-section": (GAIN_INI + "[blockage]\nobstacle_size_m = 0.002\n"
                               "obstacle_z_m = 0.05\n", "blockage"),
@@ -1020,7 +1076,22 @@ UNREAD_OR_BAD = {
                               "wavefronts.names"),
     **{f"blockage-phase-bits-{bits}": (
         _fig4_ci_text().replace("[wavefront.bessel]\n", f"[wavefront.bessel]\nphase_bits = {bits}\n"),
-        "wavefront.bessel") for bits in (0, 17)},
+        "wavefront.bessel.phase_bits") for bits in (0, 17)},
+    "crosstalk-modes-one": (OAM_CROSSTALK_INI.replace("modes = 0, 1\n", "modes = 1\n"),
+                            "oam.modes"),
+    "blockage-scale": (_fig4_ci_text().replace("db_floor = -60", "db_floor = -60\nscale = db"),
+                       "output.scale"),
+    # phase_map and plane studies: one wavefront, at no distance to put an auto focus at
+    **{f"{study}-two-wavefronts": (
+        WAVEFRONT_INI[study].replace("names = focus", "names = focus, flat")
+        + "[wavefront.flat]\nkind = beamforming\n", "wavefronts.names") for study in WAVEFRONT_INI},
+    **{f"{study}-{case}-focus": (WAVEFRONT_INI[study].replace("focal_length_m = 0.1\n", line),
+                                 "wavefront.focus.focal_length_m")
+       for study in WAVEFRONT_INI for case, line in (("auto", "focal_length_m = auto\n"),
+                                                     ("no", ""))},
+    "phase_map-db-floor": (WAVEFRONT_INI["phase_map"] + "[output]\ndb_floor = -60\n",
+                           "output.db_floor"),
+    "plane-without-z": (WAVEFRONT_INI["plane"].replace("z_m = 0.1\n", ""), "plane.z_m"),
 }
 
 
@@ -1034,6 +1105,23 @@ def test_cli_run_rejects_what_the_study_does_not_read(tmp_path, capsys, name):
     assert f"{key_path}:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# spillover.csv sums the middle mode's nearest neighbours in l: l +- 1 where the set holds them
+@pytest.mark.parametrize("modes,neighbours", [
+    ("-1, 0, 1", (-1, 1)), ("-4, -3, 0, 2, 3", (2,)), ("-4, -1, 1, 3, 4", (-1, 3)),
+], ids=["pm1", "gap-2-one-side", "gap-2-both-sides"])
+def test_oam_spillover_sums_the_nearest_modes(tmp_path, modes, neighbours):
+    text = OAM_CROSSTALK_INI.replace("modes = 0, 1\n", f"modes = {modes}\nsteer_deg_list = 1\n")
+    run_scenario(parse_config(text), tmp_path)
+    mid = [int(m) for m in modes.split(",")][len(modes.split(",")) // 2]
+    _, *rows = (tmp_path / "crosstalk_steer_1deg.csv").read_text().splitlines()
+    coupling = {(float(tx), float(rx)): float(db) for tx, rx, db in (r.split(",") for r in rows)}
+    expected = 10 * math.log10(sum(10 ** (coupling[(mid, rx)] / 10) for rx in neighbours))
+    header, row = (tmp_path / "spillover.csv").read_text().splitlines()
+    steer, spill = map(float, row.split(","))
+    assert (header, steer) == ("steer_deg,spillover_db", 1.0)
+    assert spill == pytest.approx(expected, abs=1e-6)
 
 
 def _readme_section(title: str) -> str:
