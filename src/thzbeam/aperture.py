@@ -216,9 +216,14 @@ def steer_vector(angle: float, azimuth: float = 0.0) -> tuple[float, float, floa
 def _raw_quadratic(grid: ApertureGrid, focal_length: float) -> np.ndarray:
     if focal_length <= 0:
         raise ValueError(f"focal_length must be positive, got {focal_length}")
+    try:
+        f_sq = focal_length**2
+    except OverflowError:
+        raise ValueError(f"focal_length {focal_length:g} m is too large: "
+                         "its square leaves the float range") from None
     x_sq = grid.axis_coordinates() ** 2
     k = grid.wavenumber
-    return k * (np.sqrt(focal_length**2 + x_sq[None, :] + x_sq[:, None]) - focal_length)
+    return k * (np.sqrt(f_sq + x_sq[None, :] + x_sq[:, None]) - focal_length)
 
 
 def phase_quadratic(grid: ApertureGrid, focal_length: float) -> PhaseMap:
@@ -472,12 +477,12 @@ def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
     +-extent/2, i.e. n*p/2 on a FieldSlice, side_length/2 on an ApertureGrid.
     """
     x = plane.axis_coordinates()
-    X, Y = np.meshgrid(x, x, indexing="xy")
     cx, cy = spec.center_offset
     half_extent = plane.extent / 2.0
 
+    # x runs along axis 1 and y along axis 0; the 1-D terms broadcast to the plane
     if spec.shape == "half_plane":
-        blocked = X > cx
+        blocked = np.broadcast_to(x[None, :] > cx, (x.size, x.size))
     else:
         if abs(cx) + spec.size / 2.0 > half_extent or abs(cy) + spec.size / 2.0 > half_extent:
             raise GeometryError(
@@ -485,9 +490,10 @@ def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
                 f"exceeds the plane extent +-{half_extent:g} m"
             )
         if spec.shape == "disc":
-            blocked = (X - cx) ** 2 + (Y - cy) ** 2 <= (spec.size / 2.0) ** 2
+            blocked = ((x - cx) ** 2)[None, :] + ((x - cy) ** 2)[:, None] <= (spec.size / 2.0) ** 2
         else:
-            blocked = np.maximum(np.abs(X - cx), np.abs(Y - cy)) <= spec.size / 2.0
+            blocked = (np.maximum(np.abs(x - cx)[None, :], np.abs(x - cy)[:, None])
+                       <= spec.size / 2.0)
 
     values = np.where(blocked, 0.0, 1.0)
     if not values.any():

@@ -114,21 +114,34 @@ def phase_to_levels(phase: PhaseMap) -> np.ndarray:
 
 def intensity_to_levels(slice_: FieldSlice, scale: str = "db", db_floor: float = -60.0) -> np.ndarray:
     """Map slice intensity onto uint16 levels, linear or dB with a floor."""
+    return _levels(slice_.intensity(), scale, db_floor)
+
+
+def _levels(intensity: np.ndarray, scale: str, db_floor: float) -> np.ndarray:
+    """``intensity_to_levels`` of a plane's intensity, which is only read.
+
+    The mapping runs in place on one working array, ``intensity / peak``.
+    Its steps are those of the whole-array expression, in its order (dB:
+    ``(10*log10(max(i/peak, floor)) - floor) / -floor``; then ``* 65535``,
+    rounded), so the levels are the bits that expression gives.
+    """
     if scale not in ("db", "linear"):
         raise ValueError(f"unknown intensity scale {scale!r}")
     if db_floor >= 0:
         raise ValueError(f"db_floor must be negative, got {db_floor}")
-    intensity = slice_.intensity()
     peak = intensity.max()
     if peak <= 0.0:
         return np.zeros(intensity.shape, dtype=np.uint16)
-    if scale == "linear":
-        unit = intensity / peak
-    else:
-        floor_lin = 10.0 ** (db_floor / 10.0)
-        db = 10.0 * np.log10(np.maximum(intensity / peak, floor_lin))
-        unit = (db - db_floor) / (-db_floor)
-    return np.round(unit * 65535.0).astype(np.uint16)
+    unit = intensity / peak
+    if scale == "db":
+        np.maximum(unit, 10.0 ** (db_floor / 10.0), out=unit)
+        np.log10(unit, out=unit)
+        np.multiply(10.0, unit, out=unit)
+        np.subtract(unit, db_floor, out=unit)
+        np.divide(unit, -db_floor, out=unit)
+    np.multiply(unit, 65535.0, out=unit)
+    np.round(unit, out=unit)
+    return unit.astype(np.uint16)
 
 
 def write_pgm16(path: Path, levels: np.ndarray) -> None:

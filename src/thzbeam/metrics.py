@@ -229,9 +229,28 @@ def self_healing_correlation(blocked: FieldSlice, reference: FieldSlice) -> floa
         )
     if abs(blocked.z - reference.z) > 1e-9 * max(1.0, abs(reference.z)):
         raise ValueError(f"slices lie at different planes: {blocked.z} vs {reference.z}")
-    ib = blocked.intensity().ravel()
-    ir = reference.intensity().ravel()
+    return _intensity_correlation(blocked.intensity(), reference.intensity())
+
+
+def _intensity_correlation(ib: np.ndarray, ir: np.ndarray) -> float:
+    """``self_healing_correlation`` of two planes given as their intensities."""
+    ib, ir = ib.ravel(), ir.ravel()
     denom = np.linalg.norm(ib) * np.linalg.norm(ir)
     if denom == 0.0:
         raise NoBeamError("cannot correlate empty intensity patterns")
     return float(np.dot(ib, ir) / denom)
+
+
+def _disc_correlation(ib: np.ndarray, ir: np.ndarray, coords: np.ndarray, radius: float) -> float:
+    """``_intensity_correlation`` of two intensity planes over the centred disc of ``radius``.
+
+    ``coords`` is the axis of both planes.  A sample lies in the disc when
+    x^2 + y^2 <= radius^2, and only the disc's bounding box is read; the
+    samples outside the disc count as zero.
+    """
+    c_sq = coords**2
+    box = np.flatnonzero(c_sq <= radius**2)  # rows, and columns, that reach the disc
+    box = slice(box[0], box[-1] + 1) if box.size else slice(0, 0)
+    inside = c_sq[box][None, :] + c_sq[box][:, None] <= radius**2
+    return _intensity_correlation(np.where(inside, ib[box, box], 0.0),
+                                  np.where(inside, ir[box, box], 0.0))

@@ -245,22 +245,27 @@ def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
 def _check_window_supports_distance(npad: int, pitch: float, lam: float, z: float) -> float:
     """The band limit f_limit [cycles/m] of a hop; reject it if it collapses on this window."""
     extent = npad * pitch
-    f_limit = 1.0 / (lam * math.sqrt((2.0 * z / extent) ** 2 + 1.0))
+    try:
+        f_limit = 1.0 / (lam * math.sqrt((2.0 * z / extent) ** 2 + 1.0))
+    except OverflowError:  # (2z/extent)^2 beyond the float range: no window carries it
+        f_limit = 0.0
     if f_limit < 1.0 / extent:
-        grow = math.ceil(4.0 * math.sqrt(2.0 * z * lam) / extent)
+        grow = 4.0 * math.sqrt(2.0 * z * lam) / extent
         raise SamplingError(
             f"padded window {extent:g} m cannot carry the field to z = {z:g} m "
             f"(band limit {f_limit:g} cycles/m below one bin {1.0 / extent:g})",
-            required_pad_factor=max(2, grow),
+            required_pad_factor=max(2, math.ceil(grow)) if math.isfinite(grow) else None,
         )
     return f_limit
 
 
 def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: PropagationPlan) -> np.ndarray:
-    """Band-limited angular-spectrum transfer function for a field hop.
+    """Quadrant of the band-limited angular-spectrum transfer function of a hop.
 
-    H and its band-limit mask depend on kx^2 and ky^2 only, so one quadrant
-    of non-negative frequencies is evaluated and mirrored.
+    H and its band-limit mask depend on kx^2 and ky^2 only, so the
+    (npad//2+1)-square block of non-negative frequency indices holds all of
+    H exactly: ``_mirror(quadrant, npad)`` is the FFT-ordered full grid.
+    ``_apply_quadrant`` applies it without building that grid.
     """
     if plan.band_limit:
         f_limit = _check_window_supports_distance(npad, pitch, 2.0 * np.pi / k, dz)
@@ -273,7 +278,7 @@ def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: Propa
     if plan.band_limit:
         inside = kx <= 2.0 * np.pi * f_limit
         H = H * (inside[None, :] & inside[:, None])
-    return _mirror(H, npad)
+    return H
 
 
 _SPECTRA: contextvars.ContextVar[dict | None] = contextvars.ContextVar("spectra", default=None)
@@ -288,7 +293,9 @@ def reuse_spectra():
     functions, the band-limit flag) shares that array, which is read-only.
     A nested block shares the outer block's spectra.  They are released
     when the outermost block ends; the scope is kept to one study block
-    because one spectrum takes 16 * npad^2 bytes (182 MB at npad 3375).
+    because a kernel spectrum takes 16 * npad^2 bytes (182 MB at npad
+    3375).  A transfer function is kept as its quadrant, 16 * (npad//2+1)^2
+    bytes (46 MB at npad 3375).
 
     The block also keeps each adjoint plane of ``oam.crosstalk_matrix``
     (16 * n^2 bytes per receive mode), which depends on the geometry only:
@@ -329,11 +336,31 @@ def _apply(spectrum: np.ndarray, samples: np.ndarray, npad: int) -> np.ndarray:
     return _ifft2(spec)
 
 
+def _apply_quadrant(quadrant: np.ndarray, samples: np.ndarray, npad: int) -> np.ndarray:
+    """``_apply(_mirror(quadrant, npad), samples, npad)``, bit for bit.
+
+    Each of the four blocks of the field spectrum is multiplied in place by
+    a mirrored view of the quadrant, so the full-grid spectrum is never
+    built.  The operand order is ``_apply``'s.
+    """
+    spec = _padded_fft2(samples, npad)
+    h = npad // 2
+    tail = slice(npad - h - 1, 0, -1)  # as in _mirror
+    for rows, q_rows in ((slice(0, h + 1), slice(None)), (slice(h + 1, None), tail)):
+        for cols, q_cols in ((slice(0, h + 1), slice(None)), (slice(h + 1, None), tail)):
+            block = spec[rows, cols]
+            np.multiply(quadrant[q_rows, q_cols], block, out=block)
+    return _ifft2(spec)
+
+
 def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None = None,
                     wavelength: float | None = None) -> FieldSlice:
     """Propagate a sampled continuum field by dz with the analytic transfer.
 
-    ``wavelength`` must be supplied (slices do not carry the carrier).
+    ``wavelength`` must be supplied (slices do not carry the carrier).  The
+    transfer function is built, and kept inside ``reuse_spectra``, as its
+    quadrant of non-negative frequencies, and applied through mirrored
+    views of it.
     """
     plan = plan or DEFAULT_PLAN
     if wavelength is None or wavelength <= 0:
@@ -346,7 +373,7 @@ def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None =
     pitch = field.sample_pitch
     H = _spectrum(("transfer", npad, pitch, k, dz, plan.band_limit),
                   lambda: _analytic_transfer(npad, pitch, k, dz, plan))
-    return FieldSlice(field.z + dz, _apply(H, field.samples, npad), pitch)
+    return FieldSlice(field.z + dz, _apply_quadrant(H, field.samples, npad), pitch)
 
 
 def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None = None) -> FieldSlice:
@@ -428,10 +455,13 @@ def propagate_with_obstacles(
             candidate = propagate_asm(field, ob.plane_z, plan)
         else:
             candidate = propagate_slice(current, ob.plane_z - current.z, hop_plan, wavelength=lam)
-        mask = make_obstacle_mask(candidate, ob)
-        if _is_identity_mask(mask.values):
+        mask = make_obstacle_mask(candidate, ob).values
+        if _is_identity_mask(mask):
             continue
-        current = FieldSlice(candidate.z, candidate.samples * mask.values, candidate.sample_pitch)
+        # the candidate plane is this function's own: mask it in place, not in a copy
+        np.multiply(candidate.samples, mask, out=candidate.samples)
+        del mask  # before the next hop, which builds its own plane
+        current = candidate
     if current is None:
         return propagate_asm(field, z_target, plan)
     return propagate_slice(current, z_target - current.z, hop_plan, wavelength=lam)

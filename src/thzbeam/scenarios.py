@@ -44,10 +44,9 @@ from .aperture import (
     synthesize_field,
 )
 from .errors import ConfigError
-from .metrics import gain_curve, self_healing_correlation
+from .metrics import _disc_correlation, _intensity_correlation, gain_curve
 from .oam import LinkBudgetSpec, crosstalk_matrix, required_bandwidth
 from .propagation import (
-    FieldSlice,
     PropagationPlan,
     propagate_asm,
     propagate_with_obstacles,
@@ -253,6 +252,12 @@ class BlockageSection:
                               key_path=f"blockage.{unset[0]}")
         if not unset and self.caustic_eval_z_m <= self.knife_z_m:
             raise ConfigError("must lie beyond knife_z_m", key_path="blockage.caustic_eval_z_m")
+        try:  # the study compares squared distances with the window radius squared
+            (self.shadow_window_factor * self.obstacle_size_m / 2.0) ** 2
+        except OverflowError:
+            raise ConfigError("the shadow window radius shadow_window_factor * obstacle_size_m "
+                              "/ 2 squares beyond the float range",
+                              key_path="blockage.shadow_window_factor") from None
         knife = None if unset else _build("blockage.knife_z_m", ObstacleSpec, "half_plane", 0.0,
                                           (self.knife_x_edge_m, 0.0), self.knife_z_m)
         disc = _build("blockage.obstacle_z_m", ObstacleSpec, "disc", self.obstacle_size_m,
@@ -697,9 +702,11 @@ def _write(out_dir: Path, stem: str, output: OutputSection, manifest: RunManifes
         manifest.add(path, out_dir)
 
 
-def _write_maps(out_dir: Path, stem: str, slice_, output: MapOutputSection, manifest) -> None:
+def _write_maps(out_dir: Path, stem: str, intensity: np.ndarray, output: MapOutputSection,
+                manifest) -> None:
+    """The dB maps of a plane given as its intensity, which stays as it is."""
     _write(out_dir, stem, output, manifest, levels_of=lambda: (
-        artifacts.intensity_to_levels(slice_, scale="db", db_floor=output.db_floor)))
+        artifacts._levels(intensity, scale="db", db_floor=output.db_floor)))
 
 
 def _write_table(out_dir: Path, name: str, header: str, rows, output: OutputSection,
@@ -751,18 +758,20 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
                 if kind == "beamfocusing" and spec.focal_length is None:
                     spec = replace(spec, focal_length=z_eval)
                 fld = synthesize_field(grid, spec)
+                # each plane is kept as its intensity only: the correlations and maps read
+                # nothing else, and a wavefront's planes are gone before the next is built
                 reference = propagate_asm(fld, z_eval, b.plan)
-                blocked = propagate_with_obstacles(fld, [b.disc], z_eval, b.plan)
-                xs_sq = reference.axis_coordinates() ** 2
-                window = xs_sq[None, :] + xs_sq[:, None] <= r_window**2
-                corr_shadow = self_healing_correlation(
-                    FieldSlice(blocked.z, blocked.samples * window, blocked.sample_pitch),
-                    FieldSlice(reference.z, reference.samples * window, reference.sample_pitch),
-                )
-                corr_full = self_healing_correlation(blocked, reference)
-                rows.append([name, z_eval, corr_shadow, corr_full])
-                _write_maps(out_dir, f"map_{name}_reference", reference, out, manifest)
-                _write_maps(out_dir, f"map_{name}_blocked", blocked, out, manifest)
+                coords = reference.axis_coordinates()
+                i_ref = reference.intensity()
+                del reference
+                _write_maps(out_dir, f"map_{name}_reference", i_ref, out, manifest)
+                i_blk = propagate_with_obstacles(fld, [b.disc], z_eval, b.plan).intensity()
+                del fld
+                rows.append([name, z_eval, _disc_correlation(i_blk, i_ref, coords, r_window),
+                             _intensity_correlation(i_blk, i_ref)])
+                del i_ref
+                _write_maps(out_dir, f"map_{name}_blocked", i_blk, out, manifest)
+                del i_blk
     _write_table(out_dir, "healing", "wavefront,eval_z_m,correlation_shadow,correlation_full",
                  rows, out, manifest)
 
@@ -771,19 +780,19 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
         [(planar_name, planar_spec)] = _wavefronts_of_kind(config, "beamforming")
         z_t = b.caustic_eval_z_m
         with reuse_spectra():
-            caustic_blocked = propagate_with_obstacles(
+            i_caustic = propagate_with_obstacles(
                 synthesize_field(grid, caustic_spec), [b.knife], z_t, b.plan
-            )
-            planar_blocked = propagate_with_obstacles(
+            ).intensity()
+            i_planar = propagate_with_obstacles(
                 synthesize_field(grid, planar_spec), [b.knife], z_t, b.plan
-            )
-        pk_c = float(caustic_blocked.intensity().max())
-        pk_p = float(planar_blocked.intensity().max())
+            ).intensity()
+        pk_c = float(i_caustic.max())
+        pk_p = float(i_planar.max())
         advantage = 10.0 * math.log10(pk_c / pk_p) if pk_p > 0 else math.inf
         _write_table(out_dir, "caustic_blockage", "z_m,caustic_peak,planar_peak,advantage_db",
                      [[z_t, pk_c, pk_p, advantage]], out, manifest)
-        _write_maps(out_dir, f"map_{caustic_name}_blocked", caustic_blocked, out, manifest)
-        _write_maps(out_dir, f"map_{planar_name}_knife", planar_blocked, out, manifest)
+        _write_maps(out_dir, f"map_{caustic_name}_blocked", i_caustic, out, manifest)
+        _write_maps(out_dir, f"map_{planar_name}_knife", i_planar, out, manifest)
 
 
 def _run_oam_bandwidth(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:

@@ -526,6 +526,31 @@ def test_half_plane_masks_positive_x():
     np.testing.assert_array_equal(mask.values == 0.0, X > 0.0)
 
 
+def _meshgrid_obstacle_mask(plane, spec):
+    """Reference: the obstacle mask built on full coordinate planes."""
+    x = plane.axis_coordinates()
+    X, Y = np.meshgrid(x, x, indexing="xy")
+    cx, cy = spec.center_offset
+    if spec.shape == "half_plane":
+        blocked = X > cx
+    elif spec.shape == "disc":
+        blocked = (X - cx) ** 2 + (Y - cy) ** 2 <= (spec.size / 2.0) ** 2
+    else:
+        blocked = np.maximum(np.abs(X - cx), np.abs(Y - cy)) <= spec.size / 2.0
+    return np.where(blocked, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", ["disc", "square", "half_plane"])
+@pytest.mark.parametrize("side", [0.02, 0.0205])  # n = 40 and 41
+def test_obstacle_mask_from_broadcast_axes_equals_the_meshgrid_form(shape, side):
+    grid = make_grid(side, 3e11)
+    for offset in [(0.0, 0.0), (1.3e-3, -2.1e-3), (-0.7e-3, 0.45e-3)]:
+        spec = ObstacleSpec(shape, 0.006, offset, 1.0)
+        mask = make_obstacle_mask(grid, spec).values
+        assert mask.shape == (grid.elements_per_side,) * 2
+        np.testing.assert_array_equal(mask, _meshgrid_obstacle_mask(grid, spec))
+
+
 def test_full_cover_mask_warns():
     grid = make_grid(0.02, 3e11)
     with pytest.warns(UserWarning, match="entire plane"):

@@ -6,9 +6,11 @@ import pytest
 from thzbeam import FieldSlice, PhaseMap
 from thzbeam.io import (
     _CSV_BLOCK_ROWS,
+    _levels,
     _sample_intensity,
     field_slice_csv,
     format_number,
+    intensity_to_levels,
     phase_map_csv,
 )
 
@@ -135,3 +137,36 @@ def test_phase_map_csv_matches_per_element_writer(tmp_path, n):
     phase_map_csv(tmp_path / "blocks.csv", phase)
     _phase_map_csv_per_element(tmp_path / "per_element.csv", phase)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "per_element.csv").read_bytes()
+
+
+def _levels_by_copies(intensity, scale, db_floor):
+    """Reference: the level mapping as whole-array expressions, one new array per step."""
+    peak = intensity.max()
+    if peak <= 0.0:
+        return np.zeros(intensity.shape, dtype=np.uint16)
+    if scale == "linear":
+        unit = intensity / peak
+    else:
+        floor_lin = 10.0 ** (db_floor / 10.0)
+        db = 10.0 * np.log10(np.maximum(intensity / peak, floor_lin))
+        unit = (db - db_floor) / (-db_floor)
+    return np.round(unit * 65535.0).astype(np.uint16)
+
+
+@pytest.mark.parametrize("scale", ["db", "linear"])
+@pytest.mark.parametrize("db_floor", [-60.0, -37.3, -1.0])
+def test_in_place_levels_equal_the_copying_expression(scale, db_floor):
+    rng = np.random.default_rng(11)
+    samples = _random_phasors(rng, 64, 4)
+    samples[:3, :3] = 0.0  # below every floor
+    slice_ = FieldSlice(0.5, samples, 1e-3)
+    intensity = slice_.intensity()
+    kept = intensity.copy()
+    expected = _levels_by_copies(intensity, scale, db_floor)
+    np.testing.assert_array_equal(_levels(intensity, scale, db_floor), expected)
+    np.testing.assert_array_equal(intensity, kept)  # the intensity is only read
+    np.testing.assert_array_equal(intensity_to_levels(slice_, scale, db_floor), expected)
+    dark = np.zeros((8, 8))
+    np.testing.assert_array_equal(_levels(dark, scale, db_floor),
+                                  _levels_by_copies(dark, scale, db_floor))
+

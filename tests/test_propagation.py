@@ -16,6 +16,7 @@ from thzbeam import (
     circular_taper,
     compose_aperture,
     make_grid,
+    make_obstacle_mask,
     phase_conical,
     phase_planar,
     phase_quadratic,
@@ -478,8 +479,69 @@ def test_quadrant_builds_equal_full_grid_builds(npad):
     dz = 0.5 * npad * pitch
     for band_limit in (True, False):
         plan = PropagationPlan(band_limit=band_limit)
-        np.testing.assert_array_equal(propagation._analytic_transfer(npad, pitch, k, dz, plan),
+        quadrant = propagation._analytic_transfer(npad, pitch, k, dz, plan)
+        assert quadrant.shape == (npad // 2 + 1, npad // 2 + 1)
+        np.testing.assert_array_equal(propagation._mirror(quadrant, npad),
                                       _reference_transfer(npad, pitch, k, dz, plan))
+
+
+@pytest.mark.parametrize("npad", [17, 18, 840, 841])
+@pytest.mark.parametrize("band_limit", [True, False])
+def test_quadrant_application_equals_the_full_grid_apply(npad, band_limit):
+    pitch = 1.5e-4
+    k = 2.0 * np.pi / 3e-4
+    n = npad - 6  # the padding keeps n's parity
+    samples = np.exp(2j * np.pi * RNG.random((n, n))) * RNG.random((n, n))
+    quadrant = propagation._analytic_transfer(npad, pitch, k, 0.5 * npad * pitch,
+                                              PropagationPlan(band_limit=band_limit))
+    np.testing.assert_array_equal(propagation._apply_quadrant(quadrant, samples, npad),
+                                  propagation._apply(propagation._mirror(quadrant, npad),
+                                                     samples, npad))
+
+
+def test_in_place_mask_multiply_equals_the_copy():
+    samples = np.exp(2j * np.pi * RNG.random((41, 41))) * RNG.standard_normal((41, 41))
+    samples.real[::5] = -0.0  # signed zeros: the complex product may flip their sign
+    samples.imag[::3] = 0.0
+    mask = make_obstacle_mask(FieldSlice(1.0, samples, 1e-3),
+                              ObstacleSpec("disc", 0.012, (1e-3, 0.0), 1.0)).values
+    expected = samples * mask
+    np.multiply(samples, mask, out=samples)
+    assert np.array_equal(samples.view(np.float64), expected.view(np.float64))
+    assert np.array_equal(np.signbit(samples.view(np.float64)),
+                          np.signbit(expected.view(np.float64)))
+
+
+@pytest.mark.parametrize("side", [0.02, 0.0205])
+def test_obstacle_hops_equal_the_copying_form(side):
+    """Each plane masked in place, as against ``FieldSlice(samples * mask.values)``."""
+    grid = make_grid(side, 3e11)
+    field = _random_phase_field(grid)
+    lam = grid.wavelength
+    plan = PropagationPlan(pad_factor=1.5)
+    hop_plan = PropagationPlan(pad_factor=1.0)
+    obstacles = [ObstacleSpec("disc", 0.004, (5e-4, -1e-3), 0.05),
+                 ObstacleSpec("half_plane", 0.0, (0.004, 0.0), 0.08)]
+
+    current = None
+    for ob in obstacles:
+        candidate = (propagate_asm(field, ob.plane_z, plan) if current is None else
+                     propagate_slice(current, ob.plane_z - current.z, hop_plan, wavelength=lam))
+        mask = make_obstacle_mask(candidate, ob)
+        current = FieldSlice(candidate.z, candidate.samples * mask.values, candidate.sample_pitch)
+    expected = propagate_slice(current, 0.12 - current.z, hop_plan, wavelength=lam)
+
+    got = propagate_with_obstacles(field, obstacles, 0.12, plan)
+    assert got.z == expected.z
+    np.testing.assert_array_equal(got.samples, expected.samples)
+
+
+@pytest.mark.parametrize("z, hint", [(1e200, True), (1e308, False)])
+def test_window_check_rejects_distances_beyond_the_float_range(z, hint):
+    # (2z/extent)^2 overflows at both; 2*z*lambda, under the hint's root, overflows at 1e308
+    with pytest.raises(SamplingError, match="cannot carry the field") as err:
+        propagation._check_window_supports_distance(840, 1.5e-4, 3e-4, z)
+    assert (err.value.required_pad_factor is not None) == hint
 
 
 class _BuildCounter:

@@ -199,6 +199,28 @@ def test_blockage_builds_each_spectrum_once(tmp_path, monkeypatch):
     assert builds == {"kernel": 3, "transfer": 2}
 
 
+def test_blockage_study_holds_at_most_six_padded_planes(tmp_path):
+    """Traced peak of the fig4-ci study, in padded complex planes (16 * 840^2 bytes).
+
+    Each plane is kept as its intensity once its map is written, a
+    wavefront's planes are released before the next wavefront is built,
+    obstacles mask their plane in place and transfer functions are kept as
+    quadrants: the peak reads 5.04 planes (it read 9.06 when each of those
+    held full-grid copies).
+    """
+    import tracemalloc
+
+    config = preset("fig4-ci")
+    tracemalloc.start()
+    try:
+        run_scenario(config, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = 16 * 840**2
+    assert peak <= 6 * plane, f"traced peak {peak / plane:.2f} planes"
+
+
 def test_blockage_auto_focus_keeps_every_wavefront_field(tmp_path):
     """``focal_length_m = auto`` sets the focus only; phase_bits still applies."""
     base = _fig4_ci_text()
@@ -985,6 +1007,41 @@ def test_cli_float_flags_reject_bad_values(tmp_path, capsys, verb, flag, value):
     assert "Traceback" not in err
     if code == 2:
         assert not out.exists()
+
+
+# values whose square, or twice whose product, leaves the float range: (key path, value, exit
+# code, what the message says)
+OVERFLOW_CASES = [
+    ("plane.z_m", "1e200", 3, "cannot carry the field to z = 1e+200 m"),
+    ("plane.z_m", "1e308", 3, "cannot carry the field to z = 1e+308 m"),
+    ("blockage.obstacle_z_m", "1e200", 3, "cannot carry the field to z = 1e+200 m"),
+    ("blockage.obstacle_z_m", "1e308", 3, "cannot carry the field to z = 1e+308 m"),
+    ("blockage.caustic_eval_z_m", "1e200", 3, "cannot carry the field to z = 1e+200 m"),
+    ("blockage.caustic_eval_z_m", "1e308", 3, "cannot carry the field to z = 1e+308 m"),
+    ("blockage.shadow_window_factor", "1e308", 2,
+     "blockage.shadow_window_factor: the shadow window radius"),
+    ("wavefront.beamfocusing.focal_length_m", "1e308", 3, "focal_length 1e+308 m is too large"),
+]
+
+
+@pytest.mark.parametrize("key_path,value,code,message", OVERFLOW_CASES,
+                         ids=[f"{k}={v}" for k, v, _, _ in OVERFLOW_CASES])
+def test_values_beyond_the_float_range_exit_with_a_message(tmp_path, capsys, key_path, value,
+                                                           code, message):
+    section, key = key_path.rsplit(".", 1)
+    if section == "plane":
+        argv = ["propagate", *STUDY_VERBS["propagate"][:-2], "--z", value]
+    elif section == "blockage":
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", _fig4_ci_text(), flags=re.M)
+        (tmp_path / "scenario.ini").write_text(text)
+        argv = ["run", str(tmp_path / "scenario.ini")]
+    else:
+        argv = ["propagate", *STUDY_VERBS["propagate"], "--focal-length", value]
+        argv[argv.index("beamforming")] = "beamfocusing"
+    assert cli_main([*argv, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
 
 
 # config errors that name their key path and exit before the output directory exists
