@@ -235,10 +235,11 @@ def self_healing_correlation(blocked: FieldSlice, reference: FieldSlice) -> floa
 def _intensity_correlation(ib: np.ndarray, ir: np.ndarray) -> float:
     """``self_healing_correlation`` of two planes given as their intensities."""
     ib, ir = ib.ravel(), ir.ravel()
-    denom = np.linalg.norm(ib) * np.linalg.norm(ir)
+    # einsum, not np.dot or np.linalg.norm: a BLAS dot splits its sum by the BLAS thread count
+    denom = np.sqrt(np.einsum("i,i->", ib, ib)) * np.sqrt(np.einsum("i,i->", ir, ir))
     if denom == 0.0:
         raise NoBeamError("cannot correlate empty intensity patterns")
-    return float(np.dot(ib, ir) / denom)
+    return float(np.einsum("i,i->", ib, ir) / denom)
 
 
 def _disc_correlation(ib: np.ndarray, ir: np.ndarray, coords: np.ndarray, radius: float) -> float:

@@ -20,7 +20,6 @@ with M modes and Q-ary QAM under ideal Nyquist signalling.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,8 +28,9 @@ import numpy as np
 
 from .aperture import ApertureField, ApertureGrid, _raw_spiral
 from .errors import GeometryError
-from .propagation import (DEFAULT_PLAN, PropagationPlan, _check_window_supports_distance,
-                          _padded_size, _spectrum, propagate_asm, reuse_spectra)
+from .propagation import (DEFAULT_PLAN, PropagationPlan, _SPECTRA,
+                          _check_window_supports_distance, _keep, _own_spectra, _padded_size,
+                          propagate_asm, reuse_spectra)
 
 __all__ = [
     "COUPLING_FLOOR_DB",
@@ -86,11 +86,18 @@ def crosstalk_matrix(
     on the smallest grid of the aperture's pitch and parity that holds the
     disc and the aperture, propagated by z; its central n-by-n window is
     the adjoint plane, against which every transmitted field is one inner
-    product.  The plane depends on the geometry only, so inside an
-    enclosing ``reuse_spectra()`` block every steering angle and base beam
-    shares it.  It is exact for every radius the receive plane holds, where
+    product.  It is exact for every radius the receive plane holds, where
     a forward hop's padded plane would wrap round inside a disc wider than
     the aperture.  Couplings below ``COUPLING_FLOOR_DB`` read as the floor.
+
+    The adjoint planes and the transmit spirals ``exp(1j*l_tx*phi)`` depend
+    on the geometry only, so an enclosing ``reuse_spectra()`` block keeps
+    them (16 * n^2 bytes each), and every steering angle and base beam of a
+    study shares them: a study builds one spiral per mode, whatever its
+    receive radii, and one hop per receive mode and radius.  The azimuth
+    and the receive disc are built only when one of them is missing.  The
+    hops share a kernel spectrum in a scope of their own, which releases it
+    once the planes are built.
     """
     mode_list = tuple(int(m) for m in modes)
     if len(set(mode_list)) != len(mode_list):
@@ -103,7 +110,7 @@ def crosstalk_matrix(
     # the receive plane is the one a forward hop of the aperture would return
     npad = _padded_size(n, plan.pad_factor)
     if plan.band_limit:
-        _check_window_supports_distance(npad, pitch, grid.wavelength, z)
+        _check_window_supports_distance(n, npad, pitch, grid.wavelength, z)
     if rx_radius is None:
         rx_radius = grid.half_side
     if rx_radius <= 0:
@@ -118,26 +125,43 @@ def crosstalk_matrix(
     x_sq = ((np.arange(npad) - (npad - 1) / 2.0) * pitch) ** 2
     m = max(n, int(np.count_nonzero(x_sq + x_sq.min() <= r_sq)))
     rx_grid = ApertureGrid(m * pitch, pitch, grid.frequency)
-    x_sq = rx_grid.axis_coordinates() ** 2
-    disc = x_sq[None, :] + x_sq[:, None] <= r_sq
-    phi = _raw_spiral(rx_grid, 1)  # the azimuth, on the aperture's elements too
-
-    def adjoint_plane(l_rx: int) -> np.ndarray:
-        helix = np.where(disc, np.exp(-1j * l_rx * phi), 0.0)
-        plane = propagate_asm(ApertureField(rx_grid, helix), z, plan).samples
-        c = (plane.shape[0] - n) // 2
-        return plane[c : c + n, c : c + n].ravel()
 
     with reuse_spectra():
-        planes = [_spectrum(("adjoint", n, pitch, k, z, rx_radius, l_rx, plan),
-                            functools.partial(adjoint_plane, l_rx)) for l_rx in mode_list]
+        memo = _SPECTRA.get()
+        plane_keys = [("adjoint", n, pitch, k, z, rx_radius, l_rx, plan) for l_rx in mode_list]
+        # the aperture's n-by-n window of the azimuth is the same for every receive radius
+        spiral_keys = [("spiral", n, pitch, l_tx) for l_tx in mode_list]
+        missing = [key for key in plane_keys + spiral_keys if key not in memo]
+        if missing:
+            phi = _raw_spiral(rx_grid, 1)  # the azimuth, on the aperture's elements too
+        if any(key[0] == "adjoint" for key in missing):
+            x_sq = rx_grid.axis_coordinates() ** 2
+            disc = x_sq[None, :] + x_sq[:, None] <= r_sq
+
+            def adjoint_plane(l_rx: int) -> np.ndarray:
+                helix = np.where(disc, np.exp(-1j * l_rx * phi), 0.0)
+                plane = propagate_asm(ApertureField(rx_grid, helix), z, plan).samples
+                del helix  # not held while the plane's window is copied out
+                c = (plane.shape[0] - n) // 2
+                return plane[c : c + n, c : c + n].ravel()
+
+            # the hops share one kernel spectrum, built in a scope of their own: only the
+            # planes outlive it
+            with _own_spectra():
+                for key, l_rx in zip(plane_keys, mode_list):
+                    if key in missing:
+                        _keep(memo, key, adjoint_plane(l_rx))
+        lo = (m - n) // 2
+        for key, l_tx in zip(spiral_keys, mode_list):
+            if key in missing:
+                _keep(memo, key, np.exp(1j * (l_tx * phi[lo : lo + n, lo : lo + n])))
+        planes = [memo[key] for key in plane_keys]
+        spirals = [memo[key] for key in spiral_keys]
 
     ramp = np.exp(-1j * k * math.sin(steer_angle) * grid.axis_coordinates()[None, :])
-    lo = (m - n) // 2
-    tx_phi = phi[lo : lo + n, lo : lo + n]
     coupling = np.zeros((len(mode_list), len(mode_list)))
-    for i, l_tx in enumerate(mode_list):
-        tx = (base.weights * np.exp(1j * (l_tx * tx_phi)) * ramp).ravel()
+    for i, (l_tx, spiral) in enumerate(zip(mode_list, spirals)):
+        tx = (base.weights * spiral * ramp).ravel()
         # einsum, not np.dot: a BLAS dot splits its sum by the BLAS thread count
         amps = np.array([np.einsum("i,i->", tx, plane) for plane in planes]) * pitch**2
         powers = np.abs(amps) ** 2

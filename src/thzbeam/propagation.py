@@ -88,6 +88,10 @@ class FieldSlice:
         return np.abs(self.samples) ** 2
 
 
+# the largest pad factor a plan takes; a window check hints at none above it
+_MAX_PAD_FACTOR = 8
+
+
 @dataclass(frozen=True)
 class PropagationPlan:
     """Knobs for spectral propagation."""
@@ -96,8 +100,8 @@ class PropagationPlan:
     band_limit: bool = True
 
     def __post_init__(self):
-        if not 1.0 <= self.pad_factor <= 8.0:
-            raise ValueError(f"pad_factor must be in [1, 8], got {self.pad_factor}")
+        if not 1.0 <= self.pad_factor <= _MAX_PAD_FACTOR:
+            raise ValueError(f"pad_factor must be in [1, {_MAX_PAD_FACTOR}], got {self.pad_factor}")
 
 
 DEFAULT_PLAN = PropagationPlan()
@@ -242,21 +246,37 @@ def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
     return _fft2(_mirror(np.exp(-1j * k * r) / r, npad))
 
 
-def _check_window_supports_distance(npad: int, pitch: float, lam: float, z: float) -> float:
-    """The band limit f_limit [cycles/m] of a hop; reject it if it collapses on this window."""
-    extent = npad * pitch
+def _band_limit(extent: float, lam: float, z: float) -> float:
+    """The band limit f_limit [cycles/m] of a hop to z on a window of side ``extent``."""
     try:
-        f_limit = 1.0 / (lam * math.sqrt((2.0 * z / extent) ** 2 + 1.0))
+        return 1.0 / (lam * math.sqrt((2.0 * z / extent) ** 2 + 1.0))
     except OverflowError:  # (2z/extent)^2 beyond the float range: no window carries it
-        f_limit = 0.0
-    if f_limit < 1.0 / extent:
-        grow = 4.0 * math.sqrt(2.0 * z * lam) / extent
-        raise SamplingError(
-            f"padded window {extent:g} m cannot carry the field to z = {z:g} m "
-            f"(band limit {f_limit:g} cycles/m below one bin {1.0 / extent:g})",
-            required_pad_factor=max(2, math.ceil(grow)) if math.isfinite(grow) else None,
-        )
-    return f_limit
+        return 0.0
+
+
+def _check_window_supports_distance(n: int, npad: int, pitch: float, lam: float, z: float) -> None:
+    """Reject a hop of n samples a side, padded to npad, whose band limit collapses.
+
+    The rejection hints at a pad factor to retry with: the estimate
+    4 sqrt(2 z lambda) / window, raised to the smallest whole pad factor
+    whose window carries the hop and capped at ``_MAX_PAD_FACTOR``.  When
+    not even that carries it, the message says so and gives no hint.
+    """
+    def carries(extent: float) -> bool:
+        return _band_limit(extent, lam, z) >= 1.0 / extent
+
+    extent = npad * pitch
+    if carries(extent):
+        return
+    message = (f"padded window {extent:g} m cannot carry the field to z = {z:g} m "
+               f"(band limit {_band_limit(extent, lam, z):g} cycles/m below one bin "
+               f"{1.0 / extent:g})")
+    least = next((p for p in range(2, _MAX_PAD_FACTOR + 1)
+                  if carries(_padded_size(n, p) * pitch)), None)
+    if least is None:
+        raise SamplingError(f"{message}; no pad_factor up to {_MAX_PAD_FACTOR} carries it")
+    estimate = math.ceil(4.0 * math.sqrt(2.0 * z * lam) / extent)
+    raise SamplingError(message, required_pad_factor=min(max(least, estimate), _MAX_PAD_FACTOR))
 
 
 def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: PropagationPlan) -> np.ndarray:
@@ -267,8 +287,6 @@ def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: Propa
     H exactly: ``_mirror(quadrant, npad)`` is the FFT-ordered full grid.
     ``_apply_quadrant`` applies it without building that grid.
     """
-    if plan.band_limit:
-        f_limit = _check_window_supports_distance(npad, pitch, 2.0 * np.pi / k, dz)
     kx = 2.0 * np.pi * np.abs(np.fft.fftfreq(npad, d=pitch)[: npad // 2 + 1])
     kx_sq = kx * kx
     kz_sq = k * k - kx_sq[None, :] - kx_sq[:, None]
@@ -276,7 +294,7 @@ def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: Propa
     kz = np.sqrt(np.where(prop, kz_sq, 0.0))
     H = np.where(prop, np.exp(-1j * dz * kz), 0.0 + 0.0j)
     if plan.band_limit:
-        inside = kx <= 2.0 * np.pi * f_limit
+        inside = kx <= 2.0 * np.pi * _band_limit(npad * pitch, 2.0 * np.pi / k, dz)
         H = H * (inside[None, :] & inside[:, None])
     return H
 
@@ -297,13 +315,23 @@ def reuse_spectra():
     3375).  A transfer function is kept as its quadrant, 16 * (npad//2+1)^2
     bytes (46 MB at npad 3375).
 
-    The block also keeps each adjoint plane of ``oam.crosstalk_matrix``
-    (16 * n^2 bytes per receive mode), which depends on the geometry only:
-    every steering angle of a crosstalk study inside one block shares it.
+    The block also keeps what ``oam.crosstalk_matrix`` builds from the
+    geometry only, so every steering angle and base beam of a crosstalk
+    study inside one block shares it: each adjoint plane (16 * n^2 bytes
+    per receive mode) and each transmit spiral (16 * n^2 bytes per mode).
+    The adjoint hops' kernel spectrum is built in a scope of its own and
+    released once their planes are built.
     """
     if _SPECTRA.get() is not None:
         yield
         return
+    with _own_spectra():
+        yield
+
+
+@contextlib.contextmanager
+def _own_spectra():
+    """A spectra scope of its own: what is built inside is released when it ends."""
     token = _SPECTRA.set({})
     try:
         yield
@@ -317,11 +345,14 @@ def _spectrum(key: tuple, build) -> np.ndarray:
     if memo is None:
         return build()
     spectrum = memo.get(key)
-    if spectrum is None:
-        spectrum = build()
-        spectrum.setflags(write=False)
-        memo[key] = spectrum
-    return spectrum
+    return _keep(memo, key, build()) if spectrum is None else spectrum
+
+
+def _keep(memo: dict, key: tuple, array: np.ndarray) -> np.ndarray:
+    """Keep ``array`` in a spectra memo under ``key``, read-only, as every caller shares it."""
+    array.setflags(write=False)
+    memo[key] = array
+    return array
 
 
 def _apply(spectrum: np.ndarray, samples: np.ndarray, npad: int) -> np.ndarray:
@@ -371,6 +402,8 @@ def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None =
     npad = _padded_size(n, plan.pad_factor)
     k = 2.0 * np.pi / wavelength
     pitch = field.sample_pitch
+    if plan.band_limit:
+        _check_window_supports_distance(n, npad, pitch, wavelength, dz)
     H = _spectrum(("transfer", npad, pitch, k, dz, plan.band_limit),
                   lambda: _analytic_transfer(npad, pitch, k, dz, plan))
     return FieldSlice(field.z + dz, _apply_quadrant(H, field.samples, npad), pitch)
@@ -390,7 +423,7 @@ def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None =
     pitch = field.grid.element_pitch
     npad = _padded_size(n, plan.pad_factor)
     if plan.band_limit:
-        _check_window_supports_distance(npad, pitch, field.grid.wavelength, z)
+        _check_window_supports_distance(n, npad, pitch, field.grid.wavelength, z)
     k = field.grid.wavenumber
     K = _spectrum(("kernel", npad, pitch, k, z), lambda: _kernel_spectrum(npad, pitch, k, z))
     return FieldSlice(z, _apply(K, field.weights, npad), pitch)

@@ -159,9 +159,15 @@ class GridSection:
     grid: ApertureGrid = dc_field(init=False)
 
     def __post_init__(self):
-        # with each key in range, the one failure left, an aperture below one pitch, needs both
-        object.__setattr__(self, "grid", _build("grid", make_grid, self.side_length_m,
-                                                self.frequency_hz, self.pitch_fraction))
+        # with each key in range, the failures left are an aperture below one pitch, which
+        # needs both, and one of more pitches than a float counts, which is the side's
+        try:
+            grid = _build("grid", make_grid, self.side_length_m, self.frequency_hz,
+                          self.pitch_fraction)
+        except OverflowError:
+            raise ConfigError(f"invalid value '{self.side_length_m:g}': the element count "
+                              "overflows", key_path="grid.side_length_m") from None
+        object.__setattr__(self, "grid", grid)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -212,6 +218,9 @@ class DistancesSection:
         start, stop, step = self.start_m, self.stop_m, self.step_m
         if start <= 0 or stop <= start or step <= 0:
             raise ConfigError("need 0 < start_m < stop_m and step_m > 0", key_path="distances")
+        if not math.isfinite((stop - start) / step):
+            raise ConfigError(f"invalid value '{stop:g}': the distance count overflows",
+                              key_path="distances.stop_m")
         values = start + step * np.arange(int(round((stop - start) / step)) + 1)
         object.__setattr__(self, "values", values[values <= stop + 1e-12])
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,12 +317,31 @@ def test_intensity_correlation_equals_the_slice_form(n):
             == self_healing_correlation(_windowed(blocked, window), _windowed(reference, window)))
 
 
+def test_intensity_correlation_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot over 705,600 floats by its thread count, and the last digit moved
+    # (0.3592183082419058 on 1 thread, ...061 on 2); einsum adds in one order
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import numpy as np\n"
+            "from thzbeam.metrics import _intensity_correlation\n"
+            "rng = np.random.default_rng(7)\n"
+            "ib, ir = rng.random((840, 840)), rng.random((840, 840))\n"
+            "print(repr(_intensity_correlation(ib ** 4, ir ** 4)))")
+    reprs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        reprs.append(done.stdout.strip())
+    assert reprs[0] == reprs[1]
+
+
 @pytest.mark.parametrize("n, radius", [(17, 3e-4), (64, 1.2e-3), (65, 1.2e-3), (840, 3.15e-3),
                                        (841, 3.15e-3), (65, 1.0), (64, 1e-6)])
 def test_disc_correlation_on_the_bounding_box_equals_the_full_plane_form(n, radius):
     """The windowed correlation read on the disc's bounding box, as against masked copies.
 
-    Both read the same window samples.  BLAS adds the shorter
+    Both read the same window samples.  The sums add the shorter
     vectors of the box in another order, so the correlation may move by a
     few ulps (4e-16 relative seen at n = 840); a window that covers the plane
     reads every sample in the old order and agrees exactly.

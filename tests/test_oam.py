@@ -14,8 +14,12 @@ from thzbeam import (
     required_bandwidth,
     synthesize_field,
 )
+import thzbeam.oam as oam
+from thzbeam import propagation
+from thzbeam.aperture import ApertureGrid, _raw_spiral
 from thzbeam.oam import COUPLING_FLOOR_DB
-from thzbeam.propagation import PropagationPlan, propagate_direct
+from thzbeam.propagation import (DEFAULT_PLAN, PropagationPlan, _padded_size, propagate_direct,
+                                 reuse_spectra)
 
 
 def _disc_base(grid):
@@ -175,6 +179,121 @@ def test_crosstalk_rejects_bad_modes():
         crosstalk_matrix(base, (1, 1), 0.1)
     with pytest.raises(ValueError):
         crosstalk_matrix(base, (0, 1), -0.1)
+
+
+def _per_call_couplings(base, modes, z, steer_angle, rx_radius, plan=DEFAULT_PLAN):
+    """The couplings as each call built them before a study kept its spirals: every call
+    builds its own azimuth, adjoint planes and transmit spirals."""
+    grid = base.grid
+    n, pitch, k = grid.elements_per_side, grid.element_pitch, grid.wavenumber
+    npad = _padded_size(n, plan.pad_factor)
+    r_sq = rx_radius * rx_radius
+    x_sq = ((np.arange(npad) - (npad - 1) / 2.0) * pitch) ** 2
+    m = max(n, int(np.count_nonzero(x_sq + x_sq.min() <= r_sq)))
+    rx_grid = ApertureGrid(m * pitch, pitch, grid.frequency)
+    x_sq = rx_grid.axis_coordinates() ** 2
+    disc = x_sq[None, :] + x_sq[:, None] <= r_sq
+    phi = _raw_spiral(rx_grid, 1)
+    planes = []
+    for l_rx in modes:
+        helix = np.where(disc, np.exp(-1j * l_rx * phi), 0.0)
+        plane = propagate_asm(ApertureField(rx_grid, helix), z, plan).samples
+        c = (plane.shape[0] - n) // 2
+        planes.append(plane[c : c + n, c : c + n].ravel())
+    ramp = np.exp(-1j * k * math.sin(steer_angle) * grid.axis_coordinates()[None, :])
+    lo = (m - n) // 2
+    tx_phi = phi[lo : lo + n, lo : lo + n]
+    coupling = np.zeros((len(modes), len(modes)))
+    for i, l_tx in enumerate(modes):
+        tx = (base.weights * np.exp(1j * (l_tx * tx_phi)) * ramp).ravel()
+        amps = np.array([np.einsum("i,i->", tx, plane) for plane in planes]) * pitch**2
+        powers = np.abs(amps) ** 2
+        with np.errstate(divide="ignore"):
+            coupling[i, :] = 10.0 * np.log10(powers / powers[i])
+    return np.maximum(coupling, COUPLING_FLOOR_DB)
+
+
+def _random_field(grid, seed=5):
+    rng = np.random.default_rng(seed)
+    n = grid.elements_per_side
+    return ApertureField(grid, rng.random((n, n)) * np.exp(2j * np.pi * rng.random((n, n))))
+
+
+STUDY_MODES = tuple(range(-3, 4))
+STUDY_STEER_DEG = (0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("side, n", [(0.02, 40), (0.0205, 41)])
+def test_a_study_block_gives_the_bits_of_standalone_and_per_call_couplings(side, n):
+    grid = make_grid(side, 3e11)
+    assert grid.elements_per_side == n
+    base, z = _random_field(grid), 0.1
+    radii = (grid.half_side, 1.5 * grid.half_side)  # the default, and one wider than the aperture
+    with reuse_spectra():  # both radii share the spirals
+        study = {(r, deg): crosstalk_matrix(base, STUDY_MODES, z, math.radians(deg), r)
+                 for r in radii for deg in STUDY_STEER_DEG}
+    for (r, deg), matrix in study.items():
+        got = matrix.power_coupling_db.view(np.uint64)
+        standalone = crosstalk_matrix(base, STUDY_MODES, z, math.radians(deg),
+                                      None if r == grid.half_side else r)
+        np.testing.assert_array_equal(got, standalone.power_coupling_db.view(np.uint64))
+        per_call = _per_call_couplings(base, STUDY_MODES, z, math.radians(deg), r)
+        np.testing.assert_array_equal(got, per_call.view(np.uint64))
+
+
+class _CountingNumpy:
+    """``oam``'s numpy, counting the n-by-n exponentials: the transmit spirals."""
+
+    def __init__(self, n):
+        self.n, self.spirals = n, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        out = np.exp(x, *args, **kwargs)
+        self.spirals += out.shape == (self.n, self.n)
+        return out
+
+
+def test_a_study_builds_one_spiral_per_mode_and_keeps_no_kernel(monkeypatch):
+    grid = make_grid(0.02, 3e11)
+    base, n = _random_field(grid), grid.elements_per_side
+    counting = _CountingNumpy(n)
+    monkeypatch.setattr(oam, "np", counting)
+    # a receive disc wider than the aperture: its helices are larger than n-by-n
+    radius = 1.5 * grid.half_side
+    with reuse_spectra():
+        for deg in STUDY_STEER_DEG:
+            crosstalk_matrix(base, STUDY_MODES, 0.1, math.radians(deg), radius)
+        memo = propagation._SPECTRA.get()
+        kinds = sorted(key[0] for key in memo)
+        assert all(a.size == n * n for a in memo.values())
+    assert counting.spirals == len(STUDY_MODES)
+    # the adjoint hops' kernel is released with their own scope: planes and spirals remain
+    assert kinds == ["adjoint"] * len(STUDY_MODES) + ["spiral"] * len(STUDY_MODES)
+
+
+def test_the_benchmark_sized_study_peaks_below_its_per_call_form():
+    """Traced peak of a 5-mode, 3-angle study at 0.05 m and 1 THz (n = 333).
+
+    When the study memo kept the adjoint hops' kernel (16 * 675^2 bytes) and
+    each call built its own spirals, the peak read 26,233,689 bytes.  Built
+    in a scope of their own, the hops release the kernel and each helix
+    before the spirals are kept: it reads 24,462,921 bytes.
+    """
+    import tracemalloc
+
+    base = _disc_base(make_grid(0.05, 1e12))
+    tracemalloc.start()
+    try:
+        with reuse_spectra():
+            for deg in STUDY_STEER_DEG:
+                crosstalk_matrix(base, (-2, -1, 0, 1, 2), 0.2, steer_angle=math.radians(deg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26_233_689, f"traced peak {peak:,} bytes"
 
 
 # ---------------------------------------------------------------------------

@@ -385,14 +385,16 @@ def test_band_limit_collapse_raises_sampling_error():
     grid = make_grid(0.01, 3e11)
     slice_ = _gaussian_slice(grid, 0.002)
     with pytest.raises(SamplingError) as err:
-        propagate_slice(slice_, 500.0, PropagationPlan(pad_factor=1.0),
+        propagate_slice(slice_, 1.0, PropagationPlan(pad_factor=1.0),
                         wavelength=grid.wavelength)
-    assert err.value.required_pad_factor is not None
+    # the hint is a pad factor a plan takes, and the hop runs with it
+    propagate_slice(slice_, 1.0, PropagationPlan(pad_factor=err.value.required_pad_factor),
+                    wavelength=grid.wavelength)
     # a failed build leaves nothing behind for a repeated hop to reuse
     with reuse_spectra():
         for _ in range(2):
             with pytest.raises(SamplingError):
-                propagate_slice(slice_, 500.0, PropagationPlan(pad_factor=1.0),
+                propagate_slice(slice_, 1.0, PropagationPlan(pad_factor=1.0),
                                 wavelength=grid.wavelength)
 
 
@@ -434,8 +436,8 @@ def test_aperture_propagation_window_guard():
     grid = make_grid(0.01, 3e11)
     field = ApertureField.uniform(grid)
     with pytest.raises(SamplingError) as err:
-        propagate_asm(field, 500.0, PropagationPlan(pad_factor=1.0))
-    assert err.value.required_pad_factor is not None
+        propagate_asm(field, 1.0, PropagationPlan(pad_factor=1.0))
+    propagate_asm(field, 1.0, PropagationPlan(pad_factor=err.value.required_pad_factor))
     # disabling the band limit opts out of the guard
     propagate_asm(field, 500.0, PropagationPlan(pad_factor=1.0, band_limit=False))
 
@@ -536,12 +538,41 @@ def test_obstacle_hops_equal_the_copying_form(side):
     np.testing.assert_array_equal(got.samples, expected.samples)
 
 
-@pytest.mark.parametrize("z, hint", [(1e200, True), (1e308, False)])
-def test_window_check_rejects_distances_beyond_the_float_range(z, hint):
-    # (2z/extent)^2 overflows at both; 2*z*lambda, under the hint's root, overflows at 1e308
-    with pytest.raises(SamplingError, match="cannot carry the field") as err:
-        propagation._check_window_supports_distance(840, 1.5e-4, 3e-4, z)
-    assert (err.value.required_pad_factor is not None) == hint
+@pytest.mark.parametrize("z", [1e200, 1e308])
+def test_window_check_rejects_distances_beyond_the_float_range(z):
+    # (2z/extent)^2 overflows at both, and no window a plan takes carries the hop
+    with pytest.raises(SamplingError, match="no pad_factor up to 8 carries it") as err:
+        propagation._check_window_supports_distance(420, 840, 1.5e-4, 3e-4, z)
+    assert err.value.required_pad_factor is None
+
+
+@pytest.mark.parametrize("side, n", [(0.02, 40), (0.0205, 41)])
+@pytest.mark.parametrize("pad", [1.0, 3.5, 6.0])
+@pytest.mark.parametrize("z", [0.3, 3.0, 10.0, 30.0])
+def test_window_check_hints_only_at_pad_factors_that_carry_the_hop(side, n, pad, z):
+    grid = make_grid(side, 3e11)
+    assert grid.elements_per_side == n
+    field = ApertureField.uniform(grid)
+    try:
+        propagate_asm(field, z, PropagationPlan(pad_factor=pad))
+    except SamplingError as exc:
+        hint = exc.required_pad_factor
+    else:
+        return
+    # whole pad factors that a plan takes and that carry the hop; at pad 6 and 10 m the
+    # estimate (5) falls below the smallest of them (8 at n = 40, 7 at n = 41)
+    carrying = []
+    for p in range(1, 9):
+        try:
+            propagate_asm(field, z, PropagationPlan(pad_factor=p))
+            carrying.append(p)
+        except SamplingError:
+            pass
+    if not carrying:
+        assert hint is None
+        return
+    assert max(carrying[0], 2) <= hint <= 8
+    propagate_asm(field, z, PropagationPlan(pad_factor=hint))
 
 
 class _BuildCounter:

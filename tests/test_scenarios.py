@@ -1044,6 +1044,32 @@ def test_values_beyond_the_float_range_exit_with_a_message(tmp_path, capsys, key
     assert message in err
 
 
+@pytest.mark.parametrize("key_path", ["grid.side_length_m", "distances.stop_m"])
+def test_counts_beyond_the_float_range_exit_2_at_their_key(tmp_path, capsys, key_path):
+    # an element count or a distance count of inf: no integer to size the study with
+    key = key_path.rsplit(".", 1)[1]
+    text = re.sub(rf"^{key} = .*$", f"{key} = 1e308", preset_text("fig3-ci"), flags=re.M)
+    (tmp_path / "scenario.ini").write_text(text)
+    out = tmp_path / "out"
+    assert cli_main(["run", str(tmp_path / "scenario.ini"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"config error: {key_path}: invalid value '1e+308'" in err
+    assert not out.exists()
+
+
+def test_cli_pad_hints_name_only_pad_factors_a_plan_takes(tmp_path, capsys):
+    argv = ["propagate", "--side-length", "0.02", "--frequency", "3e11", "--kind", "beamforming"]
+    # pad factors run from 1 to 8: at 30 m not even 8 carries the hop
+    assert cli_main([*argv, "--z", "30", "--out", str(tmp_path / "far")]) == 3
+    err = capsys.readouterr().err
+    assert "no pad_factor up to 8 carries it" in err
+    assert "retry" not in err
+    assert cli_main([*argv, "--z", "1", "--out", str(tmp_path / "near")]) == 3
+    assert "retry with pad_factor >= 5" in capsys.readouterr().err
+    assert cli_main([*argv, "--z", "1", "--pad", "5", "--out", str(tmp_path / "padded")]) == 0
+
+
 # config errors that name their key path and exit before the output directory exists
 KEY_PATH_CASES = [
     ("gain-curve", "--side-length", "nan", "grid.side_length_m"),
