@@ -523,13 +523,13 @@ def compose_aperture(
         if m.shape != shape:
             raise ValueError(f"phase map shape {m.shape} does not match grid {shape}")
         total = total + m.values
-    if amplitude is None:
-        amp = np.ones(shape)
-    else:
-        if amplitude.shape != shape:
-            raise ValueError(f"amplitude shape {amplitude.shape} does not match grid {shape}")
-        amp = amplitude.values
-    return ApertureField(grid, amp * np.exp(1j * total))
+    if amplitude is not None and amplitude.shape != shape:
+        raise ValueError(f"amplitude shape {amplitude.shape} does not match grid {shape}")
+    w = 1j * total
+    np.exp(w, out=w)
+    if amplitude is not None:
+        np.multiply(amplitude.values, w, out=w)
+    return ApertureField(grid, w)
 
 
 # ---------------------------------------------------------------------------

@@ -506,14 +506,52 @@ def _axial_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Element (i, j) sits at squared distance s * pitch^2 / 4 from the array
     axis, so every on-axis distance depends on the element only through s.
-    The arrays are shared by every caller and are therefore read-only.
+    The bins come from a presence table over 0..2(n-1)^2, not a sort: the
+    arrays equal ``np.unique(s, return_inverse=True)``.  They are shared by
+    every caller and are therefore read-only.
     """
     u = (2 * np.arange(n, dtype=np.int64) - (n - 1)) ** 2
-    values, inverse = np.unique(u[:, None] + u[None, :], return_inverse=True)
-    inverse = inverse.ravel()
+    s = (u[:, None] + u[None, :]).ravel()
+    present = np.zeros(2 * (n - 1) ** 2 + 1, dtype=bool)
+    present[s] = True
+    values = np.flatnonzero(present)
+    rank = np.cumsum(present, dtype=np.int64)
+    rank -= 1
+    inverse = rank[s]
     values.setflags(write=False)
     inverse.setflags(write=False)
     return values, inverse
+
+
+def _axial_binning(field: ApertureField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, w_bins, abs_bins): the weights and their moduli summed per distinct s."""
+    s, inverse = _axial_bins(field.grid.elements_per_side)
+    w = field.weights.ravel()
+    w_bins = np.zeros(s.size, dtype=complex)
+    np.add.at(w_bins, inverse, w)  # in element order, as bincount adds each component
+    abs_bins = np.bincount(inverse, weights=np.abs(w), minlength=s.size)
+    return s, w_bins, abs_bins
+
+
+_BINNING: contextvars.ContextVar[tuple | None] = contextvars.ContextVar("binning", default=None)
+
+
+@contextlib.contextmanager
+def _bin_once(field: ApertureField):
+    """Bin ``field`` once for every ``_axial_sums`` call on it within the block.
+
+    The block holds ``(field, its binning)`` and nothing else; a call on any
+    other field bins that field afresh.  ``metrics.gain_curve`` wraps each
+    column's per-distance ``normalized_gain`` calls in it, so the public
+    single-point call stays one call per distance while the n^2 weights
+    are binned once per column.  The caller must not change the field's
+    weights inside the block.
+    """
+    token = _BINNING.set((field, _axial_binning(field)))
+    try:
+        yield
+    finally:
+        _BINNING.reset(token)
 
 
 def _axial_sums(field: ApertureField, z_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -521,13 +559,11 @@ def _axial_sums(field: ApertureField, z_values: Sequence[float]) -> tuple[np.nda
 
     The weights are binned by their element's distance from the axis first,
     so each distance costs one sum over the distinct radii (36,358 at
-    n = 667) instead of one over every element (444,889).
+    n = 667) instead of one over every element (444,889).  Inside
+    ``_bin_once(field)`` the binning held there is used.
     """
-    s, inverse = _axial_bins(field.grid.elements_per_side)
-    w = field.weights.ravel()
-    w_bins = np.zeros(s.size, dtype=complex)
-    np.add.at(w_bins, inverse, w)  # in element order, as bincount adds each component
-    abs_bins = np.bincount(inverse, weights=np.abs(w), minlength=s.size)
+    held, binning = _BINNING.get() or (None, None)
+    s, w_bins, abs_bins = binning if held is field else _axial_binning(field)
     rho_sq = s * (field.grid.element_pitch**2 / 4.0)
     k = field.grid.wavenumber
     coherent = np.empty(len(z_values), dtype=complex)

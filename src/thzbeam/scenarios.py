@@ -56,6 +56,10 @@ from .propagation import (
 STUDIES = ("phase_map", "plane", "gain_curve", "blockage", "oam_bandwidth", "oam_crosstalk")
 PRESET_NAMES = ("fig3", "fig4", "fig5", "fig3-ci", "fig4-ci")
 OUTPUT_FORMATS = ("csv", "pgm", "png")
+# the largest study a config may size, checked at parse time; full-scale fig3 and fig4
+# have 1667 elements per side and fig3 has 59 distances
+MAX_ELEMENTS_PER_SIDE = 4096
+MAX_DISTANCES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +171,13 @@ class GridSection:
         except OverflowError:
             raise ConfigError(f"invalid value '{self.side_length_m:g}': the element count "
                               "overflows", key_path="grid.side_length_m") from None
+        n = grid.elements_per_side
+        if n > MAX_ELEMENTS_PER_SIDE:
+            # the pitch fraction is at fault when a half-wavelength pitch would fit
+            key = "pitch_fraction" if 2.0 * self.pitch_fraction * n <= MAX_ELEMENTS_PER_SIDE \
+                else "side_length_m"
+            raise ConfigError(f"{float(n):.4g} elements per side, above the "
+                              f"{MAX_ELEMENTS_PER_SIDE} a study may have", key_path=f"grid.{key}")
         object.__setattr__(self, "grid", grid)
 
 
@@ -221,7 +232,11 @@ class DistancesSection:
         if not math.isfinite((stop - start) / step):
             raise ConfigError(f"invalid value '{stop:g}': the distance count overflows",
                               key_path="distances.stop_m")
-        values = start + step * np.arange(int(round((stop - start) / step)) + 1)
+        count = int(round((stop - start) / step)) + 1
+        if count > MAX_DISTANCES:
+            raise ConfigError(f"{count:.3g} distances from start_m to stop_m, above the "
+                              f"{MAX_DISTANCES} a study may have", key_path="distances.step_m")
+        values = start + step * np.arange(count)
         object.__setattr__(self, "values", values[values <= stop + 1e-12])
 
 

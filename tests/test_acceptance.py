@@ -291,23 +291,21 @@ def test_criterion_10_oam_orthogonality_and_spillover():
     assert ok
 
 
-def test_criterion_11_deterministic_presets(tmp_path):
-    outputs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        manifests = {
-            "fig4-ci": run_scenario(preset("fig4-ci"), out / "fig4-ci"),
-            "fig5": run_scenario(preset("fig5"), out / "fig5"),
-        }
-        outputs.append((out, manifests))
+def test_criterion_11_deterministic_presets(tmp_path, fig4_ci_run):
+    def run(name, tag):
+        out = tmp_path / tag / name
+        return out, run_scenario(preset(name), out)
+
+    # each preset runs twice; fig4-ci's first run is the session's shared one
+    pairs = {"fig4-ci": (fig4_ci_run, run("fig4-ci", "b")),
+             "fig5": (run("fig5", "a"), run("fig5", "b"))}
     identical = True
-    for name in ("fig4-ci", "fig5"):
-        m_a, m_b = outputs[0][1][name], outputs[1][1][name]
+    for (out_a, m_a), (out_b, m_b) in pairs.values():
         identical &= m_a.checksums() == m_b.checksums()
         for artifact in m_a.artifacts:
-            a = (outputs[0][0] / name / artifact["path"]).read_bytes()
-            b = (outputs[1][0] / name / artifact["path"]).read_bytes()
+            a = (out_a / artifact["path"]).read_bytes()
+            b = (out_b / artifact["path"]).read_bytes()
             identical &= a == b
     _report(11, identical, "repeated preset runs byte-identical "
-                           f"({sum(len(m.artifacts) for m in outputs[0][1].values())} artifacts compared)")
+                           f"({sum(len(m.artifacts) for (_, m), _ in pairs.values())} artifacts compared)")
     assert identical

@@ -584,6 +584,29 @@ def test_compose_order_independent_bitwise():
     np.testing.assert_array_equal(f1.weights, f2.weights)
 
 
+@pytest.mark.parametrize("masked", [False, True], ids=["no-amplitude", "amplitude"])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("side", [0.02, 0.0205], ids=["even-n", "odd-n"])
+def test_compose_in_place_equals_the_expression_bitwise(side, layers, masked):
+    """The weights built in place equal amp * np.exp(1j * total), signed zeros included."""
+    grid = make_grid(side, 3e11)
+    n = grid.elements_per_side
+    rng = np.random.default_rng(n + layers)
+    maps = [PhaseMap(rng.uniform(0.0, TWO_PI, (n, n))) for _ in range(layers)]
+    amplitude = None
+    if masked:
+        values = rng.uniform(0.0, 1.0, (n, n))
+        values[rng.random((n, n)) < 0.2] = 0.0  # elements switched off
+        amplitude = AmplitudeMask(values)
+    total = np.zeros((n, n))
+    for m in maps:
+        total = total + m.values
+    amp = np.ones((n, n)) if amplitude is None else amplitude.values
+    expected = amp * np.exp(1j * total)
+    got = compose_aperture(grid, maps, amplitude).weights
+    assert got.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+
 def test_compose_uniform_gives_unit_weights():
     grid = make_grid(0.02, 3e11)
     field = compose_aperture(grid, [PhaseMap(np.zeros((grid.elements_per_side,) * 2))])

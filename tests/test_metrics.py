@@ -1,7 +1,9 @@
+import inspect
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,9 @@ from thzbeam import (
     propagate_asm,
     quantize_phase,
     self_healing_correlation,
+    synthesize_field,
 )
+from thzbeam import metrics, propagation
 from thzbeam.metrics import _disc_correlation, _intensity_correlation
 from thzbeam.propagation import PropagationPlan
 
@@ -183,6 +187,85 @@ def test_gain_curve_validates_input(ci_curve):
     # a spiral nulls the axis: no curve of rounding noise
     with pytest.raises(ValueError, match="spiral"):
         gain_curve(grid, [WavefrontSpec(kind="bessel", spot_fwhm=0.004, oam_mode=1)], [0.1, 0.2])
+
+
+def _gain_specs(circular=True, bits=None):
+    return [WavefrontSpec(kind="beamforming", circular=circular, phase_bits=bits),
+            WavefrontSpec(kind="beamfocusing", circular=circular, phase_bits=bits),
+            WavefrontSpec(kind="bessel", spot_fwhm=0.004, circular=circular, phase_bits=bits)]
+
+
+def _column_fields(grid, curve, specs):
+    """Each column's field, built as the curve builds it (the auto focus resolved)."""
+    return {s.kind: synthesize_field(grid, replace(s, focal_length=curve.focal_length)
+                                     if s.kind == "beamfocusing" else s) for s in specs}
+
+
+@pytest.mark.parametrize("bits", [None, 2])
+@pytest.mark.parametrize("circular", [False, True])
+@pytest.mark.parametrize("side", [0.02, 0.0205], ids=["even-n", "odd-n"])
+def test_gain_curve_equals_per_distance_calls_bitwise(side, circular, bits):
+    grid = make_grid(side, 3e11)
+    specs = _gain_specs(circular, bits)
+    zs = np.linspace(0.02, 0.3, 9)
+    curve = gain_curve(grid, specs, zs)
+    for kind, field in _column_fields(grid, curve, specs).items():
+        alone = np.array([normalized_gain(field, (0.0, 0.0, z)) for z in zs])
+        assert curve.raw_gain[kind].view(np.uint64).tobytes() == alone.view(np.uint64).tobytes()
+
+
+def test_gain_curve_calls_normalized_gain_once_per_distance(monkeypatch):
+    """One call per distance and column, with the column's field and (0, 0, z).
+
+    perfbench's ``GainProbe`` samples these calls by their bound arguments.
+    """
+    calls = []
+
+    def recorded(*args, **kwargs):
+        bound = inspect.signature(normalized_gain).bind(*args, **kwargs).arguments
+        calls.append((bound["field"], tuple(bound["point"])))
+        return normalized_gain(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "normalized_gain", recorded)
+    grid = make_grid(0.02, 3e11)
+    specs = _gain_specs()
+    zs = np.linspace(0.02, 0.3, 9)
+    curve = gain_curve(grid, specs, zs)
+    assert len(calls) == len(specs) * zs.size
+    expected = _column_fields(grid, curve, specs)
+    kinds = []
+    for start in range(0, len(calls), zs.size):
+        column = calls[start:start + zs.size]
+        field = column[0][0]
+        assert all(f is field for f, _ in column)
+        assert [p for _, p in column] == [(0.0, 0.0, z) for z in zs]
+        kinds += [k for k, f in expected.items() if np.array_equal(f.weights, field.weights)]
+    assert sorted(kinds) == sorted(expected)
+
+
+def test_bin_once_serves_only_its_own_field(monkeypatch):
+    binning, binnings = propagation._axial_binning, []
+
+    def counted(field):
+        binnings.append(field)
+        return binning(field)
+
+    monkeypatch.setattr(propagation, "_axial_binning", counted)
+    grid = make_grid(0.02, 3e11)
+    a, b = _random_weights_field(grid, seed=21), _random_weights_field(grid, seed=22)
+    point = (0.0, 0.0, 0.07)
+    alone = {"a": normalized_gain(a, point), "b": normalized_gain(b, point)}
+    binnings.clear()
+    with propagation._bin_once(a):
+        assert normalized_gain(b, point) == alone["b"]
+        assert normalized_gain(a, point) == alone["a"]
+        assert normalized_gain(a, point) == alone["a"]
+    assert len(binnings) == 2 and binnings[0] is a and binnings[1] is b  # a on entry, b afresh
+    assert propagation._BINNING.get() is None
+    with pytest.raises(RuntimeError, match="inside"):
+        with propagation._bin_once(a):
+            raise RuntimeError("inside")
+    assert propagation._BINNING.get() is None
 
 
 # ---------------------------------------------------------------------------

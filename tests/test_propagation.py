@@ -306,6 +306,18 @@ def _axial_sums_two_bincounts(field, z_values):
     return coherent, incoherent
 
 
+@pytest.mark.parametrize("sizes", [range(1, 65), [333], [334], [667], [1667]],
+                         ids=["1-64", "333", "334", "667", "1667"])
+def test_axial_bins_equal_the_sorting_form(sizes):
+    for n in sizes:
+        u = (2 * np.arange(n, dtype=np.int64) - (n - 1)) ** 2
+        values, inverse = np.unique(u[:, None] + u[None, :], return_inverse=True)
+        got_values, got_inverse = propagation._axial_bins.__wrapped__(n)  # bypass the cache
+        for got, want in ((got_values, values), (got_inverse, inverse.ravel())):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
 def _axial_weights(grid, case):
     n = grid.elements_per_side
     rng = np.random.default_rng(n)

@@ -25,7 +25,8 @@ from thzbeam import (
     synthesize_field,
 )
 from thzbeam.cli import build_parser, main as cli_main
-from thzbeam.scenarios import _STUDY_SECTIONS, ScenarioSection
+from thzbeam.scenarios import (MAX_DISTANCES, MAX_ELEMENTS_PER_SIDE, _STUDY_SECTIONS,
+                               ScenarioSection)
 from thzbeam.io import (
     GAIN_CURVE_COLUMNS,
     format_number,
@@ -157,17 +158,17 @@ def test_gain_curve_run_header_and_shape(tmp_path):
     assert values[:, 1:].max() <= 1.0 + 1e-9
 
 
-def test_blockage_run_meets_comparative_criteria(tmp_path):
-    run_scenario(preset("fig4-ci"), tmp_path)
-    rows = (tmp_path / "healing.csv").read_text().splitlines()[1:]
+def test_blockage_run_meets_comparative_criteria(fig4_ci_run):
+    out, _ = fig4_ci_run
+    rows = (out / "healing.csv").read_text().splitlines()[1:]
     table = {r.split(",")[0]: [float(v) for v in r.split(",")[1:]] for r in rows}
     assert table["bessel"][1] >= 0.9
     assert table["bessel"][1] > table["beamforming"][1]
-    caustic = (tmp_path / "caustic_blockage.csv").read_text().splitlines()[1]
+    caustic = (out / "caustic_blockage.csv").read_text().splitlines()[1]
     assert float(caustic.split(",")[-1]) >= 10.0
     # intensity maps written for every wavefront
-    assert (tmp_path / "map_bessel_blocked.pgm").exists()
-    assert (tmp_path / "map_caustic_blocked.pgm").exists()
+    assert (out / "map_bessel_blocked.pgm").exists()
+    assert (out / "map_caustic_blocked.pgm").exists()
 
 
 def _fig4_ci_text(**renames):
@@ -365,9 +366,9 @@ steer_deg_list = 0, 0.5, 1.0
     assert builds == {"kernel": 1, "transfer": 0}
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    m_a = run_scenario(preset("fig4-ci"), out_a)
+def test_rerun_is_byte_identical(tmp_path, fig4_ci_run):
+    out_a, m_a = fig4_ci_run
+    out_b = tmp_path / "b"
     m_b = run_scenario(preset("fig4-ci"), out_b)
     assert m_a.checksums() == m_b.checksums()
     for artifact in m_a.artifacts:
@@ -839,19 +840,19 @@ def test_cli_blockage_writes_requested_maps(tmp_path):
     assert not list(tmp_path.glob("*.csv"))  # csv is not among the formats
 
 
-def test_blockage_tables_follow_output_formats(tmp_path):
+def test_blockage_tables_follow_output_formats(tmp_path, fig4_ci_run):
     maps = {f"map_{name}_{view}.pgm" for name in ("beamforming", "beamfocusing", "bessel")
             for view in ("reference", "blocked")}
     maps |= {"map_caustic_blocked.pgm", "map_beamforming_knife.pgm"}
-    run_scenario(preset("fig4-ci"), tmp_path / "preset")  # formats = csv, pgm
-    written = {p.name for p in (tmp_path / "preset").iterdir()}
+    both, _ = fig4_ci_run  # formats = csv, pgm
+    written = {p.name for p in both.iterdir()}
     assert written == maps | {"healing.csv", "caustic_blockage.csv", "manifest.json"}
 
     pgm_only = preset_text("fig4-ci").replace("formats = csv, pgm", "formats = pgm")
     manifest = run_scenario(parse_config(pgm_only), tmp_path / "pgm")
     assert {a["path"] for a in manifest.artifacts} == maps
     for name in maps:
-        assert (tmp_path / "pgm" / name).read_bytes() == (tmp_path / "preset" / name).read_bytes()
+        assert (tmp_path / "pgm" / name).read_bytes() == (both / name).read_bytes()
 
 
 def test_cli_steered_oam_crosstalk_names_its_file(tmp_path):
@@ -1056,6 +1057,39 @@ def test_counts_beyond_the_float_range_exit_2_at_their_key(tmp_path, capsys, key
     assert "Traceback" not in err
     assert f"config error: {key_path}: invalid value '1e+308'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, key_path", [
+    ("step_m", "1e-12", "distances.step_m"),  # 6.5e11 distances
+    ("pitch_fraction", "1e-12", "grid.pitch_fraction"),  # 5e13 elements per side
+    ("pitch_fraction", "1e-4", "grid.pitch_fraction"),  # 5e5 elements per side
+    ("side_length_m", "1e200", "grid.side_length_m"),  # too many even at half-wavelength pitch
+])
+def test_studies_too_large_to_size_exit_2_at_their_key(tmp_path, capsys, key, value, key_path):
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", preset_text("fig3-ci"), flags=re.M)
+    (tmp_path / "scenario.ini").write_text(text)
+    out = tmp_path / "out"
+    assert cli_main(["run", str(tmp_path / "scenario.ini"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"config error: {key_path}: " in err and "a study may have" in err
+    assert not out.exists()
+
+
+def test_size_limits_admit_their_bound():
+    text = preset_text("fig3-ci")
+    pitch = parse_config(text).grid.element_pitch
+
+    def sized(key, value):
+        return parse_config(re.sub(rf"^{key} = .*$", f"{key} = {value!r}", text, flags=re.M))
+
+    n, count = MAX_ELEMENTS_PER_SIDE, MAX_DISTANCES
+    assert sized("side_length_m", (n + 0.5) * pitch).grid.elements_per_side == n
+    assert sized("step_m", 0.65 / (count - 1)).distances.size == count  # 0.05 to 0.70 m
+    with pytest.raises(ConfigError, match="^grid.side_length_m: "):
+        sized("side_length_m", (n + 1.5) * pitch)
+    with pytest.raises(ConfigError, match="^distances.step_m: "):
+        sized("step_m", 0.65 / count)
 
 
 def test_cli_pad_hints_name_only_pad_factors_a_plan_takes(tmp_path, capsys):
