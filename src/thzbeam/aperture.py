@@ -188,14 +188,18 @@ class ApertureField:
 # profile catalog
 
 
-def _raw_planar(grid: ApertureGrid, steer_direction: Sequence[float]) -> np.ndarray:
+# The even profiles (planar, quadratic, conical) broadcast a 1-D axis ``x``: the grid's
+# own by default, or its non-negative half, on which synthesize_field builds an even
+# wavefront.
+def _raw_planar(grid: ApertureGrid, steer_direction: Sequence[float],
+                x: np.ndarray | None = None) -> np.ndarray:
     u = np.asarray(steer_direction, dtype=float)
     if u.shape != (3,):
         raise ValueError(f"steer_direction must be a 3-vector, got shape {u.shape}")
     norm = float(np.linalg.norm(u))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"steer_direction must be a unit vector, got |u| = {norm:.9g}")
-    x = grid.axis_coordinates()
+    x = grid.axis_coordinates() if x is None else x
     return -grid.wavenumber * (x[None, :] * u[0] + x[:, None] * u[1])
 
 
@@ -213,7 +217,8 @@ def steer_vector(angle: float, azimuth: float = 0.0) -> tuple[float, float, floa
     return (s * math.cos(azimuth), s * math.sin(azimuth), math.cos(angle))
 
 
-def _raw_quadratic(grid: ApertureGrid, focal_length: float) -> np.ndarray:
+def _raw_quadratic(grid: ApertureGrid, focal_length: float,
+                   x: np.ndarray | None = None) -> np.ndarray:
     if focal_length <= 0:
         raise ValueError(f"focal_length must be positive, got {focal_length}")
     try:
@@ -221,7 +226,7 @@ def _raw_quadratic(grid: ApertureGrid, focal_length: float) -> np.ndarray:
     except OverflowError:
         raise ValueError(f"focal_length {focal_length:g} m is too large: "
                          "its square leaves the float range") from None
-    x_sq = grid.axis_coordinates() ** 2
+    x_sq = (grid.axis_coordinates() if x is None else x) ** 2
     k = grid.wavenumber
     return k * (np.sqrt(f_sq + x_sq[None, :] + x_sq[:, None]) - focal_length)
 
@@ -297,13 +302,14 @@ def axicon_design(grid: ApertureGrid, spot_fwhm: float, spot_convention: str = "
     return AxiconDesign(k_r, theta, z_max, rings)
 
 
-def _raw_conical(grid: ApertureGrid, design: AxiconDesign) -> np.ndarray:
+def _raw_conical(grid: ApertureGrid, design: AxiconDesign,
+                 x: np.ndarray | None = None) -> np.ndarray:
     if design.radial_wavenumber >= grid.wavenumber:
         raise EvanescentDesignError(
             "axicon design is evanescent on this grid "
             f"(k_r = {design.radial_wavenumber:g} >= k = {grid.wavenumber:g})"
         )
-    x = grid.axis_coordinates()
+    x = grid.axis_coordinates() if x is None else x
     return design.radial_wavenumber * np.hypot(x[None, :], x[:, None])
 
 
@@ -501,13 +507,33 @@ def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
     return AmplitudeMask(values)
 
 
+def _raw_disc(x: np.ndarray, radius: float) -> np.ndarray:
+    x_sq = x**2
+    return np.where(x_sq[None, :] + x_sq[:, None] <= radius * radius, 1.0, 0.0)
+
+
 def circular_taper(grid: ApertureGrid, radius: float | None = None) -> AmplitudeMask:
     """Transmission mask keeping the inscribed disc (or a custom radius)."""
     r = grid.half_side if radius is None else radius
     if r <= 0:
         raise ValueError(f"taper radius must be positive, got {r}")
-    x_sq = grid.axis_coordinates() ** 2
-    return AmplitudeMask(np.where(x_sq[None, :] + x_sq[:, None] <= r * r, 1.0, 0.0))
+    return AmplitudeMask(_raw_disc(grid.axis_coordinates(), r))
+
+
+def _compose(phases: Sequence[np.ndarray], amplitude: np.ndarray | None) -> np.ndarray:
+    """``amplitude * exp(1j * sum(phases))``, built in place.
+
+    The sum starts from the first map: a wrapped phase is never -0.0 (``np.mod``
+    returns +0.0), so adding it to zeros would give the same bits.
+    """
+    total, *rest = phases
+    for values in rest:
+        total = total + values
+    w = 1j * total
+    np.exp(w, out=w)
+    if amplitude is not None:
+        np.multiply(amplitude, w, out=w)
+    return w
 
 
 def compose_aperture(
@@ -518,18 +544,13 @@ def compose_aperture(
     """Combine phase layers (added) and an amplitude mask into element weights."""
     n = grid.elements_per_side
     shape = (n, n)
-    total = np.zeros(shape)
     for m in phase_maps:
         if m.shape != shape:
             raise ValueError(f"phase map shape {m.shape} does not match grid {shape}")
-        total = total + m.values
     if amplitude is not None and amplitude.shape != shape:
         raise ValueError(f"amplitude shape {amplitude.shape} does not match grid {shape}")
-    w = 1j * total
-    np.exp(w, out=w)
-    if amplitude is not None:
-        np.multiply(amplitude.values, w, out=w)
-    return ApertureField(grid, w)
+    phases = [m.values for m in phase_maps] or [np.zeros(shape)]
+    return ApertureField(grid, _compose(phases, None if amplitude is None else amplitude.values))
 
 
 # ---------------------------------------------------------------------------
@@ -564,23 +585,27 @@ class WavefrontSpec:
             raise ValueError(f"phase_bits must be in [1, 16], got {self.phase_bits}")
 
 
-def synthesize_applied_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:
-    """Phase map a wavefront spec applies.
+def _is_even(spec: WavefrontSpec) -> bool:
+    """Whether the spec's weights are even in x and in y: an unsteered beamforming,
+    beamfocusing or Bessel wavefront without a spiral."""
+    return spec.kind != "caustic" and not spec.steer_angle and not spec.oam_mode
 
-    The kind's profile plus the steering ramp, wrapped; then the spiral
-    overlay, wrapped again; then quantized.
-    """
+
+def _applied_phase(grid: ApertureGrid, spec: WavefrontSpec, x: np.ndarray) -> PhaseMap:
+    """The applied phase on the square of axis ``x``: the grid's axis, or for an even
+    spec its non-negative half.  The caustic, the steering ramp of a non-planar kind
+    and the spiral are odd, and read the grid's full axis."""
     if spec.kind == "beamforming":
-        raw = _raw_planar(grid, steer_vector(spec.steer_angle))
+        raw = _raw_planar(grid, steer_vector(spec.steer_angle), x)
     elif spec.kind == "beamfocusing":
         if spec.focal_length is None:
             raise ValueError("beamfocusing wavefront needs a focal_length")
-        raw = _raw_quadratic(grid, spec.focal_length)
+        raw = _raw_quadratic(grid, spec.focal_length, x)
     elif spec.kind == "bessel":
         if spec.spot_fwhm is None:
             raise ValueError("bessel wavefront needs a spot_fwhm")
         design = axicon_design(grid, spec.spot_fwhm, spec.spot_convention)
-        raw = _raw_conical(grid, design)
+        raw = _raw_conical(grid, design, x)
     else:  # caustic
         if spec.curve is None:
             raise ValueError("caustic wavefront needs a curve")
@@ -595,7 +620,43 @@ def synthesize_applied_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMa
     return phase
 
 
+def _mirror_quadrant(q: np.ndarray, n: int) -> np.ndarray:
+    """The n-by-n array, even in both axes, whose block of non-negative coordinates is q.
+
+    ``q`` is (n+1)//2 a side; element j < n//2 of either axis takes the value at
+    n-1-j, whose coordinate is exactly -x_j.
+    """
+    s = n // 2  # the first index of the non-negative half
+    out = np.empty((n, n), dtype=q.dtype)
+    out[s:, s:] = q
+    out[s:, :s] = q[:, ::-1][:, :s]
+    out[:s] = out[n - s :][::-1]
+    return out
+
+
+def synthesize_applied_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:
+    """Phase map a wavefront spec applies.
+
+    The kind's profile plus the steering ramp, wrapped; then the spiral
+    overlay, wrapped again; then quantized.
+    """
+    return _applied_phase(grid, spec, grid.axis_coordinates())
+
+
 def synthesize_field(grid: ApertureGrid, spec: WavefrontSpec) -> ApertureField:
-    """Aperture field for a wavefront spec including overlays and taper."""
-    amplitude = circular_taper(grid) if spec.circular else None
-    return compose_aperture(grid, [synthesize_applied_phase(grid, spec)], amplitude)
+    """Aperture field for a wavefront spec including overlays and taper.
+
+    The weights are ``compose_aperture`` of the applied phase and, with
+    ``circular``, of ``circular_taper(grid)``, bit for bit.  An even spec
+    (kind beamforming, beamfocusing or bessel, with no steer and no spiral)
+    is built on the quadrant of non-negative coordinates, (n+1)//2 elements
+    a side, and mirrored: x_{n-1-i} = -x_i exactly, each step reads x only
+    through x^2 or |x|, and broadside planar's signed zeros all wrap to +0.
+    """
+    x = grid.axis_coordinates()
+    even = _is_even(spec)
+    if even:
+        x = x[x.size // 2 :]
+    phase = _applied_phase(grid, spec, x)
+    w = _compose([phase.values], _raw_disc(x, grid.half_side) if spec.circular else None)
+    return ApertureField(grid, _mirror_quadrant(w, grid.elements_per_side) if even else w)

@@ -47,7 +47,9 @@ from .errors import ConfigError
 from .metrics import _disc_correlation, _intensity_correlation, gain_curve
 from .oam import LinkBudgetSpec, crosstalk_matrix, required_bandwidth
 from .propagation import (
+    DEFAULT_PLAN,
     PropagationPlan,
+    _padded_size,
     propagate_asm,
     propagate_with_obstacles,
     reuse_spectra,
@@ -60,6 +62,9 @@ OUTPUT_FORMATS = ("csv", "pgm", "png")
 # have 1667 elements per side and fig3 has 59 distances
 MAX_ELEMENTS_PER_SIDE = 4096
 MAX_DISTANCES = 10_000
+# the largest padded plane a study may propagate (its side, in samples), checked at parse
+# time; full-scale fig4 pads its 1667 elements per side to 3375
+MAX_PADDED_SIDE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +490,18 @@ def _check_roles(study: str, wavefronts: dict[str, WavefrontSpec],
                               key_path="wavefronts.names")
 
 
+def _check_padded_side(grid: ApertureGrid, pad_factor: float, key_path: str) -> None:
+    """Reject a study whose planes would pad beyond MAX_PADDED_SIDE a side: at ``key_path``,
+    or at the side length when not even pad_factor 1 would fit."""
+    n = grid.elements_per_side
+    npad = _padded_size(n, pad_factor)
+    if npad > MAX_PADDED_SIDE:
+        if _padded_size(n, 1.0) > MAX_PADDED_SIDE:
+            key_path = "grid.side_length_m"
+        raise ConfigError(f"{n} elements per side pad to {npad}, above the {MAX_PADDED_SIDE} "
+                          "a study may propagate", key_path=key_path)
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and check scenario text; every problem is a ConfigError with its key path."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
@@ -500,6 +517,11 @@ def parse_config(text: str) -> ScenarioConfig:
     names = sections["wavefronts"].names if "wavefronts" in sections else ()
     wavefronts = {name: _wavefront(parser, name) for name in names}
     _check_roles(scenario.study, wavefronts, sections.get("blockage"))
+    if scenario.study in ("plane", "blockage"):
+        _check_padded_side(sections["grid"].grid, sections[scenario.study].pad_factor,
+                           f"{scenario.study}.pad_factor")
+    elif scenario.study == "oam_crosstalk":  # its hops take the default plan
+        _check_padded_side(sections["grid"].grid, DEFAULT_PLAN.pad_factor, "grid.side_length_m")
     known = {"scenario", *read, *(f"wavefront.{name}" for name in names)}
     for section in parser.sections():
         if section not in known:

@@ -36,6 +36,7 @@ from thzbeam import (
 )
 from thzbeam.aperture import (
     TWO_PI,
+    _is_even,
     _raw_conical,
     _raw_planar,
     _raw_quadratic,
@@ -499,6 +500,70 @@ def test_synthesize_field_applies_the_applied_phase():
     expected = compose_aperture(grid, [synthesize_applied_phase(grid, spec)],
                                 circular_taper(grid))
     np.testing.assert_array_equal(field.weights, expected.weights)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return a.view(np.uint64).tobytes()
+
+
+def _grid_of(n: int) -> ApertureGrid:
+    grid = ApertureGrid((n + 0.5) * 5e-4, 5e-4, 3e11)  # half-wavelength pitch
+    assert grid.elements_per_side == n
+    return grid
+
+
+def _full_grid_weights(grid: ApertureGrid, base: PhaseMap, spec: WavefrontSpec) -> np.ndarray:
+    """Reference: the public catalog's full-grid map, quantized and composed with the taper."""
+    phase = base if spec.phase_bits is None else quantize_phase(base, spec.phase_bits)
+    return compose_aperture(grid, [phase], circular_taper(grid) if spec.circular else None).weights
+
+
+EVEN_KINDS = {
+    "beamforming": (dict(kind="beamforming"), lambda g: phase_planar(g)),
+    "beamfocusing": (dict(kind="beamfocusing", focal_length=0.1),
+                     lambda g: phase_quadratic(g, 0.1)),
+    "bessel-fwhm": (dict(kind="bessel", spot_fwhm=0.004),
+                    lambda g: phase_conical(g, axicon_design(g, 0.004))),
+    "bessel-first_null": (dict(kind="bessel", spot_fwhm=0.004, spot_convention="first_null"),
+                          lambda g: phase_conical(g, axicon_design(g, 0.004, "first_null"))),
+}
+
+
+@pytest.mark.parametrize("kind", EVEN_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 41, 40])
+def test_even_wavefronts_built_on_a_quadrant_match_the_full_grid_bitwise(n, kind):
+    grid = _grid_of(n)
+    keys, base_of = EVEN_KINDS[kind]
+    base = base_of(grid)
+    for circular in (False, True):
+        for bits in (None, 1, 2, 16):
+            spec = WavefrontSpec(**keys, circular=circular, phase_bits=bits)
+            assert _is_even(spec)
+            w = synthesize_field(grid, spec).weights
+            assert _bits(w) == _bits(_full_grid_weights(grid, base, spec)), (circular, bits)
+            # even in x and in y, signed zeros included
+            assert _bits(w) == _bits(w[::-1].copy()) == _bits(w[:, ::-1].copy())
+
+
+def test_odd_wavefronts_keep_the_bits_of_the_full_grid():
+    grid = _grid_of(41)
+    steer = math.radians(5.0)
+    design = axicon_design(grid, 0.004)
+    curve = CausticCurve.parabola(-2.2 * grid.half_side / 0.6**2, 0.6, x_start=-grid.half_side)
+    cases = [
+        (WavefrontSpec(kind="beamforming", steer_angle=steer, circular=True),
+         phase_planar(grid, steer_vector(steer))),
+        (WavefrontSpec(kind="beamfocusing", focal_length=0.1, steer_angle=-steer, phase_bits=2),
+         PhaseMap(_raw_quadratic(grid, 0.1) + _raw_planar(grid, steer_vector(-steer)))),
+        (WavefrontSpec(kind="bessel", spot_fwhm=0.004, oam_mode=2, circular=True, phase_bits=3),
+         phase_conical(grid, design) + phase_spiral(grid, 2)),
+        (WavefrontSpec(kind="beamforming", oam_mode=-1), phase_planar(grid) + phase_spiral(grid, -1)),
+        (WavefrontSpec(kind="caustic", curve=curve, circular=True), phase_caustic(grid, curve)),
+    ]
+    for spec, base in cases:
+        assert not _is_even(spec)
+        w = synthesize_field(grid, spec).weights
+        assert _bits(w) == _bits(_full_grid_weights(grid, base, spec)), spec
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from thzbeam import (
     synthesize_field,
 )
 from thzbeam.cli import build_parser, main as cli_main
-from thzbeam.scenarios import (MAX_DISTANCES, MAX_ELEMENTS_PER_SIDE, _STUDY_SECTIONS,
-                               ScenarioSection)
+from thzbeam.scenarios import (MAX_DISTANCES, MAX_ELEMENTS_PER_SIDE, MAX_PADDED_SIDE,
+                               _STUDY_SECTIONS, ScenarioSection)
 from thzbeam.io import (
     GAIN_CURVE_COLUMNS,
     format_number,
@@ -682,20 +682,24 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_cli_threads_flag_does_not_change_output(tmp_path, monkeypatch):
+def test_cli_threads_flag_does_not_change_output(tmp_path, monkeypatch, fig4_ci_run):
     monkeypatch.setattr(propagation.os, "cpu_count", lambda: 8)  # so 3 and 8 split 3 and 8 ways
     studies = {
-        # healing.csv, caustic_blockage.csv and 8 PGM maps
-        "blockage": (["preset", "fig4-ci"], 10),
+        # healing.csv, caustic_blockage.csv and 8 PGM maps; the shared fig4-ci run, on the
+        # default one thread, stands for threads 1
+        "blockage": (["preset", "fig4-ci"], 10, fig4_ci_run[0]),
         # crosstalk_steer_1deg.csv and spillover.csv
         "crosstalk": (["oam-crosstalk", "--side-length", "0.02", "--frequency", "1e12",
-                       "--modes=-1,0,1,3", "--z", "0.05", "--steer-deg", "1"], 2),
+                       "--modes=-1,0,1,3", "--z", "0.05", "--steer-deg", "1"], 2, None),
     }
-    for study, (argv, artifacts) in studies.items():
+    for study, (argv, artifacts, one_thread) in studies.items():
         runs = {}
         for threads in ("1", "2", "3", "8"):
-            out = tmp_path / study / threads
-            assert cli_main([*argv, "--out", str(out), "--threads", threads]) == 0
+            if threads == "1" and one_thread is not None:
+                out = one_thread
+            else:
+                out = tmp_path / study / threads
+                assert cli_main([*argv, "--out", str(out), "--threads", threads]) == 0
             runs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
                              if p.name != "manifest.json"}  # the manifest records timings
         assert len(runs["1"]) == artifacts, study
@@ -1074,6 +1078,48 @@ def test_studies_too_large_to_size_exit_2_at_their_key(tmp_path, capsys, key, va
     assert "Traceback" not in err
     assert f"config error: {key_path}: " in err and "a study may have" in err
     assert not out.exists()
+
+
+# 0.5 m at 1 THz has 3335 elements per side: under MAX_ELEMENTS_PER_SIDE, but at pad factor
+# 2 its planes would pad to 6875 a side
+PADDED_SIDE_CASES = {
+    "propagate": (["propagate", "--side-length", "0.5", "--frequency", "1e12", "--kind",
+                   "beamforming", "--z", "1"], "plane.pad_factor", "3335", "6875"),
+    "blockage": (["blockage", "--side-length", "0.5", "--frequency", "1e12", "--spot-fwhm",
+                  "0.004", "--obstacle-size", "0.01", "--obstacle-z", "0.5"],
+                 "blockage.pad_factor", "3335", "6875"),
+    # the crosstalk hops take the default plan: the side is at fault
+    "oam-crosstalk": (["oam-crosstalk", "--side-length", "0.5", "--frequency", "1e12",
+                       "--modes", "0,1", "--z", "0.5"], "grid.side_length_m", "3335", "6875"),
+    # 4095 is not 11-smooth: even pad factor 1 pads it past the bound
+    "propagate-pad-1": (["propagate", "--side-length", "0.6139", "--frequency", "1e12", "--kind",
+                         "beamforming", "--z", "1", "--pad", "1"], "grid.side_length_m", "4095",
+                        "4125"),
+}
+
+
+@pytest.mark.parametrize("case", PADDED_SIDE_CASES)
+def test_planes_padded_beyond_the_bound_exit_2_at_their_key(tmp_path, capsys, case):
+    argv, key_path, n, npad = PADDED_SIDE_CASES[case]
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"config error: {key_path}: {n} elements per side pad to {npad}, above the "
+            f"{MAX_PADDED_SIDE} a study may propagate") in err
+    assert not out.exists()
+
+
+def test_padded_side_bound_admits_full_scale_fig4_and_pad_factor_1():
+    from thzbeam.cli import _render_scenario
+
+    fig4 = preset("fig4")
+    npad = propagation._padded_size(fig4.grid.elements_per_side, fig4.blockage.pad_factor)
+    assert npad == 3375 < MAX_PADDED_SIDE
+    argv = PADDED_SIDE_CASES["propagate"][0]
+    args = build_parser().parse_args([*argv, "--pad", "1", "--out", "d"])
+    config = parse_config(_render_scenario(args.scenario(args)))  # pads 3335 to 3375
+    assert config.grid.elements_per_side == 3335 and config.plane.pad_factor == 1.0
 
 
 def test_size_limits_admit_their_bound():
