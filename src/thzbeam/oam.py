@@ -66,6 +66,13 @@ class CrosstalkMatrix:
         return float(m[mask].max())
 
 
+def _adjoint_side(n: int, npad: int, pitch: float, rx_radius: float) -> int:
+    """Samples a side of the adjoint hops' source grid: the receive disc's widest row
+    (the one nearest the axis) on the npad-square receive plane, or the n of the aperture."""
+    x_sq = ((np.arange(npad) - (npad - 1) / 2.0) * pitch) ** 2
+    return max(n, int(np.count_nonzero(x_sq + x_sq.min() <= rx_radius * rx_radius)))
+
+
 def crosstalk_matrix(
     base: ApertureField,
     modes: Sequence[int],
@@ -121,9 +128,7 @@ def crosstalk_matrix(
             f"{npad * pitch / 2.0:g} m"
         )
     r_sq = rx_radius * rx_radius
-    # m samples a side: the disc's widest row (the one nearest the axis), or the aperture
-    x_sq = ((np.arange(npad) - (npad - 1) / 2.0) * pitch) ** 2
-    m = max(n, int(np.count_nonzero(x_sq + x_sq.min() <= r_sq)))
+    m = _adjoint_side(n, npad, pitch, rx_radius)
     rx_grid = ApertureGrid(m * pitch, pitch, grid.frequency)
 
     with reuse_spectra():

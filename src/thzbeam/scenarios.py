@@ -45,7 +45,7 @@ from .aperture import (
 )
 from .errors import ConfigError
 from .metrics import _disc_correlation, _intensity_correlation, gain_curve
-from .oam import LinkBudgetSpec, crosstalk_matrix, required_bandwidth
+from .oam import LinkBudgetSpec, _adjoint_side, crosstalk_matrix, required_bandwidth
 from .propagation import (
     DEFAULT_PLAN,
     PropagationPlan,
@@ -502,6 +502,19 @@ def _check_padded_side(grid: ApertureGrid, pad_factor: float, key_path: str) -> 
                           "a study may propagate", key_path=key_path)
 
 
+def _check_adjoint_side(grid: ApertureGrid, rx_radius: float | None) -> None:
+    """Reject a crosstalk study whose adjoint hops would pad beyond MAX_PADDED_SIDE a side:
+    their source grid widens with the receive disc, so the radius is at fault."""
+    n, pad_factor = grid.elements_per_side, DEFAULT_PLAN.pad_factor
+    radius = grid.half_side if rx_radius is None else rx_radius
+    m = _adjoint_side(n, _padded_size(n, pad_factor), grid.element_pitch, radius)
+    mpad = _padded_size(m, pad_factor)
+    if mpad > MAX_PADDED_SIDE:
+        raise ConfigError(f"a receive disc of radius {radius:g} m spans {m} samples, and its "
+                          f"adjoint hops pad to {mpad}, above the {MAX_PADDED_SIDE} a study "
+                          "may propagate", key_path="oam.rx_radius_m")
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and check scenario text; every problem is a ConfigError with its key path."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
@@ -522,6 +535,7 @@ def parse_config(text: str) -> ScenarioConfig:
                            f"{scenario.study}.pad_factor")
     elif scenario.study == "oam_crosstalk":  # its hops take the default plan
         _check_padded_side(sections["grid"].grid, DEFAULT_PLAN.pad_factor, "grid.side_length_m")
+        _check_adjoint_side(sections["grid"].grid, sections["oam"].rx_radius_m)
     known = {"scenario", *read, *(f"wavefront.{name}" for name in names)}
     for section in parser.sections():
         if section not in known:

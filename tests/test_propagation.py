@@ -458,13 +458,22 @@ def test_aperture_propagation_window_guard():
 # spectrum builds and their reuse
 
 
-def _reference_kernel_spectrum(npad, pitch, k, z):
-    """Full-grid construction of the kernel spectrum, sampled at signed offsets."""
+def _reference_kernel(npad, pitch, k, z):
+    """The full FFT-ordered grid of the sampled kernel, at signed offsets; not mirrored."""
     d = np.arange(npad)
     d = np.where(d <= npad // 2, d, d - npad) * pitch
     DX, DY = np.meshgrid(d, d, indexing="xy")
     r = np.sqrt(DX * DX + DY * DY + z * z)
-    return scipy.fft.fft2(np.exp(-1j * k * r) / r)
+    return np.exp(-1j * k * r) / r
+
+
+# pocketfft's transform of an exactly even grid is not bitwise even, so a mirrored kernel
+# quadrant differs from scipy's full-grid spectrum by round-off: at most 7.4e-16 of the
+# spectrum's largest magnitude at npad 17-841 here, and 8.1e-16 at npad 1125
+KERNEL_MIRROR_TOL = 1e-15
+# and a hop through it moves by about as much: 6.2e-16 and 5.8e-16 of the plane's largest
+# magnitude at n = 40 and 41 here
+HOP_MIRROR_TOL = 1e-15
 
 
 def _reference_transfer(npad, pitch, k, dz, plan):
@@ -488,15 +497,34 @@ def _reference_transfer(npad, pitch, k, dz, plan):
 def test_quadrant_builds_equal_full_grid_builds(npad):
     pitch = 1.5e-4
     k = 2.0 * np.pi / 3e-4
-    np.testing.assert_array_equal(propagation._kernel_spectrum(npad, pitch, k, 0.125),
-                                  _reference_kernel_spectrum(npad, pitch, k, 0.125))
+    h = npad // 2
+    kernel = _reference_kernel(npad, pitch, k, 0.125)
+    q = kernel[: h + 1, : h + 1]
+    np.testing.assert_array_equal(_bits(propagation._mirror(q, npad)), _bits(kernel))
+    got = propagation._kernel_spectrum(npad, pitch, k, 0.125)
+    assert got.shape == (h + 1, h + 1) and got.flags.c_contiguous
+    # bit for bit: the crop of the transform of the explicitly mirrored quadrant
+    np.testing.assert_array_equal(
+        _bits(got), _bits(scipy.fft.fft2(propagation._mirror(q, npad))[: h + 1, : h + 1]))
+    # within round-off: the mirrored quadrant against the full-grid spectrum
+    full = scipy.fft.fft2(kernel)
+    error = np.max(np.abs(propagation._mirror(got, npad) - full)) / np.max(np.abs(full))
+    assert error <= KERNEL_MIRROR_TOL
     dz = 0.5 * npad * pitch
     for band_limit in (True, False):
         plan = PropagationPlan(band_limit=band_limit)
         quadrant = propagation._analytic_transfer(npad, pitch, k, dz, plan)
-        assert quadrant.shape == (npad // 2 + 1, npad // 2 + 1)
+        assert quadrant.shape == (h + 1, h + 1)
         np.testing.assert_array_equal(propagation._mirror(quadrant, npad),
                                       _reference_transfer(npad, pitch, k, dz, plan))
+
+
+def _padded(samples, npad):
+    n = samples.shape[0]
+    out = np.zeros((npad, npad), dtype=complex)
+    lo = (npad - n) // 2
+    out[lo : lo + n, lo : lo + n] = samples
+    return out
 
 
 @pytest.mark.parametrize("npad", [17, 18, 840, 841])
@@ -508,9 +536,28 @@ def test_quadrant_application_equals_the_full_grid_apply(npad, band_limit):
     samples = np.exp(2j * np.pi * RNG.random((n, n))) * RNG.random((n, n))
     quadrant = propagation._analytic_transfer(npad, pitch, k, 0.5 * npad * pitch,
                                               PropagationPlan(band_limit=band_limit))
-    np.testing.assert_array_equal(propagation._apply_quadrant(quadrant, samples, npad),
-                                  propagation._apply(propagation._mirror(quadrant, npad),
-                                                     samples, npad))
+    # operand order quadrant * field spectrum, as the artifacts are pinned to it
+    full = scipy.fft.ifft2(np.multiply(propagation._mirror(quadrant, npad),
+                                       scipy.fft.fft2(_padded(samples, npad))))
+    np.testing.assert_array_equal(_bits(propagation._apply_quadrant(quadrant, samples, npad)),
+                                  _bits(full))
+
+
+@pytest.mark.parametrize("side, n", [(0.02, 40), (0.0205, 41)])
+@pytest.mark.parametrize("band_limit", [True, False])
+def test_owned_hop_in_place_equals_propagate_slice(side, n, band_limit):
+    """The unpadded hop of an obstacle plane transforms the plane it owns in place."""
+    grid = make_grid(side, 3e11)
+    assert grid.elements_per_side == n
+    lam = grid.wavelength
+    plane = propagate_asm(_random_phase_field(grid), 0.05, PropagationPlan(pad_factor=1.5))
+    hop_plan = PropagationPlan(pad_factor=1.0, band_limit=band_limit)
+    before = plane.samples.copy()
+    expected = propagate_slice(plane, 0.03, hop_plan, wavelength=lam)
+    np.testing.assert_array_equal(_bits(plane.samples), _bits(before))  # left untouched
+    got = propagation._hop_slice(plane, 0.03, hop_plan, lam, overwrite=True)
+    assert got.samples is plane.samples and got.z == expected.z
+    np.testing.assert_array_equal(_bits(got.samples), _bits(expected.samples))
 
 
 def test_in_place_mask_multiply_equals_the_copy():
@@ -615,15 +662,20 @@ def test_reused_spectra_give_identical_hops(side, n, monkeypatch):
     plan = PropagationPlan(pad_factor=1.5)
     fresh_asm = propagate_asm(field, 0.2, plan)
     fresh_slice = propagate_slice(fresh_asm, 0.05, plan, wavelength=lam)
-    # operand order kernel * field spectrum: numpy's complex multiply is not
-    # bitwise commutative, and the artifacts are pinned to this order
+    # bit for bit against the kernel quadrant explicitly mirrored, in the operand order
+    # kernel * field spectrum: numpy's complex multiply is not bitwise commutative, and
+    # the artifacts are pinned to this order
     npad = fresh_asm.samples.shape[0]
-    padded = np.zeros((npad, npad), dtype=complex)
-    lo = (npad - n) // 2
-    padded[lo : lo + n, lo : lo + n] = field.weights
-    kernel = _reference_kernel_spectrum(npad, grid.element_pitch, grid.wavenumber, 0.2)
-    np.testing.assert_array_equal(fresh_asm.samples,
-                                  scipy.fft.ifft2(np.multiply(kernel, scipy.fft.fft2(padded))))
+    h = npad // 2
+    kernel = scipy.fft.fft2(_reference_kernel(npad, grid.element_pitch, grid.wavenumber, 0.2))
+    field_spectrum = scipy.fft.fft2(_padded(field.weights, npad))
+    mirrored = propagation._mirror(kernel[: h + 1, : h + 1], npad)
+    np.testing.assert_array_equal(
+        _bits(fresh_asm.samples), _bits(scipy.fft.ifft2(np.multiply(mirrored, field_spectrum))))
+    # within round-off of the unmirrored full-grid kernel
+    full = scipy.fft.ifft2(np.multiply(kernel, field_spectrum))
+    error = np.max(np.abs(fresh_asm.samples - full)) / np.max(np.abs(full))
+    assert error <= HOP_MIRROR_TOL
     builds = _BuildCounter(monkeypatch)
     with reuse_spectra():
         for _ in range(2):

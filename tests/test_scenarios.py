@@ -200,14 +200,17 @@ def test_blockage_builds_each_spectrum_once(tmp_path, monkeypatch):
     assert builds == {"kernel": 3, "transfer": 2}
 
 
-def test_blockage_study_holds_at_most_six_padded_planes(tmp_path):
+def test_blockage_study_holds_at_most_three_and_a_half_padded_planes(tmp_path):
     """Traced peak of the fig4-ci study, in padded complex planes (16 * 840^2 bytes).
 
     Each plane is kept as its intensity once its map is written, a
     wavefront's planes are released before the next wavefront is built,
-    obstacles mask their plane in place and transfer functions are kept as
-    quadrants: the peak reads 5.04 planes (it read 9.06 when each of those
-    held full-grid copies).
+    obstacles mask their plane in place, the hop after a mask transforms
+    that plane in place, and kernel spectra and transfer functions are
+    built and kept as quadrants: the peak reads 3.13 planes, at the disc
+    mask of an obstacle hop.  It read 9.06 when each of those held
+    full-grid copies, and 5.04 with full-grid kernel spectra and a copying
+    hop after the mask.
     """
     import tracemalloc
 
@@ -219,7 +222,7 @@ def test_blockage_study_holds_at_most_six_padded_planes(tmp_path):
     finally:
         tracemalloc.stop()
     plane = 16 * 840**2
-    assert peak <= 6 * plane, f"traced peak {peak / plane:.2f} planes"
+    assert peak <= 3.5 * plane, f"traced peak {peak / plane:.2f} planes"
 
 
 def test_blockage_auto_focus_keeps_every_wavefront_field(tmp_path):
@@ -1107,6 +1110,21 @@ def test_planes_padded_beyond_the_bound_exit_2_at_their_key(tmp_path, capsys, ca
     assert "Traceback" not in err
     assert (f"config error: {key_path}: {n} elements per side pad to {npad}, above the "
             f"{MAX_PADDED_SIDE} a study may propagate") in err
+    assert not out.exists()
+
+
+def test_a_receive_disc_whose_adjoint_hops_pad_beyond_the_bound_exits_2(tmp_path, capsys):
+    # 0.29 m at 1 THz pads its 1934 elements to 3872, inside the bound; a receive disc as
+    # wide as that plane spans 3872 samples, which the adjoint hops would pad to 7744
+    out = tmp_path / "out"
+    assert cli_main(["oam-crosstalk", "--side-length", "0.29", "--frequency", "1e12",
+                     "--modes", "0,1", "--z", "0.5", "--rx-radius", "0.290199099344",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("config error: oam.rx_radius_m: a receive disc of radius 0.290199 m spans 3872 "
+            f"samples, and its adjoint hops pad to 7744, above the {MAX_PADDED_SIDE} a study "
+            "may propagate") in err
     assert not out.exists()
 
 
