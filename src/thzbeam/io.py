@@ -112,13 +112,10 @@ def phase_to_levels(phase: PhaseMap) -> np.ndarray:
     return np.round(phase.values / TWO_PI * 65535.0).astype(np.uint16)
 
 
-def intensity_to_levels(slice_: FieldSlice, scale: str = "db", db_floor: float = -60.0) -> np.ndarray:
-    """Map slice intensity onto uint16 levels, linear or dB with a floor."""
-    return _levels(slice_.intensity(), scale, db_floor)
-
-
-def _levels(intensity: np.ndarray, scale: str, db_floor: float) -> np.ndarray:
-    """``intensity_to_levels`` of a plane's intensity, which is only read.
+def intensity_to_levels(intensity: np.ndarray, scale: str = "db",
+                        db_floor: float = -60.0) -> np.ndarray:
+    """Map a plane's intensity, which is only read, onto uint16 levels, linear or dB
+    with a floor.
 
     The mapping runs in place on one working array, ``intensity / peak``.
     Its steps are those of the whole-array expression, in its order (dB:

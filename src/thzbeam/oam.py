@@ -10,9 +10,9 @@ The matrix is computed by the adjoint.  The kernel ``exp(-1j*k*r)/r`` is
 even, so the same entry is ``pitch^2 * sum_aperture w_tx * A_rx``, where the
 adjoint plane ``A_rx`` is ``disc * h_rx`` propagated by z and read back on
 the aperture's elements.  One hop per receive mode then serves every
-transmit mode and every steering angle, and each entry is one inner product
-over the n^2 weights.  Couplings below ``COUPLING_FLOOR_DB`` are written as
-the floor.
+transmit mode and every steering angle of a call, and each entry is one
+inner product over the n^2 weights.  Couplings below ``COUPLING_FLOOR_DB``
+are written as the floor.
 
 The capacity calculator converts a target rate into the bandwidth required
 with M modes and Q-ary QAM under ideal Nyquist signalling.
@@ -28,9 +28,8 @@ import numpy as np
 
 from .aperture import ApertureField, ApertureGrid, _raw_spiral
 from .errors import GeometryError
-from .propagation import (DEFAULT_PLAN, PropagationPlan, _SPECTRA,
-                          _check_window_supports_distance, _keep, _own_spectra, _padded_size,
-                          propagate_asm, reuse_spectra)
+from .propagation import (DEFAULT_PLAN, PropagationPlan, _check_window_supports_distance,
+                          _padded_size, propagate_asm, reuse_spectra)
 
 __all__ = [
     "COUPLING_FLOOR_DB",
@@ -77,12 +76,13 @@ def crosstalk_matrix(
     base: ApertureField,
     modes: Sequence[int],
     z: float,
-    steer_angle: float = 0.0,
+    steer_angles: Sequence[float] = (0.0,),
     rx_radius: float | None = None,
     plan: PropagationPlan | None = None,
-) -> CrosstalkMatrix:
-    """Send each mode to z and demultiplex it about the fixed axis.
+) -> list[CrosstalkMatrix]:
+    """Send each mode to z at each steering angle and demultiplex it about the fixed axis.
 
+    Returns one matrix per angle of ``steer_angles`` [rad], in their order.
     The receiver is the disc of ``rx_radius`` (default: the aperture half
     side) on the padded plane a ``propagate_asm`` hop to z returns.
     Steering is an additive planar ramp at the transmitter while the
@@ -97,14 +97,11 @@ def crosstalk_matrix(
     a forward hop's padded plane would wrap round inside a disc wider than
     the aperture.  Couplings below ``COUPLING_FLOOR_DB`` read as the floor.
 
-    The adjoint planes and the transmit spirals ``exp(1j*l_tx*phi)`` depend
-    on the geometry only, so an enclosing ``reuse_spectra()`` block keeps
-    them (16 * n^2 bytes each), and every steering angle and base beam of a
-    study shares them: a study builds one spiral per mode, whatever its
-    receive radii, and one hop per receive mode and radius.  The azimuth
-    and the receive disc are built only when one of them is missing.  The
-    hops share a kernel spectrum in a scope of their own, which releases it
-    once the planes are built.
+    The call builds one adjoint plane per receive mode and one transmit
+    spiral ``exp(1j*l_tx*phi)`` per mode (16 * n^2 bytes each), and every
+    angle reuses them.  The hops share one kernel spectrum, which is
+    released once the planes are built unless an enclosing
+    ``reuse_spectra()`` block keeps it.
     """
     mode_list = tuple(int(m) for m in modes)
     if len(set(mode_list)) != len(mode_list):
@@ -127,54 +124,40 @@ def crosstalk_matrix(
             f"receiver radius {rx_radius:g} m exceeds the slice half-extent "
             f"{npad * pitch / 2.0:g} m"
         )
-    r_sq = rx_radius * rx_radius
     m = _adjoint_side(n, npad, pitch, rx_radius)
     rx_grid = ApertureGrid(m * pitch, pitch, grid.frequency)
+    phi = _raw_spiral(rx_grid, 1)  # the azimuth, on the aperture's elements too
+    x_sq = rx_grid.axis_coordinates() ** 2
+    disc = x_sq[None, :] + x_sq[:, None] <= rx_radius * rx_radius
 
-    with reuse_spectra():
-        memo = _SPECTRA.get()
-        plane_keys = [("adjoint", n, pitch, k, z, rx_radius, l_rx, plan) for l_rx in mode_list]
-        # the aperture's n-by-n window of the azimuth is the same for every receive radius
-        spiral_keys = [("spiral", n, pitch, l_tx) for l_tx in mode_list]
-        missing = [key for key in plane_keys + spiral_keys if key not in memo]
-        if missing:
-            phi = _raw_spiral(rx_grid, 1)  # the azimuth, on the aperture's elements too
-        if any(key[0] == "adjoint" for key in missing):
-            x_sq = rx_grid.axis_coordinates() ** 2
-            disc = x_sq[None, :] + x_sq[:, None] <= r_sq
+    def adjoint_plane(l_rx: int) -> np.ndarray:
+        helix = np.where(disc, np.exp(-1j * l_rx * phi), 0.0)
+        plane = propagate_asm(ApertureField(rx_grid, helix), z, plan).samples
+        del helix  # not held while the plane's window is copied out
+        c = (plane.shape[0] - n) // 2
+        return plane[c : c + n, c : c + n].ravel()
 
-            def adjoint_plane(l_rx: int) -> np.ndarray:
-                helix = np.where(disc, np.exp(-1j * l_rx * phi), 0.0)
-                plane = propagate_asm(ApertureField(rx_grid, helix), z, plan).samples
-                del helix  # not held while the plane's window is copied out
-                c = (plane.shape[0] - n) // 2
-                return plane[c : c + n, c : c + n].ravel()
+    with reuse_spectra():  # every hop has the same kernel
+        planes = [adjoint_plane(l_rx) for l_rx in mode_list]
+    lo = (m - n) // 2
+    spirals = [np.exp(1j * (l_tx * phi[lo : lo + n, lo : lo + n])) for l_tx in mode_list]
+    del phi, disc  # not held while the angles are summed
 
-            # the hops share one kernel spectrum, built in a scope of their own: only the
-            # planes outlive it
-            with _own_spectra():
-                for key, l_rx in zip(plane_keys, mode_list):
-                    if key in missing:
-                        _keep(memo, key, adjoint_plane(l_rx))
-        lo = (m - n) // 2
-        for key, l_tx in zip(spiral_keys, mode_list):
-            if key in missing:
-                _keep(memo, key, np.exp(1j * (l_tx * phi[lo : lo + n, lo : lo + n])))
-        planes = [memo[key] for key in plane_keys]
-        spirals = [memo[key] for key in spiral_keys]
-
-    ramp = np.exp(-1j * k * math.sin(steer_angle) * grid.axis_coordinates()[None, :])
-    coupling = np.zeros((len(mode_list), len(mode_list)))
-    for i, (l_tx, spiral) in enumerate(zip(mode_list, spirals)):
-        tx = (base.weights * spiral * ramp).ravel()
-        # einsum, not np.dot: a BLAS dot splits its sum by the BLAS thread count
-        amps = np.array([np.einsum("i,i->", tx, plane) for plane in planes]) * pitch**2
-        powers = np.abs(amps) ** 2
-        if powers[i] == 0.0:
-            raise ValueError(f"matched power for mode {l_tx} vanished; geometry unusable")
-        with np.errstate(divide="ignore"):
-            coupling[i, :] = 10.0 * np.log10(powers / powers[i])
-    return CrosstalkMatrix(mode_list, np.maximum(coupling, COUPLING_FLOOR_DB))
+    matrices = []
+    for angle in steer_angles:
+        ramp = np.exp(-1j * k * math.sin(angle) * grid.axis_coordinates()[None, :])
+        coupling = np.zeros((len(mode_list), len(mode_list)))
+        for i, (l_tx, spiral) in enumerate(zip(mode_list, spirals)):
+            tx = (base.weights * spiral * ramp).ravel()
+            # einsum, not np.dot: a BLAS dot splits its sum by the BLAS thread count
+            amps = np.array([np.einsum("i,i->", tx, plane) for plane in planes]) * pitch**2
+            powers = np.abs(amps) ** 2
+            if powers[i] == 0.0:
+                raise ValueError(f"matched power for mode {l_tx} vanished; geometry unusable")
+            with np.errstate(divide="ignore"):
+                coupling[i, :] = 10.0 * np.log10(powers / powers[i])
+        matrices.append(CrosstalkMatrix(mode_list, np.maximum(coupling, COUPLING_FLOOR_DB)))
+    return matrices
 
 
 @dataclass(frozen=True)

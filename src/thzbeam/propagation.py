@@ -7,8 +7,11 @@ Two engines share one convention (outgoing waves ``exp(-1j*k*r)/r``):
   against.
 * ``propagate_asm`` — spectral propagation on a zero-padded grid.  From an
   ``ApertureField`` (discrete point sources) the transfer function is the
-  FFT of the sampled spherical-wave kernel, which reproduces the direct
-  summation on the padded plane; from a ``FieldSlice`` (sampled continuum
+  FFT of the sampled spherical-wave kernel.  The convolution is circular
+  on the npad-square padded plane, so a sample at d samples from its
+  centre along each axis reproduces the direct summation only where
+  |d| <= (npad - n)/2: at pad 2, the central n-by-n window.  Beyond it
+  the kernel wraps round.  From a ``FieldSlice`` (sampled continuum
   field) the analytic angular-spectrum transfer function
   ``exp(-1j*z*sqrt(k^2-kx^2-ky^2))`` is used, band-limited against
   wrap-around and with evanescent components zeroed.
@@ -23,8 +26,10 @@ blocks on up to n threads, which does not change a single bit either.
 
 Both transfer functions are even in kx and ky, so each is built and kept
 as its quadrant of non-negative frequencies, (npad//2+1)^2 values, and
-applied to the field spectrum through mirrored views of it; the mirrored
-kernel quadrant differs from the kernel's full-grid FFT by round-off only.
+applied to the field spectrum through mirrored views of it.  The mirror of
+a quadrant is the FFT-ordered npad-square grid whose entry m > npad//2 on
+either axis takes the value at npad - m; the mirrored kernel quadrant
+differs from the kernel's full-grid FFT by round-off only.
 Inside a ``reuse_spectra()`` block each quadrant is built once and shared,
 read-only, by every hop that needs it; outside one, every hop builds its
 own.
@@ -224,28 +229,13 @@ def _padded_fft2(samples: np.ndarray, npad: int) -> np.ndarray:
     return out
 
 
-def _mirror(q: np.ndarray, npad: int) -> np.ndarray:
-    """FFT-ordered npad-by-npad grid of an even function from its quadrant.
-
-    ``q`` holds the (npad//2+1)-square block of non-negative indices; entry
-    m > npad//2 of either axis takes the value at npad - m.
-    """
-    h = npad // 2
-    tail = slice(npad - h - 1, 0, -1)  # npad - m for m = h+1 .. npad-1
-    out = np.empty((npad, npad), dtype=q.dtype)
-    out[: h + 1, : h + 1] = q
-    out[: h + 1, h + 1 :] = q[:, tail]
-    out[h + 1 :] = out[tail]
-    return out
-
-
 def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
     """Quadrant of the FFT of the sampled spherical-wave kernel exp(-1j*k*r)/r at hop z.
 
     The kernel depends on the sample offsets only through dx^2 and dy^2, so
-    its FFT-ordered grid is ``_mirror(q, npad)`` of the quadrant q of
-    non-negative offsets.  The (npad//2+1)-square block returned is the
-    crop of ``_fft2(_mirror(q, npad))``, bit for bit, and every line gets
+    its FFT-ordered grid is the mirror of the quadrant q of non-negative
+    offsets.  The (npad//2+1)-square block returned is the crop of the
+    ``_fft2`` of that mirror, bit for bit, and every line gets
     the transform it gets there; but the full grid is never built.  Columns
     m and npad - m of that grid are equal, so the axis-0 pass runs on the
     h+1 distinct columns of the row-mirrored quadrant, and the axis-1 pass
@@ -256,7 +246,7 @@ def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
     most 8.1e-16 of its largest magnitude up to npad 1125.
     """
     h = npad // 2
-    tail = slice(npad - h - 1, 0, -1)  # as in _mirror
+    tail = slice(npad - h - 1, 0, -1)  # npad - m for m = h+1 .. npad-1
     d_sq = (np.arange(h + 1) * pitch) ** 2
     r = np.sqrt(d_sq[None, :] + d_sq[:, None] + z * z)
     q = np.exp(-1j * k * r) / r
@@ -312,7 +302,7 @@ def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: Propa
 
     H and its band-limit mask depend on kx^2 and ky^2 only, so the
     (npad//2+1)-square block of non-negative frequency indices holds all of
-    H exactly: ``_mirror(quadrant, npad)`` is the FFT-ordered full grid.
+    H exactly: its mirror is the FFT-ordered full grid.
     ``_apply_quadrant`` applies it without building that grid.
     """
     kx = 2.0 * np.pi * np.abs(np.fft.fftfreq(npad, d=pitch)[: npad // 2 + 1])
@@ -341,24 +331,10 @@ def reuse_spectra():
     when the outermost block ends; the scope is kept to one study block
     because each spectrum takes 16 * (npad//2+1)^2 bytes, its quadrant
     (46 MB at npad 3375).
-
-    The block also keeps what ``oam.crosstalk_matrix`` builds from the
-    geometry only, so every steering angle and base beam of a crosstalk
-    study inside one block shares it: each adjoint plane (16 * n^2 bytes
-    per receive mode) and each transmit spiral (16 * n^2 bytes per mode).
-    The adjoint hops' kernel spectrum is built in a scope of its own and
-    released once their planes are built.
     """
     if _SPECTRA.get() is not None:
         yield
         return
-    with _own_spectra():
-        yield
-
-
-@contextlib.contextmanager
-def _own_spectra():
-    """A spectra scope of its own: what is built inside is released when it ends."""
     token = _SPECTRA.set({})
     try:
         yield
@@ -372,19 +348,15 @@ def _spectrum(key: tuple, build) -> np.ndarray:
     if memo is None:
         return build()
     spectrum = memo.get(key)
-    return _keep(memo, key, build()) if spectrum is None else spectrum
-
-
-def _keep(memo: dict, key: tuple, array: np.ndarray) -> np.ndarray:
-    """Keep ``array`` in a spectra memo under ``key``, read-only, as every caller shares it."""
-    array.setflags(write=False)
-    memo[key] = array
-    return array
+    if spectrum is None:
+        spectrum = memo[key] = build()
+        spectrum.setflags(write=False)  # every hop in the block shares it
+    return spectrum
 
 
 def _apply_quadrant(quadrant: np.ndarray, samples: np.ndarray, npad: int,
                     overwrite: bool = False) -> np.ndarray:
-    """ifft2(_mirror(quadrant, npad) * fft2(samples zero-padded to npad)), bit for bit.
+    """ifft2(mirror of quadrant * fft2(samples zero-padded to npad)), bit for bit.
 
     Each of the four blocks of the field spectrum is multiplied in place by
     a mirrored view of the quadrant, so the full-grid spectrum is never
@@ -399,7 +371,7 @@ def _apply_quadrant(quadrant: np.ndarray, samples: np.ndarray, npad: int,
     else:
         spec = _padded_fft2(samples, npad)
     h = npad // 2
-    tail = slice(npad - h - 1, 0, -1)  # as in _mirror
+    tail = slice(npad - h - 1, 0, -1)  # npad - m for m = h+1 .. npad-1
     for rows, q_rows in ((slice(0, h + 1), slice(None)), (slice(h + 1, None), tail)):
         for cols, q_cols in ((slice(0, h + 1), slice(None)), (slice(h + 1, None), tail)):
             block = spec[rows, cols]
@@ -444,9 +416,11 @@ def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None =
 
     The returned slice covers the padded plane (pad_factor times the
     aperture) in the oracle's physical units: a single unit element yields
-    ``exp(-1j*k*r)/r`` samples.  The kernel spectrum is built, and kept
-    inside ``reuse_spectra``, as its quadrant, and applied through mirrored
-    views of it.
+    ``exp(-1j*k*r)/r`` samples.  Only the samples within (npad - n)/2 of
+    the centre along each axis equal the direct sum (at pad 2, the central
+    n-by-n window); the circular convolution wraps round beyond them.  The
+    kernel spectrum is built, and kept inside ``reuse_spectra``, as its
+    quadrant, and applied through mirrored views of it.
     """
     plan = plan or DEFAULT_PLAN
     if not (z > 0 and math.isfinite(z)):

@@ -766,7 +766,7 @@ def _write_maps(out_dir: Path, stem: str, intensity: np.ndarray, output: MapOutp
                 manifest) -> None:
     """The dB maps of a plane given as its intensity, which stays as it is."""
     _write(out_dir, stem, output, manifest, levels_of=lambda: (
-        artifacts._levels(intensity, scale="db", db_floor=output.db_floor)))
+        artifacts.intensity_to_levels(intensity, scale="db", db_floor=output.db_floor)))
 
 
 def _write_table(out_dir: Path, name: str, header: str, rows, output: OutputSection,
@@ -788,7 +788,8 @@ def _run_plane(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> 
     slice_ = propagate_asm(synthesize_field(config.grid, spec), z, config.plane.plan)
     _write(out_dir, f"slice_{name}_z{z:g}", out, manifest,
            lambda path: artifacts.field_slice_csv(path, slice_),
-           lambda: artifacts.intensity_to_levels(slice_, scale=out.scale, db_floor=out.db_floor))
+           lambda: artifacts.intensity_to_levels(slice_.intensity(), scale=out.scale,
+                                                 db_floor=out.db_floor))
 
 
 def _run_gain_curve(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
@@ -866,25 +867,22 @@ def _run_oam_crosstalk(config: ScenarioConfig, out_dir: Path, manifest: RunManif
     p = config.oam
     base = synthesize_field(config.grid, p.base)
 
+    matrices = crosstalk_matrix(base, p.modes, p.z_m, [math.radians(d) for d in p.steer_deg_list],
+                                rx_radius=p.rx_radius_m)
     spill_rows = []
-    # every steering angle hops the same distance: one kernel serves them all
-    with reuse_spectra():
-        for deg in p.steer_deg_list:
-            matrix = crosstalk_matrix(base, p.modes, p.z_m, steer_angle=math.radians(deg),
-                                      rx_radius=p.rx_radius_m)
-            modes, coupling = matrix.modes, matrix.power_coupling_db
-            rows = [[float(tx), float(rx), db] for tx, row in zip(modes, coupling)
-                    for rx, db in zip(modes, row)]
-            stem = "crosstalk" if deg == 0.0 else f"crosstalk_steer_{deg:g}deg"
-            _write_table(out_dir, stem, "tx_mode,rx_mode,coupling_db", rows, config.output,
-                         manifest)
+    for deg, matrix in zip(p.steer_deg_list, matrices):
+        modes, coupling = matrix.modes, matrix.power_coupling_db
+        rows = [[float(tx), float(rx), db] for tx, row in zip(modes, coupling)
+                for rx, db in zip(modes, row)]
+        stem = "crosstalk" if deg == 0.0 else f"crosstalk_steer_{deg:g}deg"
+        _write_table(out_dir, stem, "tx_mode,rx_mode,coupling_db", rows, config.output, manifest)
 
-            # power into the middle mode's nearest neighbours in l (l +- 1 where the set has them)
-            mid = len(modes) // 2
-            gap = min(abs(rx - modes[mid]) for rx in modes if rx != modes[mid])
-            spill = sum(10 ** (db / 10.0) for rx, db in zip(modes, coupling[mid])
-                        if abs(rx - modes[mid]) == gap)
-            spill_rows.append([float(deg), 10.0 * math.log10(spill)])
+        # power into the middle mode's nearest neighbours in l (l +- 1 where the set has them)
+        mid = len(modes) // 2
+        gap = min(abs(rx - modes[mid]) for rx in modes if rx != modes[mid])
+        spill = sum(10 ** (db / 10.0) for rx, db in zip(modes, coupling[mid])
+                    if abs(rx - modes[mid]) == gap)
+        spill_rows.append([float(deg), 10.0 * math.log10(spill)])
     _write_table(out_dir, "spillover", "steer_deg,spillover_db", spill_rows, config.output,
                  manifest)
 

@@ -6,7 +6,6 @@ import pytest
 from thzbeam import FieldSlice, PhaseMap
 from thzbeam.io import (
     _CSV_BLOCK_ROWS,
-    _levels,
     _sample_intensity,
     field_slice_csv,
     format_number,
@@ -163,10 +162,9 @@ def test_in_place_levels_equal_the_copying_expression(scale, db_floor):
     intensity = slice_.intensity()
     kept = intensity.copy()
     expected = _levels_by_copies(intensity, scale, db_floor)
-    np.testing.assert_array_equal(_levels(intensity, scale, db_floor), expected)
+    np.testing.assert_array_equal(intensity_to_levels(intensity, scale, db_floor), expected)
     np.testing.assert_array_equal(intensity, kept)  # the intensity is only read
-    np.testing.assert_array_equal(intensity_to_levels(slice_, scale, db_floor), expected)
     dark = np.zeros((8, 8))
-    np.testing.assert_array_equal(_levels(dark, scale, db_floor),
+    np.testing.assert_array_equal(intensity_to_levels(dark, scale, db_floor),
                                   _levels_by_copies(dark, scale, db_floor))
 

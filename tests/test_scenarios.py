@@ -431,7 +431,7 @@ def test_phase_levels_span_and_wrap():
 def test_intensity_levels_db_floor():
     samples = np.array([[1.0, 1e-2], [1e-4, 0.0]])
     slice_ = FieldSlice(1.0, samples, 1e-3)  # intensities 1, 1e-4, 1e-8, 0
-    levels = intensity_to_levels(slice_, scale="db", db_floor=-60.0)
+    levels = intensity_to_levels(slice_.intensity(), scale="db", db_floor=-60.0)
     assert levels[0, 0] == 65535
     assert levels[0, 1] == pytest.approx(round((1 - 40 / 60) * 65535), abs=1)
     assert levels[1, 0] == 0  # at the floor
@@ -509,6 +509,10 @@ def test_cli_csv_only_calls_map_no_levels(tmp_path, monkeypatch):
                      "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "phase_bessel.csv",
                                                          "slice_beamforming_z0.1.csv"]
+    blockage = tmp_path / "blockage"
+    assert cli_main(["blockage", *STUDY_VERBS["blockage"], "--format", "csv",
+                     "--out", str(blockage)]) == 0
+    assert sorted(p.name for p in blockage.iterdir()) == ["healing.csv", "manifest.json"]
 
 
 # --bits out of [1, 16] is a config error before any output directory exists
