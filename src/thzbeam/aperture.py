@@ -620,18 +620,48 @@ def _applied_phase(grid: ApertureGrid, spec: WavefrontSpec, x: np.ndarray) -> Ph
     return phase
 
 
-def _mirror_quadrant(q: np.ndarray, n: int) -> np.ndarray:
-    """The n-by-n array, even in both axes, whose block of non-negative coordinates is q.
+# rows per copy in _mirror_centred: numpy copies a source whose memory range overlaps
+# the target's, and a few rows keep that copy small
+_MIRROR_ROWS = 8
 
-    ``q`` is (n+1)//2 a side; element j < n//2 of either axis takes the value at
-    n-1-j, whose coordinate is exactly -x_j.
+
+def _mirror_centred(a: np.ndarray) -> np.ndarray:
+    """Make square ``a`` even about its centre in both axes, in place, from its block
+    of non-negative coordinates ``a[n//2:, n//2:]``, and return it.
+
+    Element j < n//2 of either axis takes the value at n-1-j, whose coordinate
+    is exactly -x_j on a grid centred at (n-1)/2.
     """
+    n = a.shape[0]
     s = n // 2  # the first index of the non-negative half
+    for lo in range(s, n, _MIRROR_ROWS):
+        rows = a[lo : lo + _MIRROR_ROWS]
+        rows[:, :s] = rows[:, ::-1][:, :s]
+    a[:s] = a[::-1][:s]
+    return a
+
+
+def _is_bitwise_even(a: np.ndarray) -> bool:
+    """Whether complex square ``a`` is even about its centre in both axes, bit for bit.
+
+    The samples are compared as ``uint64`` words, so +0.0 and -0.0 differ.
+    Rows are compared across the centre, then the columns of the kept half.
+    """
+    n = a.shape[0]
+    bits = np.ascontiguousarray(a).view(np.uint64).reshape(n, n, 2)
+    s = n // 2
+    if not np.array_equal(bits[:s], bits[::-1][:s]):
+        return False
+    half = bits[s:]
+    return np.array_equal(half[:, :s], half[:, ::-1][:, :s])
+
+
+def _mirror_quadrant(q: np.ndarray, n: int) -> np.ndarray:
+    """The n-by-n array, even in both axes, whose block of non-negative coordinates is
+    q, (n+1)//2 a side."""
     out = np.empty((n, n), dtype=q.dtype)
-    out[s:, s:] = q
-    out[s:, :s] = q[:, ::-1][:, :s]
-    out[:s] = out[n - s :][::-1]
-    return out
+    out[n // 2 :, n // 2 :] = q
+    return _mirror_centred(out)
 
 
 def synthesize_applied_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:

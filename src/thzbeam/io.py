@@ -4,7 +4,11 @@ All CSV output is UTF-8 with LF line endings, '.' decimal separator and 9
 significant digits.  The phase-map and field-slice CSVs are formatted and
 written in blocks of rows, one ``%`` operation per block; their bytes are
 those of formatting each value with ``format_number``.  The field-slice
-coordinates are formatted once per axis value, not once per sample.
+coordinates are formatted once per axis value, not once per sample, and
+the samples of a plane that is even about its centre bit for bit are
+formatted once per quadrant sample: each row of the quadrant of
+non-negative coordinates is formatted once and spliced, mirrored, into
+the two rows that hold it.
 Images are 16-bit grayscale; phase maps span [0, 2*pi) onto [0, 65535] and
 intensity maps are linear or dB-scaled with a floor.
 """
@@ -18,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .aperture import TWO_PI, PhaseMap
+from .aperture import TWO_PI, PhaseMap, _is_bitwise_even
 from .propagation import FieldSlice
 
 __all__ = [
@@ -87,6 +91,15 @@ def _sample_intensity(samples: np.ndarray) -> np.ndarray:
     return np.float_power(np.hypot(samples.real, samples.imag), 2)
 
 
+def _sample_values(samples: np.ndarray) -> list[float]:
+    """re, im and intensity of each sample, in row-major sample order."""
+    cols = np.empty(samples.shape + (3,))
+    cols[..., 0] = samples.real
+    cols[..., 1] = samples.imag
+    cols[..., 2] = _sample_intensity(samples)
+    return cols.ravel().tolist()
+
+
 def field_slice_csv(path: Path, slice_: FieldSlice) -> None:
     """Sample table with columns x, y, re, im, intensity."""
     s = slice_.samples
@@ -94,17 +107,43 @@ def field_slice_csv(path: Path, slice_: FieldSlice) -> None:
     axis = [format_number(v) for v in slice_.axis_coordinates().tolist()]
     with open(path, "wb") as fh:
         fh.write(b"x_m,y_m,re,im,intensity\n")
+        if _is_bitwise_even(s):
+            _write_even_rows(fh, s, axis)
+            return
         for lo in range(0, s.shape[0], _CSV_BLOCK_ROWS):
             blk = s[lo : lo + _CSV_BLOCK_ROWS]
-            cols = np.empty(blk.shape + (3,))
-            cols[..., 0] = blk.real
-            cols[..., 1] = blk.imag
-            cols[..., 2] = _sample_intensity(blk)
             rows = []
             for y in axis[lo : lo + blk.shape[0]]:
                 sfx = "," + y + ",%.9g,%.9g,%.9g\n"  # follows each x: "x,y,re,im,intensity"
                 rows.append(sfx.join(axis) + sfx)
-            fh.write(("".join(rows) % tuple(cols.ravel().tolist())).encode("utf-8"))
+            fh.write(("".join(rows) % tuple(_sample_values(blk))).encode("utf-8"))
+
+
+def _write_even_rows(fh, s: np.ndarray, axis: list[str]) -> None:
+    """The rows of ``field_slice_csv`` for samples even about their centre, bit for bit.
+
+    Row r and row n-1-r hold the same samples, and so do columns c and n-1-c,
+    so only the quadrant ``s[h:, h:]`` (h = n//2) is formatted: each of its
+    rows once, into one "re,im,intensity" text per sample, kept from the row
+    that first needs it to the row that needs it again.
+    """
+    n = s.shape[0]
+    h = n // 2
+    kept: dict[int, str] = {}
+    for lo in range(0, n, _CSV_BLOCK_ROWS):
+        rows = []
+        for r in range(lo, min(lo + _CSV_BLOCK_ROWS, n)):
+            i = max(r, n - 1 - r)  # the row of non-negative y with these samples
+            text = kept.pop(i, None)
+            if text is None:
+                text = ("%.9g,%.9g,%.9g\n" * (n - h)) % tuple(_sample_values(s[i, h:]))
+                if i != r:
+                    kept[i] = text
+            right = text.split("\n")
+            right.pop()  # the empty text after the last newline
+            sfx = "," + axis[r] + ",%s\n"  # follows each x: "x,y,re,im,intensity"
+            rows.append((sfx.join(axis) + sfx) % tuple(right[::-1][:h] + right))
+        fh.write("".join(rows).encode("utf-8"))
 
 
 def phase_to_levels(phase: PhaseMap) -> np.ndarray:

@@ -33,6 +33,13 @@ differs from the kernel's full-grid FFT by round-off only.
 Inside a ``reuse_spectra()`` block each quadrant is built once and shared,
 read-only, by every hop that needs it; outside one, every hop builds its
 own.
+
+An aperture whose weights are even about their centre bit for bit (the
+unsteered beamforming, beamfocusing and Bessel wavefronts) gives a plane
+that is even about its centre bit for bit: the last inverse pass runs on
+half of the rows, and the other three quadrants of the plane are mirrors
+of the quadrant of non-negative coordinates, whose bits are those of the
+full transform.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ from typing import Sequence
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here it is paid at import, not in the first hop
 
-from .aperture import ApertureField, ObstacleSpec, make_obstacle_mask
+from .aperture import (ApertureField, ObstacleSpec, _is_bitwise_even, _mirror_centred,
+                       make_obstacle_mask)
 from .errors import SamplingError
 
 __all__ = [
@@ -174,18 +182,22 @@ def _fft2(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _ifft2(a: np.ndarray) -> np.ndarray:
+def _ifft2(a: np.ndarray, even: bool = False) -> np.ndarray:
     """``scipy.fft.ifft2(a, overwrite_x=True)``, bit for bit, in place.
 
     pocketfft scales by 1/(n0*n1) after the first pass, multiplying each
     real and imaginary part by the real factor; a complex multiply would
-    flip the sign of some zeros.
+    flip the sign of some zeros.  With ``even`` (the result is known to be
+    even about its centre), the scaling and the last pass run on the rows
+    of non-negative coordinate only, which keep those bits, and the rest
+    of the plane is their mirror.
     """
     _fft_pass(a, 0, inverse=True)
-    parts = a.view(np.float64)
+    kept = a[a.shape[0] // 2 :] if even else a
+    parts = kept.view(np.float64)
     np.multiply(parts, 1.0 / a.size, out=parts)
-    _fft_pass(a, 1, inverse=True)
-    return a
+    _fft_pass(kept, 1, inverse=True)
+    return _mirror_centred(a) if even else a
 
 
 def _next_fast_len(target: int) -> int:
@@ -355,7 +367,7 @@ def _spectrum(key: tuple, build) -> np.ndarray:
 
 
 def _apply_quadrant(quadrant: np.ndarray, samples: np.ndarray, npad: int,
-                    overwrite: bool = False) -> np.ndarray:
+                    overwrite: bool = False, even: bool = False) -> np.ndarray:
     """ifft2(mirror of quadrant * fft2(samples zero-padded to npad)), bit for bit.
 
     Each of the four blocks of the field spectrum is multiplied in place by
@@ -365,6 +377,8 @@ def _apply_quadrant(quadrant: np.ndarray, samples: np.ndarray, npad: int,
     artifacts are pinned to this order.  With ``overwrite``, samples that
     need no padding (complex, C-contiguous and npad a side) are transformed
     in place and returned; the padded grid would hold the same values.
+    With ``even`` (the samples are even about their centre), the quadrant of
+    non-negative coordinates keeps those bits and the rest is its mirror.
     """
     if overwrite and samples.shape[0] == npad:
         spec = _fft2(samples)
@@ -376,7 +390,7 @@ def _apply_quadrant(quadrant: np.ndarray, samples: np.ndarray, npad: int,
         for cols, q_cols in ((slice(0, h + 1), slice(None)), (slice(h + 1, None), tail)):
             block = spec[rows, cols]
             np.multiply(quadrant[q_rows, q_cols], block, out=block)
-    return _ifft2(spec)
+    return _ifft2(spec, even)
 
 
 def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None = None,
@@ -420,7 +434,11 @@ def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None =
     the centre along each axis equal the direct sum (at pad 2, the central
     n-by-n window); the circular convolution wraps round beyond them.  The
     kernel spectrum is built, and kept inside ``reuse_spectra``, as its
-    quadrant, and applied through mirrored views of it.
+    quadrant, and applied through mirrored views of it.  When the weights
+    are even about their centre bit for bit (signed zeros included), so is
+    the plane: the last inverse pass runs on the rows of non-negative y
+    only, and the other three quadrants are mirrors of the fourth, which
+    keeps the bits of the full transform.
     """
     plan = plan or DEFAULT_PLAN
     if not (z > 0 and math.isfinite(z)):
@@ -432,7 +450,8 @@ def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None =
         _check_window_supports_distance(n, npad, pitch, field.grid.wavelength, z)
     k = field.grid.wavenumber
     K = _spectrum(("kernel", npad, pitch, k, z), lambda: _kernel_spectrum(npad, pitch, k, z))
-    return FieldSlice(z, _apply_quadrant(K, field.weights, npad), pitch)
+    return FieldSlice(z, _apply_quadrant(K, field.weights, npad,
+                                         even=_is_bitwise_even(field.weights)), pitch)
 
 
 def propagate_direct(field: ApertureField, points: Sequence[Sequence[float]]) -> np.ndarray:

@@ -314,6 +314,11 @@ class OamBandwidthSection:
             for m in self.mode_counts for q in self.qam_orders))
 
 
+def _crosstalk_stem(deg: float) -> str:
+    """The file stem of the crosstalk matrix at steering angle ``deg``."""
+    return "crosstalk" if deg == 0.0 else f"crosstalk_steer_{deg:g}deg"
+
+
 @dataclass(frozen=True, kw_only=True)
 class OamCrosstalkSection:
     """[oam] of oam_crosstalk: a planar base beam, or a Bessel one of base_spot_fwhm_m."""
@@ -328,6 +333,10 @@ class OamCrosstalkSection:
     def __post_init__(self):
         if len(self.modes) < 2:  # spillover.csv reads the middle mode's nearest neighbours
             raise ConfigError("needs two or more modes", key_path="oam.modes")
+        stems = [_crosstalk_stem(deg) for deg in self.steer_deg_list]
+        if len(set(stems)) != len(stems):
+            raise ConfigError("two angles agree to 6 significant digits and would write one "
+                              "crosstalk file", key_path="oam.steer_deg_list")
         kind = "beamforming" if self.base_spot_fwhm_m is None else "bessel"
         object.__setattr__(self, "base", WavefrontSpec(kind=kind, spot_fwhm=self.base_spot_fwhm_m,
                                                        circular=True))
@@ -874,8 +883,8 @@ def _run_oam_crosstalk(config: ScenarioConfig, out_dir: Path, manifest: RunManif
         modes, coupling = matrix.modes, matrix.power_coupling_db
         rows = [[float(tx), float(rx), db] for tx, row in zip(modes, coupling)
                 for rx, db in zip(modes, row)]
-        stem = "crosstalk" if deg == 0.0 else f"crosstalk_steer_{deg:g}deg"
-        _write_table(out_dir, stem, "tx_mode,rx_mode,coupling_db", rows, config.output, manifest)
+        _write_table(out_dir, _crosstalk_stem(deg), "tx_mode,rx_mode,coupling_db", rows,
+                     config.output, manifest)
 
         # power into the middle mode's nearest neighbours in l (l +- 1 where the set has them)
         mid = len(modes) // 2

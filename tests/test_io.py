@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thzbeam import FieldSlice, PhaseMap
+from thzbeam.aperture import _is_bitwise_even, _mirror_quadrant
 from thzbeam.io import (
     _CSV_BLOCK_ROWS,
     _sample_intensity,
@@ -68,6 +69,27 @@ def _straddle(rng, count=400, ulps=40):
     return (re + 1j * (r[:, None] * re)).reshape(180, 180)
 
 
+def _even_phasors(rng, n):
+    """Phasors mirrored about the centre in both axes, so the plane is even bit for bit."""
+    return _mirror_quadrant(_random_phasors(rng, (n + 1) // 2, 150), n)
+
+
+def _signed_zero_pair(rng, n=45):
+    """Even under ``==`` but not bit for bit: one mirrored pair of the centre row holds
+    +0.0 and -0.0 as its real part."""
+    s = _even_phasors(rng, n)
+    s[n // 2, 3] = complex(0.0, 2.5)
+    s[n // 2, n - 4] = complex(-0.0, 2.5)
+    return s
+
+
+def _one_ulp_off(rng, n=40):
+    """Even but for one sample, whose real part is one ulp above its mirror's."""
+    s = _even_phasors(rng, n)
+    s[5, 7] = complex(np.nextafter(s[5, 7].real, np.inf), s[5, 7].imag)
+    return s
+
+
 SLICES = {
     # odd n, rows not a multiple of the block
     "decades-odd": lambda rng: FieldSlice(0.5, _random_phasors(rng, 45, 150), 1e-3),
@@ -82,6 +104,17 @@ SLICES = {
     # coordinates in exponent notation, one exactly 0 per axis (odd n) with both signs
     # around it; rows not a multiple of the block
     "tiny-pitch": lambda rng: FieldSlice(1e-6, _random_phasors(rng, 41, 3), 5e-8),
+    # bitwise even, written from one quadrant: odd and even n, fewer rows than one block
+    # and rows not a multiple of it
+    "even-odd-small": lambda rng: FieldSlice(0.5, _even_phasors(rng, 21), 1e-3),
+    "even-even-small": lambda rng: FieldSlice(0.5, _even_phasors(rng, 20), 1e-3),
+    "even-odd-ragged": lambda rng: FieldSlice(0.5, _even_phasors(rng, 2 * _CSV_BLOCK_ROWS + 11),
+                                              3.7e-4),
+    "even-even-ragged": lambda rng: FieldSlice(0.5, _even_phasors(rng, 2 * _CSV_BLOCK_ROWS + 10),
+                                               3.7e-4),
+    # even under == only, and even but for one ulp: written row by row
+    "signed-zero-pair": lambda rng: FieldSlice(0.5, _signed_zero_pair(rng), 1e-3),
+    "one-ulp-off": lambda rng: FieldSlice(0.5, _one_ulp_off(rng), 1e-3),
 }
 
 
@@ -91,6 +124,20 @@ def test_field_slice_csv_matches_per_sample_writer(tmp_path, name):
     field_slice_csv(tmp_path / "blocks.csv", slice_)
     _field_slice_csv_per_sample(tmp_path / "per_sample.csv", slice_)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "per_sample.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SLICES))
+def test_only_bitwise_even_slices_take_the_quadrant_path(tmp_path, name):
+    slice_ = SLICES[name](np.random.default_rng(sorted(SLICES).index(name)))
+    s = slice_.samples
+    assert _is_bitwise_even(s) == name.startswith("even-")
+    if name == "signed-zero-pair":
+        assert np.array_equal(s, s[::-1]) and np.array_equal(s, s[:, ::-1])
+        field_slice_csv(tmp_path / "zero.csv", slice_)
+        n = s.shape[0]
+        y = format_number(slice_.axis_coordinates()[n // 2])
+        text = (tmp_path / "zero.csv").read_text()
+        assert f",{y},0,2.5," in text and f",{y},-0,2.5," in text
 
 
 def test_tiny_pitch_slice_covers_exponents_and_zero(tmp_path):

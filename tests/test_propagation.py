@@ -29,7 +29,7 @@ from thzbeam import (
     reuse_spectra,
     synthesize_field,
 )
-from thzbeam.aperture import steer_vector
+from thzbeam.aperture import _is_bitwise_even, steer_vector
 
 RNG = np.random.default_rng(7)
 
@@ -608,6 +608,59 @@ def test_owned_hop_in_place_equals_propagate_slice(side, n, band_limit):
     got = propagation._hop_slice(plane, 0.03, hop_plan, lam, overwrite=True)
     assert got.samples is plane.samples and got.z == expected.z
     np.testing.assert_array_equal(_bits(got.samples), _bits(expected.samples))
+
+
+def _today_hop(field, z):
+    """``propagate_asm``'s samples through the full inverse transform, for any weights."""
+    n, pitch, k = field.grid.elements_per_side, field.grid.element_pitch, field.grid.wavenumber
+    npad = propagation._padded_size(n, 2.0)
+    kernel = propagation._kernel_spectrum(npad, pitch, k, z)
+    return propagation._apply_quadrant(kernel, field.weights, npad)
+
+
+# (side at 1 THz, elements per side, spec): n = 266 pads to 540 and n = 333 to 675
+EVEN_APERTURES = {
+    "bessel-even-n": (0.0399, 266, WavefrontSpec(kind="bessel", spot_fwhm=0.002)),
+    "bessel-odd-n": (0.04995, 333, WavefrontSpec(kind="bessel", spot_fwhm=0.002)),
+    "broadside-planar": (0.03, 200, WavefrontSpec(kind="beamforming")),
+}
+# the mirrored quadrants differ from the full inverse by round-off: 3.1e-16, 3.5e-16 and
+# 8.1e-16 of the plane's largest magnitude for the three apertures above
+EVEN_MIRROR_TOL = 2e-15
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(EVEN_APERTURES))
+def test_even_aperture_hops_to_a_bitwise_even_plane(name, workers, monkeypatch):
+    monkeypatch.setattr(propagation.os, "cpu_count", lambda: 8)  # let 2 workers split
+    side, n, spec = EVEN_APERTURES[name]
+    field = synthesize_field(make_grid(side, 1e12), spec)
+    assert field.grid.elements_per_side == n and _is_bitwise_even(field.weights)
+    with propagation.fft_workers(workers):
+        plane = propagate_asm(field, 0.1).samples
+        full = _today_hop(field, 0.1)
+    assert _is_bitwise_even(plane)
+    h = plane.shape[0] // 2
+    np.testing.assert_array_equal(_bits(plane[h:, h:]), _bits(full[h:, h:]))
+    assert np.max(np.abs(plane - full)) <= EVEN_MIRROR_TOL * np.max(np.abs(full))
+
+
+def _oam_disc_helix(grid, l):
+    """The receive disc times ``exp(-1j*l*phi)``, the field of a crosstalk adjoint hop."""
+    X, Y = grid.meshgrid()
+    return np.where(X * X + Y * Y <= grid.half_side**2, np.exp(-1j * l * np.arctan2(Y, X)), 0.0)
+
+
+@pytest.mark.parametrize("name", ["steered-planar", "oam-disc-helix"])
+def test_uneven_apertures_keep_the_full_inverse(name):
+    grid = make_grid(0.0399, 1e12)
+    if name == "steered-planar":
+        field = synthesize_field(grid, WavefrontSpec(kind="beamforming", steer_angle=0.01))
+    else:
+        field = ApertureField(grid, _oam_disc_helix(grid, 2))
+    assert not _is_bitwise_even(field.weights)
+    np.testing.assert_array_equal(_bits(propagate_asm(field, 0.1).samples),
+                                  _bits(_today_hop(field, 0.1)))
 
 
 def test_in_place_mask_multiply_equals_the_copy():

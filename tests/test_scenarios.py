@@ -1309,6 +1309,20 @@ def test_oam_spillover_sums_the_nearest_modes(tmp_path, modes, neighbours):
     assert spill == pytest.approx(expected, abs=1e-6)
 
 
+@pytest.mark.parametrize("angles", ["0.1, 0.1000001", "1e-7, 1.0000001e-7"])
+def test_steering_angles_that_name_one_file_exit_2(tmp_path, capsys, angles):
+    # each steered matrix is written to crosstalk_steer_{deg:g}deg.csv
+    ini = tmp_path / "scenario.ini"
+    ini.write_text(OAM_CROSSTALK_INI + f"steer_deg_list = {angles}\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: oam.steer_deg_list: " in err and "Traceback" not in err
+    assert not out.exists()
+    # angles apart in their sixth significant digit name two files
+    parse_config(OAM_CROSSTALK_INI + "steer_deg_list = 0.1, 0.100001, -0.1\n")
+
+
 def _readme_section(title: str) -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
