@@ -56,7 +56,6 @@ from .oam import (
 from .propagation import (
     FieldSlice,
     PropagationPlan,
-    fft_workers,
     propagate_asm,
     propagate_direct,
     propagate_slice,

@@ -10,11 +10,11 @@ oam_bandwidth) and runs it as ``run`` does: same schema, same runner, a
 ``manifest.json``, and config errors that name the INI key path of the
 rendered scenario (``--z -1`` fails at ``plane.z_m``).
 
---threads N runs the FFTs on up to N threads (default 1; N < 1 is a
-config error), capped at the CPU count.  The output is bit-identical for
-every thread count.  Only the verbs that make FFTs take it: propagate,
-blockage, oam-crosstalk, run and preset.  Likewise --db-floor belongs to
-the verbs that map intensity to gray levels: propagate and blockage.
+A flag left unset leaves its key to the schema's default, so the
+rendered text states only what was given.  --db-floor belongs to the
+verbs that map intensity to gray levels: propagate and blockage.  Every
+finished run also writes the scenario it ran as ``scenario.ini``, which
+``thzbeam run`` replays.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, ToolkitError
-from .propagation import fft_workers
 from .scenarios import (
     PRESET_NAMES,
     load_config,
     parse_config,
     preset,
-    preset_text,
     run_scenario,
 )
 
@@ -43,14 +41,14 @@ EXIT_IO = 4
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--side-length", type=float, required=True, help="aperture side length [m]")
     p.add_argument("--frequency", type=float, required=True, help="carrier frequency [Hz]")
-    p.add_argument("--pitch-fraction", type=float, default=0.5,
+    p.add_argument("--pitch-fraction", type=float,
                    help="element pitch as a fraction of the wavelength (default 0.5)")
 
 
 def _add_wavefront_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True,
                    choices=("beamforming", "beamfocusing", "bessel", "caustic"))
-    p.add_argument("--steer-deg", type=float, default=0.0)
+    p.add_argument("--steer-deg", type=float)
     p.add_argument("--focal-length", type=float, help="focal length [m] for beamfocusing")
     p.add_argument("--spot-fwhm", type=float, help="Bessel central-spot diameter [m]")
     p.add_argument("--spot-convention", choices=("fwhm", "first_null"),
@@ -58,9 +56,10 @@ def _add_wavefront_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--curve-a", type=float, help="caustic parabola curvature [1/m]")
     p.add_argument("--curve-x-start", type=float, help="caustic start offset [m] (default 0)")
     p.add_argument("--curve-z-end", type=float, help="caustic design range [m]")
-    p.add_argument("--oam-l", type=int, default=0, help="spiral overlay mode")
+    p.add_argument("--oam-l", type=int, help="spiral overlay mode")
     p.add_argument("--bits", type=int, help="quantize the phase map to this many bits")
-    p.add_argument("--circular", action="store_true", help="apply the inscribed-disc taper")
+    p.add_argument("--circular", action="store_true", default=None,
+                   help="apply the inscribed-disc taper")
 
 
 def _add_output_args(p: argparse.ArgumentParser, images: bool = True) -> None:
@@ -69,11 +68,6 @@ def _add_output_args(p: argparse.ArgumentParser, images: bool = True) -> None:
         p.add_argument("--format", action="append", choices=("csv", "pgm", "png"),
                        dest="formats",
                        help="artifact format (repeatable; default csv, for propagate pgm)")
-
-
-def _add_threads_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="FFT threads (default 1; at most the CPU count)")
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +162,8 @@ def _oam_crosstalk_scenario(args) -> dict:
     return {
         "scenario": {"study": "oam_crosstalk"},
         "grid": _grid_section(args),
-        "oam": {"modes": args.modes, "z_m": args.z, "steer_deg_list": [args.steer_deg],
+        "oam": {"modes": args.modes, "z_m": args.z,
+                "steer_deg_list": None if args.steer_deg is None else [args.steer_deg],
                 "rx_radius_m": args.rx_radius, "base_spot_fwhm_m": args.spot_fwhm},
     }
 
@@ -198,11 +193,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    config = preset(args.name)
-    args.out.mkdir(parents=True, exist_ok=True)
-    if args.write_config:
-        (args.out / "preset.ini").write_text(preset_text(args.name), encoding="utf-8")
-    return _run(config, args.out, f"preset {args.name}")
+    return _run(preset(args.name), args.out, f"preset {args.name}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,17 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p)
     _add_wavefront_args(p)
     p.add_argument("--z", type=float, required=True, help="plane distance [m]")
-    p.add_argument("--pad", type=float, default=2.0)
-    p.add_argument("--scale", choices=("db", "linear"), default="db")
-    p.add_argument("--db-floor", type=float, default=-60.0)
+    p.add_argument("--pad", type=float)
+    p.add_argument("--scale", choices=("db", "linear"))
+    p.add_argument("--db-floor", type=float)
     _add_output_args(p)
-    _add_threads_arg(p)
     p.set_defaults(func=_cmd_study, scenario=_plane_scenario)
 
     p = sub.add_parser("gain-curve", help="axial gain comparison of the three wavefronts")
     _add_grid_args(p)
     p.add_argument("--spot-fwhm", type=float, required=True)
-    p.add_argument("--spot-convention", choices=("fwhm", "first_null"), default="fwhm")
+    p.add_argument("--spot-convention", choices=("fwhm", "first_null"))
     p.add_argument("--focal-length", type=float,
                    help="beamfocusing focal length [m]; defaults to the Bessel peak")
     p.add_argument("--taper", choices=("circular", "none"), default="circular",
@@ -246,21 +236,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spot-fwhm", type=float, required=True)
     p.add_argument("--obstacle-size", type=float, required=True)
     p.add_argument("--obstacle-z", type=float, required=True)
-    p.add_argument("--pad", type=float, default=2.0)
-    p.add_argument("--db-floor", type=float, default=-60.0)
+    p.add_argument("--pad", type=float)
+    p.add_argument("--db-floor", type=float)
     _add_output_args(p)
-    _add_threads_arg(p)
     p.set_defaults(func=_cmd_study, scenario=_blockage_scenario)
 
     p = sub.add_parser("oam-crosstalk", help="OAM mode-coupling matrix")
     _add_grid_args(p)
     p.add_argument("--modes", type=lambda s: [int(v) for v in s.split(",")], required=True)
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--steer-deg", type=float, default=0.0)
+    p.add_argument("--steer-deg", type=float)
     p.add_argument("--rx-radius", type=float)
     p.add_argument("--spot-fwhm", type=float, help="Bessel base spot (default: planar base)")
     _add_output_args(p, images=False)
-    _add_threads_arg(p)
     p.set_defaults(func=_cmd_study, scenario=_oam_crosstalk_scenario)
 
     p = sub.add_parser("capacity", help="required bandwidth for a target rate")
@@ -273,15 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a scenario config file")
     p.add_argument("config", type=Path)
     p.add_argument("--out", type=Path)
-    _add_threads_arg(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("preset", help=f"run a bundled preset: {', '.join(PRESET_NAMES)}")
     p.add_argument("name", choices=PRESET_NAMES)
     p.add_argument("--out", type=Path, required=True)
-    _add_threads_arg(p)
-    p.add_argument("--write-config", action="store_true",
-                   help="also write the preset config as preset.ini")
     p.set_defaults(func=_cmd_preset)
 
     return parser
@@ -291,11 +275,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = getattr(args, "threads", 1)
-        if threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {threads}")
-        with fft_workers(threads):
-            return args.func(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,9 +20,10 @@ Results are order-stable: identical inputs give bit-identical outputs.  The
 FFTs run on ``numpy.fft`` (pocketfft, the code ``scipy.fft`` runs), one
 axis at a time in the order ``scipy.fft.fft2`` and ``ifft2`` take and with
 their scaling step, so every transform equals scipy's bit for bit; the
-tests keep scipy as the reference.  Inside an ``fft_workers(n)`` block
-(``--threads`` on the command line) each axis pass is split into line
-blocks on up to n threads, which does not change a single bit either.
+tests keep scipy as the reference.  A pass over ``_THREADED_SAMPLES``
+samples or more (the full-scale planes) is split into line blocks, one
+per CPU this process may run on, which does not change a single bit
+either; a smaller pass runs on one thread.
 
 Both transfer functions are even in kx and ky, so each is built and kept
 as its quadrant of non-negative frequencies, (npad//2+1)^2 values, and
@@ -67,7 +68,6 @@ __all__ = [
     "propagate_direct",
     "propagate_with_obstacles",
     "reuse_spectra",
-    "fft_workers",
 ]
 
 
@@ -128,31 +128,26 @@ DEFAULT_PLAN = PropagationPlan()
 # FFTs
 
 
-_WORKERS: contextvars.ContextVar[int] = contextvars.ContextVar("fft_workers", default=1)
+# An FFT pass over fewer samples runs as one block.  On a 2-core host an _fft2 + _ifft2
+# pair took 0.97-1.13 times its one-thread time on two threads at npad 1125, and 0.54-0.65
+# times at npad 2250 and 3375; the passes of full-scale fig4 hold 5.6 M to 11.4 M samples.
+_THREADED_SAMPLES = 2048 * 2048
 
 
-@contextlib.contextmanager
-def fft_workers(n: int):
-    """Run the FFTs inside the block on up to n threads.
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Each axis pass is split into contiguous blocks of lines, one per
-    thread; numpy releases the GIL while it transforms them.  Every line
-    gets the same transform, so the output is bit-identical for every n.
-    No pass starts more threads than ``os.cpu_count()`` or than it has
-    lines.
+
+def _line_blocks(lines: int, samples: int) -> list[tuple[int, int]]:
+    """Contiguous (start, stop) blocks of ``lines``, one per thread a pass of ``samples`` starts.
+
+    Every line gets the same transform, so the output is bit-identical for
+    every split.
     """
-    if n < 1:
-        raise ValueError(f"fft_workers needs at least 1 worker, got {n}")
-    token = _WORKERS.set(n)
-    try:
-        yield
-    finally:
-        _WORKERS.reset(token)
-
-
-def _line_blocks(lines: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous (start, stop) blocks of ``lines``, one per thread a pass may start."""
-    count = min(workers, os.cpu_count() or 1, lines)
+    count = min(_cpus(), lines) if samples >= _THREADED_SAMPLES else 1
     bounds = [lines * i // count for i in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
 
@@ -161,11 +156,11 @@ def _fft_pass(a: np.ndarray, axis: int, inverse: bool = False) -> None:
     """Unscaled in-place FFT (or inverse FFT) of every line of 2-D ``a`` along ``axis``."""
     transform = functools.partial(np.fft.ifft if inverse else np.fft.fft, axis=axis,
                                   norm="forward" if inverse else "backward")
-    blocks = _line_blocks(a.shape[1 - axis], _WORKERS.get())
+    blocks = _line_blocks(a.shape[1 - axis], a.size)
     if len(blocks) == 1:
         transform(a, out=a)
         return
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor  # numpy releases the GIL in a transform
 
     def run(block):
         part = a[:, block[0] : block[1]] if axis == 0 else a[block[0] : block[1]]

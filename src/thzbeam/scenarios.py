@@ -13,9 +13,10 @@ parse time with its key path.  Six study kinds are supported:
   ``fig5``)
 * ``oam_crosstalk``— mode coupling with and without steering
 
-Every run writes its artifacts plus a ``manifest.json`` listing each file
-with a SHA-256 checksum; re-running an identical config reproduces every
-artifact byte for byte.
+Every run writes its artifacts, the scenario text it ran as
+``scenario.ini``, and a ``manifest.json`` listing each file with a SHA-256
+checksum; re-running an identical config reproduces every artifact byte
+for byte.  A run that fails leaves no directory it made.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import hashlib
 import json
 import math
 import re
+import shutil
 import time
 from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 from pathlib import Path
@@ -907,20 +909,32 @@ _RUNNERS = {
 
 
 def run_scenario(config: ScenarioConfig, out_dir: Path | None = None) -> RunManifest:
-    """Execute a scenario and write its artifacts plus manifest.json.
+    """Execute a scenario and write its artifacts, ``scenario.ini`` and manifest.json.
 
     ``out_dir`` overrides the config's ``output.directory`` (one of the
-    two must be set).
+    two must be set).  ``scenario.ini`` holds ``config.text``, the text
+    whose sha256 is the manifest's ``config_digest``, so ``thzbeam run``
+    replays the run from it.  A run that raises removes the first
+    directory it made (``out_dir`` or a parent of it); an ``out_dir`` that
+    existed keeps the files it held.
     """
     if out_dir is None:
         if config.output.directory is None:
             raise ConfigError("no output directory: set output.directory or pass out_dir")
         out_dir = Path(config.output.directory)
     out = Path(out_dir)
+    made = next((d for d in (*reversed(out.parents), out) if not d.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_digest=config.digest)
-    start = time.perf_counter()
-    _RUNNERS[config.study](config, out, manifest)
-    manifest.stage_seconds[config.study] = time.perf_counter() - start
-    manifest.write(out / "manifest.json")
+    try:
+        start = time.perf_counter()
+        _RUNNERS[config.study](config, out, manifest)
+        manifest.stage_seconds[config.study] = time.perf_counter() - start
+        (out / "scenario.ini").write_bytes(config.text.encode("utf-8"))
+        manifest.add(out / "scenario.ini", out)
+        manifest.write(out / "manifest.json")
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     return manifest

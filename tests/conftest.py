@@ -19,3 +19,16 @@ def fig4_ci_run(tmp_path_factory):
 
     out = tmp_path_factory.mktemp("fig4-ci")
     return out, run_scenario(preset("fig4-ci"), out)
+
+
+@pytest.fixture
+def split_ffts(monkeypatch):
+    """``split_ffts(cpus)``: from then on every FFT pass, whatever its size, runs as
+    ``min(cpus, lines)`` line blocks, as the full-scale passes do on ``cpus`` CPUs."""
+    import thzbeam.propagation as propagation
+
+    def split(cpus: int) -> None:
+        monkeypatch.setattr(propagation, "_THREADED_SAMPLES", 1)
+        monkeypatch.setattr(propagation, "_cpus", lambda: cpus)
+
+    return split

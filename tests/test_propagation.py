@@ -629,16 +629,15 @@ EVEN_APERTURES = {
 EVEN_MIRROR_TOL = 2e-15
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 @pytest.mark.parametrize("name", sorted(EVEN_APERTURES))
-def test_even_aperture_hops_to_a_bitwise_even_plane(name, workers, monkeypatch):
-    monkeypatch.setattr(propagation.os, "cpu_count", lambda: 8)  # let 2 workers split
+def test_even_aperture_hops_to_a_bitwise_even_plane(name, cpus, split_ffts):
+    split_ffts(cpus)
     side, n, spec = EVEN_APERTURES[name]
     field = synthesize_field(make_grid(side, 1e12), spec)
     assert field.grid.elements_per_side == n and _is_bitwise_even(field.weights)
-    with propagation.fft_workers(workers):
-        plane = propagate_asm(field, 0.1).samples
-        full = _today_hop(field, 0.1)
+    plane = propagate_asm(field, 0.1).samples
+    full = _today_hop(field, 0.1)
     assert _is_bitwise_even(plane)
     h = plane.shape[0] // 2
     np.testing.assert_array_equal(_bits(plane[h:, h:]), _bits(full[h:, h:]))
@@ -822,26 +821,26 @@ def _complex_grid(n, seed=7):
     return a
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 64, 101, 333, 540, 675, 841])
-def test_fft2_and_ifft2_equal_scipy_bitwise(n, workers, monkeypatch):
-    monkeypatch.setattr(propagation.os, "cpu_count", lambda: 8)  # let 3 workers split
+def test_fft2_and_ifft2_equal_scipy_bitwise(n, cpus, split_ffts):
+    split_ffts(cpus)
     # an all -0.0 grid too: scaling by a complex factor would flip its zeros' signs
     for a in (_complex_grid(n), np.full((n, n), complex(-0.0, -0.0))):
-        with propagation.fft_workers(workers):
-            np.testing.assert_array_equal(_bits(propagation._fft2(a.copy())),
-                                          _bits(scipy.fft.fft2(a)))
-            np.testing.assert_array_equal(_bits(propagation._ifft2(a.copy())),
-                                          _bits(scipy.fft.ifft2(a)))
+        np.testing.assert_array_equal(_bits(propagation._fft2(a.copy())),
+                                      _bits(scipy.fft.fft2(a)))
+        np.testing.assert_array_equal(_bits(propagation._ifft2(a.copy())),
+                                      _bits(scipy.fft.ifft2(a)))
 
 
 WEIGHT_CASES = ["random", "half-zero", "first-row-zero"]
 
 
+@pytest.mark.parametrize("cpus", [2, 3, 8])
 @pytest.mark.parametrize("case", WEIGHT_CASES)
 @pytest.mark.parametrize("n, pad", [(9, 2.0), (40, 1.5), (41, 2.0), (101, 1.0), (333, 2.0),
                                     (420, 2.0), (675, 2.0)])
-def test_padded_fft2_equals_scipy_fft2_of_embedded_array(n, pad, case):
+def test_padded_fft2_equals_scipy_fft2_of_embedded_array(n, pad, case, cpus, split_ffts):
     weights = _complex_grid(n, seed=11)
     if case == "half-zero":
         weights[: n // 2] = 0.0
@@ -851,9 +850,9 @@ def test_padded_fft2_equals_scipy_fft2_of_embedded_array(n, pad, case):
     lo = (npad - n) // 2
     embedded = np.zeros((npad, npad), dtype=complex)
     embedded[lo : lo + n, lo : lo + n] = weights
-    with propagation.fft_workers(2):
-        np.testing.assert_array_equal(_bits(propagation._padded_fft2(weights, npad)),
-                                      _bits(scipy.fft.fft2(embedded)))
+    split_ffts(cpus)
+    np.testing.assert_array_equal(_bits(propagation._padded_fft2(weights, npad)),
+                                  _bits(scipy.fft.fft2(embedded)))
 
 
 def test_next_fast_len_equals_scipy():
@@ -869,15 +868,38 @@ def test_fftfreq_equals_scipy(npad):
 
 
 def test_fft_line_blocks_bounded_by_cpus_and_lines(monkeypatch):
-    monkeypatch.setattr(propagation.os, "cpu_count", lambda: 4)
-    assert propagation._line_blocks(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
-    assert propagation._line_blocks(10, 10**9) == [(0, 2), (2, 5), (5, 7), (7, 10)]
-    assert propagation._line_blocks(10, 1) == [(0, 10)]
-    monkeypatch.setattr(propagation.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(propagation, "_THREADED_SAMPLES", 100)
+    for cpus in (1, 4, 64):  # below the threshold, one block at any CPU count
+        monkeypatch.setattr(propagation, "_cpus", lambda: cpus)
+        assert propagation._line_blocks(10, 99) == [(0, 10)]
+    monkeypatch.setattr(propagation, "_cpus", lambda: 4)
+    assert propagation._line_blocks(3, 100) == [(0, 1), (1, 2), (2, 3)]
+    assert propagation._line_blocks(10, 100) == [(0, 2), (2, 5), (5, 7), (7, 10)]
+    monkeypatch.setattr(propagation, "_cpus", lambda: 1)
     assert propagation._line_blocks(10, 10**9) == [(0, 10)]
 
 
-def test_fft_workers_start_no_more_threads_than_lines(monkeypatch):
+def test_only_full_scale_passes_split(monkeypatch):
+    monkeypatch.setattr(propagation, "_cpus", lambda: 8)
+    # the benchmark pads to 540, 675 and 840; nothing below full scale splits
+    for npad in (540, 675, 840, 1125):
+        assert propagation._line_blocks(npad, npad * npad) == [(0, npad)], npad
+    # full-scale fig4 pads 1667 elements to 3375: its narrowest pass (the aperture
+    # columns of the forward transform) splits
+    assert len(propagation._line_blocks(1667, 3375 * 1667)) == 8
+
+
+def test_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(propagation.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert propagation._cpus() == 2
+    monkeypatch.delattr(propagation.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(propagation.os, "cpu_count", lambda: 3)
+    assert propagation._cpus() == 3
+    monkeypatch.setattr(propagation.os, "cpu_count", lambda: None)
+    assert propagation._cpus() == 1
+
+
+def test_fft_passes_start_no_more_threads_than_lines(monkeypatch, split_ffts):
     import concurrent.futures
 
     pools = []
@@ -888,13 +910,8 @@ def test_fft_workers_start_no_more_threads_than_lines(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(propagation.os, "cpu_count", lambda: 64)
+    split_ffts(64)
     a = _complex_grid(3)
-    with propagation.fft_workers(10**6):
-        np.testing.assert_array_equal(_bits(propagation._fft2(a.copy())),
-                                      _bits(scipy.fft.fft2(a)))
+    np.testing.assert_array_equal(_bits(propagation._fft2(a.copy())),
+                                  _bits(scipy.fft.fft2(a)))
     assert pools == [3, 3]
-    with pytest.raises(ValueError):
-        with propagation.fft_workers(0):
-            pass
-    assert propagation._WORKERS.get() == 1

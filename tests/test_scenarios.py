@@ -143,7 +143,7 @@ def test_fig5_run_reference_rows(tmp_path):
     table = {(float(a), float(b)): float(c) for a, b, c in (r.split(",") for r in lines[1:])}
     assert table[(32.0, 16.0)] == 7.8125e9
     assert table[(32.0, 1024.0)] == 3.125e9
-    assert len(manifest.artifacts) == 1
+    assert [a["path"] for a in manifest.artifacts] == ["bandwidth.csv", "scenario.ini"]
     assert (tmp_path / "manifest.json").exists()
 
 
@@ -508,11 +508,13 @@ def test_cli_csv_only_calls_map_no_levels(tmp_path, monkeypatch):
                      "--kind", "beamforming", "--z", "0.1", "--format", "csv",
                      "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "phase_bessel.csv",
+                                                         "scenario.ini",
                                                          "slice_beamforming_z0.1.csv"]
     blockage = tmp_path / "blockage"
     assert cli_main(["blockage", *STUDY_VERBS["blockage"], "--format", "csv",
                      "--out", str(blockage)]) == 0
-    assert sorted(p.name for p in blockage.iterdir()) == ["healing.csv", "manifest.json"]
+    assert sorted(p.name for p in blockage.iterdir()) == ["healing.csv", "manifest.json",
+                                                          "scenario.ini"]
 
 
 # --bits out of [1, 16] is a config error before any output directory exists
@@ -586,12 +588,14 @@ def test_cli_wavefront_verbs_reject_bad_flags(tmp_path, capsys, verb, flags, nam
 
 def test_cli_preset_and_run(tmp_path):
     out = tmp_path / "fig5"
-    assert cli_main(["preset", "fig5", "--out", str(out), "--write-config"]) == 0
+    assert cli_main(["preset", "fig5", "--out", str(out)]) == 0
     assert (out / "bandwidth.csv").exists()
-    assert (out / "preset.ini").exists()
+    assert (out / "scenario.ini").read_text() == preset_text("fig5")
     rerun = tmp_path / "rerun"
-    assert cli_main(["run", str(out / "preset.ini"), "--out", str(rerun)]) == 0
-    assert (rerun / "bandwidth.csv").read_bytes() == (out / "bandwidth.csv").read_bytes()
+    assert cli_main(["run", str(out / "scenario.ini"), "--out", str(rerun)]) == 0
+    first, again = (json.loads((d / "manifest.json").read_text()) for d in (out, rerun))
+    assert again["artifacts"] == first["artifacts"]
+    assert again["config_digest"] == first["config_digest"]
 
 
 def test_cli_gain_curve_small(tmp_path):
@@ -631,6 +635,24 @@ def test_cli_exit_codes(tmp_path):
     blocker.write_text("x")
     assert cli_main(["capacity", "--rate", "1e12", "--modes", "1", "--qam", "4",
                      "--out", str(blocker)]) == 4
+
+
+def test_failed_run_leaves_no_directory_it_made(tmp_path):
+    # a Bessel spot below the 1 mm wavelength fails in the synthesis, before any artifact
+    out = tmp_path / "d"
+    assert cli_main([*SYNTHESIZE[:-1], "0.0005", "--out", str(out)]) == 3
+    assert not out.exists()
+    # a caustic curving away from the axis fails after the healing loop wrote 7 files
+    config = tmp_path / "fig4-ci.ini"
+    config.write_text(preset_text("fig4-ci").replace("curve_a = -0.14", "curve_a = 0.5"))
+    assert cli_main(["run", str(config), "--out", str(tmp_path / "new" / "out")]) == 3
+    assert not (tmp_path / "new").exists()  # the parent this run made goes too
+    # an --out that existed keeps what it held
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("prior")
+    assert cli_main(["run", str(config), "--out", str(kept)]) == 3
+    assert (kept / "notes.txt").read_text() == "prior"
 
 
 @pytest.mark.parametrize("names", ["beamforming, bessel", "beamforming, bessel, beamfocusing, wide"],
@@ -673,45 +695,29 @@ step_m = 0.02
     assert "Traceback" not in err
 
 
-def test_cli_rejects_threads_below_one(tmp_path, capsys):
-    # the study verbs that take --threads are covered by BAD_STUDY_INPUTS
-    config = tmp_path / "tiny.ini"
-    config.write_text(MINIMAL_FIG5)
-    for argv in (["propagate", "--side-length", "0.02", "--frequency", "3e11",
-                  "--kind", "beamforming", "--z", "0.1"],
-                 ["run", str(config)],
-                 ["preset", "fig4-ci"]):
-        out = tmp_path / "out"
-        assert cli_main([*argv, "--out", str(out), "--threads", "0"]) == 2
-        err = capsys.readouterr().err
-        assert "--threads" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-
-def test_cli_threads_flag_does_not_change_output(tmp_path, monkeypatch, fig4_ci_run):
-    monkeypatch.setattr(propagation.os, "cpu_count", lambda: 8)  # so 3 and 8 split 3 and 8 ways
+def test_split_ffts_do_not_change_output(tmp_path, split_ffts, fig4_ci_run):
     studies = {
-        # healing.csv, caustic_blockage.csv and 8 PGM maps; the shared fig4-ci run, on the
-        # default one thread, stands for threads 1
-        "blockage": (["preset", "fig4-ci"], 10, fig4_ci_run[0]),
-        # crosstalk_steer_1deg.csv and spillover.csv
+        # healing.csv, caustic_blockage.csv, 8 PGM maps and scenario.ini; the shared
+        # fig4-ci run, unsplit, stands for its own
+        "blockage": (["preset", "fig4-ci"], 11, fig4_ci_run[0]),
+        # crosstalk_steer_1deg.csv, spillover.csv and scenario.ini
         "crosstalk": (["oam-crosstalk", "--side-length", "0.02", "--frequency", "1e12",
-                       "--modes=-1,0,1,3", "--z", "0.05", "--steer-deg", "1"], 2, None),
+                       "--modes=-1,0,1,3", "--z", "0.05", "--steer-deg", "1"], 3, None),
     }
-    for study, (argv, artifacts, one_thread) in studies.items():
+    for study, (argv, artifacts, unsplit) in studies.items():
         runs = {}
-        for threads in ("1", "2", "3", "8"):
-            if threads == "1" and one_thread is not None:
-                out = one_thread
+        for cpus in (1, 3, 8):
+            out = tmp_path / study / str(cpus)
+            if cpus == 1 and unsplit is not None:
+                out = unsplit
             else:
-                out = tmp_path / study / threads
-                assert cli_main([*argv, "--out", str(out), "--threads", threads]) == 0
-            runs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
-                             if p.name != "manifest.json"}  # the manifest records timings
-        assert len(runs["1"]) == artifacts, study
-        for threads in ("2", "3", "8"):
-            assert runs[threads] == runs["1"], (study, threads)
+                split_ffts(cpus)  # 1 CPU: one block per pass, as below the threshold
+                assert cli_main([*argv, "--out", str(out)]) == 0
+            runs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                          if p.name != "manifest.json"}  # the manifest records timings
+        assert len(runs[1]) == artifacts, study
+        for cpus in (3, 8):
+            assert runs[cpus] == runs[1], (study, cpus)
 
 
 # small inputs for each study verb, and one bad input per exit code
@@ -739,8 +745,6 @@ def _with_flag(argv, flag, value):
 
 BAD_STUDY_INPUTS = [
     ("gain-curve", 2, "--z-stop", "0.02"),  # z_stop <= z_start
-    ("blockage", 2, "--threads", "0"),
-    ("oam-crosstalk", 2, "--threads", "0"),
     ("capacity", 2, "--modes", "-1"),  # a mode count below 1
     ("gain-curve", 3, "--spot-fwhm", "0.0005"),  # spot below the 1 mm wavelength
     ("blockage", 3, "--spot-fwhm", "0.0005"),
@@ -857,11 +861,12 @@ def test_blockage_tables_follow_output_formats(tmp_path, fig4_ci_run):
     maps |= {"map_caustic_blocked.pgm", "map_beamforming_knife.pgm"}
     both, _ = fig4_ci_run  # formats = csv, pgm
     written = {p.name for p in both.iterdir()}
-    assert written == maps | {"healing.csv", "caustic_blockage.csv", "manifest.json"}
+    assert written == maps | {"healing.csv", "caustic_blockage.csv", "manifest.json",
+                              "scenario.ini"}
 
     pgm_only = preset_text("fig4-ci").replace("formats = csv, pgm", "formats = pgm")
     manifest = run_scenario(parse_config(pgm_only), tmp_path / "pgm")
-    assert {a["path"] for a in manifest.artifacts} == maps
+    assert {a["path"] for a in manifest.artifacts} == maps | {"scenario.ini"}
     for name in maps:
         assert (tmp_path / "pgm" / name).read_bytes() == (both / name).read_bytes()
 
@@ -980,10 +985,8 @@ def _verb_parser(verb):
     return _verb_parsers()[verb]
 
 
-# --threads only on the verbs that make FFTs, --db-floor only on those that map
-# intensity to gray levels
-FLAG_VERBS = {"--threads": {"propagate", "blockage", "oam-crosstalk", "run", "preset"},
-              "--db-floor": {"propagate", "blockage"}}
+# --db-floor only on the verbs that map intensity to gray levels
+FLAG_VERBS = {"--db-floor": {"propagate", "blockage"}}
 
 
 @pytest.mark.parametrize("flag", sorted(FLAG_VERBS))
