@@ -486,9 +486,10 @@ def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
     cx, cy = spec.center_offset
     half_extent = plane.extent / 2.0
 
-    # x runs along axis 1 and y along axis 0; the 1-D terms broadcast to the plane
+    # x runs along axis 1 and y along axis 0
+    values = np.ones((x.size, x.size))
     if spec.shape == "half_plane":
-        blocked = np.broadcast_to(x[None, :] > cx, (x.size, x.size))
+        values[:, x > cx] = 0.0
     else:
         if abs(cx) + spec.size / 2.0 > half_extent or abs(cy) + spec.size / 2.0 > half_extent:
             raise GeometryError(
@@ -496,15 +497,27 @@ def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
                 f"exceeds the plane extent +-{half_extent:g} m"
             )
         if spec.shape == "disc":
-            blocked = ((x - cx) ** 2)[None, :] + ((x - cy) ** 2)[:, None] <= (spec.size / 2.0) ** 2
+            u, v, limit = (x - cx) ** 2, (x - cy) ** 2, (spec.size / 2.0) ** 2
         else:
-            blocked = (np.maximum(np.abs(x - cx)[None, :], np.abs(x - cy)[:, None])
-                       <= spec.size / 2.0)
-
-    values = np.where(blocked, 0.0, 1.0)
+            u, v, limit = np.abs(x - cx), np.abs(x - cy), spec.size / 2.0
+        # a sample is blocked only where its column's term and its row's term are each
+        # within the limit (a disc adds the two, a square takes the larger), so only the
+        # footprint's bounding box is computed
+        cols, rows = _span(u <= limit), _span(v <= limit)
+        box = values[rows, cols]
+        if spec.shape == "disc":
+            box[u[cols][None, :] + v[rows][:, None] <= limit] = 0.0
+        else:
+            box[...] = 0.0
     if not values.any():
         warnings.warn("obstacle mask blocks the entire plane", stacklevel=2)
     return AmplitudeMask(values)
+
+
+def _span(inside: np.ndarray) -> slice:
+    """The slice from the first True of ``inside`` to its last, or an empty one."""
+    where = np.flatnonzero(inside)
+    return slice(where[0], where[-1] + 1) if where.size else slice(0, 0)
 
 
 def _raw_disc(x: np.ndarray, radius: float) -> np.ndarray:
@@ -625,35 +638,54 @@ def _applied_phase(grid: ApertureGrid, spec: WavefrontSpec, x: np.ndarray) -> Ph
 _MIRROR_ROWS = 8
 
 
-def _mirror_centred(a: np.ndarray) -> np.ndarray:
-    """Make square ``a`` even about its centre in both axes, in place, from its block
-    of non-negative coordinates ``a[n//2:, n//2:]``, and return it.
+def _mirror_columns(a: np.ndarray) -> np.ndarray:
+    """Make each row of ``a`` even about its centre, in place, from its entries of
+    non-negative coordinate ``a[:, m//2:]`` (m columns), and return it.
 
-    Element j < n//2 of either axis takes the value at n-1-j, whose coordinate
-    is exactly -x_j on a grid centred at (n-1)/2.
+    Column j < m//2 takes column m-1-j, whose coordinate is exactly -x_j on a
+    grid centred at (m-1)/2.
     """
-    n = a.shape[0]
-    s = n // 2  # the first index of the non-negative half
-    for lo in range(s, n, _MIRROR_ROWS):
+    s = a.shape[1] // 2  # the first index of the non-negative half
+    for lo in range(0, a.shape[0], _MIRROR_ROWS):
         rows = a[lo : lo + _MIRROR_ROWS]
         rows[:, :s] = rows[:, ::-1][:, :s]
-    a[:s] = a[::-1][:s]
     return a
 
 
-def _is_bitwise_even(a: np.ndarray) -> bool:
-    """Whether complex square ``a`` is even about its centre in both axes, bit for bit.
+def _mirror_centred(a: np.ndarray, y: bool = True, x: bool = True) -> np.ndarray:
+    """Make square ``a`` even about its centre along y (axis 0) if ``y`` and along x
+    (axis 1) if ``x``, in place, and return it.
+
+    The entries of non-negative coordinate along each mirrored axis are kept;
+    along both, that is the block ``a[n//2:, n//2:]``.
+    """
+    s = a.shape[0] // 2
+    if x:
+        _mirror_columns(a[s:] if y else a)
+    if y:
+        a[:s] = a[::-1][:s]
+    return a
+
+
+def _even_axes(a: np.ndarray) -> tuple[bool, bool]:
+    """(along y, along x): whether complex square ``a`` is even about its centre along
+    axis 0 and along axis 1, bit for bit.
 
     The samples are compared as ``uint64`` words, so +0.0 and -0.0 differ.
-    Rows are compared across the centre, then the columns of the kept half.
+    Each axis is first tested on the one line through the centre across it
+    (column n//2 for y, row n//2 for x), which rejects a steered or spiral
+    field at the cost of n words; only a field that passes that line is
+    compared whole, n^2 words per axis.
     """
     n = a.shape[0]
     bits = np.ascontiguousarray(a).view(np.uint64).reshape(n, n, 2)
     s = n // 2
-    if not np.array_equal(bits[:s], bits[::-1][:s]):
-        return False
-    half = bits[s:]
-    return np.array_equal(half[:, :s], half[:, ::-1][:, :s])
+
+    def even(b: np.ndarray) -> bool:  # along b's first axis
+        return (np.array_equal(b[:s, s], b[::-1][:s, s])
+                and np.array_equal(b[:s], b[::-1][:s]))
+
+    return even(bits), even(bits.swapaxes(0, 1))
 
 
 def _mirror_quadrant(q: np.ndarray, n: int) -> np.ndarray:

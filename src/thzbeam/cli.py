@@ -20,12 +20,18 @@ finished run also writes the scenario it ran as ``scenario.ini``, which
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, ToolkitError
 from .scenarios import (
     PRESET_NAMES,
+    GridSection,
+    ImageOutputSection,
+    MapOutputSection,
+    PlaneOutputSection,
+    WavefrontSection,
     load_config,
     parse_config,
     preset,
@@ -38,11 +44,18 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
+def _schema_default(section: type, key: str) -> str:
+    """"(default <value>)" for a help string, the value read off the schema's ``section``."""
+    default = {f.name: f.default for f in dataclasses.fields(section)}[key]
+    return f"(default {_ini_value(default)})"
+
+
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--side-length", type=float, required=True, help="aperture side length [m]")
     p.add_argument("--frequency", type=float, required=True, help="carrier frequency [Hz]")
     p.add_argument("--pitch-fraction", type=float,
-                   help="element pitch as a fraction of the wavelength (default 0.5)")
+                   help="element pitch as a fraction of the wavelength "
+                   + _schema_default(GridSection, "pitch_fraction"))
 
 
 def _add_wavefront_args(p: argparse.ArgumentParser) -> None:
@@ -52,9 +65,11 @@ def _add_wavefront_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--focal-length", type=float, help="focal length [m] for beamfocusing")
     p.add_argument("--spot-fwhm", type=float, help="Bessel central-spot diameter [m]")
     p.add_argument("--spot-convention", choices=("fwhm", "first_null"),
-                   help="Bessel spot diameter convention (default fwhm)")
+                   help="Bessel spot diameter convention "
+                   + _schema_default(WavefrontSection, "spot_convention"))
     p.add_argument("--curve-a", type=float, help="caustic parabola curvature [1/m]")
-    p.add_argument("--curve-x-start", type=float, help="caustic start offset [m] (default 0)")
+    p.add_argument("--curve-x-start", type=float, help="caustic start offset [m] "
+                   + _schema_default(WavefrontSection, "curve_x_start_m"))
     p.add_argument("--curve-z-end", type=float, help="caustic design range [m]")
     p.add_argument("--oam-l", type=int, help="spiral overlay mode")
     p.add_argument("--bits", type=int, help="quantize the phase map to this many bits")
@@ -62,12 +77,13 @@ def _add_wavefront_args(p: argparse.ArgumentParser) -> None:
                    help="apply the inscribed-disc taper")
 
 
-def _add_output_args(p: argparse.ArgumentParser, images: bool = True) -> None:
+def _add_output_args(p: argparse.ArgumentParser, images: type | None = None) -> None:
+    """--out, and for a verb whose ``images`` section writes images, --format."""
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    if images:
+    if images is not None:
         p.add_argument("--format", action="append", choices=("csv", "pgm", "png"),
                        dest="formats",
-                       help="artifact format (repeatable; default csv, for propagate pgm)")
+                       help="artifact format, repeatable " + _schema_default(images, "formats"))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +94,7 @@ def _add_output_args(p: argparse.ArgumentParser, images: bool = True) -> None:
 def _ini_value(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return ", ".join(map(_ini_value, value))
     return repr(value) if isinstance(value, float) else str(value)  # repr round-trips
 
@@ -204,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="write a phase map for a wavefront")
     _add_grid_args(p)
     _add_wavefront_args(p)
-    _add_output_args(p)
+    _add_output_args(p, ImageOutputSection)
     p.set_defaults(func=_cmd_study, scenario=_phase_map_scenario)
 
     p = sub.add_parser("propagate", help="propagate a wavefront to a plane")
@@ -214,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pad", type=float)
     p.add_argument("--scale", choices=("db", "linear"))
     p.add_argument("--db-floor", type=float)
-    _add_output_args(p)
+    _add_output_args(p, PlaneOutputSection)
     p.set_defaults(func=_cmd_study, scenario=_plane_scenario)
 
     p = sub.add_parser("gain-curve", help="axial gain comparison of the three wavefronts")
@@ -228,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-start", type=float, required=True)
     p.add_argument("--z-stop", type=float, required=True)
     p.add_argument("--z-step", type=float, required=True)
-    _add_output_args(p, images=False)
+    _add_output_args(p)
     p.set_defaults(func=_cmd_study, scenario=_gain_curve_scenario)
 
     p = sub.add_parser("blockage", help="Bessel self-healing behind a disc obstacle")
@@ -238,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obstacle-z", type=float, required=True)
     p.add_argument("--pad", type=float)
     p.add_argument("--db-floor", type=float)
-    _add_output_args(p)
+    _add_output_args(p, MapOutputSection)
     p.set_defaults(func=_cmd_study, scenario=_blockage_scenario)
 
     p = sub.add_parser("oam-crosstalk", help="OAM mode-coupling matrix")
@@ -248,14 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steer-deg", type=float)
     p.add_argument("--rx-radius", type=float)
     p.add_argument("--spot-fwhm", type=float, help="Bessel base spot (default: planar base)")
-    _add_output_args(p, images=False)
+    _add_output_args(p)
     p.set_defaults(func=_cmd_study, scenario=_oam_crosstalk_scenario)
 
     p = sub.add_parser("capacity", help="required bandwidth for a target rate")
     p.add_argument("--rate", type=float, required=True, help="target rate [bit/s]")
     p.add_argument("--modes", type=lambda s: [int(v) for v in s.split(",")], required=True)
     p.add_argument("--qam", type=lambda s: [int(v) for v in s.split(",")], required=True)
-    _add_output_args(p, images=False)
+    _add_output_args(p)
     p.set_defaults(func=_cmd_study, scenario=_capacity_scenario)
 
     p = sub.add_parser("run", help="run a scenario config file")

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .aperture import TWO_PI, PhaseMap, _is_bitwise_even
+from .aperture import TWO_PI, PhaseMap, _even_axes
 from .propagation import FieldSlice
 
 __all__ = [
@@ -107,7 +107,7 @@ def field_slice_csv(path: Path, slice_: FieldSlice) -> None:
     axis = [format_number(v) for v in slice_.axis_coordinates().tolist()]
     with open(path, "wb") as fh:
         fh.write(b"x_m,y_m,re,im,intensity\n")
-        if _is_bitwise_even(s):
+        if all(_even_axes(s)):
             _write_even_rows(fh, s, axis)
             return
         for lo in range(0, s.shape[0], _CSV_BLOCK_ROWS):

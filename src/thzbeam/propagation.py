@@ -35,12 +35,18 @@ Inside a ``reuse_spectra()`` block each quadrant is built once and shared,
 read-only, by every hop that needs it; outside one, every hop builds its
 own.
 
-An aperture whose weights are even about their centre bit for bit (the
-unsteered beamforming, beamfocusing and Bessel wavefronts) gives a plane
-that is even about its centre bit for bit: the last inverse pass runs on
-half of the rows, and the other three quadrants of the plane are mirrors
-of the quadrant of non-negative coordinates, whose bits are those of the
-full transform.
+A field even about its centre along an axis, bit for bit, needs about
+half the transform work along it, the idea of FFTW's real-even
+transforms.  Aperture weights are tested per axis (the unsteered
+beamforming, beamfocusing and Bessel wavefronts are even along both, the
+caustic and a beam steered in x along y).  Along an even axis the
+forward transform runs on the distinct columns and keeps the spectrum
+entries 0..npad//2; the inverse rebuilds the others from F[npad-m] =
+exp(-2 pi i m/npad) F[m], runs on the lines whose output is kept, and
+mirrors the plane, all inside the hop's one npad-square buffer.  The
+plane is then even along that axis bit for bit and agrees with the full
+transform to round-off.  ``propagate_with_obstacles`` carries the even
+axes from hop to hop: a mask keeps each axis its footprint is centred on.
 """
 
 from __future__ import annotations
@@ -56,8 +62,8 @@ from typing import Sequence
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here it is paid at import, not in the first hop
 
-from .aperture import (ApertureField, ObstacleSpec, _is_bitwise_even, _mirror_centred,
-                       make_obstacle_mask)
+from .aperture import (_MIRROR_ROWS, ApertureField, ObstacleSpec, _even_axes, _mirror_centred,
+                       _mirror_columns, make_obstacle_mask)
 from .errors import SamplingError
 
 __all__ = [
@@ -170,29 +176,87 @@ def _fft_pass(a: np.ndarray, axis: int, inverse: bool = False) -> None:
         list(pool.map(run, blocks))  # reads every result, so a failed block raises
 
 
-def _fft2(a: np.ndarray) -> np.ndarray:
-    """``scipy.fft.fft2(a, overwrite_x=True)``, bit for bit: axis 0, then axis 1, in place."""
-    _fft_pass(a, 0)
-    _fft_pass(a, 1)
+def _mirror_tail(npad: int) -> slice:
+    """Indices npad - m for m = npad//2+1 .. npad-1, in that order: entry m of an
+    FFT-ordered axis of npad entries mirrors entry npad - m."""
+    return slice(npad - npad // 2 - 1, 0, -1)
+
+
+@functools.lru_cache(maxsize=8)
+def _twiddles(npad: int) -> np.ndarray:
+    """omega^(npad-m), omega = exp(-2 pi i / npad), for m = npad//2+1 .. npad-1.
+
+    A field even about the centre (npad-1)/2 of an axis has a spectrum with
+    F[m] = omega^(npad-m) F[npad-m] along it.  Shared, so read-only.
+    """
+    w = np.exp(-2j * np.pi / npad * np.arange(npad)[_mirror_tail(npad)])
+    w.setflags(write=False)
+    return w
+
+
+def _rebuild_tail(a: np.ndarray, axis: int) -> None:
+    """Fill entries m > npad//2 along ``axis`` of the square spectrum ``a`` of a field even
+    along that axis from the entries they mirror, times the twiddles.
+
+    Along axis 1 the rows go a few at a time: the columns read and written
+    share their rows, and numpy would copy an overlapping source whole.
+    """
+    npad = a.shape[axis]
+    h, tail, w = npad // 2, _mirror_tail(npad), _twiddles(npad)
+    if axis == 0:
+        np.multiply(w[:, None], a[tail], out=a[h + 1 :])
+        return
+    for lo in range(0, a.shape[0], _MIRROR_ROWS):
+        rows = a[lo : lo + _MIRROR_ROWS]
+        np.multiply(w, rows[:, tail], out=rows[:, h + 1 :])
+
+
+def _fft2(a: np.ndarray, even_y: bool = False, even_x: bool = False,
+          nonzero: tuple[int, int] | None = None) -> np.ndarray:
+    """``scipy.fft.fft2(a, overwrite_x=True)``, bit for bit: axis 0, then axis 1, in place.
+
+    Only the columns in ``nonzero`` = (start, stop) may hold non-zero values;
+    the axis-0 pass runs on those.  With ``even_x`` (``a`` is even about its
+    centre along x), it runs on those of non-negative coordinate only and
+    the rows then take them mirrored.  With ``even_y``, only the spectrum
+    rows 0..npad//2 are formed.  Every entry formed equals the full
+    transform's, bit for bit; ``_ifft2`` with the same flags reads no other.
+    """
+    npad = a.shape[0]
+    lo, hi = nonzero or (0, a.shape[1])
+    _fft_pass(a[:, max(lo, npad // 2) if even_x else lo : hi], 0)
+    rows = a[: npad // 2 + 1] if even_y else a
+    if even_x:
+        _mirror_columns(rows)
+    _fft_pass(rows, 1)
     return a
 
 
-def _ifft2(a: np.ndarray, even: bool = False) -> np.ndarray:
-    """``scipy.fft.ifft2(a, overwrite_x=True)``, bit for bit, in place.
+def _ifft2(a: np.ndarray, even_y: bool = False, even_x: bool = False) -> np.ndarray:
+    """``scipy.fft.ifft2(a, overwrite_x=True)``, in place; without flags bit for bit.
 
     pocketfft scales by 1/(n0*n1) after the first pass, multiplying each
     real and imaginary part by the real factor; a complex multiply would
-    flip the sign of some zeros.  With ``even`` (the result is known to be
-    even about its centre), the scaling and the last pass run on the rows
-    of non-negative coordinate only, which keep those bits, and the rest
-    of the plane is their mirror.
+    flip the sign of some zeros.  A flag says the result is even about its
+    centre along that axis.  Then only the spectrum entries 0..npad//2
+    along it are read, the rest follow from F[m] = omega^(npad-m) F[npad-m]
+    (``_twiddles``), the passes run on the lines whose output is kept, and
+    the result is mirrored from its entries of non-negative coordinate.
+    That agrees with the full transform to round-off.
     """
-    _fft_pass(a, 0, inverse=True)
-    kept = a[a.shape[0] // 2 :] if even else a
-    parts = kept.view(np.float64)
+    npad = a.shape[0]
+    h = npad // 2
+    cols = a[:, : h + 1] if even_x else a
+    if even_y:
+        _rebuild_tail(cols, 0)
+    _fft_pass(cols, 0, inverse=True)
+    kept = a[h:] if even_y else a
+    parts = (kept[:, : h + 1] if even_x else kept).view(np.float64)
     np.multiply(parts, 1.0 / a.size, out=parts)
+    if even_x:
+        _rebuild_tail(kept, 1)
     _fft_pass(kept, 1, inverse=True)
-    return _mirror_centred(a) if even else a
+    return _mirror_centred(a, even_y, even_x)
 
 
 def _next_fast_len(target: int) -> int:
@@ -221,19 +285,19 @@ def _padded_size(n: int, pad_factor: float) -> int:
     return m
 
 
-def _padded_fft2(samples: np.ndarray, npad: int) -> np.ndarray:
+def _padded_fft2(samples: np.ndarray, npad: int, even_y: bool = False,
+                 even_x: bool = False) -> np.ndarray:
     """``scipy.fft.fft2`` of ``samples`` centred on an npad-square zero grid, bit for bit.
 
     The columns the padding adds are all zero, and so is their transform,
-    so the axis-0 pass runs on the n sample columns only.
+    so the axis-0 pass runs on the n sample columns only.  The flags are
+    ``_fft2``'s.
     """
     n = samples.shape[0]
     out = np.zeros((npad, npad), dtype=complex)
     lo = (npad - n) // 2
     out[lo : lo + n, lo : lo + n] = samples
-    _fft_pass(out[:, lo : lo + n], 0)
-    _fft_pass(out, 1)
-    return out
+    return _fft2(out, even_y, even_x, (lo, lo + n))
 
 
 def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
@@ -253,7 +317,7 @@ def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
     most 8.1e-16 of its largest magnitude up to npad 1125.
     """
     h = npad // 2
-    tail = slice(npad - h - 1, 0, -1)  # npad - m for m = h+1 .. npad-1
+    tail = _mirror_tail(npad)
     d_sq = (np.arange(h + 1) * pitch) ** 2
     r = np.sqrt(d_sq[None, :] + d_sq[:, None] + z * z)
     q = np.exp(-1j * k * r) / r
@@ -362,30 +426,37 @@ def _spectrum(key: tuple, build) -> np.ndarray:
 
 
 def _apply_quadrant(quadrant: np.ndarray, samples: np.ndarray, npad: int,
-                    overwrite: bool = False, even: bool = False) -> np.ndarray:
-    """ifft2(mirror of quadrant * fft2(samples zero-padded to npad)), bit for bit.
+                    overwrite: bool = False, even_y: bool = False,
+                    even_x: bool = False) -> np.ndarray:
+    """ifft2(mirror of quadrant * fft2(samples zero-padded to npad)): the padded plane.
 
-    Each of the four blocks of the field spectrum is multiplied in place by
-    a mirrored view of the quadrant, so the full-grid spectrum is never
-    built.  The product is formed in the operand order quadrant * field
-    spectrum: numpy's complex multiply is not bitwise commutative, and the
-    artifacts are pinned to this order.  With ``overwrite``, samples that
-    need no padding (complex, C-contiguous and npad a side) are transformed
-    in place and returned; the padded grid would hold the same values.
-    With ``even`` (the samples are even about their centre), the quadrant of
-    non-negative coordinates keeps those bits and the rest is its mirror.
+    The field spectrum is multiplied in place by mirrored views of the
+    quadrant, block by block, so the full-grid spectrum is never built.  The
+    product is formed in the operand order quadrant * field spectrum: numpy's
+    complex multiply is not bitwise commutative, and the artifacts are pinned
+    to this order.  With ``overwrite``, samples that need no padding
+    (complex, C-contiguous and npad a side) are transformed in place and
+    returned; the padded grid would hold the same values.
+
+    ``even_y`` and ``even_x`` say the samples are even about their centre
+    along y (axis 0) and x (axis 1), bit for bit.  Along such an axis the
+    forward transform forms, and the product covers, only the frequencies
+    0..npad//2, the inverse rebuilds the others (``_ifft2``), and the plane
+    returned is even along it, bit for bit; everything stays in the one
+    npad-square buffer.  Without flags the plane is the full transform's,
+    bit for bit; with them it agrees with it to round-off.
     """
     if overwrite and samples.shape[0] == npad:
-        spec = _fft2(samples)
+        spec = _fft2(samples, even_y, even_x)
     else:
-        spec = _padded_fft2(samples, npad)
+        spec = _padded_fft2(samples, npad, even_y, even_x)
     h = npad // 2
-    tail = slice(npad - h - 1, 0, -1)  # npad - m for m = h+1 .. npad-1
-    for rows, q_rows in ((slice(0, h + 1), slice(None)), (slice(h + 1, None), tail)):
-        for cols, q_cols in ((slice(0, h + 1), slice(None)), (slice(h + 1, None), tail)):
+    halves = ((slice(0, h + 1), slice(None)), (slice(h + 1, None), _mirror_tail(npad)))
+    for rows, q_rows in halves[: 1 if even_y else 2]:
+        for cols, q_cols in halves[: 1 if even_x else 2]:
             block = spec[rows, cols]
             np.multiply(quadrant[q_rows, q_cols], block, out=block)
-    return _ifft2(spec, even)
+    return _ifft2(spec, even_y, even_x)
 
 
 def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None = None,
@@ -401,9 +472,11 @@ def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None =
 
 
 def _hop_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None,
-               wavelength: float | None, overwrite: bool = False) -> FieldSlice:
+               wavelength: float | None, overwrite: bool = False,
+               even: tuple[bool, bool] = (False, False)) -> FieldSlice:
     """``propagate_slice``; with ``overwrite`` an unpadded hop transforms the field's samples
-    in place and the slice returned holds them."""
+    in place and the slice returned holds them.  ``even`` is (along y, along x), as
+    ``_apply_quadrant`` takes it."""
     plan = plan or DEFAULT_PLAN
     if wavelength is None or wavelength <= 0:
         raise ValueError("propagate_slice needs the positive carrier wavelength")
@@ -417,7 +490,8 @@ def _hop_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None,
         _check_window_supports_distance(n, npad, pitch, wavelength, dz)
     H = _spectrum(("transfer", npad, pitch, k, dz, plan.band_limit),
                   lambda: _analytic_transfer(npad, pitch, k, dz, plan))
-    return FieldSlice(field.z + dz, _apply_quadrant(H, field.samples, npad, overwrite), pitch)
+    return FieldSlice(field.z + dz, _apply_quadrant(H, field.samples, npad, overwrite, *even),
+                      pitch)
 
 
 def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None = None) -> FieldSlice:
@@ -429,12 +503,17 @@ def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None =
     the centre along each axis equal the direct sum (at pad 2, the central
     n-by-n window); the circular convolution wraps round beyond them.  The
     kernel spectrum is built, and kept inside ``reuse_spectra``, as its
-    quadrant, and applied through mirrored views of it.  When the weights
-    are even about their centre bit for bit (signed zeros included), so is
-    the plane: the last inverse pass runs on the rows of non-negative y
-    only, and the other three quadrants are mirrors of the fourth, which
-    keeps the bits of the full transform.
+    quadrant, and applied through mirrored views of it.  Along each axis
+    in which the weights are even about their centre bit for bit (signed
+    zeros included), the hop transforms about half the lines and returns a
+    plane even along it, bit for bit (``_apply_quadrant``).
     """
+    return _hop_aperture(field, z, plan, _even_axes(field.weights))
+
+
+def _hop_aperture(field: ApertureField, z: float, plan: PropagationPlan | None,
+                  even: tuple[bool, bool]) -> FieldSlice:
+    """``propagate_asm`` of weights whose evenness (along y, along x) is ``even``."""
     plan = plan or DEFAULT_PLAN
     if not (z > 0 and math.isfinite(z)):
         raise ValueError(f"propagation distance must be positive and finite, got {z}")
@@ -445,8 +524,7 @@ def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None =
         _check_window_supports_distance(n, npad, pitch, field.grid.wavelength, z)
     k = field.grid.wavenumber
     K = _spectrum(("kernel", npad, pitch, k, z), lambda: _kernel_spectrum(npad, pitch, k, z))
-    return FieldSlice(z, _apply_quadrant(K, field.weights, npad,
-                                         even=_is_bitwise_even(field.weights)), pitch)
+    return FieldSlice(z, _apply_quadrant(K, field.weights, npad, False, *even), pitch)
 
 
 def propagate_direct(field: ApertureField, points: Sequence[Sequence[float]]) -> np.ndarray:
@@ -502,25 +580,38 @@ def propagate_with_obstacles(
     lam = field.grid.wavelength
     # the aperture hop pads once; later hops stay on that grid
     hop_plan = replace(plan, pad_factor=1.0)
+    # the weights are tested once; each mask then keeps or drops the axes of the plane
+    even = _even_axes(field.weights)
     current: FieldSlice | None = None
     for ob in obs:
         # a pad-1 hop keeps the grid of a plane already padded, so an obstacle's mask is
         # read off the current plane before the hop: an obstacle that masks nothing is
         # skipped without one, and otherwise nothing reads that plane again, so the hop
         # transforms it in place
-        plane = propagate_asm(field, ob.plane_z, plan) if current is None else current
+        plane = _hop_aperture(field, ob.plane_z, plan, even) if current is None else current
         mask = make_obstacle_mask(plane, ob).values
         if _is_identity_mask(mask):
             continue
         if current is not None:
-            plane = _hop_slice(current, ob.plane_z - current.z, hop_plan, lam, overwrite=True)
+            plane = _hop_slice(current, ob.plane_z - current.z, hop_plan, lam, True, even)
         # the plane is this function's own: mask it in place, not in a copy
         np.multiply(plane.samples, mask, out=plane.samples)
         del mask  # before the next hop
+        even = _even_behind(ob, even)
         current = plane
     if current is None:
-        return propagate_asm(field, z_target, plan)
-    return _hop_slice(current, z_target - current.z, hop_plan, lam, overwrite=True)
+        return _hop_aperture(field, z_target, plan, even)
+    return _hop_slice(current, z_target - current.z, hop_plan, lam, True, even)
+
+
+def _even_behind(ob: ObstacleSpec, even: tuple[bool, bool]) -> tuple[bool, bool]:
+    """The axes (y, x) along which a plane even along ``even`` stays even, bit for bit,
+    once masked by ``ob``: a disc or square keeps an axis its centre lies on, and a
+    half plane, whose edge runs along y, keeps y only."""
+    cx, cy = ob.center_offset
+    if ob.shape == "half_plane":
+        return even[0], False
+    return even[0] and cy == 0.0, even[1] and cx == 0.0
 
 
 @functools.lru_cache(maxsize=4)

@@ -14,6 +14,7 @@ from thzbeam import (
     CausticCurve,
     CausticDesignError,
     EvanescentDesignError,
+    FieldSlice,
     GeometryError,
     ObstacleSpec,
     PhaseMap,
@@ -614,6 +615,33 @@ def test_obstacle_mask_from_broadcast_axes_equals_the_meshgrid_form(shape, side)
         mask = make_obstacle_mask(grid, spec).values
         assert mask.shape == (grid.elements_per_side,) * 2
         np.testing.assert_array_equal(mask, _meshgrid_obstacle_mask(grid, spec))
+
+
+def _broadcast_obstacle_mask(plane, spec):
+    """Reference: the mask built on the whole plane from broadcast 1-D terms."""
+    x = plane.axis_coordinates()
+    cx, cy = spec.center_offset
+    if spec.shape == "disc":
+        blocked = ((x - cx) ** 2)[None, :] + ((x - cy) ** 2)[:, None] <= (spec.size / 2.0) ** 2
+    else:
+        blocked = np.maximum(np.abs(x - cx)[None, :], np.abs(x - cy)[:, None]) <= spec.size / 2.0
+    return np.where(blocked, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", ["disc", "square"])
+@pytest.mark.parametrize("side", [0.02, 0.0205])  # n = 40 and 41
+def test_obstacle_mask_on_its_bounding_box_equals_the_whole_plane_form(shape, side):
+    """Bit for bit, for a centred, an offset and an edge-touching footprint and size 0."""
+    grid = make_grid(side, 3e11)
+    edge = grid.extent / 2.0 - 0.002  # a footprint of size 0.004 here reaches the edge
+    cases = [(0.004, (0.0, 0.0)), (0.004, (1.3e-3, -2.1e-3)), (0.004, (edge, 0.0)),
+             (0.004, (-edge, edge)), (0.0, (0.0, 0.0)), (0.0, (1.3e-3, 0.0))]
+    for plane in (grid, FieldSlice(1.0, np.zeros((45, 45)), grid.element_pitch)):
+        for size, offset in cases:
+            spec = ObstacleSpec(shape, size, offset, 1.0)
+            mask = make_obstacle_mask(plane, spec).values
+            np.testing.assert_array_equal(mask.view(np.uint64),
+                                          _broadcast_obstacle_mask(plane, spec).view(np.uint64))
 
 
 def test_full_cover_mask_warns():

@@ -29,7 +29,7 @@ from thzbeam import (
     reuse_spectra,
     synthesize_field,
 )
-from thzbeam.aperture import _is_bitwise_even, steer_vector
+from thzbeam.aperture import CausticCurve, _even_axes, _mirror_centred, steer_vector
 
 RNG = np.random.default_rng(7)
 
@@ -610,12 +610,47 @@ def test_owned_hop_in_place_equals_propagate_slice(side, n, band_limit):
     np.testing.assert_array_equal(_bits(got.samples), _bits(expected.samples))
 
 
-def _today_hop(field, z):
-    """``propagate_asm``'s samples through the full inverse transform, for any weights."""
+def _full_apply(quadrant, samples, npad):
+    """A hop through full 2-D transforms: scipy's ``ifft2`` of the mirrored quadrant times
+    ``fft2`` of the padded samples, in that operand order."""
+    return scipy.fft.ifft2(np.multiply(_mirror(quadrant, npad),
+                                       scipy.fft.fft2(_padded(samples, npad))))
+
+
+def _full_hop(field, z, plan=PropagationPlan()):
+    """``propagate_asm``'s samples through full 2-D transforms, for any weights."""
     n, pitch, k = field.grid.elements_per_side, field.grid.element_pitch, field.grid.wavenumber
-    npad = propagation._padded_size(n, 2.0)
-    kernel = propagation._kernel_spectrum(npad, pitch, k, z)
-    return propagation._apply_quadrant(kernel, field.weights, npad)
+    npad = propagation._padded_size(n, plan.pad_factor)
+    return _full_apply(propagation._kernel_spectrum(npad, pitch, k, z), field.weights, npad)
+
+
+def _full_slice_hop(samples, dz, pitch, lam, plan):
+    """A ``FieldSlice`` hop of ``samples`` by dz through full 2-D transforms."""
+    npad = propagation._padded_size(samples.shape[0], plan.pad_factor)
+    transfer = propagation._analytic_transfer(npad, pitch, 2.0 * np.pi / lam, dz, plan)
+    return _full_apply(transfer, samples, npad)
+
+
+def _assert_close(got, full, tol):
+    assert np.max(np.abs(got - full)) <= tol * np.max(np.abs(full))
+
+
+# a hop with an even axis agrees with the full transforms to round-off: 2.9e-16 to 8.2e-16
+# of the plane's largest magnitude over the cases below, obstacle hops included
+EVEN_HOP_TOL = 2e-15
+# inside the exact window the seeded samples below agree with the direct sum to 1.8e-15
+# to 1.6e-14 of the plane's largest magnitude
+ORACLE_TOL = 1e-12
+
+
+def _assert_matches_the_oracle(field, plane, z, seed, count=6):
+    """Seeded samples of ``plane`` inside its exact window against ``propagate_direct``."""
+    n, npad = field.grid.elements_per_side, plane.shape[0]
+    lo = (npad - n) // 2
+    iy, ix = np.random.default_rng(seed).integers(lo, lo + n, size=(2, count))
+    x = FieldSlice(z, plane, field.grid.element_pitch).axis_coordinates()
+    exact = propagate_direct(field, np.column_stack([x[ix], x[iy], np.full(count, z)]))
+    assert np.max(np.abs(plane[iy, ix] - exact)) <= ORACLE_TOL * np.max(np.abs(plane))
 
 
 # (side at 1 THz, elements per side, spec): n = 266 pads to 540 and n = 333 to 675
@@ -624,24 +659,21 @@ EVEN_APERTURES = {
     "bessel-odd-n": (0.04995, 333, WavefrontSpec(kind="bessel", spot_fwhm=0.002)),
     "broadside-planar": (0.03, 200, WavefrontSpec(kind="beamforming")),
 }
-# the mirrored quadrants differ from the full inverse by round-off: 3.1e-16, 3.5e-16 and
-# 8.1e-16 of the plane's largest magnitude for the three apertures above
-EVEN_MIRROR_TOL = 2e-15
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 @pytest.mark.parametrize("name", sorted(EVEN_APERTURES))
 def test_even_aperture_hops_to_a_bitwise_even_plane(name, cpus, split_ffts):
-    split_ffts(cpus)
     side, n, spec = EVEN_APERTURES[name]
     field = synthesize_field(make_grid(side, 1e12), spec)
-    assert field.grid.elements_per_side == n and _is_bitwise_even(field.weights)
+    assert field.grid.elements_per_side == n and _even_axes(field.weights) == (True, True)
+    one_block = propagate_asm(field, 0.1).samples
+    split_ffts(cpus)
     plane = propagate_asm(field, 0.1).samples
-    full = _today_hop(field, 0.1)
-    assert _is_bitwise_even(plane)
-    h = plane.shape[0] // 2
-    np.testing.assert_array_equal(_bits(plane[h:, h:]), _bits(full[h:, h:]))
-    assert np.max(np.abs(plane - full)) <= EVEN_MIRROR_TOL * np.max(np.abs(full))
+    np.testing.assert_array_equal(_bits(plane), _bits(one_block))  # a split moves no bit
+    assert _even_axes(plane) == (True, True)
+    _assert_close(plane, _full_hop(field, 0.1), EVEN_HOP_TOL)
+    _assert_matches_the_oracle(field, plane, 0.1, seed=n)
 
 
 def _oam_disc_helix(grid, l):
@@ -652,14 +684,120 @@ def _oam_disc_helix(grid, l):
 
 @pytest.mark.parametrize("name", ["steered-planar", "oam-disc-helix"])
 def test_uneven_apertures_keep_the_full_inverse(name):
+    """Along an uneven axis the hop keeps the full transforms: the helix, uneven in both,
+    bit for bit; the planar ramp steered in x, whose rows are equal, to round-off."""
     grid = make_grid(0.0399, 1e12)
     if name == "steered-planar":
-        field = synthesize_field(grid, WavefrontSpec(kind="beamforming", steer_angle=0.01))
+        field, even = synthesize_field(grid, WavefrontSpec(kind="beamforming",
+                                                           steer_angle=0.01)), (True, False)
     else:
-        field = ApertureField(grid, _oam_disc_helix(grid, 2))
-    assert not _is_bitwise_even(field.weights)
-    np.testing.assert_array_equal(_bits(propagate_asm(field, 0.1).samples),
-                                  _bits(_today_hop(field, 0.1)))
+        field, even = ApertureField(grid, _oam_disc_helix(grid, 2)), (False, False)
+    assert _even_axes(field.weights) == even
+    plane = propagate_asm(field, 0.1).samples
+    full = _full_hop(field, 0.1)
+    assert _even_axes(plane) == even
+    if even == (False, False):
+        np.testing.assert_array_equal(_bits(plane), _bits(full))
+    else:
+        _assert_close(plane, full, EVEN_HOP_TOL)
+    _assert_matches_the_oracle(field, plane, 0.1, seed=7)
+
+
+def _even_along(weights, even):
+    """``weights`` made even about their centre along y and x as ``even`` says."""
+    return _mirror_centred(weights.copy(), *even)
+
+
+AXIS_PAIRS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("even", AXIS_PAIRS, ids=["yx", "y", "x", "none"])
+@pytest.mark.parametrize("side, n", [(0.02, 40), (0.0205, 41)])
+def test_each_axis_pair_hops_as_the_full_transforms(side, n, even, cpus, split_ffts):
+    """The aperture hop and the in-place slice hop after it, for each pair of even axes
+    at even and odd n: bit for bit the full transforms with no even axis, within
+    round-off and bitwise even along each even axis otherwise; no split moves a bit."""
+    grid = make_grid(side, 3e11)
+    field = ApertureField(grid, _even_along(_random_phase_field(grid).weights, even))
+    assert grid.elements_per_side == n and _even_axes(field.weights) == even
+    hop_plan = PropagationPlan(pad_factor=1.0)
+    planes = []
+    for blocks in (1, cpus):
+        split_ffts(blocks)
+        plane = propagate_asm(field, 0.05)
+        planes.append(plane.samples.copy())
+        planes.append(propagation._hop_slice(plane, 0.03, hop_plan, grid.wavelength, True,
+                                             even).samples)
+    for got, split in zip(planes[:2], planes[2:]):
+        np.testing.assert_array_equal(_bits(split), _bits(got))
+    aperture_plane, next_plane = planes[:2]
+    expected = [_full_hop(field, 0.05), _full_slice_hop(aperture_plane, 0.03, grid.element_pitch,
+                                                        grid.wavelength, hop_plan)]
+    for got, full in zip((aperture_plane, next_plane), expected):
+        assert _even_axes(got) == even
+        if any(even):
+            _assert_close(got, full, EVEN_HOP_TOL)
+        else:
+            np.testing.assert_array_equal(_bits(got), _bits(full))
+    _assert_matches_the_oracle(field, aperture_plane, 0.05, seed=n)
+
+
+def test_even_axes_compare_every_word():
+    """The centre lines only reject early: a sample off them breaks evenness, and so does
+    a -0.0 mirrored by a +0.0."""
+    grid = make_grid(0.0205, 3e11)
+    n = grid.elements_per_side
+    even = _even_along(_random_phase_field(grid).weights, (True, True))
+    assert _even_axes(even) == (True, True)
+    w = even.copy()
+    w[3, 5] *= 1j
+    assert _even_axes(w) == (False, False)
+    w = even.copy()
+    w[2, [7, n - 8]] = complex(0.0, 0.0)
+    w[n - 3, [7, n - 8]] = complex(-0.0, 0.0)
+    assert _even_axes(w) == (False, True)
+
+
+def test_caustic_hops_on_its_even_rows():
+    """The caustic profile runs along x only, so its rows are equal: the hop is even in y."""
+    grid = make_grid(0.05, 3e11)
+    curve = CausticCurve.parabola(-2.2 * grid.half_side / 0.36, 0.6, x_start=-grid.half_side)
+    field = synthesize_field(grid, WavefrontSpec(kind="caustic", curve=curve))
+    assert _even_axes(field.weights) == (True, False)
+    plane = propagate_asm(field, 0.2).samples
+    assert _even_axes(plane) == (True, False)
+    _assert_close(plane, _full_hop(field, 0.2), EVEN_HOP_TOL)
+    _assert_matches_the_oracle(field, plane, 0.2, seed=1)
+
+
+# (obstacle, the axes along which an even plane stays even behind it)
+EVEN_BEHIND = {
+    "centred-disc": (ObstacleSpec("disc", 0.004, (0.0, 0.0), 0.05), (True, True)),
+    "centred-square": (ObstacleSpec("square", 0.004, (0.0, 0.0), 0.05), (True, True)),
+    "disc-offset-in-x": (ObstacleSpec("disc", 0.004, (1e-3, 0.0), 0.05), (True, False)),
+    "disc-offset-in-y": (ObstacleSpec("disc", 0.004, (0.0, -1e-3), 0.05), (False, True)),
+    "disc-offset-in-both": (ObstacleSpec("disc", 0.004, (1e-3, -1e-3), 0.05), (False, False)),
+    "knife-edge": (ObstacleSpec("half_plane", 0.0, (0.004, 0.0), 0.05), (True, False)),
+}
+
+
+@pytest.mark.parametrize("side", [0.02, 0.0205])
+@pytest.mark.parametrize("name", sorted(EVEN_BEHIND))
+def test_obstacle_hops_carry_the_axes_the_mask_keeps_even(name, side):
+    """An even field masked at one obstacle, against full transforms and the copying form."""
+    ob, even = EVEN_BEHIND[name]
+    assert propagation._even_behind(ob, (True, True)) == even
+    grid = make_grid(side, 3e11)
+    field = ApertureField(grid, _even_along(_random_phase_field(grid).weights, (True, True)))
+    plan, hop_plan = PropagationPlan(pad_factor=1.5), PropagationPlan(pad_factor=1.0)
+    pitch = grid.element_pitch
+    plane = _full_hop(field, ob.plane_z, plan)
+    plane *= make_obstacle_mask(FieldSlice(ob.plane_z, plane, pitch), ob).values
+    full = _full_slice_hop(plane, 0.12 - ob.plane_z, pitch, grid.wavelength, hop_plan)
+    got = propagate_with_obstacles(field, [ob], 0.12, plan).samples
+    assert _even_axes(got) == even
+    _assert_close(got, full, EVEN_HOP_TOL)
 
 
 def test_in_place_mask_multiply_equals_the_copy():
@@ -915,3 +1053,21 @@ def test_fft_passes_start_no_more_threads_than_lines(monkeypatch, split_ffts):
     np.testing.assert_array_equal(_bits(propagation._fft2(a.copy())),
                                   _bits(scipy.fft.fft2(a)))
     assert pools == [3, 3]
+
+
+def test_fig4_ci_transforms_half_the_lines_of_its_even_hops(monkeypatch, tmp_path):
+    """The line transforms of one fig4-ci run: 10 of its 13 hops are even in y and x and
+    3 in y only.  With every hop on the full transforms the run makes 39,906; a fall back
+    to them on any even hop raises the count."""
+    lines = []
+    fft_pass = propagation._fft_pass
+
+    def counting(a, axis, inverse=False):
+        lines.append(a.shape[1 - axis])
+        fft_pass(a, axis, inverse)
+
+    monkeypatch.setattr(propagation, "_fft_pass", counting)
+    from thzbeam import run_scenario
+
+    run_scenario(preset("fig4-ci"), tmp_path)
+    assert (len(lines), sum(lines)) == (58, 25_019)

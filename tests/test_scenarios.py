@@ -995,6 +995,34 @@ def test_cli_offers_each_flag_only_where_it_acts(flag):
     assert offered == FLAG_VERBS[flag]
 
 
+# (verb, flag dest) -> (study, section, key): each "(default <value>)" a help string states
+VERB_STUDIES = {"synthesize": "phase_map", "propagate": "plane", "gain-curve": "gain_curve",
+                "blockage": "blockage", "oam-crosstalk": "oam_crosstalk"}
+HELP_DEFAULTS = {
+    **{(verb, "pitch_fraction"): (study, "grid", "pitch_fraction")
+       for verb, study in VERB_STUDIES.items()},
+    **{(verb, dest): (VERB_STUDIES[verb], "wavefront.*", key)
+       for verb in ("synthesize", "propagate")
+       for dest, key in (("spot_convention", "spot_convention"),
+                         ("curve_x_start", "curve_x_start_m"))},
+    **{(verb, "formats"): (VERB_STUDIES[verb], "output", "formats")
+       for verb in ("synthesize", "propagate", "blockage")},
+}
+
+
+def test_cli_help_states_each_default_as_the_schema_has_it():
+    """A "(default ...)" in --help reads the section default it names, so a moved default
+    cannot leave a stale copy in the help text; "(default: ...)" prose names no value."""
+    stated = {(verb, action.dest): value
+              for verb, p in _verb_parsers().items() for action in p._actions
+              for value in re.findall(r"\(default ([^)]*)\)", action.help or "")}
+    assert set(stated) == set(HELP_DEFAULTS)
+    for (verb, dest), (study, section, key) in HELP_DEFAULTS.items():
+        default = {f.name: f.default for f in fields(_STUDY_SECTIONS[study][section])}[key]
+        text = ", ".join(default) if isinstance(default, tuple) else str(default)
+        assert stated[verb, dest] == text, (verb, dest)
+
+
 # every float flag of every study verb, with 0, -1, nan and inf in turn
 FLOAT_FLAG_CASES = [(verb, action.option_strings[0], value)
                     for verb in STUDY_VERBS for action in _verb_parser(verb)._actions
