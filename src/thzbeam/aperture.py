@@ -101,9 +101,7 @@ def make_grid(side_length: float, frequency: float, pitch_fraction: float = 0.5)
 
     ``pitch_fraction`` is typically 0.5 (half-wavelength spacing).
     """
-    if side_length <= 0:
-        raise ValueError(f"side_length must be positive, got {side_length}")
-    if frequency <= 0:
+    if frequency <= 0:  # before the pitch divides by it; ApertureGrid checks the rest
         raise ValueError(f"frequency must be positive, got {frequency}")
     if not 0 < pitch_fraction <= 1:
         raise ValueError(f"pitch_fraction must be in (0, 1], got {pitch_fraction}")
@@ -211,10 +209,9 @@ def phase_planar(grid: ApertureGrid, steer_direction: Sequence[float] = (0.0, 0.
     return PhaseMap(_raw_planar(grid, steer_direction))
 
 
-def steer_vector(angle: float, azimuth: float = 0.0) -> tuple[float, float, float]:
-    """Unit steering vector at ``angle`` off broadside, in the plane at ``azimuth``."""
-    s = math.sin(angle)
-    return (s * math.cos(azimuth), s * math.sin(azimuth), math.cos(angle))
+def steer_vector(angle: float) -> tuple[float, float, float]:
+    """Unit steering vector at ``angle`` off broadside, in the x-z plane."""
+    return (math.sin(angle), 0.0, math.cos(angle))
 
 
 def _raw_quadratic(grid: ApertureGrid, focal_length: float,
@@ -344,14 +341,14 @@ class CausticCurve:
     """Target transverse trajectory x_c(z) for an accelerating beam.
 
     ``x_of_z`` maps propagation distance to transverse offset over
-    [0, z_end].  ``dx_dz`` may be omitted, in which case a central finite
-    difference is used.  ``convexity`` is the sign of the (constant-sign)
+    [0, z_end], and ``dx_dz`` is its derivative, which the tangent
+    construction reads.  ``convexity`` is the sign of the (constant-sign)
     second derivative, 0 for a straight line; it is derived on creation.
     """
 
     x_of_z: Callable[[np.ndarray], np.ndarray]
     z_end: float
-    dx_dz: Callable[[np.ndarray], np.ndarray] | None = None
+    dx_dz: Callable[[np.ndarray], np.ndarray]
     convexity: int = field(init=False)
 
     def __post_init__(self):
@@ -373,12 +370,6 @@ class CausticCurve:
             raise CausticDesignError("curve curvature changes sign; not convex")
         object.__setattr__(self, "convexity", conv)
 
-    def slope(self, z: np.ndarray) -> np.ndarray:
-        if self.dx_dz is not None:
-            return np.asarray(self.dx_dz(z), dtype=float)
-        h = self.z_end * 1e-6
-        return (np.asarray(self.x_of_z(z + h)) - np.asarray(self.x_of_z(z - h))) / (2 * h)
-
     @classmethod
     def parabola(cls, a: float, z_end: float, x_start: float = 0.0) -> "CausticCurve":
         """x_c(z) = x_start + a * z^2."""
@@ -389,18 +380,22 @@ class CausticCurve:
         )
 
 
-def _raw_caustic(grid: ApertureGrid, curve: CausticCurve, samples: int = 8192) -> np.ndarray:
+# points at which the tangent construction samples the curve over (0, z_end]
+_CAUSTIC_SAMPLES = 8192
+
+
+def _raw_caustic(grid: ApertureGrid, curve: CausticCurve) -> np.ndarray:
     x = grid.axis_coordinates()
     k = grid.wavenumber
 
     if curve.convexity == 0:
         # straight line: all tangents coincide with the line itself
-        t = float(np.mean(curve.slope(np.linspace(curve.z_end * 0.25, curve.z_end * 0.75, 16))))
+        t = float(np.mean(curve.dx_dz(np.linspace(curve.z_end * 0.25, curve.z_end * 0.75, 16))))
         dphidx = np.full_like(x, -k * t / math.hypot(1.0, t))
     else:
-        zs = np.linspace(curve.z_end * 1e-6, curve.z_end, samples)
+        zs = np.linspace(curve.z_end * 1e-6, curve.z_end, _CAUSTIC_SAMPLES)
         xc = np.asarray(curve.x_of_z(zs), dtype=float)
-        sl = curve.slope(zs)
+        sl = np.asarray(curve.dx_dz(zs), dtype=float)
         g = xc - zs * sl  # tangent intercept at the aperture plane
         dg = np.diff(g)
         if not (np.all(dg > 0) or np.all(dg < 0)):
@@ -416,7 +411,7 @@ def _raw_caustic(grid: ApertureGrid, curve: CausticCurve, samples: int = 8192) -
             z_star = np.interp(x, g, zs)
         else:
             z_star = np.interp(x, g[::-1], zs[::-1])
-        s = curve.slope(z_star)
+        s = np.asarray(curve.dx_dz(z_star), dtype=float)
         dphidx = -k * s / np.sqrt(1.0 + s**2)
 
     # integrate the slope along x with phi(0) = 0
@@ -425,7 +420,7 @@ def _raw_caustic(grid: ApertureGrid, curve: CausticCurve, samples: int = 8192) -
     return np.broadcast_to(phi[None, :], (x.size, x.size)).copy()
 
 
-def phase_caustic(grid: ApertureGrid, curve: CausticCurve, samples: int = 8192) -> PhaseMap:
+def phase_caustic(grid: ApertureGrid, curve: CausticCurve) -> PhaseMap:
     """Tangent-construction profile whose intensity maximum follows ``curve``.
 
     For each aperture abscissa x0 the tangent of the curve that extends back
@@ -434,7 +429,7 @@ def phase_caustic(grid: ApertureGrid, curve: CausticCurve, samples: int = 8192) 
     Raises :class:`CausticDesignError` when some aperture abscissa is not
     reached by exactly one tangent.
     """
-    return PhaseMap(_raw_caustic(grid, curve, samples))
+    return PhaseMap(_raw_caustic(grid, curve))
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +520,9 @@ def _raw_disc(x: np.ndarray, radius: float) -> np.ndarray:
     return np.where(x_sq[None, :] + x_sq[:, None] <= radius * radius, 1.0, 0.0)
 
 
-def circular_taper(grid: ApertureGrid, radius: float | None = None) -> AmplitudeMask:
-    """Transmission mask keeping the inscribed disc (or a custom radius)."""
-    r = grid.half_side if radius is None else radius
-    if r <= 0:
-        raise ValueError(f"taper radius must be positive, got {r}")
-    return AmplitudeMask(_raw_disc(grid.axis_coordinates(), r))
+def circular_taper(grid: ApertureGrid) -> AmplitudeMask:
+    """Transmission mask keeping the disc inscribed in the aperture, of radius half_side."""
+    return AmplitudeMask(_raw_disc(grid.axis_coordinates(), grid.half_side))
 
 
 def _compose(phases: Sequence[np.ndarray], amplitude: np.ndarray | None) -> np.ndarray:

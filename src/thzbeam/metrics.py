@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aperture import ApertureGrid, WavefrontSpec, synthesize_field
+from .aperture import ApertureGrid, WavefrontSpec, _span, synthesize_field
 from .errors import NoBeamError
 from .propagation import FieldSlice, _axial_sums, _bin_once
 
@@ -79,7 +79,7 @@ class GainCurve:
 
     def __post_init__(self):
         for label, values in self.gain.items():
-            if np.any(values < 0) or np.any(values > 1 + 1e-9):
+            if not np.all((values >= 0) & (values <= 1 + 1e-9)):  # NaN fails both
                 raise ValueError(f"{label} gain leaves [0, 1]: range "
                                  f"[{values.min():g}, {values.max():g}]")
 
@@ -190,12 +190,16 @@ def _cut_fwhm(coords: np.ndarray, intensity: np.ndarray, peak_idx: int) -> float
     return float(right - left)
 
 
-def beam_profile_stats(slice_: FieldSlice, ring_floor_db: float = -20.0) -> BeamStats:
+# a ring counts only above this level relative to the peak, which keeps numerical ripple out
+_RING_FLOOR_DB = -20.0
+
+
+def beam_profile_stats(slice_: FieldSlice) -> BeamStats:
     """Peak, interpolated FWHM and ring count of a slice.
 
     The FWHM averages the two principal cuts through the peak.  Rings are
-    local maxima along the +x cut from the peak, above ``ring_floor_db``
-    relative to the peak (the floor keeps numerical ripple out).
+    local maxima along the +x cut from the peak, at or above
+    ``_RING_FLOOR_DB`` (-20 dB) relative to the peak.
     """
     intensity = slice_.intensity()
     if intensity.size == 0 or intensity.max() <= 0.0:
@@ -212,7 +216,7 @@ def beam_profile_stats(slice_: FieldSlice, ring_floor_db: float = -20.0) -> Beam
     if not widths:
         raise NoBeamError("no half-maximum crossing found; slice has no isolated peak")
 
-    floor = peak_val * 10.0 ** (ring_floor_db / 10.0)
+    floor = peak_val * 10.0 ** (_RING_FLOOR_DB / 10.0)
     cut = intensity[iy, ix:]
     rings = 0
     for i in range(1, cut.size - 1):
@@ -255,8 +259,7 @@ def _disc_correlation(ib: np.ndarray, ir: np.ndarray, coords: np.ndarray, radius
     samples outside the disc count as zero.
     """
     c_sq = coords**2
-    box = np.flatnonzero(c_sq <= radius**2)  # rows, and columns, that reach the disc
-    box = slice(box[0], box[-1] + 1) if box.size else slice(0, 0)
+    box = _span(c_sq <= radius**2)  # rows, and columns, that reach the disc
     inside = c_sq[box][None, :] + c_sq[box][:, None] <= radius**2
     return _intensity_correlation(np.where(inside, ib[box, box], 0.0),
                                   np.where(inside, ir[box, box], 0.0))

@@ -28,8 +28,8 @@ import numpy as np
 
 from .aperture import ApertureField, ApertureGrid, _raw_spiral
 from .errors import GeometryError
-from .propagation import (DEFAULT_PLAN, PropagationPlan, _check_window_supports_distance,
-                          _padded_size, propagate_asm, reuse_spectra)
+from .propagation import (DEFAULT_PLAN, _check_window_supports_distance, _padded_size,
+                          propagate_asm, reuse_spectra)
 
 __all__ = [
     "COUPLING_FLOOR_DB",
@@ -78,7 +78,6 @@ def crosstalk_matrix(
     z: float,
     steer_angles: Sequence[float] = (0.0,),
     rx_radius: float | None = None,
-    plan: PropagationPlan | None = None,
 ) -> list[CrosstalkMatrix]:
     """Send each mode to z at each steering angle and demultiplex it about the fixed axis.
 
@@ -95,7 +94,8 @@ def crosstalk_matrix(
     the adjoint plane, against which every transmitted field is one inner
     product.  It is exact for every radius the receive plane holds, where
     a forward hop's padded plane would wrap round inside a disc wider than
-    the aperture.  Couplings below ``COUPLING_FLOOR_DB`` read as the floor.
+    the aperture.  Every hop takes the default plan, as a lower pad would
+    wrap round too.  Couplings below ``COUPLING_FLOOR_DB`` read as the floor.
 
     The call builds one adjoint plane per receive mode and one transmit
     spiral ``exp(1j*l_tx*phi)`` per mode (16 * n^2 bytes each), and every
@@ -108,13 +108,11 @@ def crosstalk_matrix(
         raise ValueError(f"duplicate modes in {mode_list}")
     if not (z > 0 and math.isfinite(z)):
         raise ValueError(f"z must be positive and finite, got {z}")
-    plan = plan or DEFAULT_PLAN
     grid = base.grid
     n, pitch, k = grid.elements_per_side, grid.element_pitch, grid.wavenumber
     # the receive plane is the one a forward hop of the aperture would return
-    npad = _padded_size(n, plan.pad_factor)
-    if plan.band_limit:
-        _check_window_supports_distance(n, npad, pitch, grid.wavelength, z)
+    npad = _padded_size(n, DEFAULT_PLAN.pad_factor)
+    _check_window_supports_distance(n, npad, pitch, grid.wavelength, z)
     if rx_radius is None:
         rx_radius = grid.half_side
     if rx_radius <= 0:
@@ -132,7 +130,7 @@ def crosstalk_matrix(
 
     def adjoint_plane(l_rx: int) -> np.ndarray:
         helix = np.where(disc, np.exp(-1j * l_rx * phi), 0.0)
-        plane = propagate_asm(ApertureField(rx_grid, helix), z, plan).samples
+        plane = propagate_asm(ApertureField(rx_grid, helix), z).samples
         del helix  # not held while the plane's window is copied out
         c = (plane.shape[0] - n) // 2
         return plane[c : c + n, c : c + n].ravel()

@@ -13,7 +13,7 @@ Two engines share one convention (outgoing waves ``exp(-1j*k*r)/r``):
   |d| <= (npad - n)/2: at pad 2, the central n-by-n window.  Beyond it
   the kernel wraps round.  From a ``FieldSlice`` (sampled continuum
   field) the analytic angular-spectrum transfer function
-  ``exp(-1j*z*sqrt(k^2-kx^2-ky^2))`` is used, band-limited against
+  ``exp(-1j*z*sqrt(k^2-kx^2-ky^2))`` is used, always band-limited against
   wrap-around and with evanescent components zeroed.
 
 Results are order-stable: identical inputs give bit-identical outputs.  The
@@ -56,6 +56,7 @@ import contextvars
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -117,10 +118,10 @@ _MAX_PAD_FACTOR = 8
 
 @dataclass(frozen=True)
 class PropagationPlan:
-    """Knobs for spectral propagation."""
+    """A spectral hop's padded side, ``pad_factor`` in [1, 8] times the field's; every hop is
+    band-limited (Matsushima & Shimobaba, Opt. Express 17(22), 2009)."""
 
     pad_factor: float = 2.0
-    band_limit: bool = True
 
     def __post_init__(self):
         if not 1.0 <= self.pad_factor <= _MAX_PAD_FACTOR:
@@ -335,7 +336,7 @@ def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
     return np.ascontiguousarray(rows[:, : h + 1])
 
 
-def _band_limit(extent: float, lam: float, z: float) -> float:
+def _f_limit(extent: float, lam: float, z: float) -> float:
     """The band limit f_limit [cycles/m] of a hop to z on a window of side ``extent``."""
     try:
         return 1.0 / (lam * math.sqrt((2.0 * z / extent) ** 2 + 1.0))
@@ -352,13 +353,13 @@ def _check_window_supports_distance(n: int, npad: int, pitch: float, lam: float,
     not even that carries it, the message says so and gives no hint.
     """
     def carries(extent: float) -> bool:
-        return _band_limit(extent, lam, z) >= 1.0 / extent
+        return _f_limit(extent, lam, z) >= 1.0 / extent
 
     extent = npad * pitch
     if carries(extent):
         return
     message = (f"padded window {extent:g} m cannot carry the field to z = {z:g} m "
-               f"(band limit {_band_limit(extent, lam, z):g} cycles/m below one bin "
+               f"(band limit {_f_limit(extent, lam, z):g} cycles/m below one bin "
                f"{1.0 / extent:g})")
     least = next((p for p in range(2, _MAX_PAD_FACTOR + 1)
                   if carries(_padded_size(n, p) * pitch)), None)
@@ -368,7 +369,7 @@ def _check_window_supports_distance(n: int, npad: int, pitch: float, lam: float,
     raise SamplingError(message, required_pad_factor=min(max(least, estimate), _MAX_PAD_FACTOR))
 
 
-def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: PropagationPlan) -> np.ndarray:
+def _analytic_transfer(npad: int, pitch: float, k: float, dz: float) -> np.ndarray:
     """Quadrant of the band-limited angular-spectrum transfer function of a hop.
 
     H and its band-limit mask depend on kx^2 and ky^2 only, so the
@@ -382,10 +383,8 @@ def _analytic_transfer(npad: int, pitch: float, k: float, dz: float, plan: Propa
     prop = kz_sq > 0.0
     kz = np.sqrt(np.where(prop, kz_sq, 0.0))
     H = np.where(prop, np.exp(-1j * dz * kz), 0.0 + 0.0j)
-    if plan.band_limit:
-        inside = kx <= 2.0 * np.pi * _band_limit(npad * pitch, 2.0 * np.pi / k, dz)
-        H = H * (inside[None, :] & inside[:, None])
-    return H
+    inside = kx <= 2.0 * np.pi * _f_limit(npad * pitch, 2.0 * np.pi / k, dz)
+    return H * (inside[None, :] & inside[:, None])
 
 
 _SPECTRA: contextvars.ContextVar[dict | None] = contextvars.ContextVar("spectra", default=None)
@@ -396,8 +395,8 @@ def reuse_spectra():
     """Build each kernel spectrum and transfer function once within the block.
 
     Every hop inside the block that needs a spectrum already built in it
-    (same kind, padded size, pitch, wavenumber, distance and, for transfer
-    functions, the band-limit flag) shares that array, which is read-only.
+    (same kind, padded size, pitch, wavenumber and distance) shares that
+    array, which is read-only.
     A nested block shares the outer block's spectra.  They are released
     when the outermost block ends; the scope is kept to one study block
     because each spectrum takes 16 * (npad//2+1)^2 bytes, its quadrant
@@ -459,37 +458,35 @@ def _apply_quadrant(quadrant: np.ndarray, samples: np.ndarray, npad: int,
     return _ifft2(spec, even_y, even_x)
 
 
-def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None = None,
-                    wavelength: float | None = None) -> FieldSlice:
-    """Propagate a sampled continuum field by dz with the analytic transfer.
+def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None = None, *,
+                    wavelength: float) -> FieldSlice:
+    """Propagate a sampled continuum field by dz with the band-limited analytic transfer.
 
-    ``wavelength`` must be supplied (slices do not carry the carrier).  The
-    transfer function is built, and kept inside ``reuse_spectra``, as its
-    quadrant of non-negative frequencies, and applied through mirrored
-    views of it.  ``field`` is left untouched.
+    ``wavelength`` is the positive carrier wavelength, which slices do not
+    carry.  The transfer function is built, and kept inside
+    ``reuse_spectra``, as its quadrant of non-negative frequencies, and
+    applied through mirrored views of it.  ``field`` is left untouched.
     """
     return _hop_slice(field, dz, plan, wavelength)
 
 
 def _hop_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None,
-               wavelength: float | None, overwrite: bool = False,
+               wavelength: float, overwrite: bool = False,
                even: tuple[bool, bool] = (False, False)) -> FieldSlice:
     """``propagate_slice``; with ``overwrite`` an unpadded hop transforms the field's samples
     in place and the slice returned holds them.  ``even`` is (along y, along x), as
     ``_apply_quadrant`` takes it."""
     plan = plan or DEFAULT_PLAN
-    if wavelength is None or wavelength <= 0:
-        raise ValueError("propagate_slice needs the positive carrier wavelength")
+    if not wavelength > 0:  # NaN too
+        raise ValueError(f"propagate_slice needs the positive carrier wavelength, not {wavelength}")
     if dz < 0:
         raise ValueError(f"propagation step must be non-negative, got {dz}")
     n = field.samples.shape[0]
     npad = _padded_size(n, plan.pad_factor)
     k = 2.0 * np.pi / wavelength
     pitch = field.sample_pitch
-    if plan.band_limit:
-        _check_window_supports_distance(n, npad, pitch, wavelength, dz)
-    H = _spectrum(("transfer", npad, pitch, k, dz, plan.band_limit),
-                  lambda: _analytic_transfer(npad, pitch, k, dz, plan))
+    _check_window_supports_distance(n, npad, pitch, wavelength, dz)
+    H = _spectrum(("transfer", npad, pitch, k, dz), lambda: _analytic_transfer(npad, pitch, k, dz))
     return FieldSlice(field.z + dz, _apply_quadrant(H, field.samples, npad, overwrite, *even),
                       pitch)
 
@@ -517,14 +514,21 @@ def _hop_aperture(field: ApertureField, z: float, plan: PropagationPlan | None,
     plan = plan or DEFAULT_PLAN
     if not (z > 0 and math.isfinite(z)):
         raise ValueError(f"propagation distance must be positive and finite, got {z}")
+    _check_nearest_distance(z * z, z)  # the kernel at offset 0
     n = field.grid.elements_per_side
     pitch = field.grid.element_pitch
     npad = _padded_size(n, plan.pad_factor)
-    if plan.band_limit:
-        _check_window_supports_distance(n, npad, pitch, field.grid.wavelength, z)
+    _check_window_supports_distance(n, npad, pitch, field.grid.wavelength, z)
     k = field.grid.wavenumber
     K = _spectrum(("kernel", npad, pitch, k, z), lambda: _kernel_spectrum(npad, pitch, k, z))
     return FieldSlice(z, _apply_quadrant(K, field.weights, npad, False, *even), pitch)
+
+
+def _check_nearest_distance(r_sq: float, z: float) -> None:
+    """Reject a hop or sum to z whose nearest r^2 is not a normal float: 1/r^2 overflows."""
+    if r_sq < sys.float_info.min:
+        raise ValueError(f"distance z = {z:g} m is too short: the squared distance to the "
+                         f"nearest element, {r_sq:g} m^2, underflows below {sys.float_info.min:g}")
 
 
 def propagate_direct(field: ApertureField, points: Sequence[Sequence[float]]) -> np.ndarray:
@@ -547,10 +551,6 @@ def propagate_direct(field: ApertureField, points: Sequence[Sequence[float]]) ->
             raise ValueError(f"evaluation point {(px, py, pz)} coincides with an element")
         out[i] = np.sum(w * np.exp(-1j * k * r) / r)
     return out
-
-
-def _is_identity_mask(values: np.ndarray) -> bool:
-    return bool(np.all(values == 1.0))
 
 
 def propagate_with_obstacles(
@@ -590,7 +590,7 @@ def propagate_with_obstacles(
         # transforms it in place
         plane = _hop_aperture(field, ob.plane_z, plan, even) if current is None else current
         mask = make_obstacle_mask(plane, ob).values
-        if _is_identity_mask(mask):
+        if np.all(mask == 1.0):
             continue
         if current is not None:
             plane = _hop_slice(current, ob.plane_z - current.z, hop_plan, lam, True, even)
@@ -669,7 +669,8 @@ def _bin_once(field: ApertureField):
 
 
 def _axial_sums(field: ApertureField, z_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact on-axis sums, sum w*exp(-1j*k*r)/r and sum |w|/r, at each z > 0.
+    """Exact on-axis sums, sum w*exp(-1j*k*r)/r and sum |w|/r, at each z > 0 at which r^2
+    to the nearest element is a normal float.
 
     The weights are binned by their element's distance from the axis first,
     so each distance costs one sum over the distinct radii (36,358 at
@@ -683,6 +684,7 @@ def _axial_sums(field: ApertureField, z_values: Sequence[float]) -> tuple[np.nda
     coherent = np.empty(len(z_values), dtype=complex)
     incoherent = np.empty(len(z_values))
     for i, z in enumerate(z_values):
+        _check_nearest_distance(rho_sq[0] + z * z, z)  # rho_sq[0] is 0 on an odd grid
         r = np.sqrt(rho_sq + z * z)
         coherent[i] = np.sum(w_bins * np.exp(-1j * k * r) / r)
         incoherent[i] = np.sum(abs_bins / r)

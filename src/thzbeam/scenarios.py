@@ -570,7 +570,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path: Path) -> ScenarioConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a ValueError, which the CLI would call numeric
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 # ---------------------------------------------------------------------------

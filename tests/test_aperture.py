@@ -383,7 +383,8 @@ def test_caustic_unreachable_abscissa_reports_offender():
 
 def test_caustic_rejects_wiggly_curve():
     with pytest.raises(CausticDesignError):
-        CausticCurve(x_of_z=lambda z: 0.01 * np.sin(40 * np.asarray(z)), z_end=1.0)
+        CausticCurve(x_of_z=lambda z: 0.01 * np.sin(40 * np.asarray(z)), z_end=1.0,
+                     dx_dz=lambda z: 0.4 * np.cos(40 * np.asarray(z)))
 
 
 def test_caustic_convexity_flag():
@@ -396,7 +397,8 @@ def test_caustic_convexity_flag():
 def test_caustic_convexity_is_not_an_argument():
     # it is derived from x_of_z; a passed value could only be overwritten
     with pytest.raises(TypeError, match="convexity"):
-        CausticCurve(x_of_z=lambda z: 0.01 * np.asarray(z) ** 2, z_end=1.0, convexity=-1)
+        CausticCurve(x_of_z=lambda z: 0.01 * np.asarray(z) ** 2, z_end=1.0,
+                     dx_dz=lambda z: 0.02 * np.asarray(z), convexity=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +482,9 @@ def test_raw_profiles_equal_their_meshgrid_forms(n):
     X, Y = grid.meshgrid()
     k = grid.wavenumber
     design = axicon_design(grid, 0.004)
-    u = steer_vector(math.radians(20.0), math.radians(30.0))
+    s = math.sin(math.radians(20.0))  # an oblique unit vector: 20 deg off axis, 30 deg azimuth
+    u = (s * math.cos(math.radians(30.0)), s * math.sin(math.radians(30.0)),
+         math.cos(math.radians(20.0)))
     pairs = [
         (_raw_planar(grid, u), -k * (X * u[0] + Y * u[1])),
         (_raw_planar(grid, (0.0, 0.0, 1.0)), -k * (X * 0.0 + Y * 0.0)),

@@ -1,0 +1,113 @@
+"""The package's optional parameters, pinned: every default is a knob some caller sets.
+
+A parameter with a default that no study, CLI verb, INI key or benchmark
+sets is a code path nothing runs.  The list below names every such
+parameter of every public callable, functions and class constructors, in
+each ``thzbeam`` module; adding, removing or changing one shows up as a
+diff to it, to be justified by the caller that sets it.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import thzbeam
+
+DEFAULTS = {
+    "aperture.make_grid(pitch_fraction=0.5)",
+    "aperture.phase_planar(steer_direction=(0.0, 0.0, 1.0))",
+    "aperture.axicon_design(spot_convention='fwhm')",
+    "aperture.ObstacleSpec(size=0.0)",
+    "aperture.ObstacleSpec(center_offset=(0.0, 0.0))",
+    "aperture.ObstacleSpec(plane_z=0.0)",
+    "aperture.compose_aperture(amplitude=None)",
+    "aperture.WavefrontSpec(steer_angle=0.0)",
+    "aperture.WavefrontSpec(focal_length=None)",
+    "aperture.WavefrontSpec(spot_fwhm=None)",
+    "aperture.WavefrontSpec(spot_convention='fwhm')",
+    "aperture.WavefrontSpec(curve=None)",
+    "aperture.WavefrontSpec(oam_mode=0)",
+    "aperture.WavefrontSpec(phase_bits=None)",
+    "aperture.WavefrontSpec(circular=False)",
+    "cli.main(argv=None)",
+    "errors.ConfigError(key_path=None)",
+    "errors.CausticDesignError(aperture_x=None)",
+    "errors.SamplingError(required_pad_factor=None)",
+    "io.intensity_to_levels(scale='db')",
+    "io.intensity_to_levels(db_floor=-60.0)",
+    "metrics.GainCurve(focal_length=None)",
+    "metrics.GainCurve(bessel_peak_distance=None)",
+    "oam.crosstalk_matrix(steer_angles=(0.0,))",
+    "oam.crosstalk_matrix(rx_radius=None)",
+    "propagation.PropagationPlan(pad_factor=2.0)",
+    "propagation.propagate_slice(plan=None)",
+    "propagation.propagate_asm(plan=None)",
+    "propagation.propagate_with_obstacles(plan=None)",
+    "scenarios.ScenarioSection(name=None)",
+    "scenarios.GridSection(pitch_fraction=0.5)",
+    "scenarios.WavefrontSection(steer_deg=0.0)",
+    "scenarios.WavefrontSection(circular=False)",
+    "scenarios.WavefrontSection(oam_mode=0)",
+    "scenarios.WavefrontSection(phase_bits=None)",
+    "scenarios.WavefrontSection(focal_length_m=None)",
+    "scenarios.WavefrontSection(spot_fwhm_m=None)",
+    "scenarios.WavefrontSection(spot_convention='fwhm')",
+    "scenarios.WavefrontSection(curve_a=None)",
+    "scenarios.WavefrontSection(curve_x_start_m=0.0)",
+    "scenarios.WavefrontSection(curve_z_end_m=None)",
+    "scenarios.PlaneSection(pad_factor=2.0)",
+    "scenarios.BlockageSection(knife_x_edge_m=None)",
+    "scenarios.BlockageSection(knife_z_m=None)",
+    "scenarios.BlockageSection(caustic_eval_z_m=None)",
+    "scenarios.BlockageSection(shadow_window_factor=1.0)",
+    "scenarios.BlockageSection(pad_factor=2.0)",
+    "scenarios.OamCrosstalkSection(steer_deg_list=(0.0,))",
+    "scenarios.OamCrosstalkSection(rx_radius_m=None)",
+    "scenarios.OamCrosstalkSection(base_spot_fwhm_m=None)",
+    "scenarios.OutputSection(directory=None)",
+    "scenarios.OutputSection(formats=('csv',))",
+    "scenarios.ImageOutputSection(directory=None)",
+    "scenarios.ImageOutputSection(formats=('csv',))",
+    "scenarios.MapOutputSection(directory=None)",
+    "scenarios.MapOutputSection(formats=('csv',))",
+    "scenarios.MapOutputSection(db_floor=-60.0)",
+    "scenarios.PlaneOutputSection(directory=None)",
+    "scenarios.PlaneOutputSection(formats=('pgm',))",
+    "scenarios.PlaneOutputSection(db_floor=-60.0)",
+    "scenarios.PlaneOutputSection(scale='db')",
+    "scenarios.ScenarioConfig(grid=None)",
+    "scenarios.ScenarioConfig(wavefronts=<factory>)",
+    "scenarios.ScenarioConfig(distances=None)",
+    "scenarios.ScenarioConfig(plane=None)",
+    "scenarios.ScenarioConfig(blockage=None)",
+    "scenarios.ScenarioConfig(oam=None)",
+    f"scenarios.RunManifest(version={thzbeam.__version__!r})",
+    "scenarios.RunManifest(artifacts=<factory>)",
+    "scenarios.RunManifest(stage_seconds=<factory>)",
+    "scenarios.run_scenario(out_dir=None)",
+}
+
+
+def _defaults():
+    """``module.callable(name=default)`` for every parameter with a default of every public
+    function and class a ``thzbeam`` module defines."""
+    found = set()
+    for info in pkgutil.iter_modules(thzbeam.__path__):
+        module = importlib.import_module(f"thzbeam.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj) or obj.__module__ != module.__name__:
+                continue
+            try:
+                parameters = inspect.signature(obj).parameters.values()
+            except ValueError:  # an exception class that keeps its builtin constructor
+                continue
+            found.update(f"{info.name}.{name}({p.name}={p.default!r})" for p in parameters
+                         if p.default is not inspect.Parameter.empty)
+    return found
+
+
+def test_every_optional_parameter_is_listed():
+    found = _defaults()
+    assert found == DEFAULTS, (f"new or changed: {sorted(found - DEFAULTS)}; "
+                               f"gone: {sorted(DEFAULTS - found)}")
+

@@ -12,6 +12,7 @@ import pytest
 from thzbeam import (
     ApertureField,
     FieldSlice,
+    GainCurve,
     NoBeamError,
     WavefrontSpec,
     aperture_gain_dbi,
@@ -187,6 +188,13 @@ def test_gain_curve_validates_input(ci_curve):
     # a spiral nulls the axis: no curve of rounding noise
     with pytest.raises(ValueError, match="spiral"):
         gain_curve(grid, [WavefrontSpec(kind="bessel", spot_fwhm=0.004, oam_mode=1)], [0.1, 0.2])
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.1, math.nan])
+def test_gain_curve_rejects_values_outside_the_unit_interval(value):
+    zs = np.array([0.1, 0.2])
+    with pytest.raises(ValueError, match="leaves"):
+        GainCurve(zs, {"bessel": np.array([0.5, value])}, {"bessel": np.array([0.5, value])})
 
 
 def _gain_specs(circular=True, bits=None):

@@ -18,7 +18,7 @@ import thzbeam.oam as oam
 from thzbeam import propagation
 from thzbeam.aperture import ApertureGrid, _raw_spiral
 from thzbeam.oam import COUPLING_FLOOR_DB
-from thzbeam.propagation import DEFAULT_PLAN, PropagationPlan, _padded_size, propagate_direct
+from thzbeam.propagation import DEFAULT_PLAN, _padded_size, propagate_direct
 
 
 def _disc_base(grid):
@@ -31,8 +31,7 @@ def _disc_base(grid):
 
 def test_demux_orthogonality_after_propagation():
     grid = make_grid(0.05, 3e11)
-    [matrix] = crosstalk_matrix(_disc_base(grid), (0, 1, 2, 3), 0.25,
-                                plan=PropagationPlan(pad_factor=4.0))
+    [matrix] = crosstalk_matrix(_disc_base(grid), (0, 1, 2, 3), 0.25)
     # mode 1 sent: -30 dB or better into 0, 2 and 3 (symmetric grids cancel cross terms exactly)
     assert np.all(np.delete(matrix.power_coupling_db[1], 1) < -30.0)
 
@@ -180,12 +179,12 @@ def test_crosstalk_rejects_bad_modes():
         crosstalk_matrix(base, (0, 1), -0.1)
 
 
-def _per_call_couplings(base, modes, z, steer_angle, rx_radius, plan=DEFAULT_PLAN):
+def _per_call_couplings(base, modes, z, steer_angle, rx_radius):
     """Reference couplings at one angle: the azimuth, adjoint planes and transmit spirals
     built afresh for that angle alone."""
     grid = base.grid
     n, pitch, k = grid.elements_per_side, grid.element_pitch, grid.wavenumber
-    npad = _padded_size(n, plan.pad_factor)
+    npad = _padded_size(n, DEFAULT_PLAN.pad_factor)
     r_sq = rx_radius * rx_radius
     x_sq = ((np.arange(npad) - (npad - 1) / 2.0) * pitch) ** 2
     m = max(n, int(np.count_nonzero(x_sq + x_sq.min() <= r_sq)))
@@ -196,7 +195,7 @@ def _per_call_couplings(base, modes, z, steer_angle, rx_radius, plan=DEFAULT_PLA
     planes = []
     for l_rx in modes:
         helix = np.where(disc, np.exp(-1j * l_rx * phi), 0.0)
-        plane = propagate_asm(ApertureField(rx_grid, helix), z, plan).samples
+        plane = propagate_asm(ApertureField(rx_grid, helix), z).samples
         c = (plane.shape[0] - n) // 2
         planes.append(plane[c : c + n, c : c + n].ravel())
     ramp = np.exp(-1j * k * math.sin(steer_angle) * grid.axis_coordinates()[None, :])
@@ -262,9 +261,9 @@ def test_one_call_builds_one_spiral_and_hop_per_mode_and_leaves_no_memo(monkeypa
     monkeypatch.setattr(oam, "np", counting)
     hops = []
 
-    def counting_asm(field, z, plan=None):
+    def counting_asm(field, z):
         hops.append(field.grid.elements_per_side)
-        return propagate_asm(field, z, plan)
+        return propagate_asm(field, z)
 
     monkeypatch.setattr(oam, "propagate_asm", counting_asm)
     kernels = []

@@ -1087,6 +1087,51 @@ def test_values_beyond_the_float_range_exit_with_a_message(tmp_path, capsys, key
     assert message in err
 
 
+def _tiny_distance_argv(verb, z):
+    grid = ["--side-length", "0.02", "--frequency", "3e11"]
+    return {
+        "propagate": ["propagate", *grid, "--kind", "beamforming", "--z", z,
+                      "--format", "csv", "--format", "png"],
+        "oam-crosstalk": ["oam-crosstalk", *grid, "--modes", "0,1,2", "--z", z],
+        "blockage": ["blockage", *grid, "--spot-fwhm", "0.004", "--obstacle-size", "0.002",
+                     "--obstacle-z", z],
+        # 21 elements a side: one sits on the axis
+        "gain-curve": ["gain-curve", "--side-length", "0.0105", "--frequency", "3e11",
+                       "--spot-fwhm", "0.004", "--z-start", z, "--z-stop", f"3{z[1:]}",
+                       "--z-step", z],
+    }[verb]
+
+
+@pytest.mark.parametrize("z", ["1e-170", "1e-158"])
+@pytest.mark.parametrize("verb", ["propagate", "oam-crosstalk", "blockage", "gain-curve"])
+def test_distances_whose_square_underflows_exit_with_a_message(tmp_path, capsys, verb, z):
+    # the kernel at offset 0, and the on-axis sum's centre element, sit at r = z: below
+    # about 1.5e-154 m, r^2 is no normal float and 1/r^2 overflows to NaN and inf
+    out = tmp_path / "out"
+    assert cli_main([*_tiny_distance_argv(verb, z), "--out", str(out)]) in (2, 3)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "underflows" in err
+    assert not out.exists()
+
+
+def test_a_distance_whose_square_is_normal_runs(tmp_path):
+    out = tmp_path / "out"
+    assert cli_main([*_tiny_distance_argv("propagate", "1e-150"), "--out", str(out)]) == 0
+    rows = (out / "slice_beamforming_z1e-150.csv").read_text().splitlines()[1:]
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.all(np.isfinite(values))
+
+
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(b"[scenario]\nstudy = oam_bandwidth\nname = \xff\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not UTF-8" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key_path", ["grid.side_length_m", "distances.stop_m"])
 def test_counts_beyond_the_float_range_exit_2_at_their_key(tmp_path, capsys, key_path):
     # an element count or a distance count of inf: no integer to size the study with
