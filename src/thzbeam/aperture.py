@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -338,96 +338,58 @@ def phase_spiral(grid: ApertureGrid, mode_l: int) -> PhaseMap:
 
 @dataclass(frozen=True)
 class CausticCurve:
-    """Target transverse trajectory x_c(z) for an accelerating beam.
+    """Parabolic trajectory x_c(z) = x_start + a * z^2 over (0, z_end] of an
+    accelerating beam; ``a`` is nonzero and ``z_end`` positive."""
 
-    ``x_of_z`` maps propagation distance to transverse offset over
-    [0, z_end], and ``dx_dz`` is its derivative, which the tangent
-    construction reads.  ``convexity`` is the sign of the (constant-sign)
-    second derivative, 0 for a straight line; it is derived on creation.
-    """
-
-    x_of_z: Callable[[np.ndarray], np.ndarray]
+    a: float
     z_end: float
-    dx_dz: Callable[[np.ndarray], np.ndarray]
-    convexity: int = field(init=False)
+    x_start: float
 
     def __post_init__(self):
+        if self.a == 0:
+            raise ValueError("curvature a must be nonzero: a straight line has no caustic")
         if self.z_end <= 0:
             raise ValueError(f"z_end must be positive, got {self.z_end}")
-        zs = np.linspace(0.0, self.z_end, 257)
-        xs = np.asarray(self.x_of_z(zs), dtype=float)
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("caustic curve evaluates to non-finite offsets")
-        second = np.diff(xs, 2)
-        scale = max(np.abs(xs).max(), self.z_end) * 1e-9 + 1e-15
-        if np.all(np.abs(second) <= scale):
-            conv = 0
-        elif np.all(second >= -scale):
-            conv = 1
-        elif np.all(second <= scale):
-            conv = -1
-        else:
-            raise CausticDesignError("curve curvature changes sign; not convex")
-        object.__setattr__(self, "convexity", conv)
-
-    @classmethod
-    def parabola(cls, a: float, z_end: float, x_start: float = 0.0) -> "CausticCurve":
-        """x_c(z) = x_start + a * z^2."""
-        return cls(
-            x_of_z=lambda z: x_start + a * np.asarray(z, dtype=float) ** 2,
-            dx_dz=lambda z: 2.0 * a * np.asarray(z, dtype=float),
-            z_end=z_end,
-        )
 
 
-# points at which the tangent construction samples the curve over (0, z_end]
-_CAUSTIC_SAMPLES = 8192
+def _tangent_depths(curve: CausticCurve, x: np.ndarray) -> np.ndarray:
+    """u = (x_start - x)/a: the z^2 at which the tangent from aperture abscissa x touches
+    the curve.  Raises :class:`CausticDesignError` at the first x with u outside
+    [0, z_end^2], which no tangent of the curve reaches."""
+    u = (curve.x_start - x) / curve.a
+    out = (u < 0.0) | (u > curve.z_end * curve.z_end)  # a square past the float range is inf
+    if np.any(out):
+        raise CausticDesignError("aperture abscissa not reached by any tangent of the curve",
+                                 aperture_x=float(x[out][0]))
+    return u
 
 
 def _raw_caustic(grid: ApertureGrid, curve: CausticCurve) -> np.ndarray:
     x = grid.axis_coordinates()
-    k = grid.wavenumber
+    a = abs(curve.a)
 
-    if curve.convexity == 0:
-        # straight line: all tangents coincide with the line itself
-        t = float(np.mean(curve.dx_dz(np.linspace(curve.z_end * 0.25, curve.z_end * 0.75, 16))))
-        dphidx = np.full_like(x, -k * t / math.hypot(1.0, t))
-    else:
-        zs = np.linspace(curve.z_end * 1e-6, curve.z_end, _CAUSTIC_SAMPLES)
-        xc = np.asarray(curve.x_of_z(zs), dtype=float)
-        sl = np.asarray(curve.dx_dz(zs), dtype=float)
-        g = xc - zs * sl  # tangent intercept at the aperture plane
-        dg = np.diff(g)
-        if not (np.all(dg > 0) or np.all(dg < 0)):
-            raise CausticDesignError("tangent intercepts are not monotone; curve not convex")
-        lo, hi = (g[0], g[-1]) if g[0] < g[-1] else (g[-1], g[0])
-        out = (x < lo - 1e-12) | (x > hi + 1e-12)
-        if np.any(out):
-            raise CausticDesignError(
-                "aperture abscissa not reached by any tangent of the curve",
-                aperture_x=float(x[out][0]),
-            )
-        if g[0] < g[-1]:
-            z_star = np.interp(x, g, zs)
-        else:
-            z_star = np.interp(x, g[::-1], zs[::-1])
-        s = np.asarray(curve.dx_dz(z_star), dtype=float)
-        dphidx = -k * s / np.sqrt(1.0 + s**2)
+    def phi(u):  # k/(4|a|) * (s*sqrt(1 + s^2) - asinh(s)) at the tangent slope s = 2|a|*sqrt(u)
+        s = 2.0 * a * np.sqrt(u)
+        return grid.wavenumber / (4.0 * a) * (s * np.sqrt(1.0 + s * s) - np.arcsinh(s))
 
-    # integrate the slope along x with phi(0) = 0
-    phi = np.concatenate(([0.0], np.cumsum(0.5 * (dphidx[1:] + dphidx[:-1]) * np.diff(x))))
-    phi -= np.interp(0.0, x, phi)
-    return np.broadcast_to(phi[None, :], (x.size, x.size)).copy()
+    # x = 0 lies between the grid's abscissas, which the rule has passed
+    row = phi(_tangent_depths(curve, x)) - phi(curve.x_start / curve.a)
+    return np.broadcast_to(row[None, :], (x.size, x.size)).copy()
 
 
 def phase_caustic(grid: ApertureGrid, curve: CausticCurve) -> PhaseMap:
     """Tangent-construction profile whose intensity maximum follows ``curve``.
 
-    For each aperture abscissa x0 the tangent of the curve that extends back
-    to (x0, 0) is found; the local phase slope launches the ray along that
-    tangent.  The profile is one-dimensional in x and extruded along y.
-    Raises :class:`CausticDesignError` when some aperture abscissa is not
-    reached by exactly one tangent.
+    Each aperture abscissa x launches its ray along the tangent of the
+    parabola that passes through (x, 0): the one touching it at the depth z
+    with z^2 = u = (x_start - x)/a, of slope s = 2a*z (Froehly et al., Opt.
+    Express 19(17):16455, 2011).  The phase slope dphi/dx = -k*s/sqrt(1 + s^2)
+    integrates in closed form to k/(4|a|) * (|s|*sqrt(1 + s^2) - asinh|s|),
+    taken relative to x = 0; its paraxial limit is the Airy beam's
+    3/2-power phase.
+    The profile is one-dimensional in x and extruded along y.  Raises
+    :class:`CausticDesignError` when an aperture abscissa is reached by no
+    tangent within z_end.
     """
     return PhaseMap(_raw_caustic(grid, curve))
 

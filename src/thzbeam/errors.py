@@ -24,7 +24,8 @@ class EvanescentDesignError(ValueError):
 
 
 class CausticDesignError(ValueError):
-    """Tangent construction of a caustic phase profile failed."""
+    """A caustic curve reaches some aperture abscissa with no tangent within its range;
+    ``aperture_x`` is the first such abscissa."""
 
     def __init__(self, message, aperture_x=None):
         if aperture_x is not None:

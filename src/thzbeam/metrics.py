@@ -19,7 +19,7 @@ import numpy as np
 
 from .aperture import ApertureGrid, WavefrontSpec, _span, synthesize_field
 from .errors import NoBeamError
-from .propagation import FieldSlice, _axial_sums, _bin_once
+from .propagation import FieldSlice, _axial_sums, _bin_once, _element_distances
 
 __all__ = [
     "GainCurve",
@@ -47,10 +47,7 @@ def normalized_gain(field, point: Sequence[float]) -> float:
         num = abs(coherent[0]) ** 2
         den = incoherent[0] ** 2
     else:
-        X, Y = field.grid.meshgrid()
-        r = np.sqrt((X - px) ** 2 + (Y - py) ** 2 + pz * pz)
-        if np.any(r == 0.0):
-            raise ValueError(f"evaluation point {(px, py, pz)} coincides with an element")
+        r = _element_distances(*field.grid.meshgrid(), (px, py, pz))
         w = field.weights
         num = np.abs(np.sum(w * np.exp(-1j * field.grid.wavenumber * r) / r)) ** 2
         den = np.sum(np.abs(w) / r) ** 2

@@ -531,6 +531,15 @@ def _check_nearest_distance(r_sq: float, z: float) -> None:
                          f"nearest element, {r_sq:g} m^2, underflows below {sys.float_info.min:g}")
 
 
+def _element_distances(X: np.ndarray, Y: np.ndarray, point: Sequence[float]) -> np.ndarray:
+    """r from each element at (X, Y) to ``point`` (x, y, z), refusing a point whose nearest
+    r^2 is not a normal float."""
+    px, py, pz = point
+    r_sq = (X - px) ** 2 + (Y - py) ** 2 + pz * pz
+    _check_nearest_distance(float(r_sq.min()), pz)
+    return np.sqrt(r_sq)
+
+
 def propagate_direct(field: ApertureField, points: Sequence[Sequence[float]]) -> np.ndarray:
     """Exact spherical-wave sum at arbitrary points: E = sum w*exp(-1j*k*r)/r.
 
@@ -545,10 +554,8 @@ def propagate_direct(field: ApertureField, points: Sequence[Sequence[float]]) ->
     if np.any(pts[:, 2] <= 0):
         raise ValueError("all evaluation points must have z > 0")
     out = np.empty(pts.shape[0], dtype=complex)
-    for i, (px, py, pz) in enumerate(pts):
-        r = np.sqrt((X - px) ** 2 + (Y - py) ** 2 + pz * pz)
-        if np.any(r == 0.0):
-            raise ValueError(f"evaluation point {(px, py, pz)} coincides with an element")
+    for i, point in enumerate(pts):
+        r = _element_distances(X, Y, point)
         out[i] = np.sum(w * np.exp(-1j * k * r) / r)
     return out
 

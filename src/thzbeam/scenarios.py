@@ -40,6 +40,7 @@ from .aperture import (
     CausticCurve,
     ObstacleSpec,
     WavefrontSpec,
+    _tangent_depths,
     axicon_design,
     make_grid,
     synthesize_applied_phase,
@@ -217,7 +218,7 @@ class WavefrontSection:
     def spec(self) -> WavefrontSpec:
         curve = None
         if self.kind == "caustic":
-            curve = CausticCurve.parabola(self.curve_a, self.curve_z_end_m, self.curve_x_start_m)
+            curve = CausticCurve(self.curve_a, self.curve_z_end_m, self.curve_x_start_m)
         return WavefrontSpec(kind=self.kind, steer_angle=math.radians(self.steer_deg),
                              focal_length=self.focal_length_m, spot_fwhm=self.spot_fwhm_m,
                              spot_convention=self.spot_convention, curve=curve,
@@ -444,9 +445,11 @@ def _section(parser, section: str, cls):
 _KIND_KEYS = {key.name: key.metadata for key in fields(WavefrontSection) if "kind" in key.metadata}
 
 
-def _wavefront(parser, name: str) -> WavefrontSpec:
-    """[wavefront.<name>] as a spec.  Each key that only another kind reads is an error, and
-    so is each key that only this kind reads, needs and lacks; the error names every one."""
+def _wavefront(parser, name: str, grid: ApertureGrid) -> WavefrontSpec:
+    """[wavefront.<name>] on ``grid`` as a spec.  Each key that only another kind reads is an
+    error, and so is each key that only this kind reads, needs and lacks; the error names
+    every one.  A caustic fails at its curve_a for a = 0 and for an aperture abscissa
+    that no tangent of its curve reaches."""
     section = f"wavefront.{name}"
     keys = _section(parser, section, WavefrontSection)
     _build(f"{section}.kind", WavefrontSpec, keys.kind)
@@ -459,7 +462,11 @@ def _wavefront(parser, name: str) -> WavefrontSpec:
             first, *rest = (f"{section}.{key}" for key in found)
             raise ConfigError(f"a {kind} wavefront {verb} this key"
                               + "".join(f" {joint} {path}" for path in rest), key_path=first)
-    return _build(section, keys.spec)
+    if kind != "caustic":
+        return _build(section, keys.spec)
+    spec = _build(f"{section}.curve_a", keys.spec)
+    _build(f"{section}.curve_a", _tangent_depths, spec.curve, grid.axis_coordinates())
+    return spec
 
 
 def _check_roles(study: str, wavefronts: dict[str, WavefrontSpec],
@@ -539,7 +546,7 @@ def parse_config(text: str) -> ScenarioConfig:
     sections = {name: _section(parser, name, cls) for name, cls in read.items()
                 if name != "wavefront.*"}
     names = sections["wavefronts"].names if "wavefronts" in sections else ()
-    wavefronts = {name: _wavefront(parser, name) for name in names}
+    wavefronts = {name: _wavefront(parser, name, sections["grid"].grid) for name in names}
     _check_roles(scenario.study, wavefronts, sections.get("blockage"))
     if scenario.study in ("plane", "blockage"):
         _check_padded_side(sections["grid"].grid, sections[scenario.study].pad_factor,

@@ -38,6 +38,7 @@ from thzbeam import (
 from thzbeam.aperture import (
     TWO_PI,
     _is_even,
+    _raw_caustic,
     _raw_conical,
     _raw_planar,
     _raw_quadratic,
@@ -341,22 +342,6 @@ def test_spiral_rejects_fractional_mode():
 # caustic
 
 
-def _line(angle, z_end):
-    """Straight ray x(z) = z * tan(angle), the curve_a = 0 case of the caustic profile."""
-    t = math.tan(angle)
-    return CausticCurve(x_of_z=lambda z: t * np.asarray(z, dtype=float),
-                        dx_dz=lambda z: np.full_like(np.asarray(z, dtype=float), t), z_end=z_end)
-
-
-def test_caustic_line_reduces_to_planar():
-    grid = make_grid(0.02, 3e11)
-    angle = math.radians(6.0)
-    caustic = phase_caustic(grid, _line(angle, z_end=1.0))
-    planar = phase_planar(grid, steer_vector(angle))
-    delta = np.angle(np.exp(1j * (caustic.values - planar.values)))
-    assert np.max(np.abs(delta)) < 1e-6
-
-
 def test_caustic_parabola_trajectory_tracked():
     from thzbeam import PropagationPlan, beam_profile_stats, propagate_asm
 
@@ -364,7 +349,7 @@ def test_caustic_parabola_trajectory_tracked():
     R = grid.half_side
     z_end = 0.6
     a = -2.2 * R / z_end**2
-    curve = CausticCurve.parabola(a, z_end, x_start=-R)
+    curve = CausticCurve(a, z_end, x_start=-R)
     field = compose_aperture(grid, [phase_caustic(grid, curve)])
     plan = PropagationPlan(pad_factor=3.0)
     for z in (0.15, 0.25, 0.3):
@@ -375,30 +360,49 @@ def test_caustic_parabola_trajectory_tracked():
 
 def test_caustic_unreachable_abscissa_reports_offender():
     grid = make_grid(0.05, 3e11)
-    curve = CausticCurve.parabola(0.5, 0.6, x_start=0.0)  # tangents reach x <= 0 only
+    curve = CausticCurve(0.5, 0.6, x_start=0.0)  # tangents reach x <= 0 only
     with pytest.raises(CausticDesignError) as err:
         phase_caustic(grid, curve)
     assert err.value.aperture_x is not None
 
 
-def test_caustic_rejects_wiggly_curve():
-    with pytest.raises(CausticDesignError):
-        CausticCurve(x_of_z=lambda z: 0.01 * np.sin(40 * np.asarray(z)), z_end=1.0,
-                     dx_dz=lambda z: 0.4 * np.cos(40 * np.asarray(z)))
+def test_caustic_curve_refuses_a_line_and_an_empty_range():
+    with pytest.raises(ValueError, match="nonzero"):
+        CausticCurve(0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="z_end"):
+        CausticCurve(0.5, 0.0, 0.0)
 
 
-def test_caustic_convexity_flag():
-    up = CausticCurve.parabola(0.5, 1.0)
-    down = CausticCurve.parabola(-0.5, 1.0)
-    line = _line(0.1, 1.0)
-    assert up.convexity == 1 and down.convexity == -1 and line.convexity == 0
+def _quadrature_phase(grid, curve, x):
+    """The caustic phase at ``x``: dphi/dx = -k*s/sqrt(1 + s^2), with s = 2a*sqrt(u) the
+    slope of the tangent through (x, 0), integrated from 0 by adaptive quadrature."""
+    from scipy.integrate import quad
+
+    k = grid.wavenumber
+
+    def slope(t):
+        s = 2.0 * curve.a * math.sqrt(max((curve.x_start - t) / curve.a, 0.0))
+        return -k * s / math.sqrt(1.0 + s * s)
+
+    return quad(slope, 0.0, x, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
 
 
-def test_caustic_convexity_is_not_an_argument():
-    # it is derived from x_of_z; a passed value could only be overwritten
-    with pytest.raises(TypeError, match="convexity"):
-        CausticCurve(x_of_z=lambda z: 0.01 * np.asarray(z) ** 2, z_end=1.0,
-                     dx_dz=lambda z: 0.02 * np.asarray(z), convexity=-1)
+@pytest.mark.parametrize("preset,mirrored", [("fig4-ci", False), ("fig4", False),
+                                             ("fig4-ci", True)],
+                         ids=["fig4-ci", "fig4-full-scale", "fig4-ci-mirrored"])
+def test_caustic_phase_equals_adaptive_quadrature(preset, mirrored):
+    from thzbeam.scenarios import parse_config, preset_text
+
+    config = parse_config(preset_text(preset))
+    grid, curve = config.grid, config.wavefronts["caustic"].curve
+    if mirrored:  # a > 0: the parabola bends towards +x from the aperture's other edge
+        curve = CausticCurve(-curve.a, curve.z_end, -curve.x_start)
+    x = grid.axis_coordinates()
+    picks = np.linspace(0, x.size - 1, 40).astype(int)
+    # unwrapped: the row of the profile before PhaseMap wraps it
+    row = _raw_caustic(grid, curve)[0]
+    expected = [_quadrature_phase(grid, curve, x[i]) for i in picks]
+    np.testing.assert_allclose(row[picks], expected, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +458,7 @@ def test_applied_phase_without_overlays_is_the_base_map():
 def test_applied_phase_adds_the_spiral_then_quantizes():
     grid = make_grid(0.02, 3e11)
     steer = math.radians(5.0)
-    curve = CausticCurve.parabola(-2.2 * grid.half_side / 0.6**2, 0.6, x_start=-grid.half_side)
+    curve = CausticCurve(-2.2 * grid.half_side / 0.6**2, 0.6, x_start=-grid.half_side)
     cases = [
         (WavefrontSpec(kind="bessel", spot_fwhm=0.004, oam_mode=2, phase_bits=2),
          phase_conical(grid, axicon_design(grid, 0.004))),
@@ -554,7 +558,7 @@ def test_odd_wavefronts_keep_the_bits_of_the_full_grid():
     grid = _grid_of(41)
     steer = math.radians(5.0)
     design = axicon_design(grid, 0.004)
-    curve = CausticCurve.parabola(-2.2 * grid.half_side / 0.6**2, 0.6, x_start=-grid.half_side)
+    curve = CausticCurve(-2.2 * grid.half_side / 0.6**2, 0.6, x_start=-grid.half_side)
     cases = [
         (WavefrontSpec(kind="beamforming", steer_angle=steer, circular=True),
          phase_planar(grid, steer_vector(steer))),

@@ -2,9 +2,10 @@
 
 A parameter with a default that no study, CLI verb, INI key or benchmark
 sets is a code path nothing runs.  The list below names every such
-parameter of every public callable, functions and class constructors, in
-each ``thzbeam`` module; adding, removing or changing one shows up as a
-diff to it, to be justified by the caller that sets it.
+parameter of every public callable (functions, class constructors and the
+public methods of those classes) in each ``thzbeam`` module; adding,
+removing or changing one shows up as a diff to it, to be justified by the
+caller that sets it.
 """
 
 import importlib
@@ -88,21 +89,35 @@ DEFAULTS = {
 }
 
 
+def _methods(cls):
+    """(name, function) of each public method, classmethod and staticmethod ``cls`` defines."""
+    for name, attr in vars(cls).items():
+        if isinstance(attr, (classmethod, staticmethod)):
+            attr = attr.__func__
+        if not name.startswith("_") and inspect.isfunction(attr):
+            yield name, attr
+
+
 def _defaults():
     """``module.callable(name=default)`` for every parameter with a default of every public
-    function and class a ``thzbeam`` module defines."""
+    function and class a ``thzbeam`` module defines, and ``module.Class.method(...)`` for
+    every public method of such a class."""
     found = set()
     for info in pkgutil.iter_modules(thzbeam.__path__):
         module = importlib.import_module(f"thzbeam.{info.name}")
         for name, obj in vars(module).items():
             if name.startswith("_") or not callable(obj) or obj.__module__ != module.__name__:
                 continue
-            try:
-                parameters = inspect.signature(obj).parameters.values()
-            except ValueError:  # an exception class that keeps its builtin constructor
-                continue
-            found.update(f"{info.name}.{name}({p.name}={p.default!r})" for p in parameters
-                         if p.default is not inspect.Parameter.empty)
+            callables = [(name, obj)]
+            if inspect.isclass(obj):
+                callables += [(f"{name}.{method}", f) for method, f in _methods(obj)]
+            for label, f in callables:
+                try:
+                    parameters = inspect.signature(f).parameters.values()
+                except ValueError:  # an exception class that keeps its builtin constructor
+                    continue
+                found.update(f"{info.name}.{label}({p.name}={p.default!r})" for p in parameters
+                             if p.default is not inspect.Parameter.empty)
     return found
 
 

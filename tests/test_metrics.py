@@ -25,6 +25,7 @@ from thzbeam import (
     normalized_gain,
     phase_quadratic,
     propagate_asm,
+    propagate_direct,
     quantize_phase,
     self_healing_correlation,
     synthesize_field,
@@ -120,6 +121,20 @@ def test_gain_validates_point():
     field = ApertureField.uniform(grid)
     with pytest.raises(ValueError):
         normalized_gain(field, (0.0, 0.0, -0.1))
+
+
+def test_oracle_and_off_axis_gain_refuse_an_underflowing_distance():
+    # 41 elements a side: at z = 1e-158 over an element, r^2 = 1e-316 is no normal float
+    # and 1/r^2 overflows; at z = 1e-150 it is 1e-300
+    grid = make_grid(0.0205, 3e11)
+    field = ApertureField.uniform(grid)
+    x0 = grid.axis_coordinates()[0]
+    with pytest.raises(ValueError, match="underflows"):
+        normalized_gain(field, (x0, x0, 1e-158))
+    with pytest.raises(ValueError, match="underflows"):
+        propagate_direct(field, [(0.0, 0.0, 1e-158)])
+    assert math.isfinite(normalized_gain(field, (x0, x0, 1e-150)))
+    assert np.all(np.isfinite(propagate_direct(field, [(0.0, 0.0, 1e-150)])))
 
 
 # ---------------------------------------------------------------------------

@@ -559,6 +559,14 @@ BAD_WAVEFRONT_FLAGS = [
      "needs this key and wavefront.caustic.curve_z_end_m"),
     ("synthesize", ["--kind", "caustic", "--curve-a", "2", "--curve-z-end", "0"],
      "wavefront.caustic.curve_z_end_m:"),
+    ("synthesize", ["--kind", "caustic", "--curve-a", "0", "--curve-z-end", "1"],
+     "wavefront.caustic.curve_a: curvature a must be nonzero"),
+    # from x_start 0 the curve bends to +x, and its tangents reach the aperture at x <= 0 only
+    ("synthesize", ["--kind", "caustic", "--curve-a", "2", "--curve-z-end", "1"],
+     "wavefront.caustic.curve_a: aperture abscissa not reached"),
+    # the same with a range whose square leaves the float range
+    ("synthesize", ["--kind", "caustic", "--curve-a", "2", "--curve-z-end", "1e200"],
+     "wavefront.caustic.curve_a: aperture abscissa not reached"),
     # a flag that only another kind reads
     ("propagate", ["--curve-x-start", "0.3"], "wavefront.beamforming.curve_x_start_m:"),
     ("synthesize", ["--spot-convention", "first_null"], "wavefront.beamforming.spot_convention:"),
@@ -642,9 +650,10 @@ def test_failed_run_leaves_no_directory_it_made(tmp_path):
     out = tmp_path / "d"
     assert cli_main([*SYNTHESIZE[:-1], "0.0005", "--out", str(out)]) == 3
     assert not out.exists()
-    # a caustic curving away from the axis fails after the healing loop wrote 7 files
+    # a disc wider than the obstacle plane fails after the first map was written
     config = tmp_path / "fig4-ci.ini"
-    config.write_text(preset_text("fig4-ci").replace("curve_a = -0.14", "curve_a = 0.5"))
+    config.write_text(preset_text("fig4-ci").replace("obstacle_size_m = 0.0063",
+                                                     "obstacle_size_m = 0.5"))
     assert cli_main(["run", str(config), "--out", str(tmp_path / "new" / "out")]) == 3
     assert not (tmp_path / "new").exists()  # the parent this run made goes too
     # an --out that existed keeps what it held
@@ -653,6 +662,17 @@ def test_failed_run_leaves_no_directory_it_made(tmp_path):
     (kept / "notes.txt").write_text("prior")
     assert cli_main(["run", str(config), "--out", str(kept)]) == 3
     assert (kept / "notes.txt").read_text() == "prior"
+
+
+@pytest.mark.parametrize("curve_a", ["0.5", "0"], ids=["curving-away", "straight"])
+def test_caustic_curve_no_tangent_reaches_exits_at_parse(tmp_path, capsys, curve_a):
+    # a = 0.5 bends the curve away from the aperture's far edge, and a = 0 is a line
+    config = tmp_path / "fig4-ci.ini"
+    config.write_text(preset_text("fig4-ci").replace("curve_a = -0.14", f"curve_a = {curve_a}"))
+    assert cli_main(["run", str(config), "--out", str(tmp_path / "new" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "wavefront.caustic.curve_a:" in err and "Traceback" not in err
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("names", ["beamforming, bessel", "beamforming, bessel, beamfocusing, wide"],
