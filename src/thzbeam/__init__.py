@@ -55,7 +55,6 @@ from .oam import (
 )
 from .propagation import (
     FieldSlice,
-    PropagationPlan,
     propagate_asm,
     propagate_direct,
     propagate_slice,

@@ -13,6 +13,7 @@ propagation delay (``+k*(r - const)``) arrives co-phased at the target.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -159,7 +160,13 @@ class AmplitudeMask:
 
 @dataclass(frozen=True)
 class ApertureField:
-    """Complex element weights on a grid: amplitude * exp(1j * phase)."""
+    """Complex element weights on a grid: amplitude * exp(1j * phase).
+
+    The weights are read-only, so what the field derives from them once
+    (its radial binning) stays valid for its lifetime.  A complex array
+    that owns its memory is taken as it is and left read-only; a view is
+    copied, since what it views could still be written.
+    """
 
     grid: ApertureGrid
     weights: np.ndarray
@@ -169,6 +176,9 @@ class ApertureField:
         n = self.grid.elements_per_side
         if w.shape != (n, n):
             raise ValueError(f"weights shape {w.shape} does not match grid ({n}, {n})")
+        if w.base is not None:
+            w = w.copy()
+        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -180,6 +190,40 @@ class ApertureField:
     def uniform(cls, grid: ApertureGrid) -> "ApertureField":
         n = grid.elements_per_side
         return cls(grid, np.ones((n, n), dtype=complex))
+
+    @functools.cached_property
+    def _axial_binning(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s, w_bins, abs_bins): the weights and their moduli summed per distinct s of
+        ``_axial_bins``, built on first use and kept with the field."""
+        s, inverse = _axial_bins(self.grid.elements_per_side)
+        w = self.weights.ravel()
+        w_bins = np.zeros(s.size, dtype=complex)
+        np.add.at(w_bins, inverse, w)  # in element order, as bincount adds each component
+        abs_bins = np.bincount(inverse, weights=np.abs(w), minlength=s.size)
+        return s, w_bins, abs_bins
+
+
+@functools.lru_cache(maxsize=4)
+def _axial_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct s = (2i-(n-1))^2 + (2j-(n-1))^2 of an n-by-n grid, and each element's bin.
+
+    Element (i, j) sits at squared distance s * pitch^2 / 4 from the array
+    axis, so every on-axis distance depends on the element only through s.
+    The bins come from a presence table over 0..2(n-1)^2, not a sort: the
+    arrays equal ``np.unique(s, return_inverse=True)``.  They are shared by
+    every caller and are therefore read-only.
+    """
+    u = (2 * np.arange(n, dtype=np.int64) - (n - 1)) ** 2
+    s = (u[:, None] + u[None, :]).ravel()
+    present = np.zeros(2 * (n - 1) ** 2 + 1, dtype=bool)
+    present[s] = True
+    values = np.flatnonzero(present)
+    rank = np.cumsum(present, dtype=np.int64)
+    rank -= 1
+    inverse = rank[s]
+    values.setflags(write=False)
+    inverse.setflags(write=False)
+    return values, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +461,9 @@ class ObstacleSpec:
     """
 
     shape: str
-    size: float = 0.0
-    center_offset: tuple[float, float] = (0.0, 0.0)
-    plane_z: float = 0.0
+    size: float
+    center_offset: tuple[float, float]
+    plane_z: float
 
     def __post_init__(self):
         if self.shape not in ("disc", "square", "half_plane"):

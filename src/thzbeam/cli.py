@@ -27,10 +27,12 @@ from pathlib import Path
 from .errors import ConfigError, ToolkitError
 from .scenarios import (
     PRESET_NAMES,
+    BlockageSection,
     GridSection,
     ImageOutputSection,
     MapOutputSection,
     PlaneOutputSection,
+    PlaneSection,
     WavefrontSection,
     load_config,
     parse_config,
@@ -75,6 +77,18 @@ def _add_wavefront_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bits", type=int, help="quantize the phase map to this many bits")
     p.add_argument("--circular", action="store_true", default=None,
                    help="apply the inscribed-disc taper")
+
+
+def _add_pad_arg(p: argparse.ArgumentParser, section: type) -> None:
+    p.add_argument("--pad", type=float,
+                   help="padded plane side as a multiple of the aperture side, in [1, 8] "
+                   + _schema_default(section, "pad_factor"))
+
+
+def _add_db_floor_arg(p: argparse.ArgumentParser, section: type) -> None:
+    p.add_argument("--db-floor", type=float,
+                   help="dB level of the darkest gray, negative "
+                   + _schema_default(section, "db_floor"))
 
 
 def _add_output_args(p: argparse.ArgumentParser, images: type | None = None) -> None:
@@ -227,9 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p)
     _add_wavefront_args(p)
     p.add_argument("--z", type=float, required=True, help="plane distance [m]")
-    p.add_argument("--pad", type=float)
-    p.add_argument("--scale", choices=("db", "linear"))
-    p.add_argument("--db-floor", type=float)
+    _add_pad_arg(p, PlaneSection)
+    p.add_argument("--scale", choices=("db", "linear"),
+                   help="intensity map scale " + _schema_default(PlaneOutputSection, "scale"))
+    _add_db_floor_arg(p, PlaneOutputSection)
     _add_output_args(p, PlaneOutputSection)
     p.set_defaults(func=_cmd_study, scenario=_plane_scenario)
 
@@ -252,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spot-fwhm", type=float, required=True)
     p.add_argument("--obstacle-size", type=float, required=True)
     p.add_argument("--obstacle-z", type=float, required=True)
-    p.add_argument("--pad", type=float)
-    p.add_argument("--db-floor", type=float)
+    _add_pad_arg(p, BlockageSection)
+    _add_db_floor_arg(p, MapOutputSection)
     _add_output_args(p, MapOutputSection)
     p.set_defaults(func=_cmd_study, scenario=_blockage_scenario)
 

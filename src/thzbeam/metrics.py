@@ -19,7 +19,7 @@ import numpy as np
 
 from .aperture import ApertureGrid, WavefrontSpec, _span, synthesize_field
 from .errors import NoBeamError
-from .propagation import FieldSlice, _axial_sums, _bin_once, _element_distances
+from .propagation import FieldSlice, _axial_sums, _element_distances
 
 __all__ = [
     "GainCurve",
@@ -109,12 +109,7 @@ def gain_curve(
 
     def curve_for(spec: WavefrontSpec) -> np.ndarray:
         fld = synthesize_field(grid, spec)
-        # one binning of the weights serves every distance; normalized_gain stays one
-        # call per distance because perfbench's GainProbe samples those calls.  Once
-        # the probe checks the written curve instead (ROADMAP item 1), this can be
-        # _axial_sums(fld, zs) and _bin_once can go.
-        with _bin_once(fld):
-            return np.array([normalized_gain(fld, (0.0, 0.0, z)) for z in zs])
+        return np.array([normalized_gain(fld, (0.0, 0.0, z)) for z in zs])
 
     raw: dict[str, np.ndarray] = {}
     bessel_peak_z = None

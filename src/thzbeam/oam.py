@@ -28,7 +28,7 @@ import numpy as np
 
 from .aperture import ApertureField, ApertureGrid, _raw_spiral
 from .errors import GeometryError
-from .propagation import (DEFAULT_PLAN, _check_window_supports_distance, _padded_size,
+from .propagation import (_DEFAULT_PAD_FACTOR, _check_window_supports_distance, _padded_size,
                           propagate_asm, reuse_spectra)
 
 __all__ = [
@@ -94,8 +94,9 @@ def crosstalk_matrix(
     the adjoint plane, against which every transmitted field is one inner
     product.  It is exact for every radius the receive plane holds, where
     a forward hop's padded plane would wrap round inside a disc wider than
-    the aperture.  Every hop takes the default plan, as a lower pad would
-    wrap round too.  Couplings below ``COUPLING_FLOOR_DB`` read as the floor.
+    the aperture.  Every hop takes the default pad factor, 2, as a lower
+    pad would wrap round too.  Couplings below ``COUPLING_FLOOR_DB`` read
+    as the floor.
 
     The call builds one adjoint plane per receive mode and one transmit
     spiral ``exp(1j*l_tx*phi)`` per mode (16 * n^2 bytes each), and every
@@ -111,7 +112,7 @@ def crosstalk_matrix(
     grid = base.grid
     n, pitch, k = grid.elements_per_side, grid.element_pitch, grid.wavenumber
     # the receive plane is the one a forward hop of the aperture would return
-    npad = _padded_size(n, DEFAULT_PLAN.pad_factor)
+    npad = _padded_size(n, _DEFAULT_PAD_FACTOR)
     _check_window_supports_distance(n, npad, pitch, grid.wavelength, z)
     if rx_radius is None:
         rx_radius = grid.half_side

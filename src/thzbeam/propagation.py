@@ -5,16 +5,18 @@ Two engines share one convention (outgoing waves ``exp(-1j*k*r)/r``):
 * ``propagate_direct`` — brute-force Huygens summation over every element,
   exact by construction; it is the oracle every other path is tested
   against.
-* ``propagate_asm`` — spectral propagation on a zero-padded grid.  From an
-  ``ApertureField`` (discrete point sources) the transfer function is the
-  FFT of the sampled spherical-wave kernel.  The convolution is circular
-  on the npad-square padded plane, so a sample at d samples from its
-  centre along each axis reproduces the direct summation only where
-  |d| <= (npad - n)/2: at pad 2, the central n-by-n window.  Beyond it
-  the kernel wraps round.  From a ``FieldSlice`` (sampled continuum
-  field) the analytic angular-spectrum transfer function
-  ``exp(-1j*z*sqrt(k^2-kx^2-ky^2))`` is used, always band-limited against
-  wrap-around and with evanescent components zeroed.
+* ``propagate_asm`` — spectral propagation on a zero-padded grid whose
+  side is ``pad_factor`` (a number from 1 to 8, by default 2) times the
+  field's.  From an ``ApertureField`` (discrete point sources) the
+  transfer function is the FFT of the sampled spherical-wave kernel.  The
+  convolution is circular on the npad-square padded plane, so a sample
+  at d samples from its centre along each axis reproduces the direct
+  summation only where |d| <= (npad - n)/2: at pad 2, the central n-by-n
+  window.  Beyond it the kernel wraps round.  From a ``FieldSlice``
+  (sampled continuum field) the analytic angular-spectrum transfer
+  function ``exp(-1j*z*sqrt(k^2-kx^2-ky^2))`` is used, always
+  band-limited against wrap-around (Matsushima & Shimobaba, Opt. Express
+  17(22), 2009) and with evanescent components zeroed.
 
 Results are order-stable: identical inputs give bit-identical outputs.  The
 FFTs run on ``numpy.fft`` (pocketfft, the code ``scipy.fft`` runs), one
@@ -57,7 +59,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,7 +71,6 @@ from .errors import SamplingError
 
 __all__ = [
     "FieldSlice",
-    "PropagationPlan",
     "propagate_asm",
     "propagate_slice",
     "propagate_direct",
@@ -112,23 +113,17 @@ class FieldSlice:
         return np.abs(self.samples) ** 2
 
 
-# the largest pad factor a plan takes; a window check hints at none above it
+# the pad factors a hop takes are [1, _MAX_PAD_FACTOR]; a window check hints at none above it
 _MAX_PAD_FACTOR = 8
+# the pad factor of a hop that names none: the central n-by-n window equals the direct sum
+_DEFAULT_PAD_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class PropagationPlan:
-    """A spectral hop's padded side, ``pad_factor`` in [1, 8] times the field's; every hop is
-    band-limited (Matsushima & Shimobaba, Opt. Express 17(22), 2009)."""
-
-    pad_factor: float = 2.0
-
-    def __post_init__(self):
-        if not 1.0 <= self.pad_factor <= _MAX_PAD_FACTOR:
-            raise ValueError(f"pad_factor must be in [1, {_MAX_PAD_FACTOR}], got {self.pad_factor}")
-
-
-DEFAULT_PLAN = PropagationPlan()
+def _checked_pad_factor(pad_factor: float) -> float:
+    """``pad_factor``, refused unless it lies in [1, 8] (NaN too)."""
+    if not 1.0 <= pad_factor <= _MAX_PAD_FACTOR:
+        raise ValueError(f"pad_factor must be in [1, {_MAX_PAD_FACTOR}], got {pad_factor}")
+    return pad_factor
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +275,7 @@ def _padded_size(n: int, pad_factor: float) -> int:
     which preserves the inversion symmetry that centred masks and OAM
     receivers rely on.
     """
-    m = _next_fast_len(int(math.ceil(n * pad_factor)))
+    m = _next_fast_len(int(math.ceil(n * _checked_pad_factor(pad_factor))))
     while (m - n) % 2:
         m = _next_fast_len(m + 1)
     return m
@@ -458,31 +453,31 @@ def _apply_quadrant(quadrant: np.ndarray, samples: np.ndarray, npad: int,
     return _ifft2(spec, even_y, even_x)
 
 
-def propagate_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None = None, *,
+def propagate_slice(field: FieldSlice, dz: float, pad_factor: float = _DEFAULT_PAD_FACTOR, *,
                     wavelength: float) -> FieldSlice:
     """Propagate a sampled continuum field by dz with the band-limited analytic transfer.
 
+    The field is zero-padded to ``pad_factor`` (in [1, 8]) times its side.
     ``wavelength`` is the positive carrier wavelength, which slices do not
     carry.  The transfer function is built, and kept inside
     ``reuse_spectra``, as its quadrant of non-negative frequencies, and
     applied through mirrored views of it.  ``field`` is left untouched.
     """
-    return _hop_slice(field, dz, plan, wavelength)
+    return _hop_slice(field, dz, pad_factor, wavelength)
 
 
-def _hop_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None,
+def _hop_slice(field: FieldSlice, dz: float, pad_factor: float,
                wavelength: float, overwrite: bool = False,
                even: tuple[bool, bool] = (False, False)) -> FieldSlice:
     """``propagate_slice``; with ``overwrite`` an unpadded hop transforms the field's samples
     in place and the slice returned holds them.  ``even`` is (along y, along x), as
     ``_apply_quadrant`` takes it."""
-    plan = plan or DEFAULT_PLAN
     if not wavelength > 0:  # NaN too
         raise ValueError(f"propagate_slice needs the positive carrier wavelength, not {wavelength}")
     if dz < 0:
         raise ValueError(f"propagation step must be non-negative, got {dz}")
     n = field.samples.shape[0]
-    npad = _padded_size(n, plan.pad_factor)
+    npad = _padded_size(n, pad_factor)
     k = 2.0 * np.pi / wavelength
     pitch = field.sample_pitch
     _check_window_supports_distance(n, npad, pitch, wavelength, dz)
@@ -491,12 +486,13 @@ def _hop_slice(field: FieldSlice, dz: float, plan: PropagationPlan | None,
                       pitch)
 
 
-def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None = None) -> FieldSlice:
+def propagate_asm(field: ApertureField, z: float,
+                  pad_factor: float = _DEFAULT_PAD_FACTOR) -> FieldSlice:
     """Propagate an aperture of point sources to the plane at distance z.
 
-    The returned slice covers the padded plane (pad_factor times the
-    aperture) in the oracle's physical units: a single unit element yields
-    ``exp(-1j*k*r)/r`` samples.  Only the samples within (npad - n)/2 of
+    The returned slice covers the padded plane (``pad_factor``, in [1, 8],
+    times the aperture) in the oracle's physical units: a single unit
+    element yields ``exp(-1j*k*r)/r`` samples.  Only the samples within (npad - n)/2 of
     the centre along each axis equal the direct sum (at pad 2, the central
     n-by-n window); the circular convolution wraps round beyond them.  The
     kernel spectrum is built, and kept inside ``reuse_spectra``, as its
@@ -505,19 +501,18 @@ def propagate_asm(field: ApertureField, z: float, plan: PropagationPlan | None =
     zeros included), the hop transforms about half the lines and returns a
     plane even along it, bit for bit (``_apply_quadrant``).
     """
-    return _hop_aperture(field, z, plan, _even_axes(field.weights))
+    return _hop_aperture(field, z, pad_factor, _even_axes(field.weights))
 
 
-def _hop_aperture(field: ApertureField, z: float, plan: PropagationPlan | None,
+def _hop_aperture(field: ApertureField, z: float, pad_factor: float,
                   even: tuple[bool, bool]) -> FieldSlice:
     """``propagate_asm`` of weights whose evenness (along y, along x) is ``even``."""
-    plan = plan or DEFAULT_PLAN
     if not (z > 0 and math.isfinite(z)):
         raise ValueError(f"propagation distance must be positive and finite, got {z}")
     _check_nearest_distance(z * z, z)  # the kernel at offset 0
     n = field.grid.elements_per_side
     pitch = field.grid.element_pitch
-    npad = _padded_size(n, plan.pad_factor)
+    npad = _padded_size(n, pad_factor)
     _check_window_supports_distance(n, npad, pitch, field.grid.wavelength, z)
     k = field.grid.wavenumber
     K = _spectrum(("kernel", npad, pitch, k, z), lambda: _kernel_spectrum(npad, pitch, k, z))
@@ -564,17 +559,17 @@ def propagate_with_obstacles(
     field: ApertureField,
     obstacles: Sequence[ObstacleSpec],
     z_target: float,
-    plan: PropagationPlan | None = None,
+    pad_factor: float = _DEFAULT_PAD_FACTOR,
 ) -> FieldSlice:
     """Hop the field through opaque obstacle planes to z_target.
 
-    The aperture hop uses the point-source kernel; hops between obstacle
-    planes propagate the masked continuum field with the analytic transfer
+    The aperture hop uses the point-source kernel on a plane padded by
+    ``pad_factor``; hops between obstacle planes propagate the masked
+    continuum field on that plane, unpadded, with the analytic transfer
     function, each transforming the masked plane in place.  Obstacles whose
     mask is the identity are skipped; a footprint beyond the propagated
     plane raises GeometryError from ``make_obstacle_mask``.
     """
-    plan = plan or DEFAULT_PLAN
     if z_target <= 0:
         raise ValueError(f"z_target must be positive, got {z_target}")
     obs = list(obstacles)
@@ -585,8 +580,6 @@ def propagate_with_obstacles(
         raise ValueError(f"obstacle planes {zs} must lie before z_target {z_target}")
 
     lam = field.grid.wavelength
-    # the aperture hop pads once; later hops stay on that grid
-    hop_plan = replace(plan, pad_factor=1.0)
     # the weights are tested once; each mask then keeps or drops the axes of the plane
     even = _even_axes(field.weights)
     current: FieldSlice | None = None
@@ -595,20 +588,20 @@ def propagate_with_obstacles(
         # read off the current plane before the hop: an obstacle that masks nothing is
         # skipped without one, and otherwise nothing reads that plane again, so the hop
         # transforms it in place
-        plane = _hop_aperture(field, ob.plane_z, plan, even) if current is None else current
+        plane = _hop_aperture(field, ob.plane_z, pad_factor, even) if current is None else current
         mask = make_obstacle_mask(plane, ob).values
         if np.all(mask == 1.0):
             continue
         if current is not None:
-            plane = _hop_slice(current, ob.plane_z - current.z, hop_plan, lam, True, even)
+            plane = _hop_slice(current, ob.plane_z - current.z, 1.0, lam, True, even)
         # the plane is this function's own: mask it in place, not in a copy
         np.multiply(plane.samples, mask, out=plane.samples)
         del mask  # before the next hop
         even = _even_behind(ob, even)
         current = plane
     if current is None:
-        return _hop_aperture(field, z_target, plan, even)
-    return _hop_slice(current, z_target - current.z, hop_plan, lam, True, even)
+        return _hop_aperture(field, z_target, pad_factor, even)
+    return _hop_slice(current, z_target - current.z, 1.0, lam, True, even)
 
 
 def _even_behind(ob: ObstacleSpec, even: tuple[bool, bool]) -> tuple[bool, bool]:
@@ -621,71 +614,16 @@ def _even_behind(ob: ObstacleSpec, even: tuple[bool, bool]) -> tuple[bool, bool]
     return even[0] and cy == 0.0, even[1] and cx == 0.0
 
 
-@functools.lru_cache(maxsize=4)
-def _axial_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct s = (2i-(n-1))^2 + (2j-(n-1))^2 of an n-by-n grid, and each element's bin.
-
-    Element (i, j) sits at squared distance s * pitch^2 / 4 from the array
-    axis, so every on-axis distance depends on the element only through s.
-    The bins come from a presence table over 0..2(n-1)^2, not a sort: the
-    arrays equal ``np.unique(s, return_inverse=True)``.  They are shared by
-    every caller and are therefore read-only.
-    """
-    u = (2 * np.arange(n, dtype=np.int64) - (n - 1)) ** 2
-    s = (u[:, None] + u[None, :]).ravel()
-    present = np.zeros(2 * (n - 1) ** 2 + 1, dtype=bool)
-    present[s] = True
-    values = np.flatnonzero(present)
-    rank = np.cumsum(present, dtype=np.int64)
-    rank -= 1
-    inverse = rank[s]
-    values.setflags(write=False)
-    inverse.setflags(write=False)
-    return values, inverse
-
-
-def _axial_binning(field: ApertureField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s, w_bins, abs_bins): the weights and their moduli summed per distinct s."""
-    s, inverse = _axial_bins(field.grid.elements_per_side)
-    w = field.weights.ravel()
-    w_bins = np.zeros(s.size, dtype=complex)
-    np.add.at(w_bins, inverse, w)  # in element order, as bincount adds each component
-    abs_bins = np.bincount(inverse, weights=np.abs(w), minlength=s.size)
-    return s, w_bins, abs_bins
-
-
-_BINNING: contextvars.ContextVar[tuple | None] = contextvars.ContextVar("binning", default=None)
-
-
-@contextlib.contextmanager
-def _bin_once(field: ApertureField):
-    """Bin ``field`` once for every ``_axial_sums`` call on it within the block.
-
-    The block holds ``(field, its binning)`` and nothing else; a call on any
-    other field bins that field afresh.  ``metrics.gain_curve`` wraps each
-    column's per-distance ``normalized_gain`` calls in it, so the public
-    single-point call stays one call per distance while the n^2 weights
-    are binned once per column.  The caller must not change the field's
-    weights inside the block.
-    """
-    token = _BINNING.set((field, _axial_binning(field)))
-    try:
-        yield
-    finally:
-        _BINNING.reset(token)
-
-
 def _axial_sums(field: ApertureField, z_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Exact on-axis sums, sum w*exp(-1j*k*r)/r and sum |w|/r, at each z > 0 at which r^2
     to the nearest element is a normal float.
 
     The weights are binned by their element's distance from the axis first,
     so each distance costs one sum over the distinct radii (36,358 at
-    n = 667) instead of one over every element (444,889).  Inside
-    ``_bin_once(field)`` the binning held there is used.
+    n = 667) instead of one over every element (444,889).  The field bins
+    once and keeps the binning (``ApertureField._axial_binning``).
     """
-    held, binning = _BINNING.get() or (None, None)
-    s, w_bins, abs_bins = binning if held is field else _axial_binning(field)
+    s, w_bins, abs_bins = field._axial_binning
     rho_sq = s * (field.grid.element_pitch**2 / 4.0)
     k = field.grid.wavenumber
     coherent = np.empty(len(z_values), dtype=complex)

@@ -50,8 +50,8 @@ from .errors import ConfigError
 from .metrics import _disc_correlation, _intensity_correlation, gain_curve
 from .oam import LinkBudgetSpec, _adjoint_side, crosstalk_matrix, required_bandwidth
 from .propagation import (
-    DEFAULT_PLAN,
-    PropagationPlan,
+    _DEFAULT_PAD_FACTOR,
+    _checked_pad_factor,
     _padded_size,
     propagate_asm,
     propagate_with_obstacles,
@@ -80,6 +80,7 @@ Positive = float  # finite and > 0
 Fraction = float  # in (0, 1]
 Negative = float  # finite and < 0
 Bits = int  # 1 to 16
+PadFactor = float  # in [1, 8]
 Auto = float | None  # Positive, or "auto" (None): the study chooses
 Study = str  # one of STUDIES
 Convention = str  # fwhm | first_null
@@ -141,6 +142,7 @@ _CASTS = {
     "Fraction": _ranged(_float, lambda v: 0 < v <= 1, "in (0, 1]"),
     "Negative": _ranged(_float, lambda v: v < 0, "negative"),
     "Bits": _ranged(int, lambda v: 1 <= v <= 16, "in [1, 16]"),
+    "PadFactor": lambda raw: _checked_pad_factor(_float(raw)),
     "Auto": lambda raw: None if raw == "auto" else _positive(raw),
     "Study": _one_of(*STUDIES), "Convention": _one_of("fwhm", "first_null"),
     "Scale": _one_of("db", "linear"),
@@ -251,12 +253,7 @@ class DistancesSection:
 @dataclass(frozen=True, kw_only=True)
 class PlaneSection:
     z_m: Positive
-    pad_factor: float = 2.0
-    plan: PropagationPlan = dc_field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "plan", _build("plane.pad_factor", PropagationPlan,
-                                                pad_factor=self.pad_factor))
+    pad_factor: PadFactor = 2.0
 
 
 _KNIFE_KEYS = ("knife_x_edge_m", "knife_z_m", "caustic_eval_z_m")
@@ -272,8 +269,7 @@ class BlockageSection:
     knife_z_m: float | None = None
     caustic_eval_z_m: float | None = None
     shadow_window_factor: Positive = 1.0
-    pad_factor: float = 2.0
-    plan: PropagationPlan = dc_field(init=False)
+    pad_factor: PadFactor = 2.0
     disc: ObstacleSpec = dc_field(init=False)
     knife: ObstacleSpec | None = dc_field(init=False)
 
@@ -294,9 +290,8 @@ class BlockageSection:
                                           (self.knife_x_edge_m, 0.0), self.knife_z_m)
         disc = _build("blockage.obstacle_z_m", ObstacleSpec, "disc", self.obstacle_size_m,
                       (0.0, 0.0), self.obstacle_z_m)
-        plan = _build("blockage.pad_factor", PropagationPlan, pad_factor=self.pad_factor)
-        for name, value in (("knife", knife), ("disc", disc), ("plan", plan)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "knife", knife)
+        object.__setattr__(self, "disc", disc)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -523,7 +518,7 @@ def _check_padded_side(grid: ApertureGrid, pad_factor: float, key_path: str) -> 
 def _check_adjoint_side(grid: ApertureGrid, rx_radius: float | None) -> None:
     """Reject a crosstalk study whose adjoint hops would pad beyond MAX_PADDED_SIDE a side:
     their source grid widens with the receive disc, so the radius is at fault."""
-    n, pad_factor = grid.elements_per_side, DEFAULT_PLAN.pad_factor
+    n, pad_factor = grid.elements_per_side, _DEFAULT_PAD_FACTOR
     radius = grid.half_side if rx_radius is None else rx_radius
     m = _adjoint_side(n, _padded_size(n, pad_factor), grid.element_pitch, radius)
     mpad = _padded_size(m, pad_factor)
@@ -551,8 +546,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if scenario.study in ("plane", "blockage"):
         _check_padded_side(sections["grid"].grid, sections[scenario.study].pad_factor,
                            f"{scenario.study}.pad_factor")
-    elif scenario.study == "oam_crosstalk":  # its hops take the default plan
-        _check_padded_side(sections["grid"].grid, DEFAULT_PLAN.pad_factor, "grid.side_length_m")
+    elif scenario.study == "oam_crosstalk":  # its hops take the default pad factor
+        _check_padded_side(sections["grid"].grid, _DEFAULT_PAD_FACTOR, "grid.side_length_m")
         _check_adjoint_side(sections["grid"].grid, sections["oam"].rx_radius_m)
     known = {"scenario", *read, *(f"wavefront.{name}" for name in names)}
     for section in parser.sections():
@@ -807,7 +802,7 @@ def _run_phase_map(config: ScenarioConfig, out_dir: Path, manifest: RunManifest)
 def _run_plane(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
     [(name, spec)] = config.wavefronts.items()
     z, out = config.plane.z_m, config.output
-    slice_ = propagate_asm(synthesize_field(config.grid, spec), z, config.plane.plan)
+    slice_ = propagate_asm(synthesize_field(config.grid, spec), z, config.plane.pad_factor)
     _write(out_dir, f"slice_{name}_z{z:g}", out, manifest,
            lambda path: artifacts.field_slice_csv(path, slice_),
            lambda: artifacts.intensity_to_levels(slice_.intensity(), scale=out.scale,
@@ -843,12 +838,12 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
                 fld = synthesize_field(grid, spec)
                 # each plane is kept as its intensity only: the correlations and maps read
                 # nothing else, and a wavefront's planes are gone before the next is built
-                reference = propagate_asm(fld, z_eval, b.plan)
+                reference = propagate_asm(fld, z_eval, b.pad_factor)
                 coords = reference.axis_coordinates()
                 i_ref = reference.intensity()
                 del reference
                 _write_maps(out_dir, f"map_{name}_reference", i_ref, out, manifest)
-                i_blk = propagate_with_obstacles(fld, [b.disc], z_eval, b.plan).intensity()
+                i_blk = propagate_with_obstacles(fld, [b.disc], z_eval, b.pad_factor).intensity()
                 del fld
                 rows.append([name, z_eval, _disc_correlation(i_blk, i_ref, coords, r_window),
                              _intensity_correlation(i_blk, i_ref)])
@@ -864,10 +859,10 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
         z_t = b.caustic_eval_z_m
         with reuse_spectra():
             i_caustic = propagate_with_obstacles(
-                synthesize_field(grid, caustic_spec), [b.knife], z_t, b.plan
+                synthesize_field(grid, caustic_spec), [b.knife], z_t, b.pad_factor
             ).intensity()
             i_planar = propagate_with_obstacles(
-                synthesize_field(grid, planar_spec), [b.knife], z_t, b.plan
+                synthesize_field(grid, planar_spec), [b.knife], z_t, b.pad_factor
             ).intensity()
         pk_c = float(i_caustic.max())
         pk_p = float(i_planar.max())

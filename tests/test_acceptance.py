@@ -15,7 +15,6 @@ from thzbeam import (
     ApertureField,
     LinkBudgetSpec,
     ObstacleSpec,
-    PropagationPlan,
     WavefrontSpec,
     aperture_gain_dbi,
     axicon_design,
@@ -56,7 +55,7 @@ def test_criterion_01_oracle_equivalence():
     worst = 0.0
     for z_wavelengths in (50, 500, 5000):
         z = z_wavelengths * grid.wavelength
-        slice_ = propagate_asm(field, z, PropagationPlan(pad_factor=4.0))
+        slice_ = propagate_asm(field, z, pad_factor=4.0)
         xs = slice_.axis_coordinates()
         npad = xs.size
         quarter = npad // 4
@@ -85,7 +84,7 @@ def test_criterion_02_gaussian_waist_evolution():
     z_rayleigh = math.pi * w0**2 / lam
     worst = 0.0
     for z in (0.5 * z_rayleigh, z_rayleigh, 2.0 * z_rayleigh):
-        slice_ = propagate_asm(field, z, PropagationPlan(pad_factor=4.0))
+        slice_ = propagate_asm(field, z, pad_factor=4.0)
         intensity = slice_.intensity()
         iy, ix = np.unravel_index(np.argmax(intensity), intensity.shape)
         cut = intensity[iy, :]
@@ -121,7 +120,7 @@ def test_criterion_03_bessel_design_and_profile():
     grid = make_grid(0.05, 3e11)
     design = axicon_design(grid, 0.004)
     field = compose_aperture(grid, [phase_conical(grid, design)], circular_taper(grid))
-    slice_ = propagate_asm(field, design.z_max / 2.0, PropagationPlan(pad_factor=4.0))
+    slice_ = propagate_asm(field, design.z_max / 2.0, pad_factor=4.0)
     xs = slice_.axis_coordinates()
     row = slice_.intensity()[int(np.argmin(np.abs(xs))), :]
     sel = np.abs(xs) <= jn_zeros(0, 5)[-1] / design.radial_wavenumber
@@ -192,7 +191,7 @@ def test_criterion_07_blockage_reproduction():
     config = preset("fig4")
     grid = config.grid
     p = config.blockage
-    plan = PropagationPlan(pad_factor=p.pad_factor)
+    pad = p.pad_factor
 
     bessel_spec = config.wavefronts["bessel"]
     design = axicon_design(grid, bessel_spec.spot_fwhm)
@@ -203,8 +202,8 @@ def test_criterion_07_blockage_reproduction():
 
     def shadow_correlation(spec):
         fld = synthesize_field(grid, spec)
-        reference = propagate_asm(fld, z_eval, plan)
-        blocked = propagate_with_obstacles(fld, [disc], z_eval, plan)
+        reference = propagate_asm(fld, z_eval, pad)
+        blocked = propagate_with_obstacles(fld, [disc], z_eval, pad)
         xs = reference.axis_coordinates()
         X, Y = np.meshgrid(xs, xs, indexing="xy")
         window = (X**2 + Y**2 <= r_obs**2).astype(float)
@@ -224,12 +223,12 @@ def test_criterion_07_blockage_reproduction():
     with reuse_spectra():
         caustic_peak = float(
             propagate_with_obstacles(
-                synthesize_field(grid, config.wavefronts["caustic"]), [knife], z_t, plan
+                synthesize_field(grid, config.wavefronts["caustic"]), [knife], z_t, pad
             ).intensity().max()
         )
         planar_peak = float(
             propagate_with_obstacles(
-                synthesize_field(grid, config.wavefronts["beamforming"]), [knife], z_t, plan
+                synthesize_field(grid, config.wavefronts["beamforming"]), [knife], z_t, pad
             ).intensity().max()
         )
     advantage_db = 10.0 * math.log10(caustic_peak / planar_peak)

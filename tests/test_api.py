@@ -1,11 +1,13 @@
-"""The package's optional parameters, pinned: every default is a knob some caller sets.
+"""The package's exported names and optional parameters, pinned: every default is a knob
+some caller sets.
 
 A parameter with a default that no study, CLI verb, INI key or benchmark
 sets is a code path nothing runs.  The list below names every such
 parameter of every public callable (functions, class constructors and the
 public methods of those classes) in each ``thzbeam`` module; adding,
 removing or changing one shows up as a diff to it, to be justified by the
-caller that sets it.
+caller that sets it.  ``EXPORTS`` pins the names ``thzbeam`` exports the
+same way: a new public wrapper shows up there.
 """
 
 import importlib
@@ -18,9 +20,6 @@ DEFAULTS = {
     "aperture.make_grid(pitch_fraction=0.5)",
     "aperture.phase_planar(steer_direction=(0.0, 0.0, 1.0))",
     "aperture.axicon_design(spot_convention='fwhm')",
-    "aperture.ObstacleSpec(size=0.0)",
-    "aperture.ObstacleSpec(center_offset=(0.0, 0.0))",
-    "aperture.ObstacleSpec(plane_z=0.0)",
     "aperture.compose_aperture(amplitude=None)",
     "aperture.WavefrontSpec(steer_angle=0.0)",
     "aperture.WavefrontSpec(focal_length=None)",
@@ -40,10 +39,9 @@ DEFAULTS = {
     "metrics.GainCurve(bessel_peak_distance=None)",
     "oam.crosstalk_matrix(steer_angles=(0.0,))",
     "oam.crosstalk_matrix(rx_radius=None)",
-    "propagation.PropagationPlan(pad_factor=2.0)",
-    "propagation.propagate_slice(plan=None)",
-    "propagation.propagate_asm(plan=None)",
-    "propagation.propagate_with_obstacles(plan=None)",
+    "propagation.propagate_slice(pad_factor=2.0)",
+    "propagation.propagate_asm(pad_factor=2.0)",
+    "propagation.propagate_with_obstacles(pad_factor=2.0)",
     "scenarios.ScenarioSection(name=None)",
     "scenarios.GridSection(pitch_fraction=0.5)",
     "scenarios.WavefrontSection(steer_deg=0.0)",
@@ -88,6 +86,23 @@ DEFAULTS = {
     "scenarios.run_scenario(out_dir=None)",
 }
 
+# every public name the package exports; a new one is an API to be justified
+EXPORTS = {
+    "AmplitudeMask", "ApertureField", "ApertureGrid", "AxiconDesign", "BeamStats",
+    "CausticCurve", "CausticDesignError", "ConfigError", "CrosstalkMatrix",
+    "EvanescentDesignError", "FieldSlice", "GainCurve", "GeometryError", "LinkBudgetSpec",
+    "NoBeamError", "ObstacleSpec", "PRESET_NAMES", "PhaseMap", "RunManifest",
+    "SPEED_OF_LIGHT", "SamplingError", "ScenarioConfig", "ToolkitError", "WavefrontSpec",
+    "aperture_gain_dbi", "axicon_design", "beam_profile_stats", "circular_taper",
+    "compose_aperture", "crosstalk_matrix", "fraunhofer_distance", "gain_curve",
+    "load_config", "make_grid", "make_obstacle_mask", "normalized_gain", "parse_config",
+    "phase_caustic", "phase_conical", "phase_planar", "phase_quadratic", "phase_spiral",
+    "preset", "preset_text", "propagate_asm", "propagate_direct", "propagate_slice",
+    "propagate_with_obstacles", "quantize_phase", "required_bandwidth", "reuse_spectra",
+    "run_scenario", "self_healing_correlation", "synthesize_applied_phase", "synthesize_field",
+    "wrap_phase",
+}
+
 
 def _methods(cls):
     """(name, function) of each public method, classmethod and staticmethod ``cls`` defines."""
@@ -126,3 +141,10 @@ def test_every_optional_parameter_is_listed():
     assert found == DEFAULTS, (f"new or changed: {sorted(found - DEFAULTS)}; "
                                f"gone: {sorted(DEFAULTS - found)}")
 
+
+
+def test_every_exported_name_is_listed():
+    """Submodules are attributes once imported, so they are not counted as exports."""
+    found = {name for name in dir(thzbeam)
+             if not name.startswith("_") and not inspect.ismodule(getattr(thzbeam, name))}
+    assert found == EXPORTS, f"new: {sorted(found - EXPORTS)}; gone: {sorted(EXPORTS - found)}"

@@ -153,13 +153,13 @@ def test_tiny_pitch_slice_covers_exponents_and_zero(tmp_path):
 
 @pytest.mark.parametrize("side", [0.02, 0.0205], ids=["even-n", "odd-n"])
 def test_cli_propagate_csv_matches_per_sample_writer(tmp_path, side):
-    from thzbeam import PropagationPlan, WavefrontSpec, make_grid, propagate_asm, synthesize_field
+    from thzbeam import WavefrontSpec, make_grid, propagate_asm, synthesize_field
     from thzbeam.cli import main
 
     grid = make_grid(side, 3e11)
     field = synthesize_field(grid, WavefrontSpec(kind="bessel", spot_fwhm=0.004))
     _field_slice_csv_per_sample(tmp_path / "per_sample.csv",
-                                propagate_asm(field, 0.1, PropagationPlan(pad_factor=2.0)))
+                                propagate_asm(field, 0.1, pad_factor=2.0))
     assert main(["propagate", "--side-length", str(side), "--frequency", "3e11",
                  "--kind", "bessel", "--spot-fwhm", "0.004", "--z", "0.1",
                  "--format", "csv", "--out", str(tmp_path / "cli")]) == 0

@@ -30,9 +30,8 @@ from thzbeam import (
     self_healing_correlation,
     synthesize_field,
 )
-from thzbeam import metrics, propagation
+from thzbeam import aperture, metrics
 from thzbeam.metrics import _disc_correlation, _intensity_correlation
-from thzbeam.propagation import PropagationPlan
 
 RNG = np.random.default_rng(99)
 
@@ -266,29 +265,32 @@ def test_gain_curve_calls_normalized_gain_once_per_distance(monkeypatch):
     assert sorted(kinds) == sorted(expected)
 
 
-def test_bin_once_serves_only_its_own_field(monkeypatch):
-    binning, binnings = propagation._axial_binning, []
+def test_each_field_bins_its_read_only_weights_once(monkeypatch):
+    bins, binned = aperture._axial_bins, []
 
-    def counted(field):
-        binnings.append(field)
-        return binning(field)
+    def counted(n):
+        binned.append(n)
+        return bins(n)
 
-    monkeypatch.setattr(propagation, "_axial_binning", counted)
+    monkeypatch.setattr(aperture, "_axial_bins", counted)
     grid = make_grid(0.02, 3e11)
-    a, b = _random_weights_field(grid, seed=21), _random_weights_field(grid, seed=22)
+    gain_curve(grid, _gain_specs(), np.linspace(0.02, 0.3, 9))
+    assert len(binned) == 3  # once per column, not once per distance
+    a = _random_weights_field(grid, seed=21)
+    b = ApertureField(grid, a.weights.copy())  # equal weights, a field of its own
     point = (0.0, 0.0, 0.07)
-    alone = {"a": normalized_gain(a, point), "b": normalized_gain(b, point)}
-    binnings.clear()
-    with propagation._bin_once(a):
-        assert normalized_gain(b, point) == alone["b"]
-        assert normalized_gain(a, point) == alone["a"]
-        assert normalized_gain(a, point) == alone["a"]
-    assert len(binnings) == 2 and binnings[0] is a and binnings[1] is b  # a on entry, b afresh
-    assert propagation._BINNING.get() is None
-    with pytest.raises(RuntimeError, match="inside"):
-        with propagation._bin_once(a):
-            raise RuntimeError("inside")
-    assert propagation._BINNING.get() is None
+    binned.clear()
+    assert normalized_gain(a, point) == normalized_gain(a, point) == normalized_gain(b, point)
+    assert len(binned) == 2
+    with pytest.raises(ValueError, match="read-only"):
+        a.weights[0, 0] = 0
+    n = grid.elements_per_side
+    given = np.ones((n, n), dtype=complex)
+    assert ApertureField(grid, given).weights is given and not given.flags.writeable
+    wider = np.ones((n, n + 1), dtype=complex)  # a view of it is copied: wider stays writable
+    viewed = ApertureField(grid, wider[:, :n])
+    wider[0, 0] = 0
+    assert viewed.weights[0, 0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +322,7 @@ def test_measured_focal_spot_near_abbe_prediction():
     grid = make_grid(0.05, 3e11)
     F = 0.3
     field = compose_aperture(grid, [phase_quadratic(grid, F)], circular_taper(grid))
-    slice_ = propagate_asm(field, F, PropagationPlan(pad_factor=2.0))
+    slice_ = propagate_asm(field, F, pad_factor=2.0)
     stats = beam_profile_stats(slice_)
     numeric_aperture = math.sin(math.atan2(grid.half_side, F))
     predicted = grid.wavelength / (2.0 * numeric_aperture)  # Abbe: lambda / (2 NA)

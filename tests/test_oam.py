@@ -18,7 +18,7 @@ import thzbeam.oam as oam
 from thzbeam import propagation
 from thzbeam.aperture import ApertureGrid, _raw_spiral
 from thzbeam.oam import COUPLING_FLOOR_DB
-from thzbeam.propagation import DEFAULT_PLAN, _padded_size, propagate_direct
+from thzbeam.propagation import _padded_size, propagate_direct
 
 
 def _disc_base(grid):
@@ -184,7 +184,7 @@ def _per_call_couplings(base, modes, z, steer_angle, rx_radius):
     built afresh for that angle alone."""
     grid = base.grid
     n, pitch, k = grid.elements_per_side, grid.element_pitch, grid.wavenumber
-    npad = _padded_size(n, DEFAULT_PLAN.pad_factor)
+    npad = _padded_size(n, 2.0)
     r_sq = rx_radius * rx_radius
     x_sq = ((np.arange(npad) - (npad - 1) / 2.0) * pitch) ** 2
     m = max(n, int(np.count_nonzero(x_sq + x_sq.min() <= r_sq)))

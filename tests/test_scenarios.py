@@ -1027,6 +1027,11 @@ HELP_DEFAULTS = {
                          ("curve_x_start", "curve_x_start_m"))},
     **{(verb, "formats"): (VERB_STUDIES[verb], "output", "formats")
        for verb in ("synthesize", "propagate", "blockage")},
+    ("propagate", "pad"): ("plane", "plane", "pad_factor"),
+    ("blockage", "pad"): ("blockage", "blockage", "pad_factor"),
+    ("propagate", "scale"): ("plane", "output", "scale"),
+    **{(verb, "db_floor"): (VERB_STUDIES[verb], "output", "db_floor")
+       for verb in ("propagate", "blockage")},
 }
 
 
@@ -1191,7 +1196,7 @@ PADDED_SIDE_CASES = {
     "blockage": (["blockage", "--side-length", "0.5", "--frequency", "1e12", "--spot-fwhm",
                   "0.004", "--obstacle-size", "0.01", "--obstacle-z", "0.5"],
                  "blockage.pad_factor", "3335", "6875"),
-    # the crosstalk hops take the default plan: the side is at fault
+    # the crosstalk hops take the default pad factor: the side is at fault
     "oam-crosstalk": (["oam-crosstalk", "--side-length", "0.5", "--frequency", "1e12",
                        "--modes", "0,1", "--z", "0.5"], "grid.side_length_m", "3335", "6875"),
     # 4095 is not 11-smooth: even pad factor 1 pads it past the bound
@@ -1276,6 +1281,8 @@ KEY_PATH_CASES = [
     ("gain-curve", "--focal-length", "-1", "wavefront.beamfocusing.focal_length_m"),
     ("blockage", "--obstacle-z", "-0.15", "blockage.obstacle_z_m"),
     ("blockage", "--pad", "0.5", "blockage.pad_factor"),
+    ("blockage", "--pad", "nan", "blockage.pad_factor"),
+    ("propagate", "--pad", "9", "plane.pad_factor"),
     ("oam-crosstalk", "--z", "-0.05", "oam.z_m"),
     ("oam-crosstalk", "--rx-radius", "0", "oam.rx_radius_m"),
     ("oam-crosstalk", "--spot-fwhm", "0", "oam.base_spot_fwhm_m"),
@@ -1373,6 +1380,9 @@ UNREAD_OR_BAD = {
     "phase_map-db-floor": (WAVEFRONT_INI["phase_map"] + "[output]\ndb_floor = -60\n",
                            "output.db_floor"),
     "plane-without-z": (WAVEFRONT_INI["plane"].replace("z_m = 0.1\n", ""), "plane.z_m"),
+    "plane-pad-factor-9": (WAVEFRONT_INI["plane"] + "pad_factor = 9\n", "plane.pad_factor"),
+    "blockage-pad-factor-nan": (_fig4_ci_text().replace("pad_factor = 2.0", "pad_factor = nan"),
+                                "blockage.pad_factor"),
 }
 
 
