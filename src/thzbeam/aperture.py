@@ -408,17 +408,33 @@ def _tangent_depths(curve: CausticCurve, x: np.ndarray) -> np.ndarray:
     return u
 
 
-def _raw_caustic(grid: ApertureGrid, curve: CausticCurve) -> np.ndarray:
+def _caustic_row(grid: ApertureGrid, curve: CausticCurve) -> np.ndarray:
+    """The caustic phase along x, relative to x = 0.  Raises :class:`CausticDesignError`
+    where the curve reaches an abscissa with no tangent (``_tangent_depths``) or the
+    phase leaves the float range."""
     x = grid.axis_coordinates()
     a = abs(curve.a)
 
-    def phi(u):  # k/(4|a|) * (s*sqrt(1 + s^2) - asinh(s)) at the tangent slope s = 2|a|*sqrt(u)
-        s = 2.0 * a * np.sqrt(u)
-        return grid.wavenumber / (4.0 * a) * (s * np.sqrt(1.0 + s * s) - np.arcsinh(s))
+    def phi(u):
+        # k/(4|a|) * (s*sqrt(1 + s^2) - asinh(s)) at the tangent slope s = 2|a|*sqrt(u), as
+        # (k*sqrt(u)/2) * (hypot(1, s) - asinh(s)/s): neither s^2 nor k/|a| can overflow
+        root = np.sqrt(u)
+        s = 2.0 * (a * root)
+        ratio = np.divide(np.arcsinh(s), s, out=np.ones_like(s), where=s > 0.0)  # 1 at s = 0
+        return grid.wavenumber * root / 2.0 * (np.hypot(1.0, s) - ratio)
 
     # x = 0 lies between the grid's abscissas, which the rule has passed
-    row = phi(_tangent_depths(curve, x)) - phi(curve.x_start / curve.a)
-    return np.broadcast_to(row[None, :], (x.size, x.size)).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = phi(_tangent_depths(curve, x)) - phi(np.array([curve.x_start / curve.a]))
+    if not np.all(np.isfinite(row)):
+        raise CausticDesignError("the caustic phase leaves the float range",
+                                 aperture_x=float(x[~np.isfinite(row)][0]))
+    return row
+
+
+def _raw_caustic(grid: ApertureGrid, curve: CausticCurve) -> np.ndarray:
+    row = _caustic_row(grid, curve)
+    return np.broadcast_to(row[None, :], (row.size, row.size)).copy()
 
 
 def phase_caustic(grid: ApertureGrid, curve: CausticCurve) -> PhaseMap:
@@ -478,17 +494,22 @@ def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
     """Binary transmission mask of an obstacle on a sampled plane.
 
     ``plane`` is anything with ``axis_coordinates()`` and ``extent`` (an
-    ``ApertureGrid`` or a ``FieldSlice``).  Transmission is 0 inside the
+    ``ApertureGrid`` or a ``FieldSlice``); on a plane that has
+    ``block_axes()`` (a ``FieldSlice``), the mask covers the block it
+    stores, whose (y, x) axes those are.  Transmission is 0 inside the
     footprint, 1 outside, with a hard edge.  The one footprint check (also
     for ``propagate_with_obstacles``): a disc or square must lie within
     +-extent/2, i.e. n*p/2 on a FieldSlice, side_length/2 on an ApertureGrid.
     """
-    x = plane.axis_coordinates()
+    if hasattr(plane, "block_axes"):
+        y, x = plane.block_axes()
+    else:
+        y = x = plane.axis_coordinates()
     cx, cy = spec.center_offset
     half_extent = plane.extent / 2.0
 
     # x runs along axis 1 and y along axis 0
-    values = np.ones((x.size, x.size))
+    values = np.ones((y.size, x.size))
     if spec.shape == "half_plane":
         values[:, x > cx] = 0.0
     else:
@@ -498,9 +519,9 @@ def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
                 f"exceeds the plane extent +-{half_extent:g} m"
             )
         if spec.shape == "disc":
-            u, v, limit = (x - cx) ** 2, (x - cy) ** 2, (spec.size / 2.0) ** 2
+            u, v, limit = (x - cx) ** 2, (y - cy) ** 2, (spec.size / 2.0) ** 2
         else:
-            u, v, limit = np.abs(x - cx), np.abs(x - cy), spec.size / 2.0
+            u, v, limit = np.abs(x - cx), np.abs(y - cy), spec.size / 2.0
         # a sample is blocked only where its column's term and its row's term are each
         # within the limit (a disc adds the two, a square takes the larger), so only the
         # footprint's bounding box is computed
@@ -651,11 +672,11 @@ def _mirror_columns(a: np.ndarray) -> np.ndarray:
 
 
 def _mirror_centred(a: np.ndarray, y: bool = True, x: bool = True) -> np.ndarray:
-    """Make square ``a`` even about its centre along y (axis 0) if ``y`` and along x
-    (axis 1) if ``x``, in place, and return it.
+    """Make ``a`` even about its centre along y (axis 0) if ``y`` and along x (axis 1)
+    if ``x``, in place, and return it.
 
     The entries of non-negative coordinate along each mirrored axis are kept;
-    along both, that is the block ``a[n//2:, n//2:]``.
+    along both, that is the block ``a[m//2:, n//2:]`` of an m-by-n ``a``.
     """
     s = a.shape[0] // 2
     if x:
@@ -686,12 +707,18 @@ def _even_axes(a: np.ndarray) -> tuple[bool, bool]:
     return even(bits), even(bits.swapaxes(0, 1))
 
 
-def _mirror_quadrant(q: np.ndarray, n: int) -> np.ndarray:
-    """The n-by-n array, even in both axes, whose block of non-negative coordinates is
-    q, (n+1)//2 a side."""
-    out = np.empty((n, n), dtype=q.dtype)
-    out[n // 2 :, n // 2 :] = q
-    return _mirror_centred(out)
+def _unfold(block: np.ndarray, n: int, even: tuple[bool, bool],
+            keep: tuple[bool, bool] = (False, False)) -> np.ndarray:
+    """The array of an n-by-n plane, even about its centre along y and x as ``even`` says,
+    whose block of non-negative coordinates along those axes is ``block``; along an axis
+    that ``keep`` names, the block's half is kept and not mirrored.
+
+    The block holds the indices n//2 .. n-1 along each even axis.
+    """
+    axes = tuple(e and not k for e, k in zip(even, keep))
+    out = np.empty(tuple(n if a else m for a, m in zip(axes, block.shape)), dtype=block.dtype)
+    out[tuple(slice(n // 2, None) if a else slice(None) for a in axes)] = block
+    return _mirror_centred(out, *axes)
 
 
 def synthesize_applied_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:
@@ -707,7 +734,9 @@ def synthesize_field(grid: ApertureGrid, spec: WavefrontSpec) -> ApertureField:
     """Aperture field for a wavefront spec including overlays and taper.
 
     The weights are ``compose_aperture`` of the applied phase and, with
-    ``circular``, of ``circular_taper(grid)``, bit for bit.  An even spec
+    ``circular``, of ``circular_taper(grid)``, bit for bit, except that a
+    spiral overlay gives the element on the axis of an odd grid, where its
+    phase is undefined, zero amplitude.  An even spec
     (kind beamforming, beamfocusing or bessel, with no steer and no spiral)
     is built on the quadrant of non-negative coordinates, (n+1)//2 elements
     a side, and mirrored: x_{n-1-i} = -x_i exactly, each step reads x only
@@ -719,4 +748,8 @@ def synthesize_field(grid: ApertureGrid, spec: WavefrontSpec) -> ApertureField:
         x = x[x.size // 2 :]
     phase = _applied_phase(grid, spec, x)
     w = _compose([phase.values], _raw_disc(x, grid.half_side) if spec.circular else None)
-    return ApertureField(grid, _mirror_quadrant(w, grid.elements_per_side) if even else w)
+    if even:
+        w = _unfold(w, grid.elements_per_side, (True, True))
+    elif spec.oam_mode and grid.elements_per_side % 2:
+        w[x.size // 2, x.size // 2] = 0.0  # the helix has no phase on the axis, so no amplitude
+    return ApertureField(grid, w)

@@ -5,10 +5,10 @@ significant digits.  The phase-map and field-slice CSVs are formatted and
 written in blocks of rows, one ``%`` operation per block; their bytes are
 those of formatting each value with ``format_number``.  The field-slice
 coordinates are formatted once per axis value, not once per sample, and
-the samples of a plane that is even about its centre bit for bit are
-formatted once per quadrant sample: each row of the quadrant of
-non-negative coordinates is formatted once and spliced, mirrored, into
-the two rows that hold it.
+the samples of a plane that is even about its centre along an axis are
+formatted once per sample of the block the slice stores: each block row
+is formatted once and spliced, mirrored along an even x, into the one or
+two rows that hold it.
 Images are 16-bit grayscale; phase maps span [0, 2*pi) onto [0, 65535] and
 intensity maps are linear or dB-scaled with a floor.
 """
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .aperture import TWO_PI, PhaseMap, _even_axes
+from .aperture import TWO_PI, PhaseMap
 from .propagation import FieldSlice
 
 __all__ = [
@@ -101,14 +101,14 @@ def _sample_values(samples: np.ndarray) -> list[float]:
 
 
 def field_slice_csv(path: Path, slice_: FieldSlice) -> None:
-    """Sample table with columns x, y, re, im, intensity."""
-    s = slice_.samples
+    """Sample table with columns x, y, re, im, intensity, written from the slice's block."""
+    s = slice_.block
     # npad distinct values, x and y alike: formatted once, then spliced into each row's format
     axis = [format_number(v) for v in slice_.axis_coordinates().tolist()]
     with open(path, "wb") as fh:
         fh.write(b"x_m,y_m,re,im,intensity\n")
-        if all(_even_axes(s)):
-            _write_even_rows(fh, s, axis)
+        if any(slice_.even):
+            _write_even_rows(fh, s, slice_.even, axis)
             return
         for lo in range(0, s.shape[0], _CSV_BLOCK_ROWS):
             blk = s[lo : lo + _CSV_BLOCK_ROWS]
@@ -119,30 +119,33 @@ def field_slice_csv(path: Path, slice_: FieldSlice) -> None:
             fh.write(("".join(rows) % tuple(_sample_values(blk))).encode("utf-8"))
 
 
-def _write_even_rows(fh, s: np.ndarray, axis: list[str]) -> None:
-    """The rows of ``field_slice_csv`` for samples even about their centre, bit for bit.
+def _write_even_rows(fh, block: np.ndarray, even: tuple[bool, bool], axis: list[str]) -> None:
+    """The rows of ``field_slice_csv`` for a plane even about its centre along y and x as
+    ``even`` says, from its block of non-negative coordinates along those axes.
 
-    Row r and row n-1-r hold the same samples, and so do columns c and n-1-c,
-    so only the quadrant ``s[h:, h:]`` (h = n//2) is formatted: each of its
-    rows once, into one "re,im,intensity" text per sample, kept from the row
-    that first needs it to the row that needs it again.
+    Along an even y, row r and row n-1-r hold the same samples, and so, along
+    an even x, do columns c and n-1-c, so each block sample is formatted
+    once: each block row into one "re,im,intensity" text per sample, kept
+    from the row that first needs it to the row that needs it again.
     """
-    n = s.shape[0]
+    n = len(axis)
     h = n // 2
     kept: dict[int, str] = {}
     for lo in range(0, n, _CSV_BLOCK_ROWS):
         rows = []
         for r in range(lo, min(lo + _CSV_BLOCK_ROWS, n)):
-            i = max(r, n - 1 - r)  # the row of non-negative y with these samples
+            i = max(r, n - 1 - r) - h if even[0] else r  # the block row with these samples
             text = kept.pop(i, None)
             if text is None:
-                text = ("%.9g,%.9g,%.9g\n" * (n - h)) % tuple(_sample_values(s[i, h:]))
-                if i != r:
+                text = ("%.9g,%.9g,%.9g\n" * block.shape[1]) % tuple(_sample_values(block[i]))
+                if even[0] and i != r - h:
                     kept[i] = text
-            right = text.split("\n")
-            right.pop()  # the empty text after the last newline
+            cells = text.split("\n")
+            cells.pop()  # the empty text after the last newline
+            if even[1]:
+                cells = cells[::-1][:h] + cells
             sfx = "," + axis[r] + ",%s\n"  # follows each x: "x,y,re,im,intensity"
-            rows.append((sfx.join(axis) + sfx) % tuple(right[::-1][:h] + right))
+            rows.append((sfx.join(axis) + sfx) % tuple(cells))
         fh.write("".join(rows).encode("utf-8"))
 
 

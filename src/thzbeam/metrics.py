@@ -193,7 +193,7 @@ def beam_profile_stats(slice_: FieldSlice) -> BeamStats:
     local maxima along the +x cut from the peak, at or above
     ``_RING_FLOOR_DB`` (-20 dB) relative to the peak.
     """
-    intensity = slice_.intensity()
+    intensity = slice_.layout.unfold(slice_.intensity())
     if intensity.size == 0 or intensity.max() <= 0.0:
         raise NoBeamError("slice carries no power")
     iy, ix = np.unravel_index(int(np.argmax(intensity)), intensity.shape)
@@ -224,34 +224,39 @@ def beam_profile_stats(slice_: FieldSlice) -> BeamStats:
 
 def self_healing_correlation(blocked: FieldSlice, reference: FieldSlice) -> float:
     """Normalized cross-correlation of two intensity patterns, in [0, 1]."""
-    if blocked.samples.shape != reference.samples.shape:
-        raise ValueError(
-            f"slice shapes differ: {blocked.samples.shape} vs {reference.samples.shape}"
-        )
+    if blocked.layout.side != reference.layout.side:
+        raise ValueError(f"slice sides differ: {blocked.layout.side} vs {reference.layout.side}")
     if abs(blocked.z - reference.z) > 1e-9 * max(1.0, abs(reference.z)):
         raise ValueError(f"slices lie at different planes: {blocked.z} vs {reference.z}")
-    return _intensity_correlation(blocked.intensity(), reference.intensity())
+    # both as blocks of the axes along which both are even
+    even = tuple(b and r for b, r in zip(blocked.even, reference.even))
+    ib, ir = (s._widened(even).intensity() for s in (blocked, reference))
+    return _intensity_correlation(ib, ir, replace(reference.layout, even=even).multiplicity())
 
 
-def _intensity_correlation(ib: np.ndarray, ir: np.ndarray) -> float:
-    """``self_healing_correlation`` of two planes given as their intensities."""
+def _intensity_correlation(ib: np.ndarray, ir: np.ndarray, weights=1.0) -> float:
+    """``self_healing_correlation`` of two planes given as the intensities of their blocks,
+    each block sample standing for ``weights`` samples of the plane (1, 2 or 4, exact
+    factors)."""
+    wb, wr = (np.multiply(i, weights).ravel() for i in (ib, ir))
     ib, ir = ib.ravel(), ir.ravel()
     # einsum, not np.dot or np.linalg.norm: a BLAS dot splits its sum by the BLAS thread count
-    denom = np.sqrt(np.einsum("i,i->", ib, ib)) * np.sqrt(np.einsum("i,i->", ir, ir))
+    denom = np.sqrt(np.einsum("i,i->", wb, ib)) * np.sqrt(np.einsum("i,i->", wr, ir))
     if denom == 0.0:
         raise NoBeamError("cannot correlate empty intensity patterns")
-    return float(np.einsum("i,i->", ib, ir) / denom)
+    return float(np.einsum("i,i->", wb, ir) / denom)
 
 
-def _disc_correlation(ib: np.ndarray, ir: np.ndarray, coords: np.ndarray, radius: float) -> float:
-    """``_intensity_correlation`` of two intensity planes over the centred disc of ``radius``.
+def _disc_correlation(ib: np.ndarray, ir: np.ndarray, layout, radius: float) -> float:
+    """``_intensity_correlation`` of two intensity blocks laid out as ``layout`` over the
+    centred disc of ``radius``.
 
-    ``coords`` is the axis of both planes.  A sample lies in the disc when
-    x^2 + y^2 <= radius^2, and only the disc's bounding box is read; the
-    samples outside the disc count as zero.
+    A sample lies in the disc when x^2 + y^2 <= radius^2, and only the disc's
+    bounding box is read; the samples outside the disc count as zero.
     """
-    c_sq = coords**2
-    box = _span(c_sq <= radius**2)  # rows, and columns, that reach the disc
-    inside = c_sq[box][None, :] + c_sq[box][:, None] <= radius**2
-    return _intensity_correlation(np.where(inside, ib[box, box], 0.0),
-                                  np.where(inside, ir[box, box], 0.0))
+    y_sq, x_sq = (c**2 for c in layout.block_axes())
+    rows, cols = _span(y_sq <= radius**2), _span(x_sq <= radius**2)  # the lines reaching it
+    inside = x_sq[cols][None, :] + y_sq[rows][:, None] <= radius**2
+    return _intensity_correlation(np.where(inside, ib[rows, cols], 0.0),
+                                  np.where(inside, ir[rows, cols], 0.0),
+                                  layout.multiplicity()[rows, cols])

@@ -4,7 +4,9 @@ A crosstalk matrix transmits each mode as the spiral overlay
 ``exp(1j*l*phi)`` on a shared base profile and reads every mode back with
 the matched conjugate-helix overlap integral over a centred disc of the
 receive plane: entry [tx, rx] is ``pitch^2 * sum_disc P_z(w_tx) * h_rx``,
-with ``P_z`` the hop to distance z and ``h_rx = exp(-1j*l_rx*phi)``.
+with ``P_z`` the hop to distance z and ``h_rx = exp(-1j*l_rx*phi)``.  For
+l != 0 the helix, whose phase is undefined on the axis, is zero there, at
+the transmitter as at the receiver.
 
 The matrix is computed by the adjoint.  The kernel ``exp(-1j*k*r)/r`` is
 even, so the same entry is ``pitch^2 * sum_aperture w_tx * A_rx``, where the
@@ -127,20 +129,24 @@ def crosstalk_matrix(
     rx_grid = ApertureGrid(m * pitch, pitch, grid.frequency)
     phi = _raw_spiral(rx_grid, 1)  # the azimuth, on the aperture's elements too
     x_sq = rx_grid.axis_coordinates() ** 2
-    disc = x_sq[None, :] + x_sq[:, None] <= rx_radius * rx_radius
+    rho_sq = x_sq[None, :] + x_sq[:, None]
+    disc = rho_sq <= rx_radius * rx_radius
+    # a helix of l != 0 has no phase on the axis, so the sample there (of an odd grid) is 0
+    off_axis = rho_sq > 0.0
+    del rho_sq
 
     def adjoint_plane(l_rx: int) -> np.ndarray:
-        helix = np.where(disc, np.exp(-1j * l_rx * phi), 0.0)
-        plane = propagate_asm(ApertureField(rx_grid, helix), z).samples
+        helix = np.where(disc & off_axis if l_rx else disc, np.exp(-1j * l_rx * phi), 0.0)
+        plane = propagate_asm(ApertureField(rx_grid, helix), z)
         del helix  # not held while the plane's window is copied out
-        c = (plane.shape[0] - n) // 2
-        return plane[c : c + n, c : c + n].ravel()
+        return plane.layout.window(plane.block, (plane.layout.side - n) // 2, n).ravel()
 
     with reuse_spectra():  # every hop has the same kernel
         planes = [adjoint_plane(l_rx) for l_rx in mode_list]
-    lo = (m - n) // 2
-    spirals = [np.exp(1j * (l_tx * phi[lo : lo + n, lo : lo + n])) for l_tx in mode_list]
-    del phi, disc  # not held while the angles are summed
+    window = slice((m - n) // 2, (m - n) // 2 + n)
+    spirals = [np.where(off_axis[window, window] if l_tx else True,
+                        np.exp(1j * (l_tx * phi[window, window])), 0.0) for l_tx in mode_list]
+    del phi, disc, off_axis  # not held while the angles are summed
 
     matrices = []
     for angle in steer_angles:

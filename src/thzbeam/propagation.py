@@ -42,13 +42,16 @@ half the transform work along it, the idea of FFTW's real-even
 transforms.  Aperture weights are tested per axis (the unsteered
 beamforming, beamfocusing and Bessel wavefronts are even along both, the
 caustic and a beam steered in x along y).  Along an even axis the
-forward transform runs on the distinct columns and keeps the spectrum
+forward transform runs on the distinct lines and keeps the spectrum
 entries 0..npad//2; the inverse rebuilds the others from F[npad-m] =
-exp(-2 pi i m/npad) F[m], runs on the lines whose output is kept, and
-mirrors the plane, all inside the hop's one npad-square buffer.  The
-plane is then even along that axis bit for bit and agrees with the full
-transform to round-off.  ``propagate_with_obstacles`` carries the even
-axes from hop to hop: a mask keeps each axis its footprint is centred on.
+exp(-2 pi i m/npad) F[m] and keeps the entries of non-negative
+coordinate.  Each line still gets its whole length, staged a few lines at
+a time, so the hop's buffers hold about npad * (npad//2 + 1) samples.  The
+plane is even along that axis bit for bit and agrees with the full
+transform to round-off, and the ``FieldSlice`` returned stores only its
+block of non-negative coordinates: a quadrant when both axes are even.
+``propagate_with_obstacles`` carries the even axes from hop to hop: a mask
+keeps each axis its footprint is centred on.
 """
 
 from __future__ import annotations
@@ -59,14 +62,14 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here it is paid at import, not in the first hop
 
-from .aperture import (_MIRROR_ROWS, ApertureField, ObstacleSpec, _even_axes, _mirror_centred,
-                       _mirror_columns, make_obstacle_mask)
+from .aperture import (ApertureField, ObstacleSpec, _even_axes, _unfold,
+                       make_obstacle_mask)
 from .errors import SamplingError
 
 __all__ = [
@@ -80,37 +83,151 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FieldSlice:
-    """Complex field samples on a transverse plane at distance z."""
+class _Layout:
+    """How a plane of ``side`` samples a side at ``pitch`` is stored: along each axis that
+    ``even`` (along y, along x) names, the plane is even about its centre bit for bit and
+    only its indices side//2 .. side-1, of non-negative coordinate, are kept; along the
+    others every index is.  Both even, the block kept is a quadrant."""
 
-    z: float
-    samples: np.ndarray
-    sample_pitch: float
-
-    def __post_init__(self):
-        if self.sample_pitch <= 0:
-            raise ValueError(f"sample_pitch must be positive, got {self.sample_pitch}")
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-
-    @property
-    def power(self) -> float:
-        """sum(|s|^2) * pitch^2."""
-        return float(np.sum(np.abs(self.samples) ** 2) * self.sample_pitch**2)
+    side: int
+    pitch: float
+    even: tuple[bool, bool]
 
     @property
     def extent(self) -> float:
-        return self.samples.shape[0] * self.sample_pitch
+        return self.side * self.pitch
 
     def axis_coordinates(self) -> np.ndarray:
-        n = self.samples.shape[0]
-        return (np.arange(n) - (n - 1) / 2.0) * self.sample_pitch
+        n = self.side
+        return (np.arange(n) - (n - 1) / 2.0) * self.pitch
+
+    def block_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates of the block's rows (y) and columns (x)."""
+        x = self.axis_coordinates()
+        return tuple(x[self.side // 2 :] if e else x for e in self.even)
+
+    def multiplicity(self) -> np.ndarray:
+        """How many samples of the plane each block sample stands for, 1, 2 or 4, as the
+        array of the block's shape."""
+        n = self.side
+        counts = []
+        for e in self.even:
+            m = np.full(n - n // 2, 2.0) if e else np.ones(n)
+            if e and n % 2:
+                m[0] = 1.0  # the line through the centre of an odd plane stands for itself
+            counts.append(m)
+        return counts[0][:, None] * counts[1][None, :]
+
+    def crop(self, plane: np.ndarray) -> np.ndarray:
+        """The block (a view) of the whole ``plane``."""
+        h = self.side // 2
+        return plane[tuple(slice(h, None) if e else slice(None) for e in self.even)]
+
+    def unfold(self, block: np.ndarray, keep: tuple[bool, bool] = (False, False)) -> np.ndarray:
+        """The whole plane of an array laid out as the block (``block`` itself when no axis
+        is even); along an axis that ``keep`` names, the block's half is kept."""
+        if not any(e and not k for e, k in zip(self.even, keep)):
+            return block
+        return _unfold(block, self.side, self.even, keep)
+
+    def window(self, block: np.ndarray, lo: int, size: int) -> np.ndarray:
+        """The plane's square ``[lo : lo + size, lo : lo + size]``, read off the block."""
+        idx = np.arange(lo, lo + size)
+        mirrored = np.maximum(idx, self.side - 1 - idx) - self.side // 2
+        return block[np.ix_(*(mirrored if e else idx for e in self.even))]
+
+
+@dataclass(frozen=True, init=False)
+class FieldSlice:
+    """Complex field samples on a transverse plane at distance z.
+
+    ``FieldSlice(z, samples, sample_pitch)`` holds the square plane
+    ``samples``.  ``even`` (along y, along x) says that the samples are even
+    about their centre along those axes, bit for bit, which is checked; the
+    slice then stores only its ``block`` of non-negative coordinates along
+    them (``_Layout``): a quadrant, or a half when one axis is even.  The
+    hops return slices stored so, and every study reads the block.
+    ``samples`` is the whole plane: the block itself when no axis is even,
+    otherwise mirrored from it on first read, kept, and read-only.
+    """
+
+    z: float
+    block: np.ndarray
+    layout: _Layout
+
+    def __init__(self, z: float, samples: np.ndarray, sample_pitch: float,
+                 even: tuple[bool, bool] = (False, False)):
+        if sample_pitch <= 0:
+            raise ValueError(f"sample_pitch must be positive, got {sample_pitch}")
+        samples = np.asarray(samples, dtype=complex)
+        even = (bool(even[0]), bool(even[1]))
+        if any(even) and any(e and not ok for e, ok in zip(even, _even_axes(samples))):
+            raise ValueError(f"samples are not even about their centre along each axis of "
+                             f"even = {even} (along y, along x)")
+        layout = _Layout(samples.shape[0], sample_pitch, even)
+        self._store(z, layout.crop(samples), layout)
+
+    @classmethod
+    def _of_block(cls, z: float, block: np.ndarray, layout: _Layout) -> "FieldSlice":
+        """The slice at z whose plane, laid out as ``layout``, has the block ``block``."""
+        slice_ = cls.__new__(cls)
+        slice_._store(z, block, layout)
+        return slice_
+
+    def _store(self, z: float, block: np.ndarray, layout: _Layout) -> None:
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "layout", layout)
+
+    @property
+    def sample_pitch(self) -> float:
+        return self.layout.pitch
+
+    @property
+    def even(self) -> tuple[bool, bool]:
+        return self.layout.even
+
+    @functools.cached_property
+    def samples(self) -> np.ndarray:
+        """The whole plane."""
+        plane = self.layout.unfold(self.block)
+        if plane is not self.block:
+            plane.setflags(write=False)  # a copy: writing it would not reach the block
+        return plane
+
+    @property
+    def power(self) -> float:
+        """sum(|s|^2) * pitch^2 over the whole plane."""
+        intensity = self.intensity()
+        np.multiply(intensity, self.layout.multiplicity(), out=intensity)
+        return float(np.sum(intensity) * self.sample_pitch**2)
+
+    @property
+    def extent(self) -> float:
+        return self.layout.extent
+
+    def axis_coordinates(self) -> np.ndarray:
+        return self.layout.axis_coordinates()
+
+    def block_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates of the block's rows (y) and columns (x)."""
+        return self.layout.block_axes()
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         x = self.axis_coordinates()
         return np.meshgrid(x, x, indexing="xy")
 
     def intensity(self) -> np.ndarray:
-        return np.abs(self.samples) ** 2
+        """|s|^2 of the block."""
+        return np.abs(self.block) ** 2
+
+    def _widened(self, even: tuple[bool, bool]) -> "FieldSlice":
+        """The slice laid out as even along ``even`` only, each axis of which it is even
+        along: the block mirrored along the axes dropped."""
+        if even == self.even:
+            return self
+        return FieldSlice._of_block(self.z, self.layout.unfold(self.block, keep=even),
+                                    replace(self.layout, even=even))
 
 
 # the pad factors a hop takes are [1, _MAX_PAD_FACTOR]; a window check hints at none above it
@@ -154,22 +271,82 @@ def _line_blocks(lines: int, samples: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _fft_pass(a: np.ndarray, axis: int, inverse: bool = False) -> None:
-    """Unscaled in-place FFT (or inverse FFT) of every line of 2-D ``a`` along ``axis``."""
-    transform = functools.partial(np.fft.ifft if inverse else np.fft.fft, axis=axis,
-                                  norm="forward" if inverse else "backward")
-    blocks = _line_blocks(a.shape[1 - axis], a.size)
+def _in_blocks(lines: int, samples: int, run) -> None:
+    """``run(start, stop)`` on each block of ``_line_blocks(lines, samples)``, one thread
+    per block when there are several; a failed block raises."""
+    blocks = _line_blocks(lines, samples)
     if len(blocks) == 1:
-        transform(a, out=a)
+        run(*blocks[0])
         return
     from concurrent.futures import ThreadPoolExecutor  # numpy releases the GIL in a transform
 
-    def run(block):
-        part = a[:, block[0] : block[1]] if axis == 0 else a[block[0] : block[1]]
-        transform(part, out=part)
-
     with ThreadPoolExecutor(len(blocks)) as pool:
-        list(pool.map(run, blocks))  # reads every result, so a failed block raises
+        list(pool.map(lambda block: run(*block), blocks))
+
+
+def _transform(a: np.ndarray, axis: int, inverse: bool = False) -> None:
+    """Unscaled in-place FFT (or inverse FFT) of every line of 2-D ``a`` along ``axis``, on
+    the calling thread."""
+    if inverse:
+        np.fft.ifft(a, axis=axis, norm="forward", out=a)
+    else:
+        np.fft.fft(a, axis=axis, out=a)
+
+
+def _fft_pass(a: np.ndarray, axis: int, inverse: bool = False) -> None:
+    """``_transform`` of ``a``, its lines split into ``_line_blocks``."""
+    def run(start, stop):
+        _transform(a[:, start:stop] if axis == 0 else a[start:stop], axis, inverse)
+
+    _in_blocks(a.shape[1 - axis], a.size, run)
+
+
+# an even pass stages its lines, full length, through arrays of about this many samples
+_STAGED_SAMPLES = 1 << 15
+
+
+def _even_pass(src: np.ndarray, dst: np.ndarray, npad: int, axis: int, inverse: bool = False,
+               centred: bool = True) -> None:
+    """Transform the lines along ``axis`` of a plane npad long there and even along it,
+    holding only the entries each line keeps.
+
+    Forward, each line of ``src`` holds its entries npad//2, npad//2 + 1, ...
+    of non-negative coordinate (even about the centre), zero-padded to
+    npad - npad//2; or, not ``centred``, its entries 0..npad//2 in FFT order,
+    entry m > npad//2 being entry npad - m.  The line is mirrored to its
+    full length, and ``dst`` gets its spectrum entries 0..npad//2.  Inverse,
+    ``src`` holds spectrum entries 0..npad//2, the rest are rebuilt
+    (``_rebuild_tail``), and ``dst`` gets entries npad//2 .. npad-1 of the
+    line.  The lines go through staging arrays a few at a time, each line
+    contiguous and whole, so every transform sees the line it would see in
+    the full plane; ``dst`` may be ``src`` or a part of it, as each group of
+    lines is read before it is written.
+    """
+    h = npad // 2
+    src, dst = (src, dst) if axis == 0 else (src.T, dst.T)  # lines along axis 0
+    per_stage = max(1, _STAGED_SAMPLES // npad)
+
+    def run(start, stop):
+        for lo in range(start, stop, per_stage):
+            hi = min(lo + per_stage, stop)
+            stage = np.empty((hi - lo, npad), dtype=complex)
+            lines = stage.T  # line j of the group is the contiguous row stage[j]
+            part = src[:, lo:hi]
+            if inverse or not centred:
+                lines[: h + 1] = part
+                if inverse:
+                    _rebuild_tail(lines)
+                else:
+                    lines[h + 1 :] = part[_mirror_tail(npad)]
+            else:  # entry m < npad//2 is entry npad-1-m, part's npad-1-h-m if it holds one
+                pad = npad - h - part.shape[0]
+                lines[h : npad - pad] = part
+                lines[pad:h] = part[npad - 2 * h :][::-1]
+                lines[npad - pad :] = lines[:pad] = 0.0
+            _transform(stage, 1, inverse)
+            dst[:, lo:hi] = lines[h:] if inverse else lines[: h + 1]
+
+    _in_blocks(src.shape[1], npad * src.shape[1], run)
 
 
 def _mirror_tail(npad: int) -> slice:
@@ -190,69 +367,83 @@ def _twiddles(npad: int) -> np.ndarray:
     return w
 
 
-def _rebuild_tail(a: np.ndarray, axis: int) -> None:
-    """Fill entries m > npad//2 along ``axis`` of the square spectrum ``a`` of a field even
-    along that axis from the entries they mirror, times the twiddles.
+def _rebuild_tail(lines: np.ndarray) -> None:
+    """Fill entries m > npad//2 along axis 0 of ``lines`` (npad long), the spectra of lines
+    even about their centre, from the entries they mirror, times the twiddles.
 
-    Along axis 1 the rows go a few at a time: the columns read and written
-    share their rows, and numpy would copy an overlapping source whole.
+    Where source and target share memory rows numpy copies the source
+    first; ``lines`` is a staging group, so that copy is small.
     """
-    npad = a.shape[axis]
-    h, tail, w = npad // 2, _mirror_tail(npad), _twiddles(npad)
-    if axis == 0:
-        np.multiply(w[:, None], a[tail], out=a[h + 1 :])
-        return
-    for lo in range(0, a.shape[0], _MIRROR_ROWS):
-        rows = a[lo : lo + _MIRROR_ROWS]
-        np.multiply(w, rows[:, tail], out=rows[:, h + 1 :])
+    npad = lines.shape[0]
+    h = npad // 2
+    np.multiply(_twiddles(npad)[:, None], lines[_mirror_tail(npad)], out=lines[h + 1 :])
 
 
-def _fft2(a: np.ndarray, even_y: bool = False, even_x: bool = False,
-          nonzero: tuple[int, int] | None = None) -> np.ndarray:
-    """``scipy.fft.fft2(a, overwrite_x=True)``, bit for bit: axis 0, then axis 1, in place.
+def _fft2(block: np.ndarray, npad: int, even: tuple[bool, bool] = (False, False),
+          n: int | None = None, overwrite: bool = False) -> np.ndarray:
+    """The spectrum of the npad-square plane that holds an n-square field (n = npad by
+    default) at its centre and zeros around it, the field given as its ``block`` laid out
+    as ``_Layout`` does for ``even`` (along y, along x).
 
-    Only the columns in ``nonzero`` = (start, stop) may hold non-zero values;
-    the axis-0 pass runs on those.  With ``even_x`` (``a`` is even about its
-    centre along x), it runs on those of non-negative coordinate only and
-    the rows then take them mirrored.  With ``even_y``, only the spectrum
-    rows 0..npad//2 are formed.  Every entry formed equals the full
-    transform's, bit for bit; ``_ifft2`` with the same flags reads no other.
+    Without an even axis this is ``scipy.fft.fft2`` of the plane, bit for bit:
+    axis 0, then axis 1.  The axis-0 pass runs on the columns that hold the
+    field only.  Along an even axis only the spectrum entries 0..npad//2
+    are formed (``_even_pass``); ``_ifft2`` with the same flags reads no
+    other.  Every entry formed equals the full transform's, bit for bit.  The
+    spectrum is a new array, (npad//2 + 1 or npad) by (npad//2 + 1 or npad);
+    with ``overwrite`` a C-contiguous block of the spectrum's shape is
+    transformed in place instead.
     """
-    npad = a.shape[0]
-    lo, hi = nonzero or (0, a.shape[1])
-    _fft_pass(a[:, max(lo, npad // 2) if even_x else lo : hi], 0)
-    rows = a[: npad // 2 + 1] if even_y else a
-    if even_x:
-        _mirror_columns(rows)
-    _fft_pass(rows, 1)
-    return a
+    n = npad if n is None else n
+    h, lo = npad // 2, (npad - n) // 2
+    ey, ex = even
+    shape = (h + 1 if ey else npad, h + 1 if ex else npad)
+    first = 2 * h + 1 - npad if ex else lo  # the spectrum column of the block's first column
+    cols = slice(first, first + block.shape[1])
+    if overwrite and n == npad and block.shape == shape and block.flags.c_contiguous:
+        spec = block
+    else:
+        spec = np.zeros(shape, dtype=complex)
+        if not ey:
+            spec[lo : lo + n, cols] = block
+    if ey:
+        _even_pass(block, spec[:, cols], npad, 0, False)
+    else:
+        _fft_pass(spec[:, cols], 0)
+    if ex:
+        _even_pass(spec[:, 2 * h + 1 - npad :], spec, npad, 1, False)
+    else:
+        _fft_pass(spec, 1)
+    return spec
 
 
-def _ifft2(a: np.ndarray, even_y: bool = False, even_x: bool = False) -> np.ndarray:
-    """``scipy.fft.ifft2(a, overwrite_x=True)``, in place; without flags bit for bit.
+def _ifft2(spec: np.ndarray, npad: int, even: tuple[bool, bool] = (False, False)) -> np.ndarray:
+    """``scipy.fft.ifft2(spec, overwrite_x=True)`` of the npad-square spectrum ``_fft2``
+    forms for ``even``, in place in ``spec``: the block of the plane, a view of ``spec``.
+    Without flags bit for bit.
 
     pocketfft scales by 1/(n0*n1) after the first pass, multiplying each
     real and imaginary part by the real factor; a complex multiply would
-    flip the sign of some zeros.  A flag says the result is even about its
-    centre along that axis.  Then only the spectrum entries 0..npad//2
-    along it are read, the rest follow from F[m] = omega^(npad-m) F[npad-m]
-    (``_twiddles``), the passes run on the lines whose output is kept, and
-    the result is mirrored from its entries of non-negative coordinate.
-    That agrees with the full transform to round-off.
+    flip the sign of some zeros.  Along an even axis the spectrum entries
+    npad//2+1.. follow from F[m] = omega^(npad-m) F[npad-m] (``_twiddles``),
+    and the plane is kept from entry npad//2 on (``_even_pass``); that agrees
+    with the full transform to round-off.
     """
-    npad = a.shape[0]
     h = npad // 2
-    cols = a[:, : h + 1] if even_x else a
-    if even_y:
-        _rebuild_tail(cols, 0)
-    _fft_pass(cols, 0, inverse=True)
-    kept = a[h:] if even_y else a
-    parts = (kept[:, : h + 1] if even_x else kept).view(np.float64)
-    np.multiply(parts, 1.0 / a.size, out=parts)
-    if even_x:
-        _rebuild_tail(kept, 1)
-    _fft_pass(kept, 1, inverse=True)
-    return _mirror_centred(a, even_y, even_x)
+    ey, ex = even
+    kept = spec[: npad - h] if ey else spec
+    if ey:
+        _even_pass(spec, kept, npad, 0, True)
+    else:
+        _fft_pass(spec, 0, inverse=True)
+    parts = kept.view(np.float64)
+    np.multiply(parts, 1.0 / (npad * npad), out=parts)
+    block = kept[:, 2 * h + 1 - npad :] if ex else kept
+    if ex:
+        _even_pass(kept, block, npad, 1, True)
+    else:
+        _fft_pass(kept, 1, inverse=True)
+    return block
 
 
 def _next_fast_len(target: int) -> int:
@@ -281,21 +472,6 @@ def _padded_size(n: int, pad_factor: float) -> int:
     return m
 
 
-def _padded_fft2(samples: np.ndarray, npad: int, even_y: bool = False,
-                 even_x: bool = False) -> np.ndarray:
-    """``scipy.fft.fft2`` of ``samples`` centred on an npad-square zero grid, bit for bit.
-
-    The columns the padding adds are all zero, and so is their transform,
-    so the axis-0 pass runs on the n sample columns only.  The flags are
-    ``_fft2``'s.
-    """
-    n = samples.shape[0]
-    out = np.zeros((npad, npad), dtype=complex)
-    lo = (npad - n) // 2
-    out[lo : lo + n, lo : lo + n] = samples
-    return _fft2(out, even_y, even_x, (lo, lo + n))
-
-
 def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
     """Quadrant of the FFT of the sampled spherical-wave kernel exp(-1j*k*r)/r at hop z.
 
@@ -305,30 +481,21 @@ def _kernel_spectrum(npad: int, pitch: float, k: float, z: float) -> np.ndarray:
     ``_fft2`` of that mirror, bit for bit, and every line gets
     the transform it gets there; but the full grid is never built.  Columns
     m and npad - m of that grid are equal, so the axis-0 pass runs on the
-    h+1 distinct columns of the row-mirrored quadrant, and the axis-1 pass
-    on the h+1 rows that are kept.
+    h+1 distinct columns, and the axis-1 pass on the h+1 rows that are kept,
+    each in place in the quadrant (``_even_pass``).
 
     pocketfft's transform of an even input is not bitwise even: the mirror
     of this quadrant differs from the full-grid spectrum by round-off, at
     most 8.1e-16 of its largest magnitude up to npad 1125.
     """
     h = npad // 2
-    tail = _mirror_tail(npad)
     d_sq = (np.arange(h + 1) * pitch) ** 2
     r = np.sqrt(d_sq[None, :] + d_sq[:, None] + z * z)
     q = np.exp(-1j * k * r) / r
     del r
-    cols = np.empty((npad, h + 1), dtype=complex)
-    cols[: h + 1] = q
-    cols[h + 1 :] = q[tail]
-    del q
-    _fft_pass(cols, 0)
-    rows = np.empty((h + 1, npad), dtype=complex)
-    rows[:, : h + 1] = cols[: h + 1]
-    rows[:, h + 1 :] = cols[: h + 1, tail]
-    del cols
-    _fft_pass(rows, 1)
-    return np.ascontiguousarray(rows[:, : h + 1])
+    _even_pass(q, q, npad, 0, centred=False)
+    _even_pass(q, q, npad, 1, centred=False)
+    return q
 
 
 def _f_limit(extent: float, lam: float, z: float) -> float:
@@ -376,10 +543,14 @@ def _analytic_transfer(npad: int, pitch: float, k: float, dz: float) -> np.ndarr
     kx_sq = kx * kx
     kz_sq = k * k - kx_sq[None, :] - kx_sq[:, None]
     prop = kz_sq > 0.0
-    kz = np.sqrt(np.where(prop, kz_sq, 0.0))
-    H = np.where(prop, np.exp(-1j * dz * kz), 0.0 + 0.0j)
+    kz_sq[~prop] = 0.0  # evanescent: H is zeroed there below
+    H = -1j * dz * np.sqrt(kz_sq)
+    del kz_sq
+    np.exp(H, out=H)
+    H[~prop] = 0.0
     inside = kx <= 2.0 * np.pi * _f_limit(npad * pitch, 2.0 * np.pi / k, dz)
-    return H * (inside[None, :] & inside[:, None])
+    np.multiply(H, inside[None, :] & inside[:, None], out=H)
+    return H
 
 
 _SPECTRA: contextvars.ContextVar[dict | None] = contextvars.ContextVar("spectra", default=None)
@@ -419,38 +590,32 @@ def _spectrum(key: tuple, build) -> np.ndarray:
     return spectrum
 
 
-def _apply_quadrant(quadrant: np.ndarray, samples: np.ndarray, npad: int,
-                    overwrite: bool = False, even_y: bool = False,
-                    even_x: bool = False) -> np.ndarray:
-    """ifft2(mirror of quadrant * fft2(samples zero-padded to npad)): the padded plane.
+def _apply_quadrant(quadrant: np.ndarray, block: np.ndarray, n: int, npad: int,
+                    even: tuple[bool, bool], overwrite: bool = False) -> np.ndarray:
+    """ifft2(mirror of quadrant * fft2(the n-square field of ``block`` zero-padded to
+    npad)): the block of the padded plane, laid out as the field's, for ``even``.
 
     The field spectrum is multiplied in place by mirrored views of the
     quadrant, block by block, so the full-grid spectrum is never built.  The
     product is formed in the operand order quadrant * field spectrum: numpy's
     complex multiply is not bitwise commutative, and the artifacts are pinned
-    to this order.  With ``overwrite``, samples that need no padding
-    (complex, C-contiguous and npad a side) are transformed in place and
-    returned; the padded grid would hold the same values.
+    to this order.  ``overwrite`` is ``_fft2``'s.
 
-    ``even_y`` and ``even_x`` say the samples are even about their centre
-    along y (axis 0) and x (axis 1), bit for bit.  Along such an axis the
-    forward transform forms, and the product covers, only the frequencies
-    0..npad//2, the inverse rebuilds the others (``_ifft2``), and the plane
-    returned is even along it, bit for bit; everything stays in the one
-    npad-square buffer.  Without flags the plane is the full transform's,
-    bit for bit; with them it agrees with it to round-off.
+    Along an even axis the forward transform forms, and the product covers,
+    only the frequencies 0..npad//2, and the inverse rebuilds the others
+    (``_ifft2``); every buffer is about npad * (npad//2 + 1) samples or
+    less, and the plane is even along that axis, bit for bit.  Without an
+    even axis the plane is the full transform's, bit for bit; with one it
+    agrees with it to round-off.
     """
-    if overwrite and samples.shape[0] == npad:
-        spec = _fft2(samples, even_y, even_x)
-    else:
-        spec = _padded_fft2(samples, npad, even_y, even_x)
+    spec = _fft2(block, npad, even, n, overwrite)
     h = npad // 2
     halves = ((slice(0, h + 1), slice(None)), (slice(h + 1, None), _mirror_tail(npad)))
-    for rows, q_rows in halves[: 1 if even_y else 2]:
-        for cols, q_cols in halves[: 1 if even_x else 2]:
-            block = spec[rows, cols]
-            np.multiply(quadrant[q_rows, q_cols], block, out=block)
-    return _ifft2(spec, even_y, even_x)
+    for rows, q_rows in halves[: 1 if even[0] else 2]:
+        for cols, q_cols in halves[: 1 if even[1] else 2]:
+            part = spec[rows, cols]
+            np.multiply(quadrant[q_rows, q_cols], part, out=part)
+    return _ifft2(spec, npad, even)
 
 
 def propagate_slice(field: FieldSlice, dz: float, pad_factor: float = _DEFAULT_PAD_FACTOR, *,
@@ -461,29 +626,29 @@ def propagate_slice(field: FieldSlice, dz: float, pad_factor: float = _DEFAULT_P
     ``wavelength`` is the positive carrier wavelength, which slices do not
     carry.  The transfer function is built, and kept inside
     ``reuse_spectra``, as its quadrant of non-negative frequencies, and
-    applied through mirrored views of it.  ``field`` is left untouched.
+    applied through mirrored views of it.  The slice returned is even along
+    the axes ``field`` is, and stored as its block.  ``field`` is left
+    untouched.
     """
     return _hop_slice(field, dz, pad_factor, wavelength)
 
 
 def _hop_slice(field: FieldSlice, dz: float, pad_factor: float,
-               wavelength: float, overwrite: bool = False,
-               even: tuple[bool, bool] = (False, False)) -> FieldSlice:
-    """``propagate_slice``; with ``overwrite`` an unpadded hop transforms the field's samples
-    in place and the slice returned holds them.  ``even`` is (along y, along x), as
-    ``_apply_quadrant`` takes it."""
+               wavelength: float, overwrite: bool = False) -> FieldSlice:
+    """``propagate_slice``; with ``overwrite`` the hop may transform the field's block in
+    place (``_fft2``) and the slice returned then holds it."""
     if not wavelength > 0:  # NaN too
         raise ValueError(f"propagate_slice needs the positive carrier wavelength, not {wavelength}")
     if dz < 0:
         raise ValueError(f"propagation step must be non-negative, got {dz}")
-    n = field.samples.shape[0]
+    n = field.layout.side
     npad = _padded_size(n, pad_factor)
     k = 2.0 * np.pi / wavelength
     pitch = field.sample_pitch
     _check_window_supports_distance(n, npad, pitch, wavelength, dz)
     H = _spectrum(("transfer", npad, pitch, k, dz), lambda: _analytic_transfer(npad, pitch, k, dz))
-    return FieldSlice(field.z + dz, _apply_quadrant(H, field.samples, npad, overwrite, *even),
-                      pitch)
+    block = _apply_quadrant(H, field.block, n, npad, field.even, overwrite)
+    return FieldSlice._of_block(field.z + dz, block, _Layout(npad, pitch, field.even))
 
 
 def propagate_asm(field: ApertureField, z: float,
@@ -499,7 +664,7 @@ def propagate_asm(field: ApertureField, z: float,
     quadrant, and applied through mirrored views of it.  Along each axis
     in which the weights are even about their centre bit for bit (signed
     zeros included), the hop transforms about half the lines and returns a
-    plane even along it, bit for bit (``_apply_quadrant``).
+    plane even along it, bit for bit, stored as its block (``_apply_quadrant``).
     """
     return _hop_aperture(field, z, pad_factor, _even_axes(field.weights))
 
@@ -516,7 +681,8 @@ def _hop_aperture(field: ApertureField, z: float, pad_factor: float,
     _check_window_supports_distance(n, npad, pitch, field.grid.wavelength, z)
     k = field.grid.wavenumber
     K = _spectrum(("kernel", npad, pitch, k, z), lambda: _kernel_spectrum(npad, pitch, k, z))
-    return FieldSlice(z, _apply_quadrant(K, field.weights, npad, False, *even), pitch)
+    block = _apply_quadrant(K, _Layout(n, pitch, even).crop(field.weights), n, npad, even)
+    return FieldSlice._of_block(z, block, _Layout(npad, pitch, even))
 
 
 def _check_nearest_distance(r_sq: float, z: float) -> None:
@@ -566,9 +732,13 @@ def propagate_with_obstacles(
     The aperture hop uses the point-source kernel on a plane padded by
     ``pad_factor``; hops between obstacle planes propagate the masked
     continuum field on that plane, unpadded, with the analytic transfer
-    function, each transforming the masked plane in place.  Obstacles whose
-    mask is the identity are skipped; a footprint beyond the propagated
-    plane raises GeometryError from ``make_obstacle_mask``.
+    function, each transforming the masked block in place where it has the
+    shape of the hop's spectrum (no even axis, or an odd plane side).  Each
+    plane is stored as its block along the axes the masks before it keep
+    even (``_even_behind``); a knife edge first mirrors a quadrant to its
+    half.  Obstacles whose mask is the identity are skipped; a footprint
+    beyond the propagated plane raises GeometryError from
+    ``make_obstacle_mask``.
     """
     if z_target <= 0:
         raise ValueError(f"z_target must be positive, got {z_target}")
@@ -580,28 +750,32 @@ def propagate_with_obstacles(
         raise ValueError(f"obstacle planes {zs} must lie before z_target {z_target}")
 
     lam = field.grid.wavelength
+    npad = _padded_size(field.grid.elements_per_side, pad_factor)
     # the weights are tested once; each mask then keeps or drops the axes of the plane
     even = _even_axes(field.weights)
     current: FieldSlice | None = None
     for ob in obs:
         # a pad-1 hop keeps the grid of a plane already padded, so an obstacle's mask is
-        # read off the current plane before the hop: an obstacle that masks nothing is
-        # skipped without one, and otherwise nothing reads that plane again, so the hop
-        # transforms it in place
-        plane = _hop_aperture(field, ob.plane_z, pad_factor, even) if current is None else current
-        mask = make_obstacle_mask(plane, ob).values
+        # built before the hop to it, on the block of the plane behind it: an obstacle that
+        # masks nothing is skipped without a hop, and otherwise nothing reads the plane
+        # before the hop again, so the hop may transform it in place
+        behind = _even_behind(ob, even)
+        mask = make_obstacle_mask(_Layout(npad, field.grid.element_pitch, behind), ob).values
         if np.all(mask == 1.0):
             continue
-        if current is not None:
-            plane = _hop_slice(current, ob.plane_z - current.z, 1.0, lam, True, even)
+        if current is None:
+            plane = _hop_aperture(field, ob.plane_z, pad_factor, even)
+        else:
+            plane = _hop_slice(current, ob.plane_z - current.z, 1.0, lam, True)
+        plane = plane._widened(behind)
         # the plane is this function's own: mask it in place, not in a copy
-        np.multiply(plane.samples, mask, out=plane.samples)
+        np.multiply(plane.block, mask, out=plane.block)
         del mask  # before the next hop
-        even = _even_behind(ob, even)
+        even = behind
         current = plane
     if current is None:
         return _hop_aperture(field, z_target, pad_factor, even)
-    return _hop_slice(current, z_target - current.z, 1.0, lam, True, even)
+    return _hop_slice(current, z_target - current.z, 1.0, lam, True)
 
 
 def _even_behind(ob: ObstacleSpec, even: tuple[bool, bool]) -> tuple[bool, bool]:

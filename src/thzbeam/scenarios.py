@@ -40,7 +40,7 @@ from .aperture import (
     CausticCurve,
     ObstacleSpec,
     WavefrontSpec,
-    _tangent_depths,
+    _caustic_row,
     axicon_design,
     make_grid,
     synthesize_applied_phase,
@@ -443,8 +443,8 @@ _KIND_KEYS = {key.name: key.metadata for key in fields(WavefrontSection) if "kin
 def _wavefront(parser, name: str, grid: ApertureGrid) -> WavefrontSpec:
     """[wavefront.<name>] on ``grid`` as a spec.  Each key that only another kind reads is an
     error, and so is each key that only this kind reads, needs and lacks; the error names
-    every one.  A caustic fails at its curve_a for a = 0 and for an aperture abscissa
-    that no tangent of its curve reaches."""
+    every one.  A caustic fails at its curve_a for a = 0, for an aperture abscissa
+    that no tangent of its curve reaches, and for a phase beyond the float range."""
     section = f"wavefront.{name}"
     keys = _section(parser, section, WavefrontSection)
     _build(f"{section}.kind", WavefrontSpec, keys.kind)
@@ -460,7 +460,7 @@ def _wavefront(parser, name: str, grid: ApertureGrid) -> WavefrontSpec:
     if kind != "caustic":
         return _build(section, keys.spec)
     spec = _build(f"{section}.curve_a", keys.spec)
-    _build(f"{section}.curve_a", _tangent_depths, spec.curve, grid.axis_coordinates())
+    _build(f"{section}.curve_a", _caustic_row, grid, spec.curve)
     return spec
 
 
@@ -515,6 +515,19 @@ def _check_padded_side(grid: ApertureGrid, pad_factor: float, key_path: str) -> 
                           "a study may propagate", key_path=key_path)
 
 
+def _check_obstacles(grid: ApertureGrid, blockage: BlockageSection) -> None:
+    """Reject a disc wider than the padded obstacle plane (``make_obstacle_mask``'s rule),
+    and a knife edge beyond it, which would block all of the plane or none."""
+    half = _padded_size(grid.elements_per_side, blockage.pad_factor) * grid.element_pitch / 2.0
+    if blockage.obstacle_size_m / 2.0 > half:
+        raise ConfigError(f"a disc of diameter {blockage.obstacle_size_m:g} m exceeds the "
+                          f"padded plane's extent +-{half:g} m", key_path="blockage.obstacle_size_m")
+    if blockage.knife is not None and abs(blockage.knife_x_edge_m) >= half:
+        raise ConfigError(f"the knife edge lies beyond the padded plane's extent +-{half:g} m, "
+                          "so it would block all of the plane or none of it",
+                          key_path="blockage.knife_x_edge_m")
+
+
 def _check_adjoint_side(grid: ApertureGrid, rx_radius: float | None) -> None:
     """Reject a crosstalk study whose adjoint hops would pad beyond MAX_PADDED_SIDE a side:
     their source grid widens with the receive disc, so the radius is at fault."""
@@ -546,6 +559,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if scenario.study in ("plane", "blockage"):
         _check_padded_side(sections["grid"].grid, sections[scenario.study].pad_factor,
                            f"{scenario.study}.pad_factor")
+        if scenario.study == "blockage":
+            _check_obstacles(sections["grid"].grid, sections["blockage"])
     elif scenario.study == "oam_crosstalk":  # its hops take the default pad factor
         _check_padded_side(sections["grid"].grid, _DEFAULT_PAD_FACTOR, "grid.side_length_m")
         _check_adjoint_side(sections["grid"].grid, sections["oam"].rx_radius_m)
@@ -779,10 +794,11 @@ def _write(out_dir: Path, stem: str, output: OutputSection, manifest: RunManifes
         manifest.add(path, out_dir)
 
 
-def _write_maps(out_dir: Path, stem: str, intensity: np.ndarray, output: MapOutputSection,
-                manifest) -> None:
-    """The dB maps of a plane given as its intensity, which stays as it is."""
-    _write(out_dir, stem, output, manifest, levels_of=lambda: (
+def _write_maps(out_dir: Path, stem: str, intensity: np.ndarray, layout,
+                output: MapOutputSection, manifest) -> None:
+    """The dB maps of a plane given as the intensity of its block, laid out as ``layout``,
+    which stays as it is: the block's levels are mirrored to the whole plane."""
+    _write(out_dir, stem, output, manifest, levels_of=lambda: layout.unfold(
         artifacts.intensity_to_levels(intensity, scale="db", db_floor=output.db_floor)))
 
 
@@ -805,8 +821,8 @@ def _run_plane(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> 
     slice_ = propagate_asm(synthesize_field(config.grid, spec), z, config.plane.pad_factor)
     _write(out_dir, f"slice_{name}_z{z:g}", out, manifest,
            lambda path: artifacts.field_slice_csv(path, slice_),
-           lambda: artifacts.intensity_to_levels(slice_.intensity(), scale=out.scale,
-                                                 db_floor=out.db_floor))
+           lambda: slice_.layout.unfold(artifacts.intensity_to_levels(
+               slice_.intensity(), scale=out.scale, db_floor=out.db_floor)))
 
 
 def _run_gain_curve(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
@@ -836,19 +852,19 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
                 if kind == "beamfocusing" and spec.focal_length is None:
                     spec = replace(spec, focal_length=z_eval)
                 fld = synthesize_field(grid, spec)
-                # each plane is kept as its intensity only: the correlations and maps read
-                # nothing else, and a wavefront's planes are gone before the next is built
+                # each plane is kept as the intensity of its block only: the correlations and
+                # maps read nothing else, and a wavefront's planes are gone before the next is
+                # built.  The disc is centred, so the blocked plane is laid out as the reference.
                 reference = propagate_asm(fld, z_eval, b.pad_factor)
-                coords = reference.axis_coordinates()
-                i_ref = reference.intensity()
+                layout, i_ref = reference.layout, reference.intensity()
                 del reference
-                _write_maps(out_dir, f"map_{name}_reference", i_ref, out, manifest)
+                _write_maps(out_dir, f"map_{name}_reference", i_ref, layout, out, manifest)
                 i_blk = propagate_with_obstacles(fld, [b.disc], z_eval, b.pad_factor).intensity()
                 del fld
-                rows.append([name, z_eval, _disc_correlation(i_blk, i_ref, coords, r_window),
-                             _intensity_correlation(i_blk, i_ref)])
+                rows.append([name, z_eval, _disc_correlation(i_blk, i_ref, layout, r_window),
+                             _intensity_correlation(i_blk, i_ref, layout.multiplicity())])
                 del i_ref
-                _write_maps(out_dir, f"map_{name}_blocked", i_blk, out, manifest)
+                _write_maps(out_dir, f"map_{name}_blocked", i_blk, layout, out, manifest)
                 del i_blk
     _write_table(out_dir, "healing", "wavefront,eval_z_m,correlation_shadow,correlation_full",
                  rows, out, manifest)
@@ -857,20 +873,22 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
         [(caustic_name, caustic_spec)] = _wavefronts_of_kind(config, "caustic")
         [(planar_name, planar_spec)] = _wavefronts_of_kind(config, "beamforming")
         z_t = b.caustic_eval_z_m
+        peaks = []
         with reuse_spectra():
-            i_caustic = propagate_with_obstacles(
-                synthesize_field(grid, caustic_spec), [b.knife], z_t, b.pad_factor
-            ).intensity()
-            i_planar = propagate_with_obstacles(
-                synthesize_field(grid, planar_spec), [b.knife], z_t, b.pad_factor
-            ).intensity()
-        pk_c = float(i_caustic.max())
-        pk_p = float(i_planar.max())
+            # each plane's map is written, and its intensity released, before the next hop
+            for spec, stem in ((caustic_spec, f"map_{caustic_name}_blocked"),
+                               (planar_spec, f"map_{planar_name}_knife")):
+                plane = propagate_with_obstacles(synthesize_field(grid, spec), [b.knife], z_t,
+                                                 b.pad_factor)
+                layout, intensity = plane.layout, plane.intensity()
+                del plane
+                peaks.append(float(intensity.max()))
+                _write_maps(out_dir, stem, intensity, layout, out, manifest)
+                del intensity
+        pk_c, pk_p = peaks
         advantage = 10.0 * math.log10(pk_c / pk_p) if pk_p > 0 else math.inf
         _write_table(out_dir, "caustic_blockage", "z_m,caustic_peak,planar_peak,advantage_db",
                      [[z_t, pk_c, pk_p, advantage]], out, manifest)
-        _write_maps(out_dir, f"map_{caustic_name}_blocked", i_caustic, out, manifest)
-        _write_maps(out_dir, f"map_{planar_name}_knife", i_planar, out, manifest)
 
 
 def _run_oam_bandwidth(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:

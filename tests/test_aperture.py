@@ -522,9 +522,15 @@ def _grid_of(n: int) -> ApertureGrid:
 
 
 def _full_grid_weights(grid: ApertureGrid, base: PhaseMap, spec: WavefrontSpec) -> np.ndarray:
-    """Reference: the public catalog's full-grid map, quantized and composed with the taper."""
+    """Reference: the public catalog's full-grid map, quantized and composed with the taper;
+    a spiral's element on the axis of an odd grid, where its phase is undefined, is 0."""
     phase = base if spec.phase_bits is None else quantize_phase(base, spec.phase_bits)
-    return compose_aperture(grid, [phase], circular_taper(grid) if spec.circular else None).weights
+    w = compose_aperture(grid, [phase], circular_taper(grid) if spec.circular else None).weights
+    n = grid.elements_per_side
+    if spec.oam_mode and n % 2:
+        w = w.copy()
+        w[n // 2, n // 2] = 0.0
+    return w
 
 
 EVEN_KINDS = {
@@ -573,6 +579,17 @@ def test_odd_wavefronts_keep_the_bits_of_the_full_grid():
         assert not _is_even(spec)
         w = synthesize_field(grid, spec).weights
         assert _bits(w) == _bits(_full_grid_weights(grid, base, spec)), spec
+        assert (w[20, 20] == 0.0) == bool(spec.oam_mode)  # the axis element of n = 41
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_a_spiral_gives_the_axis_element_no_amplitude(n):
+    """On an odd grid one element sits on the axis, where a helix has no phase: for l != 0
+    it radiates nothing, so no mode leaks into l = 0 through it; an even grid has none."""
+    grid = _grid_of(n)
+    for mode in (-2, 0, 1):
+        w = synthesize_field(grid, WavefrontSpec(kind="beamforming", oam_mode=mode)).weights
+        assert np.count_nonzero(w == 0.0) == (1 if mode and n % 2 else 0)
 
 
 # ---------------------------------------------------------------------------

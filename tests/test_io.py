@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thzbeam import FieldSlice, PhaseMap
-from thzbeam.aperture import _even_axes, _mirror_quadrant
+from thzbeam.aperture import _even_axes, _unfold
 from thzbeam.io import (
     _CSV_BLOCK_ROWS,
     _sample_intensity,
@@ -69,9 +69,12 @@ def _straddle(rng, count=400, ulps=40):
     return (re + 1j * (r[:, None] * re)).reshape(180, 180)
 
 
-def _even_phasors(rng, n):
-    """Phasors mirrored about the centre in both axes, so the plane is even bit for bit."""
-    return _mirror_quadrant(_random_phasors(rng, (n + 1) // 2, 150), n)
+def _even_phasors(rng, n, even=(True, True)):
+    """Phasors mirrored about the centre along y and x as ``even`` says, so the plane is even
+    along those axes bit for bit."""
+    block = _random_phasors(rng, n, 150)[tuple(slice(n // 2, None) if e else slice(None)
+                                               for e in even)]
+    return _unfold(block, n, even)
 
 
 def _signed_zero_pair(rng, n=45):
@@ -104,15 +107,20 @@ SLICES = {
     # coordinates in exponent notation, one exactly 0 per axis (odd n) with both signs
     # around it; rows not a multiple of the block
     "tiny-pitch": lambda rng: FieldSlice(1e-6, _random_phasors(rng, 41, 3), 5e-8),
-    # bitwise even, written from one quadrant: odd and even n, fewer rows than one block
-    # and rows not a multiple of it
-    "even-odd-small": lambda rng: FieldSlice(0.5, _even_phasors(rng, 21), 1e-3),
-    "even-even-small": lambda rng: FieldSlice(0.5, _even_phasors(rng, 20), 1e-3),
+    # bitwise even, stored and written as one quadrant: odd and even n, fewer rows than
+    # one block and rows not a multiple of it
+    "even-odd-small": lambda rng: FieldSlice(0.5, _even_phasors(rng, 21), 1e-3, (True, True)),
+    "even-even-small": lambda rng: FieldSlice(0.5, _even_phasors(rng, 20), 1e-3, (True, True)),
     "even-odd-ragged": lambda rng: FieldSlice(0.5, _even_phasors(rng, 2 * _CSV_BLOCK_ROWS + 11),
-                                              3.7e-4),
+                                              3.7e-4, (True, True)),
     "even-even-ragged": lambda rng: FieldSlice(0.5, _even_phasors(rng, 2 * _CSV_BLOCK_ROWS + 10),
-                                               3.7e-4),
-    # even under == only, and even but for one ulp: written row by row
+                                               3.7e-4, (True, True)),
+    # bitwise even along one axis, stored and written as that half
+    "even-y-odd": lambda rng: FieldSlice(0.5, _even_phasors(rng, 2 * _CSV_BLOCK_ROWS + 11,
+                                                            (True, False)), 3.7e-4, (True, False)),
+    "even-x-even": lambda rng: FieldSlice(0.5, _even_phasors(rng, 2 * _CSV_BLOCK_ROWS + 10,
+                                                             (False, True)), 3.7e-4, (False, True)),
+    # even under == only, and even but for one ulp: stored and written whole
     "signed-zero-pair": lambda rng: FieldSlice(0.5, _signed_zero_pair(rng), 1e-3),
     "one-ulp-off": lambda rng: FieldSlice(0.5, _one_ulp_off(rng), 1e-3),
 }
@@ -128,9 +136,15 @@ def test_field_slice_csv_matches_per_sample_writer(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(SLICES))
 def test_only_bitwise_even_slices_take_the_quadrant_path(tmp_path, name):
+    """A slice is stored, and written, as its block only along axes its samples are even
+    along bit for bit; a claim of any other axis is refused."""
     slice_ = SLICES[name](np.random.default_rng(sorted(SLICES).index(name)))
     s = slice_.samples
-    assert all(_even_axes(s)) == name.startswith("even-")
+    assert _even_axes(s)[0] >= slice_.even[0] and _even_axes(s)[1] >= slice_.even[1]
+    assert any(slice_.even) == name.startswith("even-")
+    if not all(_even_axes(s)):
+        with pytest.raises(ValueError, match="not even about their centre"):
+            FieldSlice(slice_.z, s, slice_.sample_pitch, (True, True))
     if name == "signed-zero-pair":
         assert np.array_equal(s, s[::-1]) and np.array_equal(s, s[:, ::-1])
         field_slice_csv(tmp_path / "zero.csv", slice_)

@@ -462,10 +462,10 @@ def test_disc_correlation_on_the_bounding_box_equals_the_full_plane_form(n, radi
     ib, ir = blocked.intensity(), reference.intensity()
     if not window.any():
         with pytest.raises(NoBeamError):
-            _disc_correlation(ib, ir, coords, radius)
+            _disc_correlation(ib, ir, reference.layout, radius)
         return
     expected = self_healing_correlation(_windowed(blocked, window), _windowed(reference, window))
-    got = _disc_correlation(ib, ir, coords, radius)
+    got = _disc_correlation(ib, ir, reference.layout, radius)
     if window.all():
         assert got == expected
     assert got == pytest.approx(expected, rel=1e-14, abs=0.0)

@@ -25,6 +25,11 @@ def _disc_base(grid):
     return synthesize_field(grid, WavefrontSpec(kind="beamforming", circular=True))
 
 
+def _helix(l, phi, rho_sq):
+    """exp(1j*l*phi), zero on the axis (rho = 0) for l != 0, where its phase is undefined."""
+    return np.where((rho_sq > 0.0) | (l == 0), np.exp(1j * l * phi), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # receiver
 
@@ -139,8 +144,8 @@ def wide_disc_link():
     X, Y = grid.meshgrid()
     phi = np.arctan2(Y, X)
     ramp = np.exp(-1j * grid.wavenumber * math.sin(steer) * X)
-    fields = [propagate_direct(ApertureField(grid, base.weights * np.exp(1j * l * phi) * ramp),
-                               points) for l in modes]
+    fields = [propagate_direct(ApertureField(grid, base.weights * _helix(l, phi, X * X + Y * Y)
+                                             * ramp), points) for l in modes]
     return base, modes, z, steer, rho_sq[wide], np.arctan2(RY[wide], RX[wide]), fields
 
 
@@ -153,7 +158,7 @@ def test_crosstalk_matches_the_oracle_over_wide_discs(wide_disc_link, factor):
     disc = rho_sq <= radius * radius
     [matrix] = crosstalk_matrix(base, modes, z, [steer], rx_radius=radius)
     for i, received in enumerate(fields):
-        amps = np.array([np.sum(received[disc] * np.exp(-1j * l_rx * rx_phi[disc]))
+        amps = np.array([np.sum(received[disc] * _helix(-l_rx, rx_phi[disc], rho_sq[disc]))
                          for l_rx in modes])
         powers = np.abs(amps) ** 2
         np.testing.assert_allclose(matrix.power_coupling_db[i], 10.0 * np.log10(powers / powers[i]),
@@ -190,20 +195,22 @@ def _per_call_couplings(base, modes, z, steer_angle, rx_radius):
     m = max(n, int(np.count_nonzero(x_sq + x_sq.min() <= r_sq)))
     rx_grid = ApertureGrid(m * pitch, pitch, grid.frequency)
     x_sq = rx_grid.axis_coordinates() ** 2
-    disc = x_sq[None, :] + x_sq[:, None] <= r_sq
+    rho_sq = x_sq[None, :] + x_sq[:, None]
+    disc = rho_sq <= r_sq
     phi = _raw_spiral(rx_grid, 1)
     planes = []
     for l_rx in modes:
-        helix = np.where(disc, np.exp(-1j * l_rx * phi), 0.0)
+        helix = np.where(disc, _helix(-l_rx, phi, rho_sq), 0.0)
         plane = propagate_asm(ApertureField(rx_grid, helix), z).samples
         c = (plane.shape[0] - n) // 2
         planes.append(plane[c : c + n, c : c + n].ravel())
     ramp = np.exp(-1j * k * math.sin(steer_angle) * grid.axis_coordinates()[None, :])
     lo = (m - n) // 2
     tx_phi = phi[lo : lo + n, lo : lo + n]
+    tx_rho_sq = rho_sq[lo : lo + n, lo : lo + n]
     coupling = np.zeros((len(modes), len(modes)))
     for i, l_tx in enumerate(modes):
-        tx = (base.weights * np.exp(1j * (l_tx * tx_phi)) * ramp).ravel()
+        tx = (base.weights * _helix(l_tx, tx_phi, tx_rho_sq) * ramp).ravel()
         amps = np.array([np.einsum("i,i->", tx, plane) for plane in planes]) * pitch**2
         powers = np.abs(amps) ** 2
         with np.errstate(divide="ignore"):

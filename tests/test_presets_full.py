@@ -33,9 +33,10 @@ def test_fig3_full_scale(tmp_path):
     assert np.all(bessel[band] > beamforming[band])
 
 
-# `thzbeam preset fig4` peaked at 926 MB RSS with full-grid kernel spectra, and at 581 MB
-# with kernel quadrants and in-place obstacle hops (2-core host, Python 3.11, numpy 2.4)
-FIG4_PEAK_RSS_MB = 650
+# `thzbeam preset fig4` peaked at 926 MB RSS with full-grid kernel spectra, at 581 MB with
+# kernel quadrants and in-place obstacle hops, and at 375-376 MB with every plane stored as
+# its symmetry block (2-core host, Python 3.11, numpy 2.4); the bound is 376 MB plus 9%
+FIG4_PEAK_RSS_MB = 410
 
 # runs the CLI verb, then prints the process's own peak RSS (ru_maxrss, in KiB on Linux)
 _PEAK_RSS_CHILD = """\

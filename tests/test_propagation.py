@@ -195,7 +195,7 @@ def test_gaussian_waist_evolution():
 
     def measured_radius(z):
         slice_ = propagate_asm(field, z, pad_factor=4.0)
-        intensity = slice_.intensity()
+        intensity = np.abs(slice_.samples) ** 2  # the whole plane, not the block it stores
         iy, ix = np.unravel_index(np.argmax(intensity), intensity.shape)
         cut = intensity[iy, :]
         xs = slice_.axis_coordinates()
@@ -605,8 +605,8 @@ def test_quadrant_application_equals_the_full_grid_apply(npad):
     # operand order quadrant * field spectrum, as the artifacts are pinned to it
     full = scipy.fft.ifft2(np.multiply(_mirror(quadrant, npad),
                                        scipy.fft.fft2(_padded(samples, npad))))
-    np.testing.assert_array_equal(_bits(propagation._apply_quadrant(quadrant, samples, npad)),
-                                  _bits(full))
+    got = propagation._apply_quadrant(quadrant, samples, n, npad, (False, False))
+    np.testing.assert_array_equal(_bits(got), _bits(full))
 
 
 @pytest.mark.parametrize("side, n", [(0.02, 40), (0.0205, 41)])
@@ -742,8 +742,8 @@ def test_each_axis_pair_hops_as_the_full_transforms(side, n, even, cpus, split_f
         split_ffts(blocks)
         plane = propagate_asm(field, 0.05)
         planes.append(plane.samples.copy())
-        planes.append(propagation._hop_slice(plane, 0.03, hop_pad, grid.wavelength, True,
-                                             even).samples)
+        planes.append(propagation._hop_slice(plane, 0.03, hop_pad, grid.wavelength,
+                                             True).samples)
     for got, split in zip(planes[:2], planes[2:]):
         np.testing.assert_array_equal(_bits(split), _bits(got))
     aperture_plane, next_plane = planes[:2]
@@ -772,6 +772,77 @@ def test_even_axes_compare_every_word():
     w[2, [7, n - 8]] = complex(0.0, 0.0)
     w[n - 3, [7, n - 8]] = complex(-0.0, 0.0)
     assert _even_axes(w) == (False, True)
+
+
+def _block_planes(side, even):
+    """Two planes, even along ``even``, that a hop returns as blocks: npad 80 at side 0.02
+    and 99 at side 0.0205."""
+    grid = make_grid(side, 3e11)
+    return [propagate_asm(ApertureField(grid, _even_along(_random_phase_field(grid).weights,
+                                                          even)), 0.05) for _ in range(2)]
+
+
+@pytest.mark.parametrize("even", AXIS_PAIRS, ids=["yx", "y", "x", "none"])
+@pytest.mark.parametrize("side", [0.02, 0.0205], ids=["even-npad", "odd-npad"])
+def test_block_slices_read_as_their_whole_planes(side, even):
+    """A hop stores its plane as the block of non-negative coordinates along each even
+    axis; ``samples`` mirrors it once, bit for bit, and keeps it."""
+    plane, _ = _block_planes(side, even)
+    npad = plane.layout.side
+    assert plane.even == even and npad % 2 == (side == 0.0205)
+    h = npad // 2
+    assert plane.block.shape == tuple(npad - h if e else npad for e in even)
+    embedded = np.zeros((npad, npad), dtype=complex)
+    embedded[h if even[0] else 0 :, h if even[1] else 0 :] = plane.block
+    samples = plane.samples
+    assert samples is plane.samples  # kept
+    np.testing.assert_array_equal(_bits(samples), _bits(_mirror_centred(embedded, *even)))
+    assert _even_axes(samples) == even
+    assert (samples is plane.block) == (even == (False, False))
+    # a slice built from the whole plane with the same flags stores the same block
+    rebuilt = FieldSlice(plane.z, samples, plane.sample_pitch, even)
+    np.testing.assert_array_equal(_bits(rebuilt.block), _bits(plane.block))
+
+
+# the block sums add the same terms, times their exact multiplicities, in another order
+BLOCK_SUM_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("even", AXIS_PAIRS, ids=["yx", "y", "x", "none"])
+@pytest.mark.parametrize("side", [0.02, 0.0205], ids=["even-npad", "odd-npad"])
+def test_block_sums_equal_the_whole_plane_sums(side, even):
+    from thzbeam import self_healing_correlation
+    from thzbeam.metrics import _disc_correlation, _intensity_correlation
+
+    blocked, reference = _block_planes(side, even)
+    whole = [FieldSlice(s.z, s.samples, s.sample_pitch) for s in (blocked, reference)]
+    # the block's intensity is the crop of the plane's, bit for bit
+    np.testing.assert_array_equal(_bits(reference.intensity()),
+                                  _bits(reference.layout.crop(whole[1].intensity())))
+    assert reference.power == pytest.approx(whole[1].power, rel=BLOCK_SUM_RTOL, abs=0.0)
+    full = _intensity_correlation(whole[0].intensity(), whole[1].intensity())
+    assert _intensity_correlation(blocked.intensity(), reference.intensity(),
+                                  reference.layout.multiplicity()) == pytest.approx(
+        full, rel=BLOCK_SUM_RTOL, abs=0.0)
+    assert self_healing_correlation(blocked, reference) == pytest.approx(
+        full, rel=BLOCK_SUM_RTOL, abs=0.0)
+    radius = 0.3 * reference.extent
+    assert _disc_correlation(blocked.intensity(), reference.intensity(), reference.layout,
+                             radius) == pytest.approx(
+        _disc_correlation(whole[0].intensity(), whole[1].intensity(), whole[1].layout, radius),
+        rel=BLOCK_SUM_RTOL, abs=0.0)
+
+
+def test_correlation_of_slices_even_along_different_axes():
+    """Each slice is read as the block of the axes along which both are even."""
+    from thzbeam import self_healing_correlation
+
+    a, _ = _block_planes(0.0205, (True, True))
+    b, _ = _block_planes(0.0205, (True, False))
+    b = FieldSlice._of_block(a.z, b.block, b.layout)
+    expected = self_healing_correlation(FieldSlice(a.z, a.samples, a.sample_pitch),
+                                        FieldSlice(b.z, b.samples, b.sample_pitch))
+    assert self_healing_correlation(a, b) == pytest.approx(expected, rel=BLOCK_SUM_RTOL, abs=0.0)
 
 
 def test_caustic_hops_on_its_even_rows():
@@ -980,9 +1051,9 @@ def test_fft2_and_ifft2_equal_scipy_bitwise(n, cpus, split_ffts):
     split_ffts(cpus)
     # an all -0.0 grid too: scaling by a complex factor would flip its zeros' signs
     for a in (_complex_grid(n), np.full((n, n), complex(-0.0, -0.0))):
-        np.testing.assert_array_equal(_bits(propagation._fft2(a.copy())),
+        np.testing.assert_array_equal(_bits(propagation._fft2(a.copy(), n)),
                                       _bits(scipy.fft.fft2(a)))
-        np.testing.assert_array_equal(_bits(propagation._ifft2(a.copy())),
+        np.testing.assert_array_equal(_bits(propagation._ifft2(a.copy(), n)),
                                       _bits(scipy.fft.ifft2(a)))
 
 
@@ -1004,7 +1075,7 @@ def test_padded_fft2_equals_scipy_fft2_of_embedded_array(n, pad, case, cpus, spl
     embedded = np.zeros((npad, npad), dtype=complex)
     embedded[lo : lo + n, lo : lo + n] = weights
     split_ffts(cpus)
-    np.testing.assert_array_equal(_bits(propagation._padded_fft2(weights, npad)),
+    np.testing.assert_array_equal(_bits(propagation._fft2(weights, npad, n=n)),
                                   _bits(scipy.fft.fft2(embedded)))
 
 
@@ -1065,7 +1136,7 @@ def test_fft_passes_start_no_more_threads_than_lines(monkeypatch, split_ffts):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     split_ffts(64)
     a = _complex_grid(3)
-    np.testing.assert_array_equal(_bits(propagation._fft2(a.copy())),
+    np.testing.assert_array_equal(_bits(propagation._fft2(a.copy(), 3)),
                                   _bits(scipy.fft.fft2(a)))
     assert pools == [3, 3]
 
@@ -1073,16 +1144,17 @@ def test_fft_passes_start_no_more_threads_than_lines(monkeypatch, split_ffts):
 def test_fig4_ci_transforms_half_the_lines_of_its_even_hops(monkeypatch, tmp_path):
     """The line transforms of one fig4-ci run: 10 of its 13 hops are even in y and x and
     3 in y only.  With every hop on the full transforms the run makes 39,906; a fall back
-    to them on any even hop raises the count."""
+    to them on any even hop raises the count.  The even passes stage their lines in
+    groups, so the calls outnumber the 58 of whole-plane passes."""
     lines = []
-    fft_pass = propagation._fft_pass
+    transform = propagation._transform
 
     def counting(a, axis, inverse=False):
         lines.append(a.shape[1 - axis])
-        fft_pass(a, axis, inverse)
+        transform(a, axis, inverse)
 
-    monkeypatch.setattr(propagation, "_fft_pass", counting)
+    monkeypatch.setattr(propagation, "_transform", counting)
     from thzbeam import run_scenario
 
     run_scenario(preset("fig4-ci"), tmp_path)
-    assert (len(lines), sum(lines)) == (58, 25_019)
+    assert sum(lines) == 25_019 and len(lines) >= 58

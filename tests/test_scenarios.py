@@ -11,9 +11,11 @@ import pytest
 
 import thzbeam.oam as oam
 import thzbeam.propagation as propagation
+import thzbeam.scenarios as scenarios
 from thzbeam import (
     ConfigError,
     FieldSlice,
+    GeometryError,
     PhaseMap,
     axicon_design,
     gain_curve,
@@ -200,17 +202,18 @@ def test_blockage_builds_each_spectrum_once(tmp_path, monkeypatch):
     assert builds == {"kernel": 3, "transfer": 2}
 
 
-def test_blockage_study_holds_at_most_three_and_a_half_padded_planes(tmp_path):
+def test_blockage_study_holds_at_most_two_padded_planes(tmp_path):
     """Traced peak of the fig4-ci study, in padded complex planes (16 * 840^2 bytes).
 
-    Each plane is kept as its intensity once its map is written, a
-    wavefront's planes are released before the next wavefront is built,
-    obstacles mask their plane in place, the hop after a mask transforms
-    that plane in place, and kernel spectra and transfer functions are
-    built and kept as quadrants: the peak reads 3.13 planes, at the disc
-    mask of an obstacle hop.  It read 9.06 when each of those held
-    full-grid copies, and 5.04 with full-grid kernel spectra and a copying
-    hop after the mask.
+    Every plane is stored as its block of non-negative coordinates along
+    each even axis (a quadrant behind the disc, a half behind the knife),
+    the hops work in buffers of at most npad * (npad//2 + 1) samples, each
+    plane is kept as the intensity of its block once its map is written,
+    and a wavefront's planes are released before the next wavefront is
+    built: the peak reads 1.85 planes, at the slice hops behind the knife.
+    It read 3.13 with whole planes, 9.06 when each of those held full-grid
+    copies, and 5.04 with full-grid kernel spectra and a copying hop after
+    the mask.
     """
     import tracemalloc
 
@@ -222,7 +225,22 @@ def test_blockage_study_holds_at_most_three_and_a_half_padded_planes(tmp_path):
     finally:
         tracemalloc.stop()
     plane = 16 * 840**2
-    assert peak <= 3.5 * plane, f"traced peak {peak / plane:.2f} planes"
+    assert peak <= 2.0 * plane, f"traced peak {peak / plane:.2f} planes"
+
+
+def test_no_study_path_builds_a_whole_plane(tmp_path, monkeypatch):
+    """The blockage study and README's ``propagate`` example read each plane as its block:
+    with ``FieldSlice.samples`` refused, both still finish."""
+    def refuse(slice_):
+        raise AssertionError("a study read FieldSlice.samples")
+
+    monkeypatch.setattr(FieldSlice, "samples", property(refuse))
+    run_scenario(preset("fig4-ci"), tmp_path / "fig4-ci")
+    import digest_cases
+
+    argv = digest_cases.readme_commands()["cli-propagate"]
+    assert cli_main([*argv, "--out", str(tmp_path / "propagate")]) == 0
+    assert (tmp_path / "propagate" / "slice_bessel_z0.14.csv").exists()
 
 
 def test_blockage_auto_focus_keeps_every_wavefront_field(tmp_path):
@@ -645,16 +663,24 @@ def test_cli_exit_codes(tmp_path):
                      "--out", str(blocker)]) == 4
 
 
-def test_failed_run_leaves_no_directory_it_made(tmp_path):
+def test_failed_run_leaves_no_directory_it_made(tmp_path, monkeypatch):
     # a Bessel spot below the 1 mm wavelength fails in the synthesis, before any artifact
     out = tmp_path / "d"
     assert cli_main([*SYNTHESIZE[:-1], "0.0005", "--out", str(out)]) == 3
     assert not out.exists()
-    # a disc wider than the obstacle plane fails after the first map was written
+    # an obstacle hop that fails after the first map was written
+    written = []
+
+    def refuse(*args, **kwargs):
+        if not written:
+            written.extend(path.name for path in (tmp_path / "new" / "out").iterdir())
+        raise GeometryError("obstacle refused")
+
+    monkeypatch.setattr(scenarios, "propagate_with_obstacles", refuse)
     config = tmp_path / "fig4-ci.ini"
-    config.write_text(preset_text("fig4-ci").replace("obstacle_size_m = 0.0063",
-                                                     "obstacle_size_m = 0.5"))
+    config.write_text(preset_text("fig4-ci"))
     assert cli_main(["run", str(config), "--out", str(tmp_path / "new" / "out")]) == 3
+    assert written == ["map_beamforming_reference.pgm"]
     assert not (tmp_path / "new").exists()  # the parent this run made goes too
     # an --out that existed keeps what it held
     kept = tmp_path / "kept"
@@ -662,6 +688,20 @@ def test_failed_run_leaves_no_directory_it_made(tmp_path):
     (kept / "notes.txt").write_text("prior")
     assert cli_main(["run", str(config), "--out", str(kept)]) == 3
     assert (kept / "notes.txt").read_text() == "prior"
+
+
+@pytest.mark.parametrize("key, value", [("obstacle_size_m", "0.5"), ("obstacle_size_m", "3"),
+                                        ("knife_x_edge_m", "-0.5"), ("knife_x_edge_m", "0.2")])
+def test_an_obstacle_beyond_the_padded_plane_exits_at_parse(tmp_path, capsys, key, value):
+    """fig4-ci pads to 840 samples of 0.15 mm, +-0.063 m: a disc wider than that plane, or a
+    knife edge beyond it, which would block all of it or none, is refused before any hop."""
+    text = preset_text("fig4-ci")
+    config = tmp_path / "fig4-ci.ini"
+    config.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M))
+    assert cli_main(["run", str(config), "--out", str(tmp_path / "new" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"blockage.{key}:" in err and "Traceback" not in err
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("curve_a", ["0.5", "0"], ids=["curving-away", "straight"])
@@ -673,6 +713,32 @@ def test_caustic_curve_no_tangent_reaches_exits_at_parse(tmp_path, capsys, curve
     err = capsys.readouterr().err
     assert "wavefront.caustic.curve_a:" in err and "Traceback" not in err
     assert not (tmp_path / "new").exists()
+
+
+CAUSTIC = ["synthesize", "--side-length", "0.02", "--frequency", "3e11", "--kind", "caustic",
+           "--format", "csv"]
+
+
+@pytest.mark.parametrize("curve, code", [
+    (["--curve-a=-1e308", "--curve-x-start=-1", "--curve-z-end=1"], 0),
+    (["--curve-a=-1e-308", "--curve-x-start=-0.01", "--curve-z-end=1e200"], 0),
+    (["--curve-a=-1e308", "--curve-x-start=-1e308", "--curve-z-end=1e300"], 2),
+], ids=["steep", "shallow", "phase-beyond-floats"])
+def test_extreme_caustic_curves_give_finite_phases_or_exit_at_parse(tmp_path, capsys, curve,
+                                                                     code):
+    """k/(4|a|) and s^2 overflowed on the first two, which ended with non-finite phases;
+    the third's phase, k times a distance near 1e308 m, leaves the float range."""
+    out = tmp_path / "out"
+    with np.errstate(divide="raise", over="raise", invalid="raise"):  # underflow is benign
+        assert cli_main([*CAUSTIC, *curve, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    if code:
+        assert "wavefront.caustic.curve_a: the caustic phase leaves the float range" in err
+        assert not out.exists()
+    else:
+        phase = np.loadtxt(out / "phase_caustic.csv", delimiter=",")
+        assert phase.shape == (40, 40) and np.all(np.isfinite(phase))
 
 
 @pytest.mark.parametrize("names", ["beamforming, bessel", "beamforming, bessel, beamfocusing, wide"],
