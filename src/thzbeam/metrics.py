@@ -234,7 +234,7 @@ def self_healing_correlation(blocked: FieldSlice, reference: FieldSlice) -> floa
     return _intensity_correlation(ib, ir, replace(reference.layout, even=even).multiplicity())
 
 
-def _intensity_correlation(ib: np.ndarray, ir: np.ndarray, weights=1.0) -> float:
+def _intensity_correlation(ib: np.ndarray, ir: np.ndarray, weights) -> float:
     """``self_healing_correlation`` of two planes given as the intensities of their blocks,
     each block sample standing for ``weights`` samples of the plane (1, 2 or 4, exact
     factors)."""

@@ -142,30 +142,24 @@ class FieldSlice:
     """Complex field samples on a transverse plane at distance z.
 
     ``FieldSlice(z, samples, sample_pitch)`` holds the square plane
-    ``samples``.  ``even`` (along y, along x) says that the samples are even
-    about their centre along those axes, bit for bit, which is checked; the
-    slice then stores only its ``block`` of non-negative coordinates along
-    them (``_Layout``): a quadrant, or a half when one axis is even.  The
-    hops return slices stored so, and every study reads the block.
-    ``samples`` is the whole plane: the block itself when no axis is even,
-    otherwise mirrored from it on first read, kept, and read-only.
+    ``samples`` whole.  A hop whose plane is even about its centre along an
+    axis, bit for bit, returns a slice that stores only its ``block`` of
+    non-negative coordinates along each such axis (``_Layout``): a quadrant,
+    or a half when one axis is even.  ``even`` (along y, along x) names those
+    axes, and every study reads the block.  ``samples`` is the whole plane:
+    the block itself when no axis is even, otherwise mirrored from it on
+    first read, kept, and read-only.
     """
 
     z: float
     block: np.ndarray
     layout: _Layout
 
-    def __init__(self, z: float, samples: np.ndarray, sample_pitch: float,
-                 even: tuple[bool, bool] = (False, False)):
+    def __init__(self, z: float, samples: np.ndarray, sample_pitch: float):
         if sample_pitch <= 0:
             raise ValueError(f"sample_pitch must be positive, got {sample_pitch}")
         samples = np.asarray(samples, dtype=complex)
-        even = (bool(even[0]), bool(even[1]))
-        if any(even) and any(e and not ok for e, ok in zip(even, _even_axes(samples))):
-            raise ValueError(f"samples are not even about their centre along each axis of "
-                             f"even = {even} (along y, along x)")
-        layout = _Layout(samples.shape[0], sample_pitch, even)
-        self._store(z, layout.crop(samples), layout)
+        self._store(z, samples, _Layout(samples.shape[0], sample_pitch, (False, False)))
 
     @classmethod
     def _of_block(cls, z: float, block: np.ndarray, layout: _Layout) -> "FieldSlice":

@@ -39,7 +39,6 @@ DEFAULTS = {
     "metrics.GainCurve(bessel_peak_distance=None)",
     "oam.crosstalk_matrix(steer_angles=(0.0,))",
     "oam.crosstalk_matrix(rx_radius=None)",
-    "propagation.FieldSlice(even=(False, False))",
     "propagation.propagate_slice(pad_factor=2.0)",
     "propagation.propagate_asm(pad_factor=2.0)",
     "propagation.propagate_with_obstacles(pad_factor=2.0)",

@@ -13,6 +13,7 @@ from thzbeam.io import (
     intensity_to_levels,
     phase_map_csv,
 )
+from thzbeam.propagation import _Layout
 
 
 def _field_slice_csv_per_sample(path, slice_):
@@ -77,6 +78,13 @@ def _even_phasors(rng, n, even=(True, True)):
     return _unfold(block, n, even)
 
 
+def _block_slice(rng, n, pitch, even=(True, True)):
+    """A slice of ``_even_phasors`` stored, as a hop stores its plane, as the block of its
+    even axes."""
+    layout = _Layout(n, pitch, even)
+    return FieldSlice._of_block(0.5, layout.crop(_even_phasors(rng, n, even)), layout)
+
+
 def _signed_zero_pair(rng, n=45):
     """Even under ``==`` but not bit for bit: one mirrored pair of the centre row holds
     +0.0 and -0.0 as its real part."""
@@ -109,17 +117,13 @@ SLICES = {
     "tiny-pitch": lambda rng: FieldSlice(1e-6, _random_phasors(rng, 41, 3), 5e-8),
     # bitwise even, stored and written as one quadrant: odd and even n, fewer rows than
     # one block and rows not a multiple of it
-    "even-odd-small": lambda rng: FieldSlice(0.5, _even_phasors(rng, 21), 1e-3, (True, True)),
-    "even-even-small": lambda rng: FieldSlice(0.5, _even_phasors(rng, 20), 1e-3, (True, True)),
-    "even-odd-ragged": lambda rng: FieldSlice(0.5, _even_phasors(rng, 2 * _CSV_BLOCK_ROWS + 11),
-                                              3.7e-4, (True, True)),
-    "even-even-ragged": lambda rng: FieldSlice(0.5, _even_phasors(rng, 2 * _CSV_BLOCK_ROWS + 10),
-                                               3.7e-4, (True, True)),
+    "even-odd-small": lambda rng: _block_slice(rng, 21, 1e-3),
+    "even-even-small": lambda rng: _block_slice(rng, 20, 1e-3),
+    "even-odd-ragged": lambda rng: _block_slice(rng, 2 * _CSV_BLOCK_ROWS + 11, 3.7e-4),
+    "even-even-ragged": lambda rng: _block_slice(rng, 2 * _CSV_BLOCK_ROWS + 10, 3.7e-4),
     # bitwise even along one axis, stored and written as that half
-    "even-y-odd": lambda rng: FieldSlice(0.5, _even_phasors(rng, 2 * _CSV_BLOCK_ROWS + 11,
-                                                            (True, False)), 3.7e-4, (True, False)),
-    "even-x-even": lambda rng: FieldSlice(0.5, _even_phasors(rng, 2 * _CSV_BLOCK_ROWS + 10,
-                                                             (False, True)), 3.7e-4, (False, True)),
+    "even-y-odd": lambda rng: _block_slice(rng, 2 * _CSV_BLOCK_ROWS + 11, 3.7e-4, (True, False)),
+    "even-x-even": lambda rng: _block_slice(rng, 2 * _CSV_BLOCK_ROWS + 10, 3.7e-4, (False, True)),
     # even under == only, and even but for one ulp: stored and written whole
     "signed-zero-pair": lambda rng: FieldSlice(0.5, _signed_zero_pair(rng), 1e-3),
     "one-ulp-off": lambda rng: FieldSlice(0.5, _one_ulp_off(rng), 1e-3),
@@ -137,14 +141,12 @@ def test_field_slice_csv_matches_per_sample_writer(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(SLICES))
 def test_only_bitwise_even_slices_take_the_quadrant_path(tmp_path, name):
     """A slice is stored, and written, as its block only along axes its samples are even
-    along bit for bit; a claim of any other axis is refused."""
+    along bit for bit; one built from a whole plane is stored whole."""
     slice_ = SLICES[name](np.random.default_rng(sorted(SLICES).index(name)))
     s = slice_.samples
     assert _even_axes(s)[0] >= slice_.even[0] and _even_axes(s)[1] >= slice_.even[1]
     assert any(slice_.even) == name.startswith("even-")
-    if not all(_even_axes(s)):
-        with pytest.raises(ValueError, match="not even about their centre"):
-            FieldSlice(slice_.z, s, slice_.sample_pitch, (True, True))
+    assert FieldSlice(slice_.z, s, slice_.sample_pitch).even == (False, False)
     if name == "signed-zero-pair":
         assert np.array_equal(s, s[::-1]) and np.array_equal(s, s[:, ::-1])
         field_slice_csv(tmp_path / "zero.csv", slice_)

@@ -417,11 +417,12 @@ def test_intensity_correlation_equals_the_slice_form(n):
     blocked, reference = _noise_slices(rng, n)
     xs_sq = reference.axis_coordinates() ** 2
     window = xs_sq[None, :] + xs_sq[:, None] <= (0.3 * n * 1.5e-4) ** 2
-    assert (_intensity_correlation(blocked.intensity(), reference.intensity())
+    weights = reference.layout.multiplicity()  # ones: the slices are stored whole
+    assert (_intensity_correlation(blocked.intensity(), reference.intensity(), weights)
             == self_healing_correlation(blocked, reference))
     # the masked slices' intensities are the intensities masked, bit for bit
     assert (_intensity_correlation(np.where(window, blocked.intensity(), 0.0),
-                                   np.where(window, reference.intensity(), 0.0))
+                                   np.where(window, reference.intensity(), 0.0), weights)
             == self_healing_correlation(_windowed(blocked, window), _windowed(reference, window)))
 
 
@@ -433,7 +434,7 @@ def test_intensity_correlation_does_not_depend_on_the_blas_thread_count():
             "from thzbeam.metrics import _intensity_correlation\n"
             "rng = np.random.default_rng(7)\n"
             "ib, ir = rng.random((840, 840)), rng.random((840, 840))\n"
-            "print(repr(_intensity_correlation(ib ** 4, ir ** 4)))")
+            "print(repr(_intensity_correlation(ib ** 4, ir ** 4, 1.0)))")
     reprs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
