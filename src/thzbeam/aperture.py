@@ -163,9 +163,9 @@ class ApertureField:
     """Complex element weights on a grid: amplitude * exp(1j * phase).
 
     The weights are read-only, so what the field derives from them once
-    (its radial binning) stays valid for its lifetime.  A complex array
-    that owns its memory is taken as it is and left read-only; a view is
-    copied, since what it views could still be written.
+    (its radial binning and its even axes) stays valid for its lifetime.  A
+    complex array that owns its memory is taken as it is and left read-only;
+    a view is copied, since what it views could still be written.
     """
 
     grid: ApertureGrid
@@ -201,6 +201,12 @@ class ApertureField:
         np.add.at(w_bins, inverse, w)  # in element order, as bincount adds each component
         abs_bins = np.bincount(inverse, weights=np.abs(w), minlength=s.size)
         return s, w_bins, abs_bins
+
+    @functools.cached_property
+    def _even(self) -> tuple[bool, bool]:
+        """(along y, along x): the axes along which the weights are even about their centre,
+        bit for bit (``_even_axes``), tested on first use and kept with the field."""
+        return _even_axes(self.weights)
 
 
 @functools.lru_cache(maxsize=4)
@@ -652,40 +658,6 @@ def _applied_phase(grid: ApertureGrid, spec: WavefrontSpec, x: np.ndarray) -> Ph
     return phase
 
 
-# rows per copy in _mirror_centred: numpy copies a source whose memory range overlaps
-# the target's, and a few rows keep that copy small
-_MIRROR_ROWS = 8
-
-
-def _mirror_columns(a: np.ndarray) -> np.ndarray:
-    """Make each row of ``a`` even about its centre, in place, from its entries of
-    non-negative coordinate ``a[:, m//2:]`` (m columns), and return it.
-
-    Column j < m//2 takes column m-1-j, whose coordinate is exactly -x_j on a
-    grid centred at (m-1)/2.
-    """
-    s = a.shape[1] // 2  # the first index of the non-negative half
-    for lo in range(0, a.shape[0], _MIRROR_ROWS):
-        rows = a[lo : lo + _MIRROR_ROWS]
-        rows[:, :s] = rows[:, ::-1][:, :s]
-    return a
-
-
-def _mirror_centred(a: np.ndarray, y: bool = True, x: bool = True) -> np.ndarray:
-    """Make ``a`` even about its centre along y (axis 0) if ``y`` and along x (axis 1)
-    if ``x``, in place, and return it.
-
-    The entries of non-negative coordinate along each mirrored axis are kept;
-    along both, that is the block ``a[m//2:, n//2:]`` of an m-by-n ``a``.
-    """
-    s = a.shape[0] // 2
-    if x:
-        _mirror_columns(a[s:] if y else a)
-    if y:
-        a[:s] = a[::-1][:s]
-    return a
-
-
 def _even_axes(a: np.ndarray) -> tuple[bool, bool]:
     """(along y, along x): whether complex square ``a`` is even about its centre along
     axis 0 and along axis 1, bit for bit.
@@ -713,12 +685,23 @@ def _unfold(block: np.ndarray, n: int, even: tuple[bool, bool],
     whose block of non-negative coordinates along those axes is ``block``; along an axis
     that ``keep`` names, the block's half is kept and not mirrored.
 
-    The block holds the indices n//2 .. n-1 along each even axis.
+    The block holds the indices n//2 .. n-1 along each even axis, and index j < n//2
+    takes index n-1-j, whose coordinate is exactly -x_j on a grid centred at (n-1)/2.
+    Each mirror reads lines that do not overlap the ones it writes, so numpy copies
+    straight from them.
     """
-    axes = tuple(e and not k for e, k in zip(even, keep))
-    out = np.empty(tuple(n if a else m for a, m in zip(axes, block.shape)), dtype=block.dtype)
-    out[tuple(slice(n // 2, None) if a else slice(None) for a in axes)] = block
-    return _mirror_centred(out, *axes)
+    h = n // 2
+    ey, ex = (e and not k for e, k in zip(even, keep))
+    out = np.empty((n if ey else block.shape[0], n if ex else block.shape[1]), dtype=block.dtype)
+    rows = out[h:] if ey else out
+    if ex:
+        rows[:, h:] = block
+        rows[:, :h] = block[:, ::-1][:, :h]
+    else:
+        rows[...] = block
+    if ey:
+        out[:h] = out[::-1][:h]
+    return out
 
 
 def synthesize_applied_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:

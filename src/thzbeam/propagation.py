@@ -39,9 +39,10 @@ own.
 
 A field even about its centre along an axis, bit for bit, needs about
 half the transform work along it, the idea of FFTW's real-even
-transforms.  Aperture weights are tested per axis (the unsteered
-beamforming, beamfocusing and Bessel wavefronts are even along both, the
-caustic and a beam steered in x along y).  Along an even axis the
+transforms.  Aperture weights are tested per axis once per field, which
+keeps the result (``ApertureField._even``): the unsteered beamforming,
+beamfocusing and Bessel wavefronts are even along both, the caustic and
+a beam steered in x along y.  Along an even axis the
 forward transform runs on the distinct lines and keeps the spectrum
 entries 0..npad//2; the inverse rebuilds the others from F[npad-m] =
 exp(-2 pi i m/npad) F[m] and keeps the entries of non-negative
@@ -68,8 +69,7 @@ from typing import Sequence
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here it is paid at import, not in the first hop
 
-from .aperture import (ApertureField, ObstacleSpec, _even_axes, _unfold,
-                       make_obstacle_mask)
+from .aperture import ApertureField, ObstacleSpec, _unfold, make_obstacle_mask
 from .errors import SamplingError
 
 __all__ = [
@@ -659,13 +659,10 @@ def propagate_asm(field: ApertureField, z: float,
     in which the weights are even about their centre bit for bit (signed
     zeros included), the hop transforms about half the lines and returns a
     plane even along it, bit for bit, stored as its block (``_apply_quadrant``).
+    The weights are tested once per field, and the field keeps the result.
     """
-    return _hop_aperture(field, z, pad_factor, _even_axes(field.weights))
-
-
-def _hop_aperture(field: ApertureField, z: float, pad_factor: float,
-                  even: tuple[bool, bool]) -> FieldSlice:
-    """``propagate_asm`` of weights whose evenness (along y, along x) is ``even``."""
+    # before the spectrum is built, so that the first test's temporaries do not add to its peak
+    even = field._even
     if not (z > 0 and math.isfinite(z)):
         raise ValueError(f"propagation distance must be positive and finite, got {z}")
     _check_nearest_distance(z * z, z)  # the kernel at offset 0
@@ -745,8 +742,8 @@ def propagate_with_obstacles(
 
     lam = field.grid.wavelength
     npad = _padded_size(field.grid.elements_per_side, pad_factor)
-    # the weights are tested once; each mask then keeps or drops the axes of the plane
-    even = _even_axes(field.weights)
+    # each mask keeps or drops the axes of the plane
+    even = field._even
     current: FieldSlice | None = None
     for ob in obs:
         # a pad-1 hop keeps the grid of a plane already padded, so an obstacle's mask is
@@ -758,7 +755,7 @@ def propagate_with_obstacles(
         if np.all(mask == 1.0):
             continue
         if current is None:
-            plane = _hop_aperture(field, ob.plane_z, pad_factor, even)
+            plane = propagate_asm(field, ob.plane_z, pad_factor)
         else:
             plane = _hop_slice(current, ob.plane_z - current.z, 1.0, lam, True)
         plane = plane._widened(behind)
@@ -768,7 +765,7 @@ def propagate_with_obstacles(
         even = behind
         current = plane
     if current is None:
-        return _hop_aperture(field, z_target, pad_factor, even)
+        return propagate_asm(field, z_target, pad_factor)
     return _hop_slice(current, z_target - current.z, 1.0, lam, True)
 
 

@@ -529,11 +529,17 @@ def _check_obstacles(grid: ApertureGrid, blockage: BlockageSection) -> None:
 
 
 def _check_adjoint_side(grid: ApertureGrid, rx_radius: float | None) -> None:
-    """Reject a crosstalk study whose adjoint hops would pad beyond MAX_PADDED_SIDE a side:
-    their source grid widens with the receive disc, so the radius is at fault."""
+    """Reject a crosstalk receive disc larger than the receive plane (``crosstalk_matrix``'s
+    rule), and one whose adjoint hops would pad beyond MAX_PADDED_SIDE a side: their
+    source grid widens with the receive disc, so the radius is at fault."""
     n, pad_factor = grid.elements_per_side, _DEFAULT_PAD_FACTOR
     radius = grid.half_side if rx_radius is None else rx_radius
-    m = _adjoint_side(n, _padded_size(n, pad_factor), grid.element_pitch, radius)
+    npad = _padded_size(n, pad_factor)
+    half = npad * grid.element_pitch / 2.0
+    if radius > half:
+        raise ConfigError(f"a receive disc of radius {radius:g} m exceeds the receive plane's "
+                          f"half extent {half:g} m", key_path="oam.rx_radius_m")
+    m = _adjoint_side(n, npad, grid.element_pitch, radius)
     mpad = _padded_size(m, pad_factor)
     if mpad > MAX_PADDED_SIDE:
         raise ConfigError(f"a receive disc of radius {radius:g} m spans {m} samples, and its "

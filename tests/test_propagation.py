@@ -28,8 +28,7 @@ from thzbeam import (
     reuse_spectra,
     synthesize_field,
 )
-from thzbeam.aperture import (CausticCurve, _axial_bins, _even_axes, _mirror_centred,
-                              steer_vector)
+from thzbeam.aperture import CausticCurve, _axial_bins, _even_axes, _unfold, steer_vector
 
 RNG = np.random.default_rng(7)
 
@@ -718,12 +717,41 @@ def test_uneven_apertures_keep_the_full_inverse(name):
     _assert_matches_the_oracle(field, plane, 0.1, seed=7)
 
 
-def _even_along(weights, even):
-    """``weights`` made even about their centre along y and x as ``even`` says."""
-    return _mirror_centred(weights.copy(), *even)
+def _even_along(a, even):
+    """``a`` made even about its centre along y (axis 0) and x (axis 1) as ``even`` says:
+    along such an axis, m long, index j < m//2 takes ``np.flip``'s entry there, m-1-j."""
+    for axis, e in enumerate(even):
+        if e:
+            m = a.shape[axis]
+            lower = (np.arange(m) < m // 2).reshape((m, 1) if axis == 0 else (1, m))
+            a = np.where(lower, np.flip(a, axis), a)
+    return a
 
 
 AXIS_PAIRS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.uint16], ids=["complex128", "uint16"])
+@pytest.mark.parametrize("keep", AXIS_PAIRS, ids=["keep-yx", "keep-y", "keep-x", "keep-none"])
+@pytest.mark.parametrize("even", AXIS_PAIRS, ids=["yx", "y", "x", "none"])
+@pytest.mark.parametrize("n", [7, 8])
+def test_unfold_equals_the_flip_mirror(n, even, keep, dtype):
+    """``_unfold`` of the block of a plane even along ``even`` is the plane, bit for bit,
+    but along the axes ``keep`` names, where it is the block's half."""
+    rng = np.random.default_rng(n)
+    if dtype is np.uint16:
+        plane = rng.integers(0, 1 << 16, (n, n), dtype=np.uint16)
+    else:
+        plane = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        plane.real[::3] = -0.0  # signed zeros on both sides of the centre
+        plane.imag[:, 1::3] = 0.0
+        plane.imag[:, 2::3] *= -0.0
+    whole = _even_along(plane, even)
+    block = propagation._Layout(n, 1.0, even).crop(whole)
+    got = _unfold(block, n, even, keep)
+    expected = propagation._Layout(n, 1.0, tuple(e and k for e, k in zip(even, keep))).crop(whole)
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
@@ -796,7 +824,7 @@ def test_block_slices_read_as_their_whole_planes(side, even):
     embedded[h if even[0] else 0 :, h if even[1] else 0 :] = plane.block
     samples = plane.samples
     assert samples is plane.samples  # kept
-    np.testing.assert_array_equal(_bits(samples), _bits(_mirror_centred(embedded, *even)))
+    np.testing.assert_array_equal(_bits(samples), _bits(_even_along(embedded, even)))
     assert _even_axes(samples) == even
     assert (samples is plane.block) == (even == (False, False))
     # the block is the crop of the whole plane
@@ -1170,3 +1198,18 @@ def test_fig4_ci_transforms_half_the_lines_of_its_even_hops(monkeypatch, tmp_pat
 
     run_scenario(preset("fig4-ci"), tmp_path)
     assert (len(passes), sum(lines)) == (58, 25_019)
+
+
+def test_fig4_ci_tests_each_field_once(monkeypatch, tmp_path):
+    """A fig4-ci run makes 8 aperture hops from 5 fields; each field is tested for its
+    even axes once, and each of the 5 aperture hops of ``propagate_with_obstacles`` is a
+    ``propagate_asm`` call."""
+    from thzbeam import aperture, run_scenario
+
+    tested, hops = [], []
+    even_axes, asm = aperture._even_axes, propagation.propagate_asm
+    monkeypatch.setattr(aperture, "_even_axes", lambda a: tested.append(a) or even_axes(a))
+    monkeypatch.setattr(propagation, "propagate_asm",
+                        lambda field, *args: hops.append(field) or asm(field, *args))
+    run_scenario(preset("fig4-ci"), tmp_path)
+    assert (len(tested), len(hops), len({id(f) for f in hops})) == (5, 5, 5)

@@ -1351,6 +1351,7 @@ KEY_PATH_CASES = [
     ("propagate", "--pad", "9", "plane.pad_factor"),
     ("oam-crosstalk", "--z", "-0.05", "oam.z_m"),
     ("oam-crosstalk", "--rx-radius", "0", "oam.rx_radius_m"),
+    ("oam-crosstalk", "--rx-radius", "1.0", "oam.rx_radius_m"),
     ("oam-crosstalk", "--spot-fwhm", "0", "oam.base_spot_fwhm_m"),
     ("capacity", "--modes", "0", "oam.mode_counts"),
     ("capacity", "--qam", "3", "oam.qam_orders"),
