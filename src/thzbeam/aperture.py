@@ -9,6 +9,10 @@ beamforming ramps, focusing lenses, conical (Bessel) profiles, caustic
 Sign conventions follow the propagation module: an outgoing spherical wave
 is ``exp(-1j*k*r)/r``, so a profile that *advances* the phase by the
 propagation delay (``+k*(r - const)``) arrives co-phased at the target.
+
+``_Layout`` owns the centred axes of a grid or plane and its symmetry block,
+the samples of non-negative coordinate along each axis it is even along:
+even wavefronts are built on it, and ``propagation`` stores planes as it.
 """
 
 from __future__ import annotations
@@ -89,8 +93,8 @@ class ApertureGrid:
 
     def axis_coordinates(self) -> np.ndarray:
         """Centred element coordinates along one axis."""
-        n = self.elements_per_side
-        return (np.arange(n) - (n - 1) / 2.0) * self.element_pitch
+        layout = _Layout(self.elements_per_side, self.element_pitch, (False, False))
+        return layout.axis_coordinates()
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         x = self.axis_coordinates()
@@ -499,13 +503,14 @@ class ObstacleSpec:
 def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
     """Binary transmission mask of an obstacle on a sampled plane.
 
-    ``plane`` is anything with ``axis_coordinates()`` and ``extent`` (an
-    ``ApertureGrid`` or a ``FieldSlice``); on a plane that has
-    ``block_axes()`` (a ``FieldSlice``), the mask covers the block it
-    stores, whose (y, x) axes those are.  Transmission is 0 inside the
-    footprint, 1 outside, with a hard edge.  The one footprint check (also
-    for ``propagate_with_obstacles``): a disc or square must lie within
-    +-extent/2, i.e. n*p/2 on a FieldSlice, side_length/2 on an ApertureGrid.
+    ``plane`` is anything with ``axis_coordinates()`` and ``extent``: an
+    ``ApertureGrid``, a ``FieldSlice``, or the ``_Layout`` that
+    ``propagate_with_obstacles`` passes.  On a plane with ``block_axes()``
+    (the latter two) the mask covers the block it stores, whose (y, x) axes
+    those are.  Transmission is 0 inside the footprint, 1 outside, with a
+    hard edge.  The one footprint check (also for ``propagate_with_obstacles``):
+    a disc or square must lie within +-extent/2, i.e. n*p/2 on a FieldSlice or
+    a _Layout, side_length/2 on an ApertureGrid.
     """
     if hasattr(plane, "block_axes"):
         y, x = plane.block_axes()
@@ -679,29 +684,72 @@ def _even_axes(a: np.ndarray) -> tuple[bool, bool]:
     return even(bits), even(bits.swapaxes(0, 1))
 
 
-def _unfold(block: np.ndarray, n: int, even: tuple[bool, bool],
-            keep: tuple[bool, bool] = (False, False)) -> np.ndarray:
-    """The array of an n-by-n plane, even about its centre along y and x as ``even`` says,
-    whose block of non-negative coordinates along those axes is ``block``; along an axis
-    that ``keep`` names, the block's half is kept and not mirrored.
+@dataclass(frozen=True)
+class _Layout:
+    """How a plane of ``side`` samples a side at ``pitch`` is stored: along each axis that
+    ``even`` (along y, along x) names, the plane is even about its centre bit for bit and
+    only its indices side//2 .. side-1, of non-negative coordinate, are kept; along the
+    others every index is.  Both even, the block kept is a quadrant."""
 
-    The block holds the indices n//2 .. n-1 along each even axis, and index j < n//2
-    takes index n-1-j, whose coordinate is exactly -x_j on a grid centred at (n-1)/2.
-    Each mirror reads lines that do not overlap the ones it writes, so numpy copies
-    straight from them.
-    """
-    h = n // 2
-    ey, ex = (e and not k for e, k in zip(even, keep))
-    out = np.empty((n if ey else block.shape[0], n if ex else block.shape[1]), dtype=block.dtype)
-    rows = out[h:] if ey else out
-    if ex:
-        rows[:, h:] = block
-        rows[:, :h] = block[:, ::-1][:, :h]
-    else:
-        rows[...] = block
-    if ey:
-        out[:h] = out[::-1][:h]
-    return out
+    side: int
+    pitch: float
+    even: tuple[bool, bool]
+
+    @property
+    def extent(self) -> float:
+        return self.side * self.pitch
+
+    def axis_coordinates(self) -> np.ndarray:
+        n = self.side
+        return (np.arange(n) - (n - 1) / 2.0) * self.pitch
+
+    def block_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates of the block's rows (y) and columns (x)."""
+        x = self.axis_coordinates()
+        return tuple(x[self.side // 2 :] if e else x for e in self.even)
+
+    def multiplicity(self) -> np.ndarray:
+        """How many samples of the plane each block sample stands for, 1, 2 or 4, as the
+        array of the block's shape."""
+        n = self.side
+        counts = []
+        for e in self.even:
+            m = np.full(n - n // 2, 2.0) if e else np.ones(n)
+            if e and n % 2:
+                m[0] = 1.0  # the line through the centre of an odd plane stands for itself
+            counts.append(m)
+        return counts[0][:, None] * counts[1][None, :]
+
+    def crop(self, plane: np.ndarray) -> np.ndarray:
+        """The block (a view) of the whole ``plane``."""
+        h = self.side // 2
+        return plane[tuple(slice(h, None) if e else slice(None) for e in self.even)]
+
+    def unfold(self, block: np.ndarray, keep: tuple[bool, bool] = (False, False)) -> np.ndarray:
+        """The whole plane of an array laid out as the block (``block`` itself when no axis
+        is even); along an axis that ``keep`` names, the block's half is kept.  Index j <
+        side//2 takes index side-1-j, at exactly -x_j; no mirror overlaps what it reads."""
+        ey, ex = (e and not k for e, k in zip(self.even, keep))
+        if not (ey or ex):
+            return block
+        n, h = self.side, self.side // 2
+        out = np.empty((n if ey else block.shape[0], n if ex else block.shape[1]),
+                       dtype=block.dtype)
+        rows = out[h:] if ey else out
+        if ex:
+            rows[:, h:] = block
+            rows[:, :h] = block[:, ::-1][:, :h]
+        else:
+            rows[...] = block
+        if ey:
+            out[:h] = out[::-1][:h]
+        return out
+
+    def window(self, block: np.ndarray, lo: int, size: int) -> np.ndarray:
+        """The plane's square ``[lo : lo + size, lo : lo + size]``, read off the block."""
+        idx = np.arange(lo, lo + size)
+        mirrored = np.maximum(idx, self.side - 1 - idx) - self.side // 2
+        return block[np.ix_(*(mirrored if e else idx for e in self.even))]
 
 
 def synthesize_applied_phase(grid: ApertureGrid, spec: WavefrontSpec) -> PhaseMap:
@@ -721,18 +769,17 @@ def synthesize_field(grid: ApertureGrid, spec: WavefrontSpec) -> ApertureField:
     spiral overlay gives the element on the axis of an odd grid, where its
     phase is undefined, zero amplitude.  An even spec
     (kind beamforming, beamfocusing or bessel, with no steer and no spiral)
-    is built on the quadrant of non-negative coordinates, (n+1)//2 elements
-    a side, and mirrored: x_{n-1-i} = -x_i exactly, each step reads x only
-    through x^2 or |x|, and broadside planar's signed zeros all wrap to +0.
+    is built on its ``_Layout`` quadrant of non-negative coordinates,
+    (n+1)//2 elements a side, and unfolded: x_{n-1-i} = -x_i exactly, each
+    step reads x only through x^2 or |x|, and broadside planar's signed
+    zeros all wrap to +0.
     """
-    x = grid.axis_coordinates()
-    even = _is_even(spec)
-    if even:
-        x = x[x.size // 2 :]
+    n = grid.elements_per_side
+    layout = _Layout(n, grid.element_pitch, (_is_even(spec),) * 2)
+    x = layout.block_axes()[1]
     phase = _applied_phase(grid, spec, x)
-    w = _compose([phase.values], _raw_disc(x, grid.half_side) if spec.circular else None)
-    if even:
-        w = _unfold(w, grid.elements_per_side, (True, True))
-    elif spec.oam_mode and grid.elements_per_side % 2:
-        w[x.size // 2, x.size // 2] = 0.0  # the helix has no phase on the axis, so no amplitude
+    w = layout.unfold(_compose([phase.values],
+                               _raw_disc(x, grid.half_side) if spec.circular else None))
+    if spec.oam_mode and n % 2:
+        w[n // 2, n // 2] = 0.0  # the helix has no phase on the axis, so no amplitude
     return ApertureField(grid, w)

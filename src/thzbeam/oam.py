@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aperture import ApertureField, ApertureGrid, _raw_spiral
+from .aperture import ApertureField, ApertureGrid, _Layout, _raw_spiral
 from .errors import GeometryError
 from .propagation import (_DEFAULT_PAD_FACTOR, _check_window_supports_distance, _padded_size,
                           propagate_asm, reuse_spectra)
@@ -70,7 +70,7 @@ class CrosstalkMatrix:
 def _adjoint_side(n: int, npad: int, pitch: float, rx_radius: float) -> int:
     """Samples a side of the adjoint hops' source grid: the receive disc's widest row
     (the one nearest the axis) on the npad-square receive plane, or the n of the aperture."""
-    x_sq = ((np.arange(npad) - (npad - 1) / 2.0) * pitch) ** 2
+    x_sq = _Layout(npad, pitch, (False, False)).axis_coordinates() ** 2
     return max(n, int(np.count_nonzero(x_sq + x_sq.min() <= rx_radius * rx_radius)))
 
 

@@ -51,6 +51,8 @@ a time, so the hop's buffers hold about npad * (npad//2 + 1) samples.  The
 plane is even along that axis bit for bit and agrees with the full
 transform to round-off, and the ``FieldSlice`` returned stores only its
 block of non-negative coordinates: a quadrant when both axes are even.
+How a block is laid out, cropped and mirrored back to its plane is
+``aperture._Layout``, which this module imports.
 ``propagate_with_obstacles`` carries the even axes from hop to hop: a mask
 keeps each axis its footprint is centred on.
 """
@@ -69,7 +71,7 @@ from typing import Sequence
 import numpy as np
 import numpy.fft  # numpy loads it lazily; here it is paid at import, not in the first hop
 
-from .aperture import ApertureField, ObstacleSpec, _unfold, make_obstacle_mask
+from .aperture import ApertureField, ObstacleSpec, _Layout, make_obstacle_mask
 from .errors import SamplingError
 
 __all__ = [
@@ -80,61 +82,6 @@ __all__ = [
     "propagate_with_obstacles",
     "reuse_spectra",
 ]
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """How a plane of ``side`` samples a side at ``pitch`` is stored: along each axis that
-    ``even`` (along y, along x) names, the plane is even about its centre bit for bit and
-    only its indices side//2 .. side-1, of non-negative coordinate, are kept; along the
-    others every index is.  Both even, the block kept is a quadrant."""
-
-    side: int
-    pitch: float
-    even: tuple[bool, bool]
-
-    @property
-    def extent(self) -> float:
-        return self.side * self.pitch
-
-    def axis_coordinates(self) -> np.ndarray:
-        n = self.side
-        return (np.arange(n) - (n - 1) / 2.0) * self.pitch
-
-    def block_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The coordinates of the block's rows (y) and columns (x)."""
-        x = self.axis_coordinates()
-        return tuple(x[self.side // 2 :] if e else x for e in self.even)
-
-    def multiplicity(self) -> np.ndarray:
-        """How many samples of the plane each block sample stands for, 1, 2 or 4, as the
-        array of the block's shape."""
-        n = self.side
-        counts = []
-        for e in self.even:
-            m = np.full(n - n // 2, 2.0) if e else np.ones(n)
-            if e and n % 2:
-                m[0] = 1.0  # the line through the centre of an odd plane stands for itself
-            counts.append(m)
-        return counts[0][:, None] * counts[1][None, :]
-
-    def crop(self, plane: np.ndarray) -> np.ndarray:
-        """The block (a view) of the whole ``plane``."""
-        h = self.side // 2
-        return plane[tuple(slice(h, None) if e else slice(None) for e in self.even)]
-
-    def unfold(self, block: np.ndarray, keep: tuple[bool, bool] = (False, False)) -> np.ndarray:
-        """The whole plane of an array laid out as the block (``block`` itself when no axis
-        is even); along an axis that ``keep`` names, the block's half is kept."""
-        if not any(e and not k for e, k in zip(self.even, keep)):
-            return block
-        return _unfold(block, self.side, self.even, keep)
-
-    def window(self, block: np.ndarray, lo: int, size: int) -> np.ndarray:
-        """The plane's square ``[lo : lo + size, lo : lo + size]``, read off the block."""
-        idx = np.arange(lo, lo + size)
-        mirrored = np.maximum(idx, self.side - 1 - idx) - self.side // 2
-        return block[np.ix_(*(mirrored if e else idx for e in self.even))]
 
 
 @dataclass(frozen=True, init=False)
@@ -683,12 +630,22 @@ def _check_nearest_distance(r_sq: float, z: float) -> None:
                          f"nearest element, {r_sq:g} m^2, underflows below {sys.float_info.min:g}")
 
 
+def _check_point(r_sq: float, point: Sequence[float]) -> None:
+    """Reject a sum at ``point`` (x, y, z) whose nearest r^2 is not finite (a coordinate
+    that is not, or a square past the float range) or not a normal float."""
+    if not math.isfinite(r_sq):
+        raise ValueError(f"cannot sum at the point ({', '.join(f'{v:g}' for v in point)}) m: "
+                         f"the squared distance to the nearest element is {r_sq:g} m^2")
+    _check_nearest_distance(r_sq, point[2])
+
+
 def _element_distances(X: np.ndarray, Y: np.ndarray, point: Sequence[float]) -> np.ndarray:
     """r from each element at (X, Y) to ``point`` (x, y, z), refusing a point whose nearest
-    r^2 is not a normal float."""
+    r^2 is not finite or not a normal float (``_check_point``)."""
     px, py, pz = point
-    r_sq = (X - px) ** 2 + (Y - py) ** 2 + pz * pz
-    _check_nearest_distance(float(r_sq.min()), pz)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        r_sq = (X - px) ** 2 + (Y - py) ** 2 + pz * pz
+    _check_point(float(r_sq.min()), point)
     return np.sqrt(r_sq)
 
 
@@ -781,7 +738,7 @@ def _even_behind(ob: ObstacleSpec, even: tuple[bool, bool]) -> tuple[bool, bool]
 
 def _axial_sums(field: ApertureField, z_values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Exact on-axis sums, sum w*exp(-1j*k*r)/r and sum |w|/r, at each z > 0 at which r^2
-    to the nearest element is a normal float.
+    to the nearest element is a finite normal float (``_check_point``).
 
     The weights are binned by their element's distance from the axis first,
     so each distance costs one sum over the distinct radii (36,358 at
@@ -794,7 +751,7 @@ def _axial_sums(field: ApertureField, z_values: Sequence[float]) -> tuple[np.nda
     coherent = np.empty(len(z_values), dtype=complex)
     incoherent = np.empty(len(z_values))
     for i, z in enumerate(z_values):
-        _check_nearest_distance(rho_sq[0] + z * z, z)  # rho_sq[0] is 0 on an odd grid
+        _check_point(rho_sq[0] + z * z, (0.0, 0.0, z))  # rho_sq[0] is 0 on an odd grid
         r = np.sqrt(rho_sq + z * z)
         coherent[i] = np.sum(w_bins * np.exp(-1j * k * r) / r)
         incoherent[i] = np.sum(abs_bins / r)

@@ -138,7 +138,8 @@ def _items(cast):
 
 
 _CASTS = {
-    "str": str, "bool": _bool, "int": int, "float": _float, "Positive": _positive,
+    "str": _ranged(str, bool, "non-empty"), "bool": _bool, "int": int, "float": _float,
+    "Positive": _positive,
     "Fraction": _ranged(_float, lambda v: 0 < v <= 1, "in (0, 1]"),
     "Negative": _ranged(_float, lambda v: v < 0, "negative"),
     "Bits": _ranged(int, lambda v: 1 <= v <= 16, "in [1, 16]"),
@@ -794,8 +795,12 @@ def _write(out_dir: Path, stem: str, output: OutputSection, manifest: RunManifes
     paths = [out_dir / f"{stem}.csv"] if write_csv and "csv" in output.formats else []
     for path in paths:
         write_csv(path)
-    if levels_of:
-        paths += artifacts.write_images(out_dir / stem, output.formats, levels_of)
+    images = [fmt for fmt in ("pgm", "png") if levels_of and fmt in output.formats]
+    if images:
+        levels = levels_of()  # once, and only for an image
+        for fmt in images:
+            paths.append(out_dir / f"{stem}.{fmt}")
+            (artifacts.write_pgm16 if fmt == "pgm" else artifacts.write_png16)(paths[-1], levels)
     for path in paths:
         manifest.add(path, out_dir)
 

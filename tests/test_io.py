@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thzbeam import FieldSlice, PhaseMap
-from thzbeam.aperture import _even_axes, _unfold
+from thzbeam.aperture import _even_axes, _Layout
 from thzbeam.io import (
     _CSV_BLOCK_ROWS,
     _sample_intensity,
@@ -13,7 +13,6 @@ from thzbeam.io import (
     intensity_to_levels,
     phase_map_csv,
 )
-from thzbeam.propagation import _Layout
 
 
 def _field_slice_csv_per_sample(path, slice_):
@@ -75,7 +74,7 @@ def _even_phasors(rng, n, even=(True, True)):
     along those axes bit for bit."""
     block = _random_phasors(rng, n, 150)[tuple(slice(n // 2, None) if e else slice(None)
                                                for e in even)]
-    return _unfold(block, n, even)
+    return _Layout(n, 1.0, even).unfold(block)
 
 
 def _block_slice(rng, n, pitch, even=(True, True)):

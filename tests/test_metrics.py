@@ -134,6 +134,13 @@ def test_oracle_and_off_axis_gain_refuse_an_underflowing_distance():
         propagate_direct(field, [(0.0, 0.0, 1e-158)])
     assert math.isfinite(normalized_gain(field, (x0, x0, 1e-150)))
     assert np.all(np.isfinite(propagate_direct(field, [(0.0, 0.0, 1e-150)])))
+    # a coordinate that is not finite, or z = 1e200, whose square overflows, is refused too
+    for z in (math.nan, math.inf, 1e200):
+        for point in ((0.0, 0.0, z), (x0, x0, z), (z, 0.0, 0.01)):
+            with pytest.raises(ValueError, match=r"cannot sum at the point \("):
+                normalized_gain(field, point)
+            with pytest.raises(ValueError, match=r"cannot sum at the point \("):
+                propagate_direct(field, [point])
 
 
 # ---------------------------------------------------------------------------

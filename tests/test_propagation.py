@@ -28,7 +28,7 @@ from thzbeam import (
     reuse_spectra,
     synthesize_field,
 )
-from thzbeam.aperture import CausticCurve, _axial_bins, _even_axes, _unfold, steer_vector
+from thzbeam.aperture import CausticCurve, _axial_bins, _even_axes, _Layout, steer_vector
 
 RNG = np.random.default_rng(7)
 
@@ -736,8 +736,8 @@ AXIS_PAIRS = [(True, True), (True, False), (False, True), (False, False)]
 @pytest.mark.parametrize("even", AXIS_PAIRS, ids=["yx", "y", "x", "none"])
 @pytest.mark.parametrize("n", [7, 8])
 def test_unfold_equals_the_flip_mirror(n, even, keep, dtype):
-    """``_unfold`` of the block of a plane even along ``even`` is the plane, bit for bit,
-    but along the axes ``keep`` names, where it is the block's half."""
+    """``_Layout.unfold`` of the block of a plane even along ``even`` is the plane, bit for
+    bit, but along the axes ``keep`` names, where it is the block's half."""
     rng = np.random.default_rng(n)
     if dtype is np.uint16:
         plane = rng.integers(0, 1 << 16, (n, n), dtype=np.uint16)
@@ -747,9 +747,12 @@ def test_unfold_equals_the_flip_mirror(n, even, keep, dtype):
         plane.imag[:, 1::3] = 0.0
         plane.imag[:, 2::3] *= -0.0
     whole = _even_along(plane, even)
-    block = propagation._Layout(n, 1.0, even).crop(whole)
-    got = _unfold(block, n, even, keep)
-    expected = propagation._Layout(n, 1.0, tuple(e and k for e, k in zip(even, keep))).crop(whole)
+    layout = _Layout(n, 1.0, even)
+    block = layout.crop(whole)
+    got = layout.unfold(block, keep)
+    # the reference is the flip mirror of the whole plane, cropped by index
+    h = n // 2
+    expected = whole[tuple(slice(h, None) if e and k else slice(None) for e, k in zip(even, keep))]
     assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
     assert got.tobytes() == expected.tobytes()
 

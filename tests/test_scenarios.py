@@ -1447,6 +1447,12 @@ UNREAD_OR_BAD = {
     "phase_map-db-floor": (WAVEFRONT_INI["phase_map"] + "[output]\ndb_floor = -60\n",
                            "output.db_floor"),
     "plane-without-z": (WAVEFRONT_INI["plane"].replace("z_m = 0.1\n", ""), "plane.z_m"),
+    # an empty name or directory would write into the working directory
+    "phase_map-empty-name": (WAVEFRONT_INI["phase_map"].replace("study = phase_map\n",
+                                                                "study = phase_map\nname =\n"),
+                             "scenario.name"),
+    "phase_map-empty-directory": (WAVEFRONT_INI["phase_map"] + "[output]\ndirectory =\n",
+                                  "output.directory"),
     "plane-pad-factor-9": (WAVEFRONT_INI["plane"] + "pad_factor = 9\n", "plane.pad_factor"),
     "blockage-pad-factor-nan": (_fig4_ci_text().replace("pad_factor = 2.0", "pad_factor = nan"),
                                 "blockage.pad_factor"),
@@ -1463,6 +1469,18 @@ def test_cli_run_rejects_what_the_study_does_not_read(tmp_path, capsys, name):
     assert f"{key_path}:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["phase_map-empty-name", "phase_map-empty-directory"])
+def test_cli_run_without_out_refuses_an_empty_name_in_the_working_directory(
+        tmp_path, capsys, monkeypatch, name):
+    text, key_path = UNREAD_OR_BAD[name]
+    config = tmp_path / "scenario.ini"
+    config.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", str(config)]) == 2
+    assert f"{key_path}: invalid value '': must be non-empty" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.ini"]
 
 
 # spillover.csv sums the middle mode's nearest neighbours in l: l +- 1 where the set holds them
