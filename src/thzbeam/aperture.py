@@ -321,6 +321,9 @@ class AxiconDesign:
     ring_count_within_aperture: int
 
 
+_SPOT_CONVENTIONS = ("fwhm", "first_null")
+
+
 def axicon_design(grid: ApertureGrid, spot_fwhm: float, spot_convention: str = "fwhm") -> AxiconDesign:
     """Size the conical profile producing a given central spot diameter.
 
@@ -334,12 +337,10 @@ def axicon_design(grid: ApertureGrid, spot_fwhm: float, spot_convention: str = "
         raise EvanescentDesignError(
             f"spot diameter {spot_fwhm:g} m must exceed the wavelength {lam:g} m"
         )
-    if spot_convention == "fwhm":
-        x_c = bessel_half_intensity_argument()
-    elif spot_convention == "first_null":
-        x_c = bessel_first_null_argument()
-    else:
+    if spot_convention not in _SPOT_CONVENTIONS:
         raise ValueError(f"unknown spot_convention {spot_convention!r}")
+    x_c = (bessel_half_intensity_argument() if spot_convention == "fwhm"
+           else bessel_first_null_argument())
     k = grid.wavenumber
     k_r = 2.0 * x_c / spot_fwhm
     if k_r >= k:
@@ -508,27 +509,23 @@ def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
     ``propagate_with_obstacles`` passes.  On a plane with ``block_axes()``
     (the latter two) the mask covers the block it stores, whose (y, x) axes
     those are.  Transmission is 0 inside the footprint, 1 outside, with a
-    hard edge.  The one footprint check (also for ``propagate_with_obstacles``):
-    a disc or square must lie within +-extent/2, i.e. n*p/2 on a FieldSlice or
-    a _Layout, side_length/2 on an ApertureGrid.
+    hard edge.  The one footprint check (``_check_footprint``, also for
+    ``propagate_with_obstacles`` and the scenario parse): a disc or square
+    must lie within +-extent/2, i.e. n*p/2 on a FieldSlice or a _Layout,
+    side_length/2 on an ApertureGrid.
     """
     if hasattr(plane, "block_axes"):
         y, x = plane.block_axes()
     else:
         y = x = plane.axis_coordinates()
     cx, cy = spec.center_offset
-    half_extent = plane.extent / 2.0
 
     # x runs along axis 1 and y along axis 0
     values = np.ones((y.size, x.size))
     if spec.shape == "half_plane":
         values[:, x > cx] = 0.0
     else:
-        if abs(cx) + spec.size / 2.0 > half_extent or abs(cy) + spec.size / 2.0 > half_extent:
-            raise GeometryError(
-                f"{spec.shape} obstacle of size {spec.size:g} m at ({cx:g}, {cy:g}) "
-                f"exceeds the plane extent +-{half_extent:g} m"
-            )
+        _check_footprint(spec, plane.extent)
         if spec.shape == "disc":
             u, v, limit = (x - cx) ** 2, (y - cy) ** 2, (spec.size / 2.0) ** 2
         else:
@@ -545,6 +542,14 @@ def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
     if not values.any():
         warnings.warn("obstacle mask blocks the entire plane", stacklevel=2)
     return AmplitudeMask(values)
+
+
+def _check_footprint(spec: ObstacleSpec, extent: float) -> None:
+    """Raise GeometryError unless the disc or square ``spec`` lies within +-extent/2."""
+    cx, cy = spec.center_offset
+    if max(abs(cx), abs(cy)) + spec.size / 2.0 > extent / 2.0:
+        raise GeometryError(f"{spec.shape} obstacle of size {spec.size:g} m at ({cx:g}, {cy:g}) "
+                            f"exceeds the plane extent +-{extent / 2.0:g} m")
 
 
 def _span(inside: np.ndarray) -> slice:
@@ -600,6 +605,9 @@ def compose_aperture(
 # wavefront catalog
 
 
+_WAVEFRONT_KINDS = ("beamforming", "beamfocusing", "bessel", "caustic")
+
+
 @dataclass(frozen=True)
 class WavefrontSpec:
     """Named wavefront recipe used by gain curves and scenario runs.
@@ -622,7 +630,7 @@ class WavefrontSpec:
     circular: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("beamforming", "beamfocusing", "bessel", "caustic"):
+        if self.kind not in _WAVEFRONT_KINDS:
             raise ValueError(f"unknown wavefront kind {self.kind!r}")
         if self.phase_bits is not None and not 1 <= self.phase_bits <= 16:
             raise ValueError(f"phase_bits must be in [1, 16], got {self.phase_bits}")

@@ -10,7 +10,9 @@ oam_bandwidth) and runs it as ``run`` does: same schema, same runner, a
 ``manifest.json``, and config errors that name the INI key path of the
 rendered scenario (``--z -1`` fails at ``plane.z_m``).
 
-A flag left unset leaves its key to the schema's default, so the
+A flag's dest is the INI key it sets (``--z`` sets ``z_m``), and only the
+sections that no flag fills are written out by hand.  A flag left unset
+leaves its key to the schema's default, so the
 rendered text states only what was given.  --db-floor belongs to the
 verbs that map intensity to gray levels: propagate and blockage.  Every
 finished run also writes the scenario it ran as ``scenario.ini``, which
@@ -22,10 +24,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from functools import partial
 from pathlib import Path
 
+from . import io as artifacts
+from .aperture import _SPOT_CONVENTIONS, _WAVEFRONT_KINDS
 from .errors import ConfigError, ToolkitError
 from .scenarios import (
+    _STUDY_SECTIONS,
+    OUTPUT_FORMATS,
     PRESET_NAMES,
     BlockageSection,
     GridSection,
@@ -52,35 +59,45 @@ def _schema_default(section: type, key: str) -> str:
     return f"(default {_ini_value(default)})"
 
 
+def _ints(raw: str) -> list[int]:
+    return [int(v) for v in raw.split(",")]
+
+
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--side-length", type=float, required=True, help="aperture side length [m]")
-    p.add_argument("--frequency", type=float, required=True, help="carrier frequency [Hz]")
+    p.add_argument("--side-length", dest="side_length_m", type=float, required=True,
+                   help="aperture side length [m]")
+    p.add_argument("--frequency", dest="frequency_hz", type=float, required=True,
+                   help="carrier frequency [Hz]")
     p.add_argument("--pitch-fraction", type=float,
                    help="element pitch as a fraction of the wavelength "
                    + _schema_default(GridSection, "pitch_fraction"))
 
 
 def _add_wavefront_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", required=True,
-                   choices=("beamforming", "beamfocusing", "bessel", "caustic"))
+    p.add_argument("--kind", required=True, choices=_WAVEFRONT_KINDS)
     p.add_argument("--steer-deg", type=float)
-    p.add_argument("--focal-length", type=float, help="focal length [m] for beamfocusing")
-    p.add_argument("--spot-fwhm", type=float, help="Bessel central-spot diameter [m]")
-    p.add_argument("--spot-convention", choices=("fwhm", "first_null"),
+    p.add_argument("--focal-length", dest="focal_length_m", type=float,
+                   help="focal length [m] for beamfocusing")
+    p.add_argument("--spot-fwhm", dest="spot_fwhm_m", type=float,
+                   help="Bessel central-spot diameter [m]")
+    p.add_argument("--spot-convention", choices=_SPOT_CONVENTIONS,
                    help="Bessel spot diameter convention "
                    + _schema_default(WavefrontSection, "spot_convention"))
     p.add_argument("--curve-a", type=float, help="caustic parabola curvature [1/m]")
-    p.add_argument("--curve-x-start", type=float, help="caustic start offset [m] "
+    p.add_argument("--curve-x-start", dest="curve_x_start_m", type=float,
+                   help="caustic start offset [m] "
                    + _schema_default(WavefrontSection, "curve_x_start_m"))
-    p.add_argument("--curve-z-end", type=float, help="caustic design range [m]")
-    p.add_argument("--oam-l", type=int, help="spiral overlay mode")
-    p.add_argument("--bits", type=int, help="quantize the phase map to this many bits")
+    p.add_argument("--curve-z-end", dest="curve_z_end_m", type=float,
+                   help="caustic design range [m]")
+    p.add_argument("--oam-l", dest="oam_mode", type=int, help="spiral overlay mode")
+    p.add_argument("--bits", dest="phase_bits", type=int,
+                   help="quantize the phase map to this many bits")
     p.add_argument("--circular", action="store_true", default=None,
                    help="apply the inscribed-disc taper")
 
 
 def _add_pad_arg(p: argparse.ArgumentParser, section: type) -> None:
-    p.add_argument("--pad", type=float,
+    p.add_argument("--pad", dest="pad_factor", type=float,
                    help="padded plane side as a multiple of the aperture side, in [1, 8] "
                    + _schema_default(section, "pad_factor"))
 
@@ -91,12 +108,19 @@ def _add_db_floor_arg(p: argparse.ArgumentParser, section: type) -> None:
                    + _schema_default(section, "db_floor"))
 
 
+class _AppendOnce(argparse.Action):
+    """Append the value unless given before: a repeated --format writes its files once."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = getattr(namespace, self.dest) or []
+        setattr(namespace, self.dest, given + [value] * (value not in given))
+
+
 def _add_output_args(p: argparse.ArgumentParser, images: type | None = None) -> None:
     """--out, and for a verb whose ``images`` section writes images, --format."""
     p.add_argument("--out", type=Path, required=True, help="output directory")
     if images is not None:
-        p.add_argument("--format", action="append", choices=("csv", "pgm", "png"),
-                       dest="formats",
+        p.add_argument("--format", action=_AppendOnce, choices=OUTPUT_FORMATS, dest="formats",
                        help="artifact format, repeatable " + _schema_default(images, "formats"))
 
 
@@ -122,88 +146,50 @@ def _render_scenario(sections: dict[str, dict]) -> str:
     )
 
 
-def _grid_section(args) -> dict:
-    return {"side_length_m": args.side_length, "frequency_hz": args.frequency,
-            "pitch_fraction": args.pitch_fraction}
+def _keys(args, section: type) -> dict:
+    """The keys of ``section`` that the verb has flags for, in field order."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(section)
+            if f.init and hasattr(args, f.name)}
 
 
-def _wavefront_scenario(study: str, args, **sections) -> dict:
+def _scenario(study: str, args, wavefronts: dict[str, dict] | None = None) -> dict:
+    """The sections ``study`` reads, each as ``_keys`` gives it where the verb has flags for
+    it; ``wavefronts`` maps each [wavefront.<name>] section to its keys."""
+    sections = {"scenario": {"study": study}}
+    for name, cls in _STUDY_SECTIONS[study].items():
+        if name == "wavefronts":
+            sections[name] = {"names": list(wavefronts)}
+        elif name == "wavefront.*":
+            sections.update({f"wavefront.{n}": keys for n, keys in wavefronts.items()})
+        elif keys := _keys(args, cls):
+            sections[name] = keys
+    return sections
+
+
+def _wavefront_scenario(study: str, args) -> dict:
     """A phase_map or plane scenario of the one wavefront the flags describe, named by kind."""
-    return {
-        "scenario": {"study": study},
-        "grid": _grid_section(args),
-        "wavefronts": {"names": [args.kind]},
-        f"wavefront.{args.kind}": {
-            "kind": args.kind, "steer_deg": args.steer_deg, "circular": args.circular,
-            "oam_mode": args.oam_l, "phase_bits": args.bits, "focal_length_m": args.focal_length,
-            "spot_fwhm_m": args.spot_fwhm, "spot_convention": args.spot_convention,
-            "curve_a": args.curve_a, "curve_x_start_m": args.curve_x_start,
-            "curve_z_end_m": args.curve_z_end},
-        **sections,
-    }
+    return _scenario(study, args, {args.kind: _keys(args, WavefrontSection)})
 
 
-def _formats(args) -> list[str] | None:
-    # a repeated --format writes its files once
-    return args.formats and list(dict.fromkeys(args.formats))
-
-
-def _phase_map_scenario(args) -> dict:
-    return _wavefront_scenario("phase_map", args, output={"formats": _formats(args)})
-
-
-def _plane_scenario(args) -> dict:
-    return _wavefront_scenario(
-        "plane", args, plane={"z_m": args.z, "pad_factor": args.pad},
-        output={"formats": _formats(args), "db_floor": args.db_floor, "scale": args.scale})
+# --taper: whether each gain-curve wavefront takes the inscribed-disc taper
+_TAPERS = {"circular": True, "none": False}
 
 
 def _gain_curve_scenario(args) -> dict:
-    circular = args.taper == "circular"
-    return {
-        "scenario": {"study": "gain_curve"},
-        "grid": _grid_section(args),
-        "wavefronts": {"names": ["beamforming", "beamfocusing", "bessel"]},
-        "wavefront.beamforming": {"kind": "beamforming", "circular": circular},
-        "wavefront.beamfocusing": {
-            "kind": "beamfocusing",
-            "focal_length_m": "auto" if args.focal_length is None else args.focal_length,
-            "circular": circular,
-        },
-        "wavefront.bessel": {"kind": "bessel", "spot_fwhm_m": args.spot_fwhm,
-                             "spot_convention": args.spot_convention, "circular": circular},
-        "distances": {"start_m": args.z_start, "stop_m": args.z_stop, "step_m": args.z_step},
-    }
+    circular = _TAPERS[args.taper]
+    focal_length_m = "auto" if args.focal_length_m is None else args.focal_length_m
+    return _scenario("gain_curve", args, {
+        "beamforming": {"kind": "beamforming", "circular": circular},
+        "beamfocusing": {"kind": "beamfocusing", "focal_length_m": focal_length_m,
+                         "circular": circular},
+        "bessel": {"kind": "bessel", "spot_fwhm_m": args.spot_fwhm_m,
+                   "spot_convention": args.spot_convention, "circular": circular},
+    })
 
 
 def _blockage_scenario(args) -> dict:
-    return {
-        "scenario": {"study": "blockage"},
-        "grid": _grid_section(args),
-        "wavefronts": {"names": ["bessel"]},
-        "wavefront.bessel": {"kind": "bessel", "spot_fwhm_m": args.spot_fwhm, "circular": True},
-        "blockage": {"obstacle_size_m": args.obstacle_size, "obstacle_z_m": args.obstacle_z,
-                     "pad_factor": args.pad},
-        "output": {"formats": _formats(args), "db_floor": args.db_floor},
-    }
-
-
-def _oam_crosstalk_scenario(args) -> dict:
-    return {
-        "scenario": {"study": "oam_crosstalk"},
-        "grid": _grid_section(args),
-        "oam": {"modes": args.modes, "z_m": args.z,
-                "steer_deg_list": None if args.steer_deg is None else [args.steer_deg],
-                "rx_radius_m": args.rx_radius, "base_spot_fwhm_m": args.spot_fwhm},
-    }
-
-
-def _capacity_scenario(args) -> dict:
-    return {
-        "scenario": {"study": "oam_bandwidth"},
-        "oam": {"target_rate_bps": args.rate, "mode_counts": args.modes,
-                "qam_orders": args.qam},
-    }
+    return _scenario("blockage", args, {
+        "bessel": {"kind": "bessel", "spot_fwhm_m": args.spot_fwhm_m, "circular": True}})
 
 
 def _run(config, out_dir: Path, label: str) -> int:
@@ -235,38 +221,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p)
     _add_wavefront_args(p)
     _add_output_args(p, ImageOutputSection)
-    p.set_defaults(func=_cmd_study, scenario=_phase_map_scenario)
+    p.set_defaults(func=_cmd_study, scenario=partial(_wavefront_scenario, "phase_map"))
 
     p = sub.add_parser("propagate", help="propagate a wavefront to a plane")
     _add_grid_args(p)
     _add_wavefront_args(p)
-    p.add_argument("--z", type=float, required=True, help="plane distance [m]")
+    p.add_argument("--z", dest="z_m", type=float, required=True, help="plane distance [m]")
     _add_pad_arg(p, PlaneSection)
-    p.add_argument("--scale", choices=("db", "linear"),
+    p.add_argument("--scale", choices=artifacts._SCALES,
                    help="intensity map scale " + _schema_default(PlaneOutputSection, "scale"))
     _add_db_floor_arg(p, PlaneOutputSection)
     _add_output_args(p, PlaneOutputSection)
-    p.set_defaults(func=_cmd_study, scenario=_plane_scenario)
+    p.set_defaults(func=_cmd_study, scenario=partial(_wavefront_scenario, "plane"))
 
     p = sub.add_parser("gain-curve", help="axial gain comparison of the three wavefronts")
     _add_grid_args(p)
-    p.add_argument("--spot-fwhm", type=float, required=True)
-    p.add_argument("--spot-convention", choices=("fwhm", "first_null"))
-    p.add_argument("--focal-length", type=float,
+    p.add_argument("--spot-fwhm", dest="spot_fwhm_m", type=float, required=True)
+    p.add_argument("--spot-convention", choices=_SPOT_CONVENTIONS)
+    p.add_argument("--focal-length", dest="focal_length_m", type=float,
                    help="beamfocusing focal length [m]; defaults to the Bessel peak")
-    p.add_argument("--taper", choices=("circular", "none"), default="circular",
+    p.add_argument("--taper", choices=_TAPERS, default="circular",
                    help="aperture amplitude taper (default: inscribed disc)")
-    p.add_argument("--z-start", type=float, required=True)
-    p.add_argument("--z-stop", type=float, required=True)
-    p.add_argument("--z-step", type=float, required=True)
+    p.add_argument("--z-start", dest="start_m", type=float, required=True)
+    p.add_argument("--z-stop", dest="stop_m", type=float, required=True)
+    p.add_argument("--z-step", dest="step_m", type=float, required=True)
     _add_output_args(p)
     p.set_defaults(func=_cmd_study, scenario=_gain_curve_scenario)
 
     p = sub.add_parser("blockage", help="Bessel self-healing behind a disc obstacle")
     _add_grid_args(p)
-    p.add_argument("--spot-fwhm", type=float, required=True)
-    p.add_argument("--obstacle-size", type=float, required=True)
-    p.add_argument("--obstacle-z", type=float, required=True)
+    p.add_argument("--spot-fwhm", dest="spot_fwhm_m", type=float, required=True)
+    p.add_argument("--obstacle-size", dest="obstacle_size_m", type=float, required=True)
+    p.add_argument("--obstacle-z", dest="obstacle_z_m", type=float, required=True)
     _add_pad_arg(p, BlockageSection)
     _add_db_floor_arg(p, MapOutputSection)
     _add_output_args(p, MapOutputSection)
@@ -274,20 +260,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oam-crosstalk", help="OAM mode-coupling matrix")
     _add_grid_args(p)
-    p.add_argument("--modes", type=lambda s: [int(v) for v in s.split(",")], required=True)
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--steer-deg", type=float)
-    p.add_argument("--rx-radius", type=float)
-    p.add_argument("--spot-fwhm", type=float, help="Bessel base spot (default: planar base)")
+    p.add_argument("--modes", type=_ints, required=True)
+    p.add_argument("--z", dest="z_m", type=float, required=True)
+    # one angle: the list of one renders as its one value
+    p.add_argument("--steer-deg", dest="steer_deg_list", type=float)
+    p.add_argument("--rx-radius", dest="rx_radius_m", type=float)
+    p.add_argument("--spot-fwhm", dest="base_spot_fwhm_m", type=float,
+                   help="Bessel base spot (default: planar base)")
     _add_output_args(p)
-    p.set_defaults(func=_cmd_study, scenario=_oam_crosstalk_scenario)
+    p.set_defaults(func=_cmd_study, scenario=partial(_scenario, "oam_crosstalk"))
 
     p = sub.add_parser("capacity", help="required bandwidth for a target rate")
-    p.add_argument("--rate", type=float, required=True, help="target rate [bit/s]")
-    p.add_argument("--modes", type=lambda s: [int(v) for v in s.split(",")], required=True)
-    p.add_argument("--qam", type=lambda s: [int(v) for v in s.split(",")], required=True)
+    p.add_argument("--rate", dest="target_rate_bps", type=float, required=True,
+                   help="target rate [bit/s]")
+    p.add_argument("--modes", dest="mode_counts", type=_ints, required=True)
+    p.add_argument("--qam", dest="qam_orders", type=_ints, required=True)
     _add_output_args(p)
-    p.set_defaults(func=_cmd_study, scenario=_capacity_scenario)
+    p.set_defaults(func=_cmd_study, scenario=partial(_scenario, "oam_bandwidth"))
 
     p = sub.add_parser("run", help="run a scenario config file")
     p.add_argument("config", type=Path)

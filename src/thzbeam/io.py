@@ -153,6 +153,9 @@ def phase_to_levels(phase: PhaseMap) -> np.ndarray:
     return np.round(phase.values / TWO_PI * 65535.0).astype(np.uint16)
 
 
+_SCALES = ("db", "linear")
+
+
 def intensity_to_levels(intensity: np.ndarray, scale: str = "db",
                         db_floor: float = -60.0) -> np.ndarray:
     """Map a plane's intensity, which is only read, onto uint16 levels, linear or dB
@@ -163,7 +166,7 @@ def intensity_to_levels(intensity: np.ndarray, scale: str = "db",
     ``(10*log10(max(i/peak, floor)) - floor) / -floor``; then ``* 65535``,
     rounded), so the levels are the bits that expression gives.
     """
-    if scale not in ("db", "linear"):
+    if scale not in _SCALES:
         raise ValueError(f"unknown intensity scale {scale!r}")
     if db_floor >= 0:
         raise ValueError(f"db_floor must be negative, got {db_floor}")

@@ -67,11 +67,23 @@ class CrosstalkMatrix:
         return float(m[mask].max())
 
 
-def _adjoint_side(n: int, npad: int, pitch: float, rx_radius: float) -> int:
-    """Samples a side of the adjoint hops' source grid: the receive disc's widest row
-    (the one nearest the axis) on the npad-square receive plane, or the n of the aperture."""
+def _receive_side(grid: ApertureGrid, rx_radius: float | None) -> tuple[float, int, int, int]:
+    """(radius, npad, m, mpad) of a crosstalk receiver: the disc's radius (default: the
+    aperture half side), the receive plane's side (a forward hop's at the default pad factor,
+    which every crosstalk hop takes), the adjoint hops' source side (the disc's widest row,
+    or n) and their padded side.  A radius that is not positive raises ValueError, and one
+    beyond the receive plane's half extent GeometryError."""
+    n, pitch = grid.elements_per_side, grid.element_pitch
+    radius = grid.half_side if rx_radius is None else rx_radius
+    if radius <= 0:
+        raise ValueError(f"rx_radius must be positive, got {radius}")
+    npad = _padded_size(n, _DEFAULT_PAD_FACTOR)
+    if radius > npad * pitch / 2.0:
+        raise GeometryError(f"receiver radius {radius:g} m exceeds the slice half-extent "
+                            f"{npad * pitch / 2.0:g} m")
     x_sq = _Layout(npad, pitch, (False, False)).axis_coordinates() ** 2
-    return max(n, int(np.count_nonzero(x_sq + x_sq.min() <= rx_radius * rx_radius)))
+    m = max(n, int(np.count_nonzero(x_sq + x_sq.min() <= radius * radius)))
+    return radius, npad, m, _padded_size(m, _DEFAULT_PAD_FACTOR)
 
 
 def crosstalk_matrix(
@@ -113,19 +125,8 @@ def crosstalk_matrix(
         raise ValueError(f"z must be positive and finite, got {z}")
     grid = base.grid
     n, pitch, k = grid.elements_per_side, grid.element_pitch, grid.wavenumber
-    # the receive plane is the one a forward hop of the aperture would return
-    npad = _padded_size(n, _DEFAULT_PAD_FACTOR)
+    rx_radius, npad, m, _ = _receive_side(grid, rx_radius)
     _check_window_supports_distance(n, npad, pitch, grid.wavelength, z)
-    if rx_radius is None:
-        rx_radius = grid.half_side
-    if rx_radius <= 0:
-        raise ValueError(f"rx_radius must be positive, got {rx_radius}")
-    if rx_radius > npad * pitch / 2.0:
-        raise GeometryError(
-            f"receiver radius {rx_radius:g} m exceeds the slice half-extent "
-            f"{npad * pitch / 2.0:g} m"
-        )
-    m = _adjoint_side(n, npad, pitch, rx_radius)
     rx_grid = ApertureGrid(m * pitch, pitch, grid.frequency)
     phi = _raw_spiral(rx_grid, 1)  # the azimuth, on the aperture's elements too
     x_sq = rx_grid.axis_coordinates() ** 2

@@ -36,11 +36,13 @@ import numpy as np
 from . import __version__
 from . import io as artifacts
 from .aperture import (
+    _SPOT_CONVENTIONS,
     ApertureGrid,
     CausticCurve,
     ObstacleSpec,
     WavefrontSpec,
     _caustic_row,
+    _check_footprint,
     axicon_design,
     make_grid,
     synthesize_applied_phase,
@@ -48,7 +50,7 @@ from .aperture import (
 )
 from .errors import ConfigError
 from .metrics import _disc_correlation, _intensity_correlation, gain_curve
-from .oam import LinkBudgetSpec, _adjoint_side, crosstalk_matrix, required_bandwidth
+from .oam import LinkBudgetSpec, _receive_side, crosstalk_matrix, required_bandwidth
 from .propagation import (
     _DEFAULT_PAD_FACTOR,
     _checked_pad_factor,
@@ -83,8 +85,8 @@ Bits = int  # 1 to 16
 PadFactor = float  # in [1, 8]
 Auto = float | None  # Positive, or "auto" (None): the study chooses
 Study = str  # one of STUDIES
-Convention = str  # fwhm | first_null
-Scale = str  # db | linear
+Convention = str  # one of aperture._SPOT_CONVENTIONS
+Scale = str  # one of io._SCALES
 Names = tuple[str, ...]  # lists: comma-separated, distinct, at least one item
 Ints = tuple[int, ...]
 Floats = tuple[float, ...]
@@ -145,8 +147,8 @@ _CASTS = {
     "Bits": _ranged(int, lambda v: 1 <= v <= 16, "in [1, 16]"),
     "PadFactor": lambda raw: _checked_pad_factor(_float(raw)),
     "Auto": lambda raw: None if raw == "auto" else _positive(raw),
-    "Study": _one_of(*STUDIES), "Convention": _one_of("fwhm", "first_null"),
-    "Scale": _one_of("db", "linear"),
+    "Study": _one_of(*STUDIES), "Convention": _one_of(*_SPOT_CONVENTIONS),
+    "Scale": _one_of(*artifacts._SCALES),
     "Names": _items(str), "Ints": _items(int), "Floats": _items(_float),
     "Formats": _items(_one_of(*OUTPUT_FORMATS)), "CsvFormats": _items(_one_of("csv")),
 }
@@ -248,13 +250,18 @@ class DistancesSection:
             raise ConfigError(f"{count:.3g} distances from start_m to stop_m, above the "
                               f"{MAX_DISTANCES} a study may have", key_path="distances.step_m")
         values = start + step * np.arange(count)
-        object.__setattr__(self, "values", values[values <= stop + 1e-12])
+        values = values[values <= stop + 1e-12]
+        last = float(values[-1])  # squared as a Python float, which overflows to inf silently
+        if not math.isfinite(last * last):  # the element sums take each distance squared
+            raise ConfigError(f"invalid value '{stop:g}': the distance {last:g} m squares "
+                              "beyond the float range", key_path="distances.stop_m")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, kw_only=True)
 class PlaneSection:
     z_m: Positive
-    pad_factor: PadFactor = 2.0
+    pad_factor: PadFactor = _DEFAULT_PAD_FACTOR
 
 
 _KNIFE_KEYS = ("knife_x_edge_m", "knife_z_m", "caustic_eval_z_m")
@@ -270,7 +277,7 @@ class BlockageSection:
     knife_z_m: float | None = None
     caustic_eval_z_m: float | None = None
     shadow_window_factor: Positive = 1.0
-    pad_factor: PadFactor = 2.0
+    pad_factor: PadFactor = _DEFAULT_PAD_FACTOR
     disc: ObstacleSpec = dc_field(init=False)
     knife: ObstacleSpec | None = dc_field(init=False)
 
@@ -504,11 +511,10 @@ def _check_roles(study: str, wavefronts: dict[str, WavefrontSpec],
                               key_path="wavefronts.names")
 
 
-def _check_padded_side(grid: ApertureGrid, pad_factor: float, key_path: str) -> None:
-    """Reject a study whose planes would pad beyond MAX_PADDED_SIDE a side: at ``key_path``,
-    or at the side length when not even pad_factor 1 would fit."""
+def _check_padded_side(grid: ApertureGrid, npad: int, key_path: str) -> None:
+    """Reject a study whose planes pad the grid to npad, beyond MAX_PADDED_SIDE a side: at
+    ``key_path``, or at the side length when not even pad_factor 1 would fit."""
     n = grid.elements_per_side
-    npad = _padded_size(n, pad_factor)
     if npad > MAX_PADDED_SIDE:
         if _padded_size(n, 1.0) > MAX_PADDED_SIDE:
             key_path = "grid.side_length_m"
@@ -517,31 +523,22 @@ def _check_padded_side(grid: ApertureGrid, pad_factor: float, key_path: str) -> 
 
 
 def _check_obstacles(grid: ApertureGrid, blockage: BlockageSection) -> None:
-    """Reject a disc wider than the padded obstacle plane (``make_obstacle_mask``'s rule),
-    and a knife edge beyond it, which would block all of the plane or none."""
-    half = _padded_size(grid.elements_per_side, blockage.pad_factor) * grid.element_pitch / 2.0
-    if blockage.obstacle_size_m / 2.0 > half:
-        raise ConfigError(f"a disc of diameter {blockage.obstacle_size_m:g} m exceeds the "
-                          f"padded plane's extent +-{half:g} m", key_path="blockage.obstacle_size_m")
-    if blockage.knife is not None and abs(blockage.knife_x_edge_m) >= half:
-        raise ConfigError(f"the knife edge lies beyond the padded plane's extent +-{half:g} m, "
-                          "so it would block all of the plane or none of it",
-                          key_path="blockage.knife_x_edge_m")
+    """Reject a disc beyond the padded obstacle plane (``make_obstacle_mask``'s rule), and a
+    knife edge beyond it, which would block all of the plane or none."""
+    extent = _padded_size(grid.elements_per_side, blockage.pad_factor) * grid.element_pitch
+    _build("blockage.obstacle_size_m", _check_footprint, blockage.disc, extent)
+    if blockage.knife is not None and abs(blockage.knife_x_edge_m) >= extent / 2.0:
+        raise ConfigError(f"the knife edge lies beyond the padded plane's extent "
+                          f"+-{extent / 2.0:g} m, so it would block all of the plane or none "
+                          "of it", key_path="blockage.knife_x_edge_m")
 
 
 def _check_adjoint_side(grid: ApertureGrid, rx_radius: float | None) -> None:
-    """Reject a crosstalk receive disc larger than the receive plane (``crosstalk_matrix``'s
-    rule), and one whose adjoint hops would pad beyond MAX_PADDED_SIDE a side: their
-    source grid widens with the receive disc, so the radius is at fault."""
-    n, pad_factor = grid.elements_per_side, _DEFAULT_PAD_FACTOR
-    radius = grid.half_side if rx_radius is None else rx_radius
-    npad = _padded_size(n, pad_factor)
-    half = npad * grid.element_pitch / 2.0
-    if radius > half:
-        raise ConfigError(f"a receive disc of radius {radius:g} m exceeds the receive plane's "
-                          f"half extent {half:g} m", key_path="oam.rx_radius_m")
-    m = _adjoint_side(n, npad, grid.element_pitch, radius)
-    mpad = _padded_size(m, pad_factor)
+    """Reject a crosstalk receiver that ``crosstalk_matrix`` refuses, and one whose hops would
+    pad beyond MAX_PADDED_SIDE a side: the side length is at fault for the receive plane,
+    and the radius for the adjoint hops, whose source grid widens with the receive disc."""
+    radius, npad, m, mpad = _build("oam.rx_radius_m", _receive_side, grid, rx_radius)
+    _check_padded_side(grid, npad, "grid.side_length_m")
     if mpad > MAX_PADDED_SIDE:
         raise ConfigError(f"a receive disc of radius {radius:g} m spans {m} samples, and its "
                           f"adjoint hops pad to {mpad}, above the {MAX_PADDED_SIDE} a study "
@@ -564,12 +561,12 @@ def parse_config(text: str) -> ScenarioConfig:
     wavefronts = {name: _wavefront(parser, name, sections["grid"].grid) for name in names}
     _check_roles(scenario.study, wavefronts, sections.get("blockage"))
     if scenario.study in ("plane", "blockage"):
-        _check_padded_side(sections["grid"].grid, sections[scenario.study].pad_factor,
+        grid, pad_factor = sections["grid"].grid, sections[scenario.study].pad_factor
+        _check_padded_side(grid, _padded_size(grid.elements_per_side, pad_factor),
                            f"{scenario.study}.pad_factor")
         if scenario.study == "blockage":
-            _check_obstacles(sections["grid"].grid, sections["blockage"])
-    elif scenario.study == "oam_crosstalk":  # its hops take the default pad factor
-        _check_padded_side(sections["grid"].grid, _DEFAULT_PAD_FACTOR, "grid.side_length_m")
+            _check_obstacles(grid, sections["blockage"])
+    elif scenario.study == "oam_crosstalk":
         _check_adjoint_side(sections["grid"].grid, sections["oam"].rx_radius_m)
     known = {"scenario", *read, *(f"wavefront.{name}" for name in names)}
     for section in parser.sections():
@@ -757,9 +754,9 @@ class RunManifest:
     """What a scenario run produced: artifact checksums and stage timings."""
 
     config_digest: str
-    version: str = __version__
-    artifacts: list[dict] = dc_field(default_factory=list)
-    stage_seconds: dict[str, float] = dc_field(default_factory=dict)
+    version: str = dc_field(init=False, default=__version__)
+    artifacts: list[dict] = dc_field(init=False, default_factory=list)
+    stage_seconds: dict[str, float] = dc_field(init=False, default_factory=dict)
 
     def add(self, path: Path, root: Path) -> None:
         digest, size = hashlib.sha256(), 0

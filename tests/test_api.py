@@ -80,9 +80,6 @@ DEFAULTS = {
     "scenarios.ScenarioConfig(plane=None)",
     "scenarios.ScenarioConfig(blockage=None)",
     "scenarios.ScenarioConfig(oam=None)",
-    f"scenarios.RunManifest(version={thzbeam.__version__!r})",
-    "scenarios.RunManifest(artifacts=<factory>)",
-    "scenarios.RunManifest(stage_seconds=<factory>)",
     "scenarios.run_scenario(out_dir=None)",
 }
 

@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -1081,23 +1082,20 @@ def test_cli_offers_each_flag_only_where_it_acts(flag):
     assert offered == FLAG_VERBS[flag]
 
 
-# (verb, flag dest) -> (study, section, key): each "(default <value>)" a help string states
+# (verb, key) -> (study, section): each "(default <value>)" a help string states, under the
+# flag whose dest is the key
 VERB_STUDIES = {"synthesize": "phase_map", "propagate": "plane", "gain-curve": "gain_curve",
                 "blockage": "blockage", "oam-crosstalk": "oam_crosstalk"}
 HELP_DEFAULTS = {
-    **{(verb, "pitch_fraction"): (study, "grid", "pitch_fraction")
-       for verb, study in VERB_STUDIES.items()},
-    **{(verb, dest): (VERB_STUDIES[verb], "wavefront.*", key)
-       for verb in ("synthesize", "propagate")
-       for dest, key in (("spot_convention", "spot_convention"),
-                         ("curve_x_start", "curve_x_start_m"))},
-    **{(verb, "formats"): (VERB_STUDIES[verb], "output", "formats")
+    **{(verb, "pitch_fraction"): (study, "grid") for verb, study in VERB_STUDIES.items()},
+    **{(verb, key): (VERB_STUDIES[verb], "wavefront.*")
+       for verb in ("synthesize", "propagate") for key in ("spot_convention", "curve_x_start_m")},
+    **{(verb, "formats"): (VERB_STUDIES[verb], "output")
        for verb in ("synthesize", "propagate", "blockage")},
-    ("propagate", "pad"): ("plane", "plane", "pad_factor"),
-    ("blockage", "pad"): ("blockage", "blockage", "pad_factor"),
-    ("propagate", "scale"): ("plane", "output", "scale"),
-    **{(verb, "db_floor"): (VERB_STUDIES[verb], "output", "db_floor")
-       for verb in ("propagate", "blockage")},
+    ("propagate", "pad_factor"): ("plane", "plane"),
+    ("blockage", "pad_factor"): ("blockage", "blockage"),
+    ("propagate", "scale"): ("plane", "output"),
+    **{(verb, "db_floor"): (VERB_STUDIES[verb], "output") for verb in ("propagate", "blockage")},
 }
 
 
@@ -1108,10 +1106,25 @@ def test_cli_help_states_each_default_as_the_schema_has_it():
               for verb, p in _verb_parsers().items() for action in p._actions
               for value in re.findall(r"\(default ([^)]*)\)", action.help or "")}
     assert set(stated) == set(HELP_DEFAULTS)
-    for (verb, dest), (study, section, key) in HELP_DEFAULTS.items():
+    for (verb, key), (study, section) in HELP_DEFAULTS.items():
         default = {f.name: f.default for f in fields(_STUDY_SECTIONS[study][section])}[key]
         text = ", ".join(default) if isinstance(default, tuple) else str(default)
-        assert stated[verb, dest] == text, (verb, dest)
+        assert stated[verb, key] == text, (verb, key)
+
+
+# the flags of the study verbs that set no key of their study's sections
+KEYLESS_FLAGS = {"-h", "--out", "--taper"}
+
+
+@pytest.mark.parametrize("verb", sorted(STUDY_VERBS))
+def test_cli_flag_dests_are_the_keys_they_set(verb):
+    """Each flag's dest names the key it sets, so the rendered sections read the flags by
+    name; gain-curve's --taper chooses a key's value for three sections, and sets none."""
+    study = {**VERB_STUDIES, "capacity": "oam_bandwidth"}[verb]
+    keys = {f.name for section in _STUDY_SECTIONS[study].values() for f in fields(section)
+            if f.init}
+    assert {a.option_strings[0] for a in _verb_parser(verb)._actions
+            if a.dest not in keys} <= KEYLESS_FLAGS
 
 
 # every float flag of every study verb, with 0, -1, nan and inf in turn
@@ -1213,6 +1226,23 @@ def test_a_distance_whose_square_is_normal_runs(tmp_path):
     assert np.all(np.isfinite(values))
 
 
+def test_a_distance_whose_square_overflows_exits_2_at_stop_m(tmp_path, capsys):
+    # the element sums take each distance squared: 1e200 squares beyond the float range
+    out = tmp_path / "out"
+    argv = ["gain-curve", "--side-length", "0.02", "--frequency", "3e11", "--spot-fwhm",
+            "0.004", "--z-start", "1e199", "--z-stop", "1e200", "--z-step", "1e199"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and squares it without a RuntimeWarning
+        assert cli_main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: distances.stop_m: ") and "Traceback" not in err
+    assert not out.exists()
+    # the square of 1e154 is a finite float
+    text = GAIN_INI.replace("start_m = 0.02\nstop_m = 0.1\nstep_m = 0.02",
+                            "start_m = 1e153\nstop_m = 1e154\nstep_m = 1e153")
+    assert parse_config(text).distances[-1] == 1e154
+
+
 def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     config.write_bytes(b"[scenario]\nstudy = oam_bandwidth\nname = \xff\n")
@@ -1297,6 +1327,53 @@ def test_a_receive_disc_whose_adjoint_hops_pad_beyond_the_bound_exits_2(tmp_path
             f"samples, and its adjoint hops pad to 7744, above the {MAX_PADDED_SIDE} a study "
             "may propagate") in err
     assert not out.exists()
+
+
+def _oam_crosstalk_text(rx_radius) -> str:
+    return ("[scenario]\nstudy = oam_crosstalk\n[grid]\nside_length_m = 0.008\n"
+            f"frequency_hz = 1e12\n[oam]\nmodes = 0, 1\nz_m = 0.05\nrx_radius_m = {rx_radius}\n")
+
+
+def test_the_receive_disc_may_reach_the_receive_planes_half_extent():
+    """The parse asks ``crosstalk_matrix``'s rule: a radius of the half extent passes both,
+    and the next float above it fails both."""
+    config = parse_config(_oam_crosstalk_text("auto"))
+    grid = config.grid
+    npad = propagation._padded_size(grid.elements_per_side, 2.0)
+    half = npad * grid.element_pitch / 2.0
+    base = synthesize_field(grid, config.oam.base)
+    config = parse_config(_oam_crosstalk_text(repr(half)))
+    assert config.oam.rx_radius_m == half
+    [matrix] = oam.crosstalk_matrix(base, (0, 1), 0.05, rx_radius=half)
+    assert matrix.power_coupling_db[0, 0] == 0.0
+    beyond = math.nextafter(half, math.inf)
+    with pytest.raises(ConfigError, match=r"^oam\.rx_radius_m: receiver radius .* exceeds"):
+        parse_config(_oam_crosstalk_text(repr(beyond)))
+    with pytest.raises(GeometryError):
+        oam.crosstalk_matrix(base, (0, 1), 0.05, rx_radius=beyond)
+
+
+def test_the_blockage_disc_may_span_the_obstacle_planes_extent():
+    """The parse asks ``make_obstacle_mask``'s rule: a disc as wide as the padded obstacle
+    plane passes both, and the next float above it fails both."""
+    from thzbeam import ObstacleSpec, make_obstacle_mask
+    from thzbeam.aperture import _Layout
+
+    text = preset_text("fig4-ci")
+    grid = parse_config(text).grid
+    layout = _Layout(propagation._padded_size(grid.elements_per_side, 2.0), grid.element_pitch,
+                     (True, True))
+
+    def sized(size):
+        return re.sub(r"^obstacle_size_m = .*$", f"obstacle_size_m = {size!r}", text, flags=re.M)
+
+    assert parse_config(sized(layout.extent)).blockage.obstacle_size_m == layout.extent
+    make_obstacle_mask(layout, ObstacleSpec("disc", layout.extent, (0.0, 0.0), 0.125))
+    beyond = math.nextafter(layout.extent, math.inf)
+    with pytest.raises(ConfigError, match=r"^blockage\.obstacle_size_m: disc obstacle .* exceeds"):
+        parse_config(sized(beyond))
+    with pytest.raises(GeometryError):
+        make_obstacle_mask(layout, ObstacleSpec("disc", beyond, (0.0, 0.0), 0.125))
 
 
 def test_padded_side_bound_admits_full_scale_fig4_and_pad_factor_1():
