@@ -483,8 +483,8 @@ def quantize_phase(phase: PhaseMap, bits: int) -> PhaseMap:
 class ObstacleSpec:
     """Opaque obstacle in a transverse plane.
 
-    ``shape`` is one of ``disc``, ``square`` (size = diameter / edge) or
-    ``half_plane`` (blocks x > center x-offset; size ignored).
+    ``shape`` is ``disc`` (size = diameter) or ``half_plane``, a knife edge
+    (blocks x > center x-offset; size ignored).
     """
 
     shape: str
@@ -493,9 +493,9 @@ class ObstacleSpec:
     plane_z: float
 
     def __post_init__(self):
-        if self.shape not in ("disc", "square", "half_plane"):
+        if self.shape not in ("disc", "half_plane"):
             raise ValueError(f"unknown obstacle shape {self.shape!r}")
-        if self.shape != "half_plane" and self.size < 0:
+        if self.shape == "disc" and self.size < 0:
             raise ValueError(f"obstacle size must be non-negative, got {self.size}")
         if self.plane_z <= 0:
             raise ValueError(f"obstacle plane_z must be positive, got {self.plane_z}")
@@ -510,14 +510,16 @@ def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
     (the latter two) the mask covers the block it stores, whose (y, x) axes
     those are.  Transmission is 0 inside the footprint, 1 outside, with a
     hard edge.  The one footprint check (``_check_footprint``, also for
-    ``propagate_with_obstacles`` and the scenario parse): a disc or square
-    must lie within +-extent/2, i.e. n*p/2 on a FieldSlice or a _Layout,
-    side_length/2 on an ApertureGrid.
+    ``propagate_with_obstacles`` and the scenario parse): a disc must lie
+    within +-extent/2, i.e. n*p/2 on a FieldSlice or a _Layout,
+    side_length/2 on an ApertureGrid, and a half plane's edge strictly
+    inside it.
     """
     if hasattr(plane, "block_axes"):
         y, x = plane.block_axes()
     else:
         y = x = plane.axis_coordinates()
+    _check_footprint(spec, plane.extent)
     cx, cy = spec.center_offset
 
     # x runs along axis 1 and y along axis 0
@@ -525,30 +527,28 @@ def make_obstacle_mask(plane, spec: ObstacleSpec) -> AmplitudeMask:
     if spec.shape == "half_plane":
         values[:, x > cx] = 0.0
     else:
-        _check_footprint(spec, plane.extent)
-        if spec.shape == "disc":
-            u, v, limit = (x - cx) ** 2, (y - cy) ** 2, (spec.size / 2.0) ** 2
-        else:
-            u, v, limit = np.abs(x - cx), np.abs(y - cy), spec.size / 2.0
-        # a sample is blocked only where its column's term and its row's term are each
-        # within the limit (a disc adds the two, a square takes the larger), so only the
-        # footprint's bounding box is computed
+        u, v, limit = (x - cx) ** 2, (y - cy) ** 2, (spec.size / 2.0) ** 2
+        # a sample is blocked only where its column's term and its row's term add up to
+        # within the limit, so each is within it: only the disc's bounding box is computed
         cols, rows = _span(u <= limit), _span(v <= limit)
         box = values[rows, cols]
-        if spec.shape == "disc":
-            box[u[cols][None, :] + v[rows][:, None] <= limit] = 0.0
-        else:
-            box[...] = 0.0
+        box[u[cols][None, :] + v[rows][:, None] <= limit] = 0.0
     if not values.any():
         warnings.warn("obstacle mask blocks the entire plane", stacklevel=2)
     return AmplitudeMask(values)
 
 
 def _check_footprint(spec: ObstacleSpec, extent: float) -> None:
-    """Raise GeometryError unless the disc or square ``spec`` lies within +-extent/2."""
+    """Raise GeometryError unless the disc ``spec`` lies within +-extent/2, or the edge of
+    the half plane ``spec`` strictly inside it."""
     cx, cy = spec.center_offset
-    if max(abs(cx), abs(cy)) + spec.size / 2.0 > extent / 2.0:
-        raise GeometryError(f"{spec.shape} obstacle of size {spec.size:g} m at ({cx:g}, {cy:g}) "
+    if spec.shape == "half_plane":
+        if abs(cx) >= extent / 2.0:
+            raise GeometryError(f"half_plane edge at x = {cx:g} m lies on or beyond the plane "
+                                f"extent +-{extent / 2.0:g} m, so it would block all of the "
+                                "plane or none of it")
+    elif max(abs(cx), abs(cy)) + spec.size / 2.0 > extent / 2.0:
+        raise GeometryError(f"disc obstacle of size {spec.size:g} m at ({cx:g}, {cy:g}) "
                             f"exceeds the plane extent +-{extent / 2.0:g} m")
 
 

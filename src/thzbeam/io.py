@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .aperture import TWO_PI, PhaseMap
+from .aperture import TWO_PI, PhaseMap, WavefrontSpec
+from .metrics import GAIN_CURVE_KINDS, GainCurve
 from .propagation import FieldSlice
 
 __all__ = [
@@ -51,14 +52,14 @@ def write_csv(path: Path, header: str, rows: Iterable[Sequence]) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-# wavefront kinds of the gain-curve CSV, in column order
-GAIN_CURVE_COLUMNS = ("beamforming", "beamfocusing", "bessel")
-
-
-def gain_curve_rows(curve) -> tuple[str, list[list[float]]]:
-    """Bit-exact gain-curve CSV schema: z_m,beamforming,beamfocusing,bessel."""
-    header = ",".join(("z_m",) + GAIN_CURVE_COLUMNS)
-    return header, [[float(z)] + [float(curve.gain[kind][i]) for kind in GAIN_CURVE_COLUMNS]
+def gain_curve_rows(curve: GainCurve,
+                    wavefronts: dict[str, WavefrontSpec]) -> tuple[str, list[list[float]]]:
+    """Bit-exact gain-curve CSV schema: z_m, then the curve of each kind in
+    ``GAIN_CURVE_KINDS`` order, each column named after the section of
+    ``wavefronts`` (section name -> spec) of its kind."""
+    names = {spec.kind: name for name, spec in wavefronts.items()}
+    header = ",".join(["z_m"] + [names[kind] for kind in GAIN_CURVE_KINDS])
+    return header, [[float(z)] + [float(curve.gain[kind][i]) for kind in GAIN_CURVE_KINDS]
                     for i, z in enumerate(curve.distances)]
 
 
@@ -156,8 +157,7 @@ def phase_to_levels(phase: PhaseMap) -> np.ndarray:
 _SCALES = ("db", "linear")
 
 
-def intensity_to_levels(intensity: np.ndarray, scale: str = "db",
-                        db_floor: float = -60.0) -> np.ndarray:
+def intensity_to_levels(intensity: np.ndarray, scale: str, db_floor: float) -> np.ndarray:
     """Map a plane's intensity, which is only read, onto uint16 levels, linear or dB
     with a floor.
 

@@ -56,6 +56,10 @@ def normalized_gain(field, point: Sequence[float]) -> float:
     return float(num / den)
 
 
+# the three roles of a gain curve, one wavefront of each kind, in its CSV column order
+GAIN_CURVE_KINDS = ("beamforming", "beamfocusing", "bessel")
+
+
 @dataclass(frozen=True)
 class GainCurve:
     """Per-wavefront normalized gain along the axis.
@@ -71,8 +75,8 @@ class GainCurve:
     distances: np.ndarray
     gain: dict[str, np.ndarray]
     raw_gain: dict[str, np.ndarray]
-    focal_length: float | None = None
-    bessel_peak_distance: float | None = None
+    focal_length: float
+    bessel_peak_distance: float
 
     def __post_init__(self):
         for label, values in self.gain.items():
@@ -86,7 +90,8 @@ def gain_curve(
     wavefronts: Sequence[WavefrontSpec],
     distances: Sequence[float],
 ) -> GainCurve:
-    """Axial normalized-gain curves for a set of broadside wavefronts.
+    """Axial normalized-gain curves of one broadside wavefront of each kind in
+    ``GAIN_CURVE_KINDS``.
 
     Each curve is that of ``synthesize_field(grid, spec)``, so a spec's
     taper and quantization act on its own curve.  A spiral overlay nulls the
@@ -100,39 +105,29 @@ def gain_curve(
         raise ValueError("distances must not be empty")
     if np.any(zs <= 0) or np.any(np.diff(zs) <= 0):
         raise ValueError("distances must be positive and strictly increasing")
-
-    specs = {s.kind: s for s in wavefronts}
-    if len(specs) != len(wavefronts):
-        raise ValueError("duplicate wavefront kinds in gain curve request")
     if any(s.oam_mode != 0 for s in wavefronts):
         raise ValueError("a spiral overlay nulls the axis: the axial gain is not defined")
+    kinds = sorted(s.kind for s in wavefronts)
+    if kinds != sorted(GAIN_CURVE_KINDS):
+        raise ValueError(f"a gain curve takes exactly one wavefront of each kind "
+                         f"{', '.join(GAIN_CURVE_KINDS)}; got {', '.join(kinds)}")
+    specs = {s.kind: s for s in wavefronts}
 
     def curve_for(spec: WavefrontSpec) -> np.ndarray:
         fld = synthesize_field(grid, spec)
         return np.array([normalized_gain(fld, (0.0, 0.0, z)) for z in zs])
 
-    raw: dict[str, np.ndarray] = {}
-    bessel_peak_z = None
-    if "bessel" in specs:
-        raw["bessel"] = curve_for(specs["bessel"])
-        bessel_peak_z = float(zs[int(np.argmax(raw["bessel"]))])
-
-    focal = None
-    if "beamfocusing" in specs:
-        focal = specs["beamfocusing"].focal_length
-        if focal is None and bessel_peak_z is None:
-            raise ValueError(
-                "beamfocusing focal_length=None requires a bessel wavefront to peak against"
-            )
-        focal = bessel_peak_z if focal is None else focal
-        raw["beamfocusing"] = curve_for(replace(specs["beamfocusing"], focal_length=focal))
-    if "beamforming" in specs:
-        raw["beamforming"] = curve_for(specs["beamforming"])
+    raw = {"bessel": curve_for(specs["bessel"])}
+    bessel_peak_z = float(zs[int(np.argmax(raw["bessel"]))])
+    focal = specs["beamfocusing"].focal_length
+    focal = bessel_peak_z if focal is None else focal
+    raw["beamfocusing"] = curve_for(replace(specs["beamfocusing"], focal_length=focal))
+    raw["beamforming"] = curve_for(specs["beamforming"])
 
     # beamfocusing and beamforming attain 1 (at the focus, in the far field); the
     # Bessel curve is scaled by its peak
     gain = {label: values.copy() for label, values in raw.items()}
-    if bessel_peak_z is not None and raw["bessel"].max() > 0:
+    if raw["bessel"].max() > 0:
         gain["bessel"] = raw["bessel"] / raw["bessel"].max()
 
     return GainCurve(zs, gain, raw, focal, bessel_peak_z)

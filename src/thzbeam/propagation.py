@@ -53,8 +53,8 @@ transform to round-off, and the ``FieldSlice`` returned stores only its
 block of non-negative coordinates: a quadrant when both axes are even.
 How a block is laid out, cropped and mirrored back to its plane is
 ``aperture._Layout``, which this module imports.
-``propagate_with_obstacles`` carries the even axes from hop to hop: a mask
-keeps each axis its footprint is centred on.
+``propagate_with_obstacles`` keeps the even axes its obstacle's mask keeps: a
+disc keeps each axis its centre lies on, and a knife edge keeps y.
 """
 
 from __future__ import annotations
@@ -671,65 +671,47 @@ def propagate_direct(field: ApertureField, points: Sequence[Sequence[float]]) ->
 
 def propagate_with_obstacles(
     field: ApertureField,
-    obstacles: Sequence[ObstacleSpec],
+    obstacle: ObstacleSpec,
     z_target: float,
     pad_factor: float = _DEFAULT_PAD_FACTOR,
 ) -> FieldSlice:
-    """Hop the field through opaque obstacle planes to z_target.
+    """Hop the field past one opaque obstacle, a disc or a knife edge, to z_target.
 
-    The aperture hop uses the point-source kernel on a plane padded by
-    ``pad_factor``; hops between obstacle planes propagate the masked
+    The hop to the obstacle plane uses the point-source kernel on a plane
+    padded by ``pad_factor``; the hop beyond it propagates the masked
     continuum field on that plane, unpadded, with the analytic transfer
-    function, each transforming the masked block in place where it has the
-    shape of the hop's spectrum (no even axis, or an odd plane side).  Each
-    plane is stored as its block along the axes the masks before it keep
-    even (``_even_behind``); a knife edge first mirrors a quadrant to its
-    half.  Obstacles whose mask is the identity are skipped; a footprint
-    beyond the propagated plane raises GeometryError from
-    ``make_obstacle_mask``.
+    function, transforming the masked block in place where it has the shape
+    of the hop's spectrum (no even axis, or an odd plane side).  The masked
+    plane is stored as its block along the axes the mask keeps even
+    (``_even_behind``); a knife edge first mirrors a quadrant to its half.
+    An obstacle whose mask is the identity is skipped; a footprint beyond
+    the propagated plane raises GeometryError from ``make_obstacle_mask``.
     """
     if z_target <= 0:
         raise ValueError(f"z_target must be positive, got {z_target}")
-    obs = list(obstacles)
-    zs = [o.plane_z for o in obs]
-    if any(b <= a for a, b in zip(zs, zs[1:])):
-        raise ValueError(f"obstacle planes must be strictly increasing, got {zs}")
-    if any(z >= z_target for z in zs):
-        raise ValueError(f"obstacle planes {zs} must lie before z_target {z_target}")
+    if obstacle.plane_z >= z_target:
+        raise ValueError(f"obstacle plane {obstacle.plane_z} must lie before z_target {z_target}")
 
-    lam = field.grid.wavelength
     npad = _padded_size(field.grid.elements_per_side, pad_factor)
-    # each mask keeps or drops the axes of the plane
-    even = field._even
-    current: FieldSlice | None = None
-    for ob in obs:
-        # a pad-1 hop keeps the grid of a plane already padded, so an obstacle's mask is
-        # built before the hop to it, on the block of the plane behind it: an obstacle that
-        # masks nothing is skipped without a hop, and otherwise nothing reads the plane
-        # before the hop again, so the hop may transform it in place
-        behind = _even_behind(ob, even)
-        mask = make_obstacle_mask(_Layout(npad, field.grid.element_pitch, behind), ob).values
-        if np.all(mask == 1.0):
-            continue
-        if current is None:
-            plane = propagate_asm(field, ob.plane_z, pad_factor)
-        else:
-            plane = _hop_slice(current, ob.plane_z - current.z, 1.0, lam, True)
-        plane = plane._widened(behind)
-        # the plane is this function's own: mask it in place, not in a copy
-        np.multiply(plane.block, mask, out=plane.block)
-        del mask  # before the next hop
-        even = behind
-        current = plane
-    if current is None:
+    # a pad-1 hop keeps the grid of a plane already padded, so the mask is built before the
+    # hop to it, on the block of the plane behind it: an obstacle that masks nothing is
+    # skipped without a hop, and otherwise nothing reads the plane before the hop beyond
+    # it, so that hop may transform it in place
+    behind = _even_behind(obstacle, field._even)
+    mask = make_obstacle_mask(_Layout(npad, field.grid.element_pitch, behind), obstacle).values
+    if np.all(mask == 1.0):
         return propagate_asm(field, z_target, pad_factor)
-    return _hop_slice(current, z_target - current.z, 1.0, lam, True)
+    plane = propagate_asm(field, obstacle.plane_z, pad_factor)._widened(behind)
+    # the plane is this function's own: mask it in place, not in a copy
+    np.multiply(plane.block, mask, out=plane.block)
+    del mask  # before the hop beyond it
+    return _hop_slice(plane, z_target - plane.z, 1.0, field.grid.wavelength, True)
 
 
 def _even_behind(ob: ObstacleSpec, even: tuple[bool, bool]) -> tuple[bool, bool]:
     """The axes (y, x) along which a plane even along ``even`` stays even, bit for bit,
-    once masked by ``ob``: a disc or square keeps an axis its centre lies on, and a
-    half plane, whose edge runs along y, keeps y only."""
+    once masked by ``ob``: a disc keeps an axis its centre lies on, and a half plane,
+    whose edge runs along y, keeps y only."""
     cx, cy = ob.center_offset
     if ob.shape == "half_plane":
         return even[0], False

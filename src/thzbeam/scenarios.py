@@ -49,7 +49,7 @@ from .aperture import (
     synthesize_field,
 )
 from .errors import ConfigError
-from .metrics import _disc_correlation, _intensity_correlation, gain_curve
+from .metrics import GAIN_CURVE_KINDS, _disc_correlation, _intensity_correlation, gain_curve
 from .oam import LinkBudgetSpec, _receive_side, crosstalk_matrix, required_bandwidth
 from .propagation import (
     _DEFAULT_PAD_FACTOR,
@@ -61,7 +61,6 @@ from .propagation import (
 )
 
 STUDIES = ("phase_map", "plane", "gain_curve", "blockage", "oam_bandwidth", "oam_crosstalk")
-PRESET_NAMES = ("fig3", "fig4", "fig5", "fig3-ci", "fig4-ci")
 OUTPUT_FORMATS = ("csv", "pgm", "png")
 # the largest study a config may size, checked at parse time; full-scale fig3 and fig4
 # have 1667 elements per side and fig3 has 59 distances
@@ -404,12 +403,12 @@ class ScenarioConfig:
     name: str
     text: str
     output: OutputSection
-    grid: ApertureGrid | None = None
-    wavefronts: dict[str, WavefrontSpec] = dc_field(default_factory=dict)
-    distances: np.ndarray | None = None
-    plane: PlaneSection | None = None
-    blockage: BlockageSection | None = None
-    oam: OamBandwidthSection | OamCrosstalkSection | None = None
+    grid: ApertureGrid | None
+    wavefronts: dict[str, WavefrontSpec]
+    distances: np.ndarray | None
+    plane: PlaneSection | None
+    blockage: BlockageSection | None
+    oam: OamBandwidthSection | OamCrosstalkSection | None
 
     @property
     def digest(self) -> str:
@@ -487,10 +486,10 @@ def _check_roles(study: str, wavefronts: dict[str, WavefrontSpec],
                               key_path=f"wavefront.{name}.focal_length_m")
     elif study == "gain_curve":
         # one wavefront per column of the fixed gain-curve CSV schema
-        if sorted(kinds) != sorted(artifacts.GAIN_CURVE_COLUMNS):
+        if sorted(kinds) != sorted(GAIN_CURVE_KINDS):
             raise ConfigError(
                 "gain_curve needs exactly one wavefront of each kind "
-                f"{', '.join(artifacts.GAIN_CURVE_COLUMNS)}; got {', '.join(sorted(kinds))}",
+                f"{', '.join(GAIN_CURVE_KINDS)}; got {', '.join(sorted(kinds))}",
                 key_path="wavefronts.names",
             )
         # a spiral overlay nulls the axis, the only place a gain curve looks
@@ -523,14 +522,12 @@ def _check_padded_side(grid: ApertureGrid, npad: int, key_path: str) -> None:
 
 
 def _check_obstacles(grid: ApertureGrid, blockage: BlockageSection) -> None:
-    """Reject a disc beyond the padded obstacle plane (``make_obstacle_mask``'s rule), and a
-    knife edge beyond it, which would block all of the plane or none."""
+    """Reject a disc beyond the padded obstacle plane, and a knife edge on or beyond its
+    border, by ``make_obstacle_mask``'s rule."""
     extent = _padded_size(grid.elements_per_side, blockage.pad_factor) * grid.element_pitch
     _build("blockage.obstacle_size_m", _check_footprint, blockage.disc, extent)
-    if blockage.knife is not None and abs(blockage.knife_x_edge_m) >= extent / 2.0:
-        raise ConfigError(f"the knife edge lies beyond the padded plane's extent "
-                          f"+-{extent / 2.0:g} m, so it would block all of the plane or none "
-                          "of it", key_path="blockage.knife_x_edge_m")
+    if blockage.knife is not None:
+        _build("blockage.knife_x_edge_m", _check_footprint, blockage.knife, extent)
 
 
 def _check_adjoint_side(grid: ApertureGrid, rx_radius: float | None) -> None:
@@ -727,11 +724,12 @@ formats = csv
 
 _PRESETS = {
     "fig3": _FIG3,
-    "fig3-ci": _FIG3_CI,
     "fig4": _FIG4,
-    "fig4-ci": _FIG4_CI,
     "fig5": _FIG5,
+    "fig3-ci": _FIG3_CI,
+    "fig4-ci": _FIG4_CI,
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> ScenarioConfig:
@@ -835,7 +833,7 @@ def _run_plane(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> 
 
 def _run_gain_curve(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) -> None:
     curve = gain_curve(config.grid, list(config.wavefronts.values()), config.distances)
-    header, rows = artifacts.gain_curve_rows(curve)
+    header, rows = artifacts.gain_curve_rows(curve, config.wavefronts)
     _write_table(out_dir, "gain_curve", header, rows, config.output, manifest)
 
 
@@ -867,7 +865,7 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
                 layout, i_ref = reference.layout, reference.intensity()
                 del reference
                 _write_maps(out_dir, f"map_{name}_reference", i_ref, layout, out, manifest)
-                i_blk = propagate_with_obstacles(fld, [b.disc], z_eval, b.pad_factor).intensity()
+                i_blk = propagate_with_obstacles(fld, b.disc, z_eval, b.pad_factor).intensity()
                 del fld
                 rows.append([name, z_eval, _disc_correlation(i_blk, i_ref, layout, r_window),
                              _intensity_correlation(i_blk, i_ref, layout.multiplicity())])
@@ -886,7 +884,7 @@ def _run_blockage(config: ScenarioConfig, out_dir: Path, manifest: RunManifest) 
             # each plane's map is written, and its intensity released, before the next hop
             for spec, stem in ((caustic_spec, f"map_{caustic_name}_blocked"),
                                (planar_spec, f"map_{planar_name}_knife")):
-                plane = propagate_with_obstacles(synthesize_field(grid, spec), [b.knife], z_t,
+                plane = propagate_with_obstacles(synthesize_field(grid, spec), b.knife, z_t,
                                                  b.pad_factor)
                 layout, intensity = plane.layout, plane.intensity()
                 del plane

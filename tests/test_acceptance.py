@@ -203,7 +203,7 @@ def test_criterion_07_blockage_reproduction():
     def shadow_correlation(spec):
         fld = synthesize_field(grid, spec)
         reference = propagate_asm(fld, z_eval, pad)
-        blocked = propagate_with_obstacles(fld, [disc], z_eval, pad)
+        blocked = propagate_with_obstacles(fld, disc, z_eval, pad)
         xs = reference.axis_coordinates()
         X, Y = np.meshgrid(xs, xs, indexing="xy")
         window = (X**2 + Y**2 <= r_obs**2).astype(float)
@@ -223,12 +223,12 @@ def test_criterion_07_blockage_reproduction():
     with reuse_spectra():
         caustic_peak = float(
             propagate_with_obstacles(
-                synthesize_field(grid, config.wavefronts["caustic"]), [knife], z_t, pad
+                synthesize_field(grid, config.wavefronts["caustic"]), knife, z_t, pad
             ).intensity().max()
         )
         planar_peak = float(
             propagate_with_obstacles(
-                synthesize_field(grid, config.wavefronts["beamforming"]), [knife], z_t, pad
+                synthesize_field(grid, config.wavefronts["beamforming"]), knife, z_t, pad
             ).intensity().max()
         )
     advantage_db = 10.0 * math.log10(caustic_peak / planar_peak)

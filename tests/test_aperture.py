@@ -624,14 +624,12 @@ def _meshgrid_obstacle_mask(plane, spec):
     cx, cy = spec.center_offset
     if spec.shape == "half_plane":
         blocked = X > cx
-    elif spec.shape == "disc":
-        blocked = (X - cx) ** 2 + (Y - cy) ** 2 <= (spec.size / 2.0) ** 2
     else:
-        blocked = np.maximum(np.abs(X - cx), np.abs(Y - cy)) <= spec.size / 2.0
+        blocked = (X - cx) ** 2 + (Y - cy) ** 2 <= (spec.size / 2.0) ** 2
     return np.where(blocked, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("shape", ["disc", "square", "half_plane"])
+@pytest.mark.parametrize("shape", ["disc", "half_plane"])
 @pytest.mark.parametrize("side", [0.02, 0.0205])  # n = 40 and 41
 def test_obstacle_mask_from_broadcast_axes_equals_the_meshgrid_form(shape, side):
     grid = make_grid(side, 3e11)
@@ -643,19 +641,15 @@ def test_obstacle_mask_from_broadcast_axes_equals_the_meshgrid_form(shape, side)
 
 
 def _broadcast_obstacle_mask(plane, spec):
-    """Reference: the mask built on the whole plane from broadcast 1-D terms."""
+    """Reference: the disc mask built on the whole plane from broadcast 1-D terms."""
     x = plane.axis_coordinates()
     cx, cy = spec.center_offset
-    if spec.shape == "disc":
-        blocked = ((x - cx) ** 2)[None, :] + ((x - cy) ** 2)[:, None] <= (spec.size / 2.0) ** 2
-    else:
-        blocked = np.maximum(np.abs(x - cx)[None, :], np.abs(x - cy)[:, None]) <= spec.size / 2.0
+    blocked = ((x - cx) ** 2)[None, :] + ((x - cy) ** 2)[:, None] <= (spec.size / 2.0) ** 2
     return np.where(blocked, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("shape", ["disc", "square"])
 @pytest.mark.parametrize("side", [0.02, 0.0205])  # n = 40 and 41
-def test_obstacle_mask_on_its_bounding_box_equals_the_whole_plane_form(shape, side):
+def test_obstacle_mask_on_its_bounding_box_equals_the_whole_plane_form(side):
     """Bit for bit, for a centred, an offset and an edge-touching footprint and size 0."""
     grid = make_grid(side, 3e11)
     edge = grid.extent / 2.0 - 0.002  # a footprint of size 0.004 here reaches the edge
@@ -663,7 +657,7 @@ def test_obstacle_mask_on_its_bounding_box_equals_the_whole_plane_form(shape, si
              (0.004, (-edge, edge)), (0.0, (0.0, 0.0)), (0.0, (1.3e-3, 0.0))]
     for plane in (grid, FieldSlice(1.0, np.zeros((45, 45)), grid.element_pitch)):
         for size, offset in cases:
-            spec = ObstacleSpec(shape, size, offset, 1.0)
+            spec = ObstacleSpec("disc", size, offset, 1.0)
             mask = make_obstacle_mask(plane, spec).values
             np.testing.assert_array_equal(mask.view(np.uint64),
                                           _broadcast_obstacle_mask(plane, spec).view(np.uint64))
@@ -671,8 +665,10 @@ def test_obstacle_mask_on_its_bounding_box_equals_the_whole_plane_form(shape, si
 
 def test_full_cover_mask_warns():
     grid = make_grid(0.02, 3e11)
+    # the edge lies inside the plane's extent but left of its first column
+    edge = (grid.axis_coordinates()[0] - grid.extent / 2.0) / 2.0
     with pytest.warns(UserWarning, match="entire plane"):
-        mask = make_obstacle_mask(grid, ObstacleSpec("square", 0.02, (0.0, 0.0), 1.0))
+        mask = make_obstacle_mask(grid, ObstacleSpec("half_plane", 0.0, (edge, 0.0), 1.0))
     assert not mask.values.any()
 
 
@@ -682,9 +678,25 @@ def test_oversized_obstacle_rejected():
         make_obstacle_mask(grid, ObstacleSpec("disc", 0.2, (0.0, 0.0), 1.0))
 
 
+@pytest.mark.parametrize("kind", ["grid", "slice"])
+def test_half_plane_edge_must_lie_strictly_inside_the_extent(kind):
+    """An edge at or beyond +-extent/2 would block all of the plane or none of it."""
+    grid = make_grid(0.02, 3e11)
+    plane = grid if kind == "grid" else FieldSlice(1.0, np.zeros((45, 45)), grid.element_pitch)
+    half = plane.extent / 2.0
+    for border in (-half, half):
+        for edge in (border, 2.0 * border):
+            with pytest.raises(GeometryError, match="block all of the plane or none of it"):
+                make_obstacle_mask(plane, ObstacleSpec("half_plane", 0.0, (edge, 0.0), 1.0))
+    # one float inside the right border lies right of every column and blocks nothing
+    inside = math.nextafter(half, 0.0)
+    assert make_obstacle_mask(plane, ObstacleSpec("half_plane", 0.0, (inside, 0.0), 1.0)).values.all()
+
+
 def test_obstacle_spec_validation():
-    with pytest.raises(ValueError):
-        ObstacleSpec("blob", 0.01, (0, 0), 1.0)
+    for shape in ("blob", "square"):
+        with pytest.raises(ValueError, match="unknown obstacle shape"):
+            ObstacleSpec(shape, 0.01, (0, 0), 1.0)
     with pytest.raises(ValueError):
         ObstacleSpec("disc", 0.01, (0, 0), -1.0)
 

@@ -33,10 +33,6 @@ DEFAULTS = {
     "errors.ConfigError(key_path=None)",
     "errors.CausticDesignError(aperture_x=None)",
     "errors.SamplingError(required_pad_factor=None)",
-    "io.intensity_to_levels(scale='db')",
-    "io.intensity_to_levels(db_floor=-60.0)",
-    "metrics.GainCurve(focal_length=None)",
-    "metrics.GainCurve(bessel_peak_distance=None)",
     "oam.crosstalk_matrix(steer_angles=(0.0,))",
     "oam.crosstalk_matrix(rx_radius=None)",
     "propagation.propagate_slice(pad_factor=2.0)",
@@ -74,12 +70,6 @@ DEFAULTS = {
     "scenarios.PlaneOutputSection(formats=('pgm',))",
     "scenarios.PlaneOutputSection(db_floor=-60.0)",
     "scenarios.PlaneOutputSection(scale='db')",
-    "scenarios.ScenarioConfig(grid=None)",
-    "scenarios.ScenarioConfig(wavefronts=<factory>)",
-    "scenarios.ScenarioConfig(distances=None)",
-    "scenarios.ScenarioConfig(plane=None)",
-    "scenarios.ScenarioConfig(blockage=None)",
-    "scenarios.ScenarioConfig(oam=None)",
     "scenarios.run_scenario(out_dir=None)",
 }
 

@@ -204,8 +204,12 @@ def test_gain_curve_validates_input(ci_curve):
     grid = make_grid(0.02, 3e11)
     with pytest.raises(ValueError):
         gain_curve(grid, [WavefrontSpec(kind="beamforming")], [])
-    with pytest.raises(ValueError):
-        gain_curve(grid, [WavefrontSpec(kind="beamfocusing")], [0.1, 0.2])
+    # exactly one wavefront of each kind: none missing, none repeated, no other
+    for specs in ([WavefrontSpec(kind="beamfocusing")], _gain_specs() * 2,
+                  _gain_specs()[:2] + [WavefrontSpec(kind="beamforming")],
+                  _gain_specs() + [WavefrontSpec(kind="caustic")]):
+        with pytest.raises(ValueError, match="exactly one wavefront of each kind"):
+            gain_curve(grid, specs, [0.1, 0.2])
     # a spiral nulls the axis: no curve of rounding noise
     with pytest.raises(ValueError, match="spiral"):
         gain_curve(grid, [WavefrontSpec(kind="bessel", spot_fwhm=0.004, oam_mode=1)], [0.1, 0.2])
@@ -215,7 +219,8 @@ def test_gain_curve_validates_input(ci_curve):
 def test_gain_curve_rejects_values_outside_the_unit_interval(value):
     zs = np.array([0.1, 0.2])
     with pytest.raises(ValueError, match="leaves"):
-        GainCurve(zs, {"bessel": np.array([0.5, value])}, {"bessel": np.array([0.5, value])})
+        GainCurve(zs, {"bessel": np.array([0.5, value])}, {"bessel": np.array([0.5, value])},
+                  0.2, 0.2)
 
 
 def _gain_specs(circular=True, bits=None):

@@ -30,8 +30,8 @@ from thzbeam import (
 from thzbeam.cli import build_parser, main as cli_main
 from thzbeam.scenarios import (MAX_DISTANCES, MAX_ELEMENTS_PER_SIDE, MAX_PADDED_SIDE,
                                _STUDY_SECTIONS, ScenarioSection)
+from thzbeam.metrics import GAIN_CURVE_KINDS
 from thzbeam.io import (
-    GAIN_CURVE_COLUMNS,
     format_number,
     intensity_to_levels,
     phase_to_levels,
@@ -1028,16 +1028,32 @@ def test_cli_gain_curve_applies_each_sections_keys(tmp_path, old, new):
     config = parse_config(text)
     specs = {spec.kind: spec for spec in config.wavefronts.values()}
     curve = gain_curve(config.grid, list(specs.values()), config.distances)
-    for kind in GAIN_CURVE_COLUMNS:
+    for kind in GAIN_CURVE_KINDS:
         assert _gain_column(tmp_path / "gain", kind) == list(map(format_number, curve.gain[kind]))
     specs["beamfocusing"] = replace(specs["beamfocusing"], focal_length=curve.focal_length)
     fields_ = {kind: synthesize_field(config.grid, spec) for kind, spec in specs.items()}
     peak = _axial_coherence(fields_["bessel"], curve.bessel_peak_distance)
     for i in np.random.default_rng(3).choice(len(config.distances), size=3, replace=False):
-        for kind in GAIN_CURVE_COLUMNS:
+        for kind in GAIN_CURVE_KINDS:
             exact = _axial_coherence(fields_[kind], config.distances[i])
             exact /= peak if kind == "bessel" else 1.0
             assert curve.gain[kind][i] == pytest.approx(exact, rel=1e-10), kind
+
+
+def test_gain_curve_columns_are_named_by_section_in_role_order(tmp_path):
+    """Each column is named after the section that fills its role, in the order of
+    ``GAIN_CURVE_KINDS`` whatever the order of wavefronts.names."""
+    lens = (GAIN_INI.replace("names = beamforming, beamfocusing, bessel",
+                             "names = bessel, lens, beamforming")
+            .replace("[wavefront.beamfocusing]", "[wavefront.lens]"))
+    (tmp_path / "lens.ini").write_text(lens)
+    (tmp_path / "plain.ini").write_text(GAIN_INI)
+    for name in ("lens", "plain"):
+        assert cli_main(["run", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / name)]) == 0
+    header = (tmp_path / "lens" / "gain_curve.csv").read_text().splitlines()[0]
+    assert header == "z_m,beamforming,lens,bessel"
+    assert _gain_column(tmp_path / "lens", "lens") == _gain_column(tmp_path / "plain",
+                                                                   "beamfocusing")
 
 
 # a spiral overlay nulls the axis, the only place a gain curve looks
@@ -1374,6 +1390,38 @@ def test_the_blockage_disc_may_span_the_obstacle_planes_extent():
         parse_config(sized(beyond))
     with pytest.raises(GeometryError):
         make_obstacle_mask(layout, ObstacleSpec("disc", beyond, (0.0, 0.0), 0.125))
+
+
+def test_the_blockage_knife_edge_must_lie_inside_the_obstacle_planes_extent():
+    """The parse asks ``make_obstacle_mask``'s rule: a knife edge one float inside
+    +-extent/2 of the padded obstacle plane passes both, and one at +-extent/2, which
+    would block all of the plane or none of it, fails both."""
+    import contextlib
+
+    from thzbeam import ObstacleSpec, make_obstacle_mask
+    from thzbeam.aperture import _Layout
+
+    text = preset_text("fig4-ci")
+    grid = parse_config(text).grid
+    layout = _Layout(propagation._padded_size(grid.elements_per_side, 2.0), grid.element_pitch,
+                     (True, False))
+    half = layout.extent / 2.0
+
+    def edged(x):
+        return re.sub(r"^knife_x_edge_m = .*$", f"knife_x_edge_m = {x!r}", text, flags=re.M)
+
+    for border in (-half, half):
+        inside = math.nextafter(border, 0.0)
+        assert parse_config(edged(inside)).blockage.knife_x_edge_m == inside
+        # just inside the left border the knife blocks every column, which the mask warns of
+        with (pytest.warns(UserWarning, match="entire plane") if border < 0
+              else contextlib.nullcontext()):
+            make_obstacle_mask(layout, ObstacleSpec("half_plane", 0.0, (inside, 0.0), 0.25))
+        with pytest.raises(ConfigError, match=r"^blockage\.knife_x_edge_m: half_plane edge .* "
+                                              "block all of the plane or none of it"):
+            parse_config(edged(border))
+        with pytest.raises(GeometryError, match="block all of the plane or none of it"):
+            make_obstacle_mask(layout, ObstacleSpec("half_plane", 0.0, (border, 0.0), 0.25))
 
 
 def test_padded_side_bound_admits_full_scale_fig4_and_pad_factor_1():
