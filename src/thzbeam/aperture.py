@@ -292,25 +292,6 @@ def phase_quadratic(grid: ApertureGrid, focal_length: float) -> PhaseMap:
     return PhaseMap(_raw_quadratic(grid, focal_length))
 
 
-def bessel_half_intensity_argument() -> float:
-    """First positive root of J0(x)^2 = 1/2 (~1.1264).
-
-    A pinned literal, so that importing the package needs no root finder;
-    a test checks that it equals the bracketed root of J0(x)^2 - 1/2.
-    """
-    return 1.1263642393772584
-
-
-def bessel_first_null_argument() -> float:
-    """First zero of J0 (~2.4048).
-
-    A pinned literal, checked by a test against the bracketed root of J0.
-    It is one ulp above ``scipy.special.jn_zeros(0, 1)[0]``; artifacts
-    depend on this exact value.
-    """
-    return 2.404825557695773
-
-
 @dataclass(frozen=True)
 class AxiconDesign:
     """Derived conical-profile parameters for a given central spot size."""
@@ -321,7 +302,10 @@ class AxiconDesign:
     ring_count_within_aperture: int
 
 
-_SPOT_CONVENTIONS = ("fwhm", "first_null")
+# each spot convention's J0 argument at the spot edge: the first root of J0(x)^2 = 1/2 (FWHM)
+# or of J0 (null to null).  Pinned, so import needs no root finder; a test checks both against
+# their bracketed roots (the null is one ulp above scipy's jn_zeros), and artifacts rest on them
+_SPOT_CONVENTIONS = {"fwhm": 1.1263642393772584, "first_null": 2.404825557695773}
 
 
 def axicon_design(grid: ApertureGrid, spot_fwhm: float, spot_convention: str = "fwhm") -> AxiconDesign:
@@ -339,10 +323,8 @@ def axicon_design(grid: ApertureGrid, spot_fwhm: float, spot_convention: str = "
         )
     if spot_convention not in _SPOT_CONVENTIONS:
         raise ValueError(f"unknown spot_convention {spot_convention!r}")
-    x_c = (bessel_half_intensity_argument() if spot_convention == "fwhm"
-           else bessel_first_null_argument())
     k = grid.wavenumber
-    k_r = 2.0 * x_c / spot_fwhm
+    k_r = 2.0 * _SPOT_CONVENTIONS[spot_convention] / spot_fwhm
     if k_r >= k:
         raise EvanescentDesignError(
             f"radial wavenumber {k_r:g} rad/m reaches the free-space wavenumber "
@@ -469,11 +451,16 @@ def phase_caustic(grid: ApertureGrid, curve: CausticCurve) -> PhaseMap:
 # quantization, masks, composition
 
 
+def _checked_phase_bits(bits: int) -> int:
+    """``bits``, refused unless it lies in [1, 16]."""
+    if not 1 <= bits <= 16:
+        raise ValueError(f"phase_bits must be in [1, 16], got {bits}")
+    return bits
+
+
 def quantize_phase(phase: PhaseMap, bits: int) -> PhaseMap:
     """Round each value to the nearest of 2**bits uniform levels in [0, 2*pi)."""
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in [1, 16], got {bits}")
-    levels = 1 << bits
+    levels = 1 << _checked_phase_bits(bits)
     step = TWO_PI / levels
     q = np.mod(np.round(phase.values / step), levels)
     return PhaseMap(q * step)
@@ -632,8 +619,8 @@ class WavefrontSpec:
     def __post_init__(self):
         if self.kind not in _WAVEFRONT_KINDS:
             raise ValueError(f"unknown wavefront kind {self.kind!r}")
-        if self.phase_bits is not None and not 1 <= self.phase_bits <= 16:
-            raise ValueError(f"phase_bits must be in [1, 16], got {self.phase_bits}")
+        if self.phase_bits is not None:
+            _checked_phase_bits(self.phase_bits)
 
 
 def _is_even(spec: WavefrontSpec) -> bool:

@@ -60,6 +60,20 @@ def normalized_gain(field, point: Sequence[float]) -> float:
 GAIN_CURVE_KINDS = ("beamforming", "beamfocusing", "bessel")
 
 
+def _check_one_of_each_kind(wavefronts: Sequence[WavefrontSpec]) -> None:
+    """Refuse wavefronts that are not one of each kind of ``GAIN_CURVE_KINDS``."""
+    kinds = sorted(s.kind for s in wavefronts)
+    if kinds != sorted(GAIN_CURVE_KINDS):
+        raise ValueError(f"a gain curve takes exactly one wavefront of each kind "
+                         f"{', '.join(GAIN_CURVE_KINDS)}; got {', '.join(kinds)}")
+
+
+def _check_no_spiral(wavefronts: Sequence[WavefrontSpec]) -> None:
+    """Refuse a spiral overlay, which nulls the axis, the only place a gain curve looks."""
+    if any(s.oam_mode != 0 for s in wavefronts):
+        raise ValueError("a spiral overlay nulls the axis: the axial gain is not defined")
+
+
 @dataclass(frozen=True)
 class GainCurve:
     """Per-wavefront normalized gain along the axis.
@@ -105,12 +119,8 @@ def gain_curve(
         raise ValueError("distances must not be empty")
     if np.any(zs <= 0) or np.any(np.diff(zs) <= 0):
         raise ValueError("distances must be positive and strictly increasing")
-    if any(s.oam_mode != 0 for s in wavefronts):
-        raise ValueError("a spiral overlay nulls the axis: the axial gain is not defined")
-    kinds = sorted(s.kind for s in wavefronts)
-    if kinds != sorted(GAIN_CURVE_KINDS):
-        raise ValueError(f"a gain curve takes exactly one wavefront of each kind "
-                         f"{', '.join(GAIN_CURVE_KINDS)}; got {', '.join(kinds)}")
+    _check_no_spiral(wavefronts)
+    _check_one_of_each_kind(wavefronts)
     specs = {s.kind: s for s in wavefronts}
 
     def curve_for(spec: WavefrontSpec) -> np.ndarray:

@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .aperture import ApertureField, ApertureGrid, _Layout, _raw_spiral
-from .errors import GeometryError
-from .propagation import (_DEFAULT_PAD_FACTOR, _check_window_supports_distance, _padded_size,
+from .errors import GeometryError, SamplingError
+from .propagation import (_DEFAULT_PAD_FACTOR, _check_distance, _padded_size, _window_refusal,
                           propagate_asm, reuse_spectra)
 
 __all__ = [
@@ -121,12 +121,12 @@ def crosstalk_matrix(
     mode_list = tuple(int(m) for m in modes)
     if len(set(mode_list)) != len(mode_list):
         raise ValueError(f"duplicate modes in {mode_list}")
-    if not (z > 0 and math.isfinite(z)):
-        raise ValueError(f"z must be positive and finite, got {z}")
+    _check_distance(z)
     grid = base.grid
     n, pitch, k = grid.elements_per_side, grid.element_pitch, grid.wavenumber
     rx_radius, npad, m, _ = _receive_side(grid, rx_radius)
-    _check_window_supports_distance(n, npad, pitch, grid.wavelength, z)
+    if (refusal := _window_refusal(npad * pitch, grid.wavelength, z)) is not None:
+        raise SamplingError(refusal)  # every hop takes pad factor 2: no other to hint at
     rx_grid = ApertureGrid(m * pitch, pitch, grid.frequency)
     phi = _raw_spiral(rx_grid, 1)  # the azimuth, on the aperture's elements too
     x_sq = rx_grid.axis_coordinates() ** 2

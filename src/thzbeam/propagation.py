@@ -5,16 +5,16 @@ Two engines share one convention (outgoing waves ``exp(-1j*k*r)/r``):
 * ``propagate_direct`` — brute-force Huygens summation over every element,
   exact by construction; it is the oracle every other path is tested
   against.
-* ``propagate_asm`` — spectral propagation on a zero-padded grid whose
-  side is ``pad_factor`` (a number from 1 to 8, by default 2) times the
-  field's.  From an ``ApertureField`` (discrete point sources) the
-  transfer function is the FFT of the sampled spherical-wave kernel.  The
+* ``propagate_asm`` and ``propagate_slice`` — spectral propagation on a
+  zero-padded grid whose side is ``pad_factor`` (1 to 8, by default 2)
+  times the field's.  ``propagate_asm`` hops an ``ApertureField`` (discrete
+  point sources) by the FFT of the sampled spherical-wave kernel.  The
   convolution is circular on the npad-square padded plane, so a sample
   at d samples from its centre along each axis reproduces the direct
   summation only where |d| <= (npad - n)/2: at pad 2, the central n-by-n
-  window.  Beyond it the kernel wraps round.  From a ``FieldSlice``
-  (sampled continuum field) the analytic angular-spectrum transfer
-  function ``exp(-1j*z*sqrt(k^2-kx^2-ky^2))`` is used, always
+  window.  Beyond it the kernel wraps round.  ``propagate_slice`` hops a
+  ``FieldSlice`` (sampled continuum field) by the analytic angular-spectrum
+  transfer function ``exp(-1j*z*sqrt(k^2-kx^2-ky^2))``, always
   band-limited against wrap-around (Matsushima & Shimobaba, Opt. Express
   17(22), 2009) and with evanescent components zeroed.
 
@@ -182,6 +182,12 @@ def _checked_pad_factor(pad_factor: float) -> float:
     if not 1.0 <= pad_factor <= _MAX_PAD_FACTOR:
         raise ValueError(f"pad_factor must be in [1, {_MAX_PAD_FACTOR}], got {pad_factor}")
     return pad_factor
+
+
+def _check_distance(z: float) -> None:
+    """Refuse a hop distance that is not positive and finite (NaN too)."""
+    if not (z > 0 and math.isfinite(z)):
+        raise ValueError(f"propagation distance must be positive and finite, got {z}")
 
 
 # ---------------------------------------------------------------------------
@@ -447,28 +453,31 @@ def _f_limit(extent: float, lam: float, z: float) -> float:
         return 0.0
 
 
+def _window_refusal(extent: float, lam: float, z: float) -> str | None:
+    """Why a padded window of side ``extent`` cannot carry a hop to z, or None if it can."""
+    f_limit = _f_limit(extent, lam, z)
+    if not f_limit >= 1.0 / extent:  # the band limit falls below one frequency bin
+        return (f"padded window {extent:g} m cannot carry the field to z = {z:g} m "
+                f"(band limit {f_limit:g} cycles/m below one bin {1.0 / extent:g})")
+    return None
+
+
 def _check_window_supports_distance(n: int, npad: int, pitch: float, lam: float, z: float) -> None:
-    """Reject a hop of n samples a side, padded to npad, whose band limit collapses.
+    """Reject a hop of n samples a side, padded to npad, that its window does not carry.
 
     The rejection hints at a pad factor to retry with: the estimate
     4 sqrt(2 z lambda) / window, raised to the smallest whole pad factor
     whose window carries the hop and capped at ``_MAX_PAD_FACTOR``.  When
     not even that carries it, the message says so and gives no hint.
     """
-    def carries(extent: float) -> bool:
-        return _f_limit(extent, lam, z) >= 1.0 / extent
-
-    extent = npad * pitch
-    if carries(extent):
+    message = _window_refusal(npad * pitch, lam, z)
+    if message is None:
         return
-    message = (f"padded window {extent:g} m cannot carry the field to z = {z:g} m "
-               f"(band limit {_f_limit(extent, lam, z):g} cycles/m below one bin "
-               f"{1.0 / extent:g})")
     least = next((p for p in range(2, _MAX_PAD_FACTOR + 1)
-                  if carries(_padded_size(n, p) * pitch)), None)
+                  if _window_refusal(_padded_size(n, p) * pitch, lam, z) is None), None)
     if least is None:
         raise SamplingError(f"{message}; no pad_factor up to {_MAX_PAD_FACTOR} carries it")
-    estimate = math.ceil(4.0 * math.sqrt(2.0 * z * lam) / extent)
+    estimate = math.ceil(4.0 * math.sqrt(2.0 * z * lam) / (npad * pitch))
     raise SamplingError(message, required_pad_factor=min(max(least, estimate), _MAX_PAD_FACTOR))
 
 
@@ -580,8 +589,8 @@ def _hop_slice(field: FieldSlice, dz: float, pad_factor: float,
     place (``_fft2``) and the slice returned then holds it."""
     if not wavelength > 0:  # NaN too
         raise ValueError(f"propagate_slice needs the positive carrier wavelength, not {wavelength}")
-    if dz < 0:
-        raise ValueError(f"propagation step must be non-negative, got {dz}")
+    if dz != 0:  # a step of 0 is taken too
+        _check_distance(dz)
     n = field.layout.side
     npad = _padded_size(n, pad_factor)
     k = 2.0 * np.pi / wavelength
@@ -610,8 +619,7 @@ def propagate_asm(field: ApertureField, z: float,
     """
     # before the spectrum is built, so that the first test's temporaries do not add to its peak
     even = field._even
-    if not (z > 0 and math.isfinite(z)):
-        raise ValueError(f"propagation distance must be positive and finite, got {z}")
+    _check_distance(z)
     _check_nearest_distance(z * z, z)  # the kernel at offset 0
     n = field.grid.elements_per_side
     pitch = field.grid.element_pitch
@@ -687,8 +695,7 @@ def propagate_with_obstacles(
     An obstacle whose mask is the identity is skipped; a footprint beyond
     the propagated plane raises GeometryError from ``make_obstacle_mask``.
     """
-    if z_target <= 0:
-        raise ValueError(f"z_target must be positive, got {z_target}")
+    _check_distance(z_target)
     if obstacle.plane_z >= z_target:
         raise ValueError(f"obstacle plane {obstacle.plane_z} must lie before z_target {z_target}")
 

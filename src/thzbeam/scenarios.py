@@ -43,13 +43,15 @@ from .aperture import (
     WavefrontSpec,
     _caustic_row,
     _check_footprint,
+    _checked_phase_bits,
     axicon_design,
     make_grid,
     synthesize_applied_phase,
     synthesize_field,
 )
 from .errors import ConfigError
-from .metrics import GAIN_CURVE_KINDS, _disc_correlation, _intensity_correlation, gain_curve
+from .metrics import (_check_no_spiral, _check_one_of_each_kind, _disc_correlation,
+                      _intensity_correlation, gain_curve)
 from .oam import LinkBudgetSpec, _receive_side, crosstalk_matrix, required_bandwidth
 from .propagation import (
     _DEFAULT_PAD_FACTOR,
@@ -80,7 +82,7 @@ MAX_PADDED_SIDE = 4096
 Positive = float  # finite and > 0
 Fraction = float  # in (0, 1]
 Negative = float  # finite and < 0
-Bits = int  # 1 to 16
+Bits = int  # checked by aperture._checked_phase_bits
 PadFactor = float  # in [1, 8]
 Auto = float | None  # Positive, or "auto" (None): the study chooses
 Study = str  # one of STUDIES
@@ -143,12 +145,14 @@ _CASTS = {
     "Positive": _positive,
     "Fraction": _ranged(_float, lambda v: 0 < v <= 1, "in (0, 1]"),
     "Negative": _ranged(_float, lambda v: v < 0, "negative"),
-    "Bits": _ranged(int, lambda v: 1 <= v <= 16, "in [1, 16]"),
+    "Bits": lambda raw: _checked_phase_bits(int(raw)),
     "PadFactor": lambda raw: _checked_pad_factor(_float(raw)),
     "Auto": lambda raw: None if raw == "auto" else _positive(raw),
     "Study": _one_of(*STUDIES), "Convention": _one_of(*_SPOT_CONVENTIONS),
     "Scale": _one_of(*artifacts._SCALES),
-    "Names": _items(str), "Ints": _items(int), "Floats": _items(_float),
+    "Names": _items(_ranged(str, lambda v: not set(v) & set("/\\\0"),  # names go in file names
+                            "a file-name part without '/', '\\' or NUL")),
+    "Ints": _items(int), "Floats": _items(_float),
     "Formats": _items(_one_of(*OUTPUT_FORMATS)), "CsvFormats": _items(_one_of("csv")),
 }
 
@@ -485,18 +489,9 @@ def _check_roles(study: str, wavefronts: dict[str, WavefrontSpec],
             raise ConfigError(f"a {study} study needs a focal length, not auto",
                               key_path=f"wavefront.{name}.focal_length_m")
     elif study == "gain_curve":
-        # one wavefront per column of the fixed gain-curve CSV schema
-        if sorted(kinds) != sorted(GAIN_CURVE_KINDS):
-            raise ConfigError(
-                "gain_curve needs exactly one wavefront of each kind "
-                f"{', '.join(GAIN_CURVE_KINDS)}; got {', '.join(sorted(kinds))}",
-                key_path="wavefronts.names",
-            )
-        # a spiral overlay nulls the axis, the only place a gain curve looks
+        _build("wavefronts.names", _check_one_of_each_kind, wavefronts.values())
         for name, spec in wavefronts.items():
-            if spec.oam_mode != 0:
-                raise ConfigError("a gain_curve wavefront takes no spiral: it nulls the axis",
-                                  key_path=f"wavefront.{name}.oam_mode")
+            _build(f"wavefront.{name}.oam_mode", _check_no_spiral, [spec])
     elif study == "blockage":
         # healing needs one Bessel beam, the knife-edge pair one caustic and one
         # planar beam; without a knife edge no caustic is read

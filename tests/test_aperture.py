@@ -36,6 +36,7 @@ from thzbeam import (
     wrap_phase,
 )
 from thzbeam.aperture import (
+    _SPOT_CONVENTIONS,
     TWO_PI,
     _is_even,
     _raw_caustic,
@@ -43,8 +44,6 @@ from thzbeam.aperture import (
     _raw_planar,
     _raw_quadratic,
     _raw_spiral,
-    bessel_first_null_argument,
-    bessel_half_intensity_argument,
     steer_vector,
 )
 
@@ -214,8 +213,7 @@ def test_bessel_root_literals_equal_their_bracketed_roots():
 
     half = brentq(lambda x: j0(x) ** 2 - 0.5, 0.5, 2.0, xtol=1e-14)
     null = brentq(j0, 2.0, 3.0, xtol=1e-14)
-    assert bessel_half_intensity_argument() == half
-    assert bessel_first_null_argument() == null
+    assert _SPOT_CONVENTIONS == {"fwhm": half, "first_null": null}
 
 
 def test_package_import_loads_no_root_finder():

@@ -15,6 +15,7 @@ from thzbeam import (
     axicon_design,
     circular_taper,
     compose_aperture,
+    crosstalk_matrix,
     make_grid,
     make_obstacle_mask,
     phase_conical,
@@ -484,6 +485,27 @@ def test_hops_refuse_a_pad_factor_outside_1_to_8_and_a_bad_distance():
     for z in (-0.1, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             propagate_asm(field, z)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_hops_refuse_a_distance_that_is_not_finite_before_any_spectrum(monkeypatch, z):
+    """One distance rule serves every hop; ``propagate_slice`` also takes a step of 0."""
+    grid = make_grid(0.02, 3e11)
+    field = ApertureField.uniform(grid)
+    slice_ = _gaussian_slice(grid, 0.002)
+    disc = ObstacleSpec("disc", 0.002, (0.0, 0.0), 0.05)
+    assert propagate_slice(slice_, 0.0, wavelength=grid.wavelength).z == 0.0
+
+    def no_spectrum(key, build):
+        raise AssertionError(f"a {key[0]} spectrum was built")
+
+    monkeypatch.setattr(propagation, "_spectrum", no_spectrum)
+    for hop in (lambda: propagate_asm(field, z),
+                lambda: propagate_slice(slice_, z, wavelength=grid.wavelength),
+                lambda: propagate_with_obstacles(field, disc, z),
+                lambda: crosstalk_matrix(field, (0, 1), z)):
+        with pytest.raises(ValueError, match="propagation distance must be positive and finite"):
+            hop()
 
 
 # ---------------------------------------------------------------------------

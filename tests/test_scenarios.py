@@ -1070,6 +1070,40 @@ def test_cli_gain_curve_rejects_keys_that_do_nothing(tmp_path, capsys, old, new,
     assert not (tmp_path / "out").exists()
 
 
+# a missing kind and a spiral: the parse refuses each at its key path with gain_curve's text
+@pytest.mark.parametrize("old,new,key_path,specs_of", [
+    ("names = beamforming, beamfocusing, bessel", "names = beamforming, bessel",
+     "wavefronts.names", lambda specs: specs[0::2]),
+    ("[wavefront.bessel]\n", "[wavefront.bessel]\noam_mode = 2\n", "wavefront.bessel.oam_mode",
+     lambda specs: specs[:2] + [replace(specs[2], oam_mode=2)]),
+], ids=["missing-kind", "oam_mode"])
+def test_gain_curve_parse_errors_carry_the_library_text(old, new, key_path, specs_of):
+    config = parse_config(GAIN_INI)
+    with pytest.raises(ValueError) as library:
+        gain_curve(config.grid, specs_of(list(config.wavefronts.values())), config.distances)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(GAIN_INI.replace(old, new))
+    assert parsed.value.key_path == key_path
+    assert str(parsed.value) == f"{key_path}: {library.value}"
+
+
+# a wavefront name is part of file names: a path separator or NUL in it is refused
+@pytest.mark.parametrize("name", ["x/../../escape", "sub/x", "sub\\x", "a\0b"],
+                         ids=["parent-escape", "subdirectory", "backslash", "nul"])
+def test_cli_run_rejects_wavefront_names_that_are_no_file_name_part(tmp_path, capsys, name):
+    config = tmp_path / "scenario.ini"
+    config.write_text(WAVEFRONT_INI["phase_map"].replace("focus", name))
+    out = tmp_path / "nest" / "out"
+    (out / "phase_x").mkdir(parents=True)  # where x/../../escape would climb out of out
+    assert cli_main(["run", str(config), "--out", str(out / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "wavefronts.names:" in err
+    assert "Traceback" not in err
+    assert not (out / "run").exists()
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "nest", "nest/out", "nest/out/phase_x", "scenario.ini"]
+
+
 def test_cli_rejects_scenario_seed(tmp_path, capsys):
     config = tmp_path / "seeded.ini"
     config.write_text(MINIMAL_FIG5.replace("name = tiny\n", "name = tiny\nseed = 0\n"))
@@ -1462,6 +1496,18 @@ def test_cli_pad_hints_name_only_pad_factors_a_plan_takes(tmp_path, capsys):
     assert cli_main([*argv, "--z", "1", "--out", str(tmp_path / "near")]) == 3
     assert "retry with pad_factor >= 5" in capsys.readouterr().err
     assert cli_main([*argv, "--z", "1", "--pad", "5", "--out", str(tmp_path / "padded")]) == 0
+
+
+def test_cli_crosstalk_window_refusal_names_no_pad_factor(tmp_path, capsys):
+    """Every crosstalk hop takes the fixed pad factor 2, and the study has no key to set
+    another, so its window refusal names none."""
+    argv = ["oam-crosstalk", "--side-length", "0.02", "--frequency", "3e11", "--modes=-1,0,1",
+            "--z", "1", "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 3
+    err = capsys.readouterr().err
+    assert "cannot carry the field to z = 1 m" in err
+    assert "pad_factor" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # config errors that name their key path and exit before the output directory exists
