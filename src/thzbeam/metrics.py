@@ -19,7 +19,7 @@ import numpy as np
 
 from .aperture import ApertureGrid, WavefrontSpec, _span, synthesize_field
 from .errors import NoBeamError
-from .propagation import FieldSlice, _axial_sums, _element_distances
+from .propagation import FieldSlice, _axial_sums, _element_distances, _thread_map
 
 __all__ = [
     "GainCurve",
@@ -40,8 +40,6 @@ def normalized_gain(field, point: Sequence[float]) -> float:
     the element-wise sums up to summation order.
     """
     px, py, pz = (float(v) for v in point)
-    if pz <= 0:
-        raise ValueError(f"evaluation point must have z > 0, got {pz}")
     if px == 0.0 and py == 0.0:
         coherent, incoherent = _axial_sums(field, [pz])
         num = abs(coherent[0]) ** 2
@@ -113,6 +111,10 @@ def gain_curve(
     ``beamfocusing`` spec with ``focal_length=None`` is focused at the
     distance where the Bessel curve peaks, which makes the two curves meet
     there.
+
+    The columns run one at a time, each on its own field, and a column's
+    distances one ``normalized_gain`` call each, over one thread per CPU
+    (``propagation._thread_map``): the bits do not depend on the split.
     """
     zs = np.asarray(distances, dtype=float)
     if zs.size == 0:
@@ -125,7 +127,8 @@ def gain_curve(
 
     def curve_for(spec: WavefrontSpec) -> np.ndarray:
         fld = synthesize_field(grid, spec)
-        return np.array([normalized_gain(fld, (0.0, 0.0, z)) for z in zs])
+        fld._axial_binning  # binned here, so that no two threads bin one field
+        return np.array(_thread_map(lambda z: normalized_gain(fld, (0.0, 0.0, z)), zs))
 
     raw = {"bessel": curve_for(specs["bessel"])}
     bessel_peak_z = float(zs[int(np.argmax(raw["bessel"]))])

@@ -22,10 +22,12 @@ Results are order-stable: identical inputs give bit-identical outputs.  The
 FFTs run on ``numpy.fft`` (pocketfft, the code ``scipy.fft`` runs), one
 axis at a time in the order ``scipy.fft.fft2`` and ``ifft2`` take and with
 their scaling step, so every transform equals scipy's bit for bit; the
-tests keep scipy as the reference.  A pass over ``_THREADED_SAMPLES``
-samples or more (the full-scale planes) is split into line blocks, one
-per CPU this process may run on, which does not change a single bit
-either; a smaller pass runs on one thread.
+tests keep scipy as the reference.  Work runs on threads through one map,
+``_thread_map``: one thread per CPU this process may run on, never more
+than it has tasks, and the bits of one thread, as every task makes the
+same numpy calls on the same arrays.  An FFT pass over
+``_THREADED_SAMPLES`` samples or more (the full-scale planes) maps blocks
+of its lines; ``metrics.gain_curve`` maps its distances, at any size.
 
 Both transfer functions are even in kx and ky, so each is built and kept
 as its quadrant of non-negative frequencies, (npad//2+1)^2 values, and
@@ -218,17 +220,23 @@ def _line_blocks(lines: int, samples: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+def _thread_map(fn, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, in item order, on ``min(_cpus(), len(items))`` threads;
+    with one CPU or one item, in the calling thread.  A task that raises raises here, once
+    every thread has ended."""
+    threads = min(_cpus(), len(items))
+    if threads <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # numpy releases the GIL in its loops
+
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def _in_blocks(lines: int, samples: int, run) -> None:
     """``run(start, stop)`` on each block of ``_line_blocks(lines, samples)``, one thread
     per block when there are several; a failed block raises."""
-    blocks = _line_blocks(lines, samples)
-    if len(blocks) == 1:
-        run(*blocks[0])
-        return
-    from concurrent.futures import ThreadPoolExecutor  # numpy releases the GIL in a transform
-
-    with ThreadPoolExecutor(len(blocks)) as pool:
-        list(pool.map(lambda block: run(*block), blocks))
+    _thread_map(lambda block: run(*block), _line_blocks(lines, samples))
 
 
 def _transform(a: np.ndarray, axis: int, inverse: bool = False) -> None:
@@ -639,17 +647,20 @@ def _check_nearest_distance(r_sq: float, z: float) -> None:
 
 
 def _check_point(r_sq: float, point: Sequence[float]) -> None:
-    """Reject a sum at ``point`` (x, y, z) whose nearest r^2 is not finite (a coordinate
-    that is not, or a square past the float range) or not a normal float."""
+    """Reject a sum at ``point`` (x, y, z) whose z is not > 0 (NaN too), or whose nearest
+    r^2 is not finite (a coordinate that is not, or a square past the float range) or not a
+    normal float."""
+    at = f"cannot sum at the point ({', '.join(f'{v:g}' for v in point)}) m"
+    if not point[2] > 0:
+        raise ValueError(f"{at}: z must be > 0")
     if not math.isfinite(r_sq):
-        raise ValueError(f"cannot sum at the point ({', '.join(f'{v:g}' for v in point)}) m: "
-                         f"the squared distance to the nearest element is {r_sq:g} m^2")
+        raise ValueError(f"{at}: the squared distance to the nearest element is {r_sq:g} m^2")
     _check_nearest_distance(r_sq, point[2])
 
 
 def _element_distances(X: np.ndarray, Y: np.ndarray, point: Sequence[float]) -> np.ndarray:
-    """r from each element at (X, Y) to ``point`` (x, y, z), refusing a point whose nearest
-    r^2 is not finite or not a normal float (``_check_point``)."""
+    """r from each element at (X, Y) to ``point`` (x, y, z), refusing a point whose z is not
+    > 0 or whose nearest r^2 is not finite or not a normal float (``_check_point``)."""
     px, py, pz = point
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         r_sq = (X - px) ** 2 + (Y - py) ** 2 + pz * pz
@@ -668,8 +679,6 @@ def propagate_direct(field: ApertureField, points: Sequence[Sequence[float]]) ->
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 3:
         raise ValueError(f"points must be (x, y, z) triples, got shape {pts.shape}")
-    if np.any(pts[:, 2] <= 0):
-        raise ValueError("all evaluation points must have z > 0")
     out = np.empty(pts.shape[0], dtype=complex)
     for i, point in enumerate(pts):
         r = _element_distances(X, Y, point)

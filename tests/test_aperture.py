@@ -216,19 +216,21 @@ def test_bessel_root_literals_equal_their_bracketed_roots():
     assert _SPOT_CONVENTIONS == {"fwhm": half, "first_null": null}
 
 
-def test_package_import_loads_no_root_finder():
+def test_package_import_loads_no_root_finder_and_starts_no_thread():
     # no scipy module at all: scipy.fft alone pulls in scipy.special, numpy.f2py
     # and numpy.testing; the FFTs run on numpy.fft, loaded at import so the
-    # first hop does not pay for it
+    # first hop does not pay for it.  The thread pool is imported by the first map
+    # that runs on several threads, so the set-up of a run or a CLI call pays for none
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, thzbeam, thzbeam.cli\n"
+    code = ("import sys, threading, thzbeam, thzbeam.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-            "'numpy.fft' in sys.modules)")
+            "'numpy.fft' in sys.modules, 'concurrent.futures' in sys.modules, "
+            "threading.active_count())")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[] True"
+    assert done.stdout.strip() == "[] True False 1"
 
 
 def test_axicon_design_reproduces_reference_range():

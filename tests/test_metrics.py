@@ -30,7 +30,7 @@ from thzbeam import (
     self_healing_correlation,
     synthesize_field,
 )
-from thzbeam import aperture, metrics
+from thzbeam import aperture, metrics, propagation
 from thzbeam.metrics import _disc_correlation, _intensity_correlation
 
 RNG = np.random.default_rng(99)
@@ -118,8 +118,11 @@ def test_gain_off_axis_keeps_elementwise_sum(side):
 def test_gain_validates_point():
     grid = make_grid(0.02, 3e11)
     field = ApertureField.uniform(grid)
-    with pytest.raises(ValueError):
-        normalized_gain(field, (0.0, 0.0, -0.1))
+    x0 = grid.axis_coordinates()[0]
+    # on the axis, z = -1 gives r^2 = 1: z itself is tested
+    for point in ((0.0, 0.0, -0.1), (0.0, 0.0, -1.0), (0.0, 0.0, 0.0), (x0, x0, -1.0)):
+        with pytest.raises(ValueError, match=r"cannot sum at the point \(.*\) m: z must be > 0"):
+            normalized_gain(field, point)
 
 
 def test_oracle_and_off_axis_gain_refuse_an_underflowing_distance():
@@ -248,11 +251,14 @@ def test_gain_curve_equals_per_distance_calls_bitwise(side, circular, bits):
         assert curve.raw_gain[kind].view(np.uint64).tobytes() == alone.view(np.uint64).tobytes()
 
 
-def test_gain_curve_calls_normalized_gain_once_per_distance(monkeypatch):
-    """One call per distance and column, with the column's field and (0, 0, z).
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_gain_curve_calls_normalized_gain_once_per_distance(monkeypatch, cpus):
+    """One call per distance and column, with the column's field and (0, 0, z), whether
+    the distances run on one thread or on several, in any order within a column.
 
     perfbench's ``GainProbe`` samples these calls by their bound arguments.
     """
+    monkeypatch.setattr(propagation, "_cpus", lambda: cpus)
     calls = []
 
     def recorded(*args, **kwargs):
@@ -272,9 +278,25 @@ def test_gain_curve_calls_normalized_gain_once_per_distance(monkeypatch):
         column = calls[start:start + zs.size]
         field = column[0][0]
         assert all(f is field for f, _ in column)
-        assert [p for _, p in column] == [(0.0, 0.0, z) for z in zs]
+        assert sorted(p for _, p in column) == [(0.0, 0.0, z) for z in zs]
         kinds += [k for k, f in expected.items() if np.array_equal(f.weights, field.weights)]
     assert sorted(kinds) == sorted(expected)
+
+
+def test_gain_curve_bits_do_not_depend_on_the_cpu_count(monkeypatch):
+    grid = make_grid(0.0205, 3e11)
+    zs = np.linspace(0.02, 0.3, 9)
+    curves = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(propagation, "_cpus", lambda: cpus)
+        curves.append(gain_curve(grid, _gain_specs(), zs))
+    one, four = curves
+    for kind in metrics.GAIN_CURVE_KINDS:
+        for table in ("raw_gain", "gain"):
+            assert (getattr(one, table)[kind].view(np.uint64).tobytes()
+                    == getattr(four, table)[kind].view(np.uint64).tobytes()), (kind, table)
+    assert one.focal_length == four.focal_length
+    assert one.bessel_peak_distance == four.bessel_peak_distance
 
 
 def test_each_field_bins_its_read_only_weights_once(monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from thzbeam import (
     circular_taper,
     compose_aperture,
     crosstalk_matrix,
+    gain_curve,
     make_grid,
     make_obstacle_mask,
     phase_conical,
@@ -88,11 +91,10 @@ def test_direct_rejects_coincident_point():
     grid = make_grid(0.02, 3e11)
     field = ApertureField.uniform(grid)
     x0 = grid.axis_coordinates()[0]
-    # a point in the aperture plane lands on an element; both guards reject it
-    with pytest.raises(ValueError):
-        propagate_direct(field, [(x0, x0, 0.0)])
-    with pytest.raises(ValueError):
-        propagate_direct(field, [(0.0, 0.0, -1.0)])
+    # a point in the aperture plane lands on an element, and one behind it is refused too
+    for point in ((x0, x0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, math.nan)):
+        with pytest.raises(ValueError, match=r"cannot sum at the point \(.*\) m: z must be > 0"):
+            propagate_direct(field, [(0.0, 0.0, 0.5), point])
 
 
 # ---------------------------------------------------------------------------
@@ -1177,7 +1179,8 @@ def test_cpus_follow_the_affinity_mask(monkeypatch):
     assert propagation._cpus() == 1
 
 
-def test_fft_passes_start_no_more_threads_than_lines(monkeypatch, split_ffts):
+@pytest.mark.parametrize("work", ["fft-passes", "gain-curve"])
+def test_maps_start_no_more_threads_than_items(monkeypatch, split_ffts, work):
     import concurrent.futures
 
     pools = []
@@ -1189,10 +1192,37 @@ def test_fft_passes_start_no_more_threads_than_lines(monkeypatch, split_ffts):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     split_ffts(64)
-    a = _complex_grid(3)
-    np.testing.assert_array_equal(_bits(propagation._fft2(a.copy(), 3)),
-                                  _bits(scipy.fft.fft2(a)))
-    assert pools == [3, 3]
+    if work == "fft-passes":  # 3 lines a pass
+        a = _complex_grid(3)
+        np.testing.assert_array_equal(_bits(propagation._fft2(a.copy(), 3)),
+                                      _bits(scipy.fft.fft2(a)))
+        assert pools == [3, 3]
+    else:  # 5 distances a column
+        specs = [WavefrontSpec(kind="beamforming"), WavefrontSpec(kind="beamfocusing"),
+                 WavefrontSpec(kind="bessel", spot_fwhm=0.004)]
+        gain_curve(make_grid(0.02, 3e11), specs, np.linspace(0.02, 0.3, 5))
+        assert pools == [5, 5, 5]
+
+
+def test_thread_map_keeps_item_order_and_raises_a_failed_task(monkeypatch):
+    monkeypatch.setattr(propagation, "_cpus", lambda: 1)
+    assert propagation._thread_map(lambda _: threading.current_thread(), range(3)) == [
+        threading.current_thread()] * 3
+    monkeypatch.setattr(propagation, "_cpus", lambda: 4)
+    assert propagation._thread_map(lambda _: threading.current_thread(), [0]) == [
+        threading.current_thread()]
+    before = threading.active_count()
+
+    def task(i):
+        time.sleep(0.002 * (6 - i))  # the later items finish first
+        if i == 2:
+            raise ArithmeticError(f"task {i}")
+        return i * i
+
+    assert propagation._thread_map(task, [0, 1, 3, 4, 5]) == [0, 1, 9, 16, 25]
+    with pytest.raises(ArithmeticError, match="task 2"):
+        propagation._thread_map(task, range(6))
+    assert threading.active_count() == before  # no worker outlives its map
 
 
 def test_fig4_ci_transforms_half_the_lines_of_its_even_hops(monkeypatch, tmp_path):
